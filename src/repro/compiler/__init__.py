@@ -1,7 +1,6 @@
 """VGIW compiler: analyses, dataflow-graph extraction, place & route."""
 
 from repro.compiler.cache import (
-    CACHE_VERSION,
     CompileCache,
     cached_compile_kernel,
     cached_map_kernel,
@@ -59,7 +58,6 @@ from repro.compiler.schedule import BlockSchedule, schedule_blocks
 __all__ = [
     "BlockDFG",
     "BlockSchedule",
-    "CACHE_VERSION",
     "CapacityError",
     "CompileCache",
     "cached_compile_kernel",

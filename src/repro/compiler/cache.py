@@ -8,58 +8,47 @@ before all of them.  None of those results depend on anything but the
 kernel's IR and the architecture parameters, so they are perfectly
 memoisable — this module is that memo.
 
-Keys are **content hashes**: SHA-256 over the kernel's canonical
-textual IR (:func:`repro.ir.text.kernel_to_text`), the ``repr`` of the
-architecture config object (the arch dataclasses have stable,
-value-complete reprs), and the compile options.  Changing a single
+:class:`CompileCache` is the ``compile`` namespace of
+:class:`repro.store.Store`, which owns the keys, the bounded LRU memory
+tier, the atomic disk tier (``cache_dir=``), the tolerant loader and
+the counters.  Keys are **content hashes** over the computation's
+category, the kernel's canonical textual IR
+(:func:`repro.ir.text.kernel_to_text`), and the architecture config and
+options rendered canonically by :func:`repro.store.option_key` — two
+equal fabric specs key equally whatever their dict insertion order, and
+a value without a stable rendering raises
+:class:`~repro.resilience.OptionKeyError`.  Changing a single
 instruction, a fabric unit count, or an option therefore changes the
-key; nothing is ever served stale.  A formatted ``CACHE_VERSION``
-participates in every key so a schema change invalidates old disk
-entries wholesale.
+key; nothing is ever served stale.
 
-Two storage tiers:
+The memory tier is what a single sweep (or a long-lived serve worker)
+hits when the same kernel×config pair recurs: retries of a degraded
+kernel, ablation sweeps that vary one machine's knob while the others
+recompile identically, and the double optimisation in ``run_kernel``
+(the rolled SGMF variant shares its specialisation prefix with the
+unrolled one).
 
-* **in-memory** — a plain dict, always on.  This is what a single
-  sweep (or a process-pool worker) hits when the same kernel×config
-  pair recurs: retries of a degraded kernel, ablation sweeps that vary
-  one machine's knob while the others recompile identically, and the
-  double optimisation in ``run_kernel`` (the rolled SGMF variant
-  shares its specialisation prefix with the unrolled one).
-* **on-disk** (optional, ``cache_dir=``) — one pickle per entry named
-  by its key hash, written atomically and durably through
-  :func:`repro.resilience.atomicio.atomic_pickle` (tmp file + fsync +
-  ``os.replace``, safe under concurrent ``--jobs`` workers).  A corrupt,
-  truncated, or unreadable entry is treated as a miss and rebuilt —
-  the cache can only ever cost a recompile, never correctness
-  (``stats.disk_errors`` counts such falls-back).
-
-Hit/miss counters are exported through :class:`repro.obs.Metrics`
-(scope ``compile``) by :meth:`CompileCache.record_metrics`, which the
-evaluation harness calls at the end of a sweep; ``docs/performance.md``
-documents how to read them.
+Counters are exported through :class:`repro.obs.Metrics` (scope
+``compile``, names ``cache.<counter>``) by
+:meth:`CompileCache.record_metrics`, which the evaluation harness calls
+at the end of a sweep; ``docs/performance.md`` documents how to read
+them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
-from repro.resilience.atomicio import atomic_pickle
+from repro.store import Store
 
 __all__ = [
-    "CACHE_VERSION",
     "CompileCache",
     "cached_compile_kernel",
     "cached_map_kernel",
     "cached_optimize_kernel",
     "kernel_fingerprint",
 ]
-
-#: Bump when the pickled payload schema changes (invalidates all disk
-#: entries at once — the version participates in every key).
-CACHE_VERSION = 1
 
 
 def kernel_fingerprint(kernel) -> str:
@@ -74,137 +63,25 @@ def kernel_fingerprint(kernel) -> str:
     return hashlib.sha256(kernel_to_text(kernel).encode()).hexdigest()
 
 
-class CompileCache:
+class CompileCache(Store):
     """Content-addressed memo for pure kernel-level computations.
 
-    Parameters
-    ----------
-    cache_dir:
-        Optional directory for the persistent tier (created on
-        demand).  ``None`` keeps the cache in-memory only.
-
-    Counters (``hits`` / ``misses`` / ``disk_hits`` / ``disk_writes`` /
-    ``disk_errors``) are plain attributes; :meth:`stats` returns them
-    as a dict and :meth:`record_metrics` publishes them into a
-    :class:`repro.obs.Metrics` registry under the ``compile`` scope.
+    ``CompileCache(cache_dir=None, max_entries=None)``: see
+    :class:`repro.store.Store` for the tiers and counters.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None):
-        self.cache_dir = cache_dir
-        self._mem: Dict[str, Any] = {}
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
-        self.disk_errors = 0
+    NAMESPACE = "compile"
+    MAX_ENTRIES = 512
+    METRIC_SCOPE = "compile"
+    METRIC_PREFIX = "cache."
 
-    # -- keys ----------------------------------------------------------
-    @staticmethod
-    def make_key(category: str, *parts: str) -> str:
-        """Hash ``category`` + ``parts`` (with the cache version) into
-        a hex key."""
-        h = hashlib.sha256()
-        h.update(f"repro-cache-v{CACHE_VERSION}|{category}".encode())
-        for part in parts:
-            h.update(b"|")
-            h.update(part.encode())
-        return h.hexdigest()
-
-    # -- lookup --------------------------------------------------------
-    def get_or_build(self, category: str, key: str,
-                     builder: Callable[[], Any]) -> Any:
-        """Return the cached value for ``(category, key)``, building
-        (and storing) it on a miss."""
-        entry = self._mem.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        if self.cache_dir is not None:
-            value = self._disk_load(key)
-            if value is not None:
-                self.disk_hits += 1
-                self.hits += 1
-                self._mem[key] = value
-                return value
-        self.misses += 1
-        value = builder()
-        self._mem[key] = value
-        if self.cache_dir is not None:
-            self._disk_store(key, value)
+    def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
+        """The cached value for ``key``, building (and storing) it on a
+        miss."""
+        value = self.get(key)
+        if value is None:
+            value = self.put(key, builder())
         return value
-
-    # -- persistent tier -----------------------------------------------
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}.pkl")
-
-    def _disk_load(self, key: str) -> Optional[Any]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:  # corrupt / truncated / version-skewed entry
-            self.disk_errors += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, key: str, value: Any) -> None:
-        try:
-            atomic_pickle(self._path(key), value)
-            self.disk_writes += 1
-        except Exception:
-            # Unpicklable payloads or an unwritable directory degrade
-            # the cache to in-memory; they never fail the compile.
-            self.disk_errors += 1
-
-    # -- introspection -------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "disk_writes": self.disk_writes,
-            "disk_errors": self.disk_errors,
-            "entries": len(self._mem),
-        }
-
-    def record_metrics(self, metrics) -> None:
-        """Publish the counters into ``metrics`` (scope ``compile``)."""
-        if metrics is None:
-            return
-        scope = metrics.scope("compile")
-        scope.inc("cache.hits", self.hits)
-        scope.inc("cache.misses", self.misses)
-        scope.inc("cache.disk_hits", self.disk_hits)
-        scope.inc("cache.disk_writes", self.disk_writes)
-        scope.inc("cache.disk_errors", self.disk_errors)
-        scope.gauge("cache.entries", len(self._mem))
-
-    def merge_counters(self, other: "CompileCache") -> None:
-        """Fold another cache's counters into this one (the parent
-        process aggregates its ``--jobs`` workers' caches)."""
-        self.merge_stats(other.stats())
-
-    def merge_stats(self, stats: Dict[str, int]) -> None:
-        """Fold a :meth:`stats` dict into the counters (what a
-        ``--jobs`` worker ships back across the process boundary)."""
-        self.hits += stats.get("hits", 0)
-        self.misses += stats.get("misses", 0)
-        self.disk_hits += stats.get("disk_hits", 0)
-        self.disk_writes += stats.get("disk_writes", 0)
-        self.disk_errors += stats.get("disk_errors", 0)
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __repr__(self) -> str:
-        tier = f", dir={self.cache_dir!r}" if self.cache_dir else ""
-        return (f"CompileCache({len(self._mem)} entries, "
-                f"{self.hits} hits, {self.misses} misses{tier})")
 
 
 # ----------------------------------------------------------------------
@@ -223,15 +100,11 @@ def cached_compile_kernel(kernel, spec=None, cache: Optional[CompileCache]
     if cache is None:
         return compile_kernel(kernel, spec, replicate=replicate,
                               replica_cap=replica_cap)
-    key = cache.make_key(
-        "vgiw-compile", kernel_fingerprint(kernel), repr(spec),
-        f"replicate={replicate}", f"replica_cap={replica_cap}",
-    )
+    key = cache.make_key("vgiw-compile", kernel_fingerprint(kernel), spec,
+                         replicate, replica_cap)
     return cache.get_or_build(
-        "vgiw-compile", key,
-        lambda: compile_kernel(kernel, spec, replicate=replicate,
-                               replica_cap=replica_cap),
-    )
+        key, lambda: compile_kernel(kernel, spec, replicate=replicate,
+                                    replica_cap=replica_cap))
 
 
 def cached_map_kernel(kernel, spec, cache: Optional[CompileCache] = None):
@@ -244,9 +117,7 @@ def cached_map_kernel(kernel, spec, cache: Optional[CompileCache] = None):
 
     if cache is None:
         return map_kernel(kernel, spec)
-    key = cache.make_key(
-        "sgmf-map", kernel_fingerprint(kernel), repr(spec),
-    )
+    key = cache.make_key("sgmf-map", kernel_fingerprint(kernel), spec)
 
     def build():
         try:
@@ -254,7 +125,7 @@ def cached_map_kernel(kernel, spec, cache: Optional[CompileCache] = None):
         except SGMFUnmappableError as exc:
             return _Unmappable(str(exc))
 
-    result = cache.get_or_build("sgmf-map", key, build)
+    result = cache.get_or_build(key, build)
     if isinstance(result, _Unmappable):
         raise SGMFUnmappableError(result.message)
     return result
@@ -267,15 +138,10 @@ def cached_optimize_kernel(kernel, params=None, unroll: bool = True,
 
     if cache is None:
         return optimize_kernel(kernel, params=params, unroll=unroll)
-    param_part = "None" if params is None else repr(sorted(params.items()))
-    key = cache.make_key(
-        "optimize", kernel_fingerprint(kernel), param_part,
-        f"unroll={unroll}",
-    )
+    key = cache.make_key("optimize", kernel_fingerprint(kernel), params,
+                         unroll)
     return cache.get_or_build(
-        "optimize", key,
-        lambda: optimize_kernel(kernel, params=params, unroll=unroll),
-    )
+        key, lambda: optimize_kernel(kernel, params=params, unroll=unroll))
 
 
 class _Unmappable:

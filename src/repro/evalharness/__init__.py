@@ -13,11 +13,9 @@ from repro.evalharness.experiments import (
     table1_configuration,
     table2_benchmarks,
 )
-from repro.evalharness.journal import JournalEntry, RunJournal
 from repro.evalharness.options import RunOptions, option_key
 from repro.evalharness.report import generate_report
 from repro.evalharness.resultcache import (
-    RESULT_CACHE_VERSION,
     ResultCache,
     ResultCacheEntry,
     workload_digests,
@@ -37,12 +35,9 @@ from repro.evalharness.tables import ExperimentTable, arithmean, geomean
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentTable",
-    "JournalEntry",
     "KernelRun",
-    "RESULT_CACHE_VERSION",
     "ResultCache",
     "ResultCacheEntry",
-    "RunJournal",
     "RunOptions",
     "SuiteResult",
     "VerificationError",

@@ -12,7 +12,6 @@ Usage::
                                 [--inject kernel=kind[:seed[:rate]]]...
                                 [--max-cycles N] [--stall-cycles N]
                                 [--no-isolate]
-                                [--journal FILE | --resume FILE]
                                 [--timeout SECONDS]
                                 [--checkpoint-every CYCLES]
                                 [--checkpoint-dir DIR]
@@ -29,7 +28,10 @@ order).  ``--cache-dir DIR`` adds a persistent compile-cache tier so
 repeat sweeps skip place & route entirely.  ``--result-cache DIR`` goes
 one tier up: whole runs are memoised by content key (kernel IR hash,
 options fingerprint, input digest), so an unchanged re-sweep replays
-stored results instead of simulating — still byte-identical.
+stored results instead of simulating — still byte-identical.  It is
+also how a killed sweep resumes: re-run the same command against the
+same ``--result-cache DIR`` and every kernel that finished before the
+crash is replayed, the rest executed.
 ``--validate-cache-fraction F`` re-executes a seeded fraction of hits
 and hard-fails on digest divergence.  See ``docs/performance.md`` and
 ``docs/serving.md``.
@@ -43,10 +45,6 @@ files in Perfetto / ``chrome://tracing``.  ``--metrics`` records the
 cross-engine metric registry and appends its column group to the
 report.  See ``docs/observability.md``.
 
-``--journal FILE`` records every completed kernel to a durable JSONL
-journal as the sweep runs; after a crash (worker *or* parent),
-``--resume FILE`` reloads it, re-runs only the missing kernels, and
-produces a report byte-identical to an uninterrupted sweep.
 ``--timeout`` bounds each kernel attempt in host wall-clock seconds;
 ``--checkpoint-every`` / ``--checkpoint-dir`` persist periodic
 simulator snapshots for post-mortem restore.  See
@@ -60,7 +58,6 @@ import os
 import sys
 import time
 
-from repro.evalharness.journal import RunJournal
 from repro.evalharness.options import RunOptions
 from repro.evalharness.report import generate_report
 from repro.evalharness.runner import run_suite, trace_file_for
@@ -107,7 +104,9 @@ def main(argv=None) -> int:
                         help="content-addressed result-cache directory: "
                              "re-runs of an unchanged kernel/options/input "
                              "replay the stored run instead of simulating "
-                             "(byte-identical reports; safe under --jobs)")
+                             "(byte-identical reports; safe under --jobs; "
+                             "re-running a killed sweep against the same "
+                             "DIR resumes it)")
     parser.add_argument("--validate-cache-fraction", type=float, default=0.0,
                         metavar="FRACTION",
                         help="re-execute this (seeded, deterministic) "
@@ -132,13 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-isolate", action="store_true",
                         help="let the first kernel failure abort the sweep "
                              "(the historical behaviour)")
-    parser.add_argument("--journal", default=None, metavar="FILE",
-                        help="append every completed kernel to a durable "
-                             "JSONL journal (crash-safe; see --resume)")
-    parser.add_argument("--resume", default=None, metavar="FILE",
-                        help="resume from a journal written by --journal: "
-                             "skip the kernels it holds, run the rest, "
-                             "keep journaling to the same file")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per kernel attempt; a "
@@ -152,16 +144,6 @@ def main(argv=None) -> int:
                              "engine under DIR (implies restorable "
                              "post-mortems; see docs/resilience.md)")
     args = parser.parse_args(argv)
-
-    if args.journal and args.resume and args.journal != args.resume:
-        parser.error("--journal and --resume must name the same file "
-                     "(--resume alone keeps journaling to that file)")
-    journal = args.resume or args.journal
-    if args.resume is not None:
-        try:
-            RunJournal.resume(args.resume, args.scale)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     names = None
     if args.kernels:
@@ -200,7 +182,6 @@ def main(argv=None) -> int:
                          cache_dir=args.cache_dir, trace_path=args.trace,
                          result_cache_dir=args.result_cache,
                          validate_cache_fraction=args.validate_cache_fraction,
-                         journal=journal, resume=args.resume is not None,
                          timeout=args.timeout,
                          checkpoint_every=args.checkpoint_every,
                          checkpoint_dir=args.checkpoint_dir)

@@ -2,12 +2,12 @@
 
 ``run_kernel`` grew to a 13-keyword signature and ``run_suite`` to a
 15-keyword one; every new capability (watchdogs, fault campaigns,
-tracing, compile caching, journals, checkpoints) widened both, and the
+tracing, compile caching, checkpoints) widened both, and the
 new :mod:`repro.serve` request types would have had to mirror the whole
 sprawl a third time.  :class:`RunOptions` consolidates the execution
 options into a single frozen dataclass that ``run_kernel``,
-``run_suite``, the ``repro.evalharness`` CLI, the run journal, and the
-serving layer all consume::
+``run_suite``, the ``repro.evalharness`` CLI and the serving layer all
+consume::
 
     from repro.evalharness import RunOptions, run_kernel
 
@@ -38,89 +38,33 @@ compilation               ``cache``, ``cache_dir``
 result caching            ``result_cache``, ``result_cache_dir``,
                           ``validate_cache_fraction``,
                           ``validate_cache_seed``
-crash safety              ``journal``, ``resume``,
-                          ``checkpoint_every``, ``checkpoint_dir``
+crash safety              ``checkpoint_every``, ``checkpoint_dir``
 parallelism               ``jobs``
 ========================  ==============================================
 
 Suite-only fields (``retry``, ``isolate``, ``inject``, ``trace_path``,
-``journal``, ``resume``, ``jobs``) are ignored by ``run_kernel``; the
-legacy adapter still rejects them there (they were never accepted), so
-no call site silently changes meaning.
+``jobs``) are ignored by ``run_kernel``; the legacy adapter still
+rejects them there (they were never accepted), so no call site
+silently changes meaning.
 
 The class is frozen: derive variants with :meth:`replace`
 (``opts.replace(scale="medium")``).  :meth:`fingerprint` returns a
-stable content key over the *pure* fields — the batching scheduler in
-:mod:`repro.serve` uses it to decide which requests may share one
-execution.
+stable content key over the *pure* fields, each rendered by the
+canonical :func:`repro.store.option_key` (re-exported here) — the
+batching scheduler in :mod:`repro.serve` uses it to decide which
+requests may share one execution, and the result cache keys on it.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping as _Mapping
-from dataclasses import dataclass, fields, is_dataclass, \
-    replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.resilience.errors import OptionKeyError
+from repro.store import option_key
 
 __all__ = ["RunOptions", "option_key"]
-
-
-def option_key(value: Any) -> str:
-    """Canonical, process-stable content key for one option value.
-
-    The fingerprint used to key object-valued fields via ``repr``; any
-    object without a stable value-``repr`` collapsed to
-    ``<... at 0x...>``, which differs per process *and per object* —
-    equal submissions then never batched in :mod:`repro.serve` and
-    would never hit the result cache.  This helper keys values
-    recursively by *content* instead:
-
-    * scalars (``None``/bool/int/float/str/bytes) — their ``repr``;
-    * objects with an explicit ``cache_key()`` hook — the hook's value
-      (the documented override for exotic config types);
-    * dataclass instances — class name plus every field keyed
-      recursively (declaration order, which is stable);
-    * mappings — sorted ``key: value`` pairs, both keyed recursively;
-    * sequences/sets — element-wise (sets sorted);
-    * anything else with a custom, address-free ``repr`` — that repr.
-
-    An object matching none of the above (default object ``repr``, or
-    a custom one still embedding ``at 0x...``) raises a typed
-    :class:`~repro.resilience.OptionKeyError` instead of silently
-    producing a process-unique key.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return repr(value)
-    hook = getattr(value, "cache_key", None)
-    if callable(hook):
-        return f"{type(value).__qualname__}.cache_key({hook()!r})"
-    if is_dataclass(value) and not isinstance(value, type):
-        inner = ", ".join(
-            f"{f.name}={option_key(getattr(value, f.name))}"
-            for f in fields(value)
-        )
-        return f"{type(value).__qualname__}({inner})"
-    if isinstance(value, _Mapping):
-        items = sorted(
-            (option_key(k), option_key(v)) for k, v in value.items()
-        )
-        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(option_key(v) for v in value) + "]"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(sorted(option_key(v) for v in value)) + "}"
-    rep = repr(value)
-    if type(value).__repr__ is object.__repr__ or " at 0x" in rep:
-        raise OptionKeyError(
-            f"cannot build a stable key for {type(value).__qualname__} "
-            f"(its repr embeds a memory address); make it a dataclass "
-            f"or give it a cache_key() method",
-            value_type=type(value).__qualname__,
-        )
-    return rep
 
 #: Legacy keywords ``run_kernel`` historically accepted (beyond scale).
 KERNEL_KWARGS: Tuple[str, ...] = (
@@ -132,8 +76,8 @@ KERNEL_KWARGS: Tuple[str, ...] = (
 #: Legacy keywords ``run_suite`` historically accepted (beyond scale).
 SUITE_KWARGS: Tuple[str, ...] = (
     "verify", "isolate", "watchdog", "retry", "inject", "tracer",
-    "metrics", "jobs", "cache", "cache_dir", "trace_path", "journal",
-    "resume", "timeout", "checkpoint_every", "checkpoint_dir",
+    "metrics", "jobs", "cache", "cache_dir", "trace_path", "timeout",
+    "checkpoint_every", "checkpoint_dir",
 )
 
 
@@ -170,8 +114,6 @@ class RunOptions:
     validate_cache_fraction: float = 0.0
     validate_cache_seed: int = 0
     # -- crash safety --------------------------------------------------
-    journal: Optional[str] = None
-    resume: bool = False
     checkpoint_every: Optional[float] = None
     checkpoint_dir: Optional[str] = None
     # -- parallelism ---------------------------------------------------
@@ -241,9 +183,9 @@ class RunOptions:
         execution semantics: same scale, verification, optimisation,
         architecture configs, watchdog/retry/fault campaign, and
         timeout.  Reporting/persistence knobs that cannot change a
-        result (``trace_path``, ``journal``, ``resume``, ``jobs``,
-        ``cache_dir``, ``result_cache_dir``, validation sampling,
-        checkpoints) are excluded, as are the live-object fields.
+        result (``trace_path``, ``jobs``, ``cache_dir``,
+        ``result_cache_dir``, validation sampling, checkpoints) are
+        excluded, as are the live-object fields.
         :mod:`repro.serve` batches requests whose kernel and
         fingerprint match, and the result cache keys entries on it —
         both require the key to be identical *across processes*, so
@@ -252,7 +194,7 @@ class RunOptions:
         :class:`~repro.resilience.OptionKeyError`).
         """
         skip = set(self.LIVE_FIELDS) | {
-            "trace_path", "journal", "resume", "jobs", "cache_dir",
+            "trace_path", "jobs", "cache_dir",
             "checkpoint_every", "checkpoint_dir", "result_cache_dir",
             "validate_cache_fraction", "validate_cache_seed",
         }
@@ -268,25 +210,6 @@ class RunOptions:
                     field=f.name,
                 ) from exc
         return "|".join(parts)
-
-    def summary(self) -> Dict[str, Any]:
-        """Small, JSON-able description of the non-default fields.
-
-        Scalar fields are emitted verbatim; object-valued fields
-        (configs, watchdog, live registries) as their ``repr``.  The
-        run journal stamps this into its header line so a resumed
-        sweep's options are greppable on disk.
-        """
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value == f.default:
-                continue
-            if isinstance(value, (str, int, float, bool)) or value is None:
-                out[f.name] = value
-            else:
-                out[f.name] = repr(value)
-        return out
 
     def live_fields_set(self) -> Tuple[str, ...]:
         """Names of :data:`LIVE_FIELDS` that are non-``None`` here."""

@@ -9,12 +9,16 @@ This module memoises *entire runs*: entries are keyed by the content of
 everything that determines the result and hold the finished
 :class:`~repro.evalharness.runner.KernelRun` plus its result digest.
 
+It is also how a killed sweep resumes: every healthy run is stored the
+moment it finishes, so re-running the sweep against the same
+``result_cache_dir`` replays the finished kernels and executes only
+the rest.
+
 Key anatomy
 -----------
 
-One cache key is the SHA-256 over four content components (plus the
-formatted :data:`RESULT_CACHE_VERSION`, so schema changes invalidate
-old entries wholesale):
+One cache key is :func:`repro.store.content_key` over four content
+components:
 
 1. **kernel content hash** — SHA-256 of the canonical textual IR
    (:func:`repro.compiler.cache.kernel_fingerprint`); renaming a
@@ -22,32 +26,22 @@ old entries wholesale):
 2. **options fingerprint** — :meth:`RunOptions.fingerprint`, the
    canonical content key over the semantic option fields (scale,
    verify/optimize, arch configs, watchdog/retry, timeout).  Reporting
-   knobs (journal, jobs, trace paths, cache dirs) are excluded, so a
-   resumed or parallel sweep hits the same entries;
-3. **input digest** — SHA-256 over the workload's initial memory image
-   bytes, its parameter bindings and the launch size.  Workload
-   construction is seeded and deterministic, but hashing the actual
-   input keeps the cache honest if a generator ever changes;
+   knobs (jobs, trace paths, cache dirs) are excluded, so a resumed or
+   parallel sweep hits the same entries;
+3. **input digest** — the workload's initial memory image bytes, its
+   parameter bindings and the launch size.  Workload construction is
+   seeded and deterministic, but hashing the actual input keeps the
+   cache honest if a generator ever changes;
 4. **observability shape** — whether the run carried a per-kernel
    tracer / metrics registry.  A cached run replays its attached
    registries; a run recorded without them cannot serve a request that
    wants them.
 
-Two storage tiers, mirroring :class:`repro.compiler.cache.CompileCache`:
-
-* **in-memory LRU** — an :class:`~collections.OrderedDict` bounded by
-  ``max_entries`` (eviction pops the least-recently-used entry and
-  bumps the ``evictions`` counter);
-* **on-disk** (optional, ``cache_dir=``) — one pickle per entry,
-  written atomically and durably through
-  :func:`repro.resilience.atomicio.atomic_pickle`, safe under
-  concurrent ``--jobs`` workers and serve pools sharing the directory.
-
-Entries are versioned and self-describing
-(:class:`ResultCacheEntry` records its schema version, its own key and
-the kernel name); the tolerant loader treats a corrupt, truncated,
-version-skewed or mis-keyed file as a **miss** (``disk_errors``
-counter, file removed) — the cache can only ever cost a re-run, never
+:class:`ResultCache` is the ``resultcache`` namespace of
+:class:`repro.store.Store`, which owns the bounded LRU memory tier, the
+atomic disk tier (``<key>.result.pkl`` files), the tolerant loader
+(corrupt, truncated, version-skewed or mis-keyed files are misses) and
+the counters — the cache can only ever cost a re-run, never
 correctness.
 
 Trust, but verify
@@ -63,7 +57,7 @@ mismatch raises :class:`~repro.resilience.ResultCacheDivergenceError`
 what the loader can detect or execution is not deterministic over the
 key, and every cached answer is suspect.
 
-Counters are exported through :class:`repro.obs.Metrics` under the new
+Counters are exported through :class:`repro.obs.Metrics` under the
 ``resultcache`` scope by :meth:`ResultCache.record_metrics`;
 ``docs/serving.md`` documents the serving-side behaviour and
 ``docs/api.md`` the harness-side flags.
@@ -72,26 +66,17 @@ Counters are exported through :class:`repro.obs.Metrics` under the new
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.resilience.atomicio import atomic_pickle
 from repro.resilience.errors import ResultCacheDivergenceError
+from repro.store import Store, content_key
 
 __all__ = [
-    "RESULT_CACHE_VERSION",
     "ResultCache",
     "ResultCacheEntry",
     "workload_digests",
 ]
-
-#: Bump when the entry schema (or anything that feeds the key) changes;
-#: the version participates in every key *and* is checked on load, so
-#: old disk entries are invalidated wholesale instead of misread.
-RESULT_CACHE_VERSION = 1
 
 #: Process-level memo for :func:`workload_digests` — workload
 #: construction is deterministic in ``(name, scale)``, so the (cheap
@@ -103,8 +88,8 @@ def workload_digests(name: str, scale: str) -> Tuple[str, str]:
     """``(kernel content hash, input digest)`` for a registry workload.
 
     The kernel hash is the canonical-IR fingerprint shared with the
-    compile cache; the input digest covers the initial memory image
-    bytes, the parameter bindings (sorted) and the launch size.
+    compile cache; the input digest is the content key of the initial
+    memory image's SHA-256, the parameter bindings and the launch size.
     Memoised per process: workload builders are seeded and
     deterministic, so the pair is a pure function of ``(name, scale)``.
     """
@@ -115,12 +100,9 @@ def workload_digests(name: str, scale: str) -> Tuple[str, str]:
     from repro.kernels.registry import make_workload
 
     workload = make_workload(name, scale)
-    kfp = kernel_fingerprint(workload.kernel)
-    h = hashlib.sha256()
-    h.update(workload.memory.data.tobytes())
-    h.update(repr(sorted(workload.params.items())).encode())
-    h.update(f"|n_threads={workload.n_threads}".encode())
-    digests = (kfp, h.hexdigest())
+    image = hashlib.sha256(workload.memory.data.tobytes()).hexdigest()
+    digests = (kernel_fingerprint(workload.kernel),
+               content_key(image, workload.params, workload.n_threads))
     _DIGEST_MEMO[(name, scale)] = digests
     return digests
 
@@ -136,62 +118,36 @@ def run_digest(run: Any) -> str:
 
 @dataclass
 class ResultCacheEntry:
-    """One cached run: versioned, self-describing, digest-stamped.
+    """One cached run, digest-stamped.
 
-    ``version`` / ``key`` / ``kernel`` make the pickle self-checking —
-    the loader rejects (as a miss) any file whose recorded identity
-    does not match what the reader expects.  ``digest`` is the
-    :func:`~repro.serve.result_digest` of ``run`` at store time; the
-    validation mode re-derives it from a fresh execution and compares.
-    The run carries its own per-kernel tracer / metrics registries
-    (when the producer recorded them), so a hit replays observability
-    exactly like a journal replay does.
+    ``digest`` is the :func:`~repro.serve.result_digest` of ``run`` at
+    store time; the validation mode re-derives it from a fresh
+    execution and compares.  The run carries its own per-kernel tracer
+    / metrics registries (when the producer recorded them), so a hit
+    replays observability exactly like the original execution.
     """
 
-    version: int
-    key: str
     kernel: str
     digest: str
     run: Any  # KernelRun
 
 
-class ResultCache:
-    """Two-tier content-addressed memo for whole kernel runs.
+class ResultCache(Store):
+    """Content-addressed memo for whole kernel runs.
 
-    Parameters
-    ----------
-    cache_dir:
-        Optional directory for the persistent tier (created on
-        demand).  ``None`` keeps the cache in-memory only.
-    max_entries:
-        Bound on the in-memory LRU tier.  The disk tier is unbounded
-        (one small pickle per distinct key).
-
-    Counters are plain attributes; :meth:`stats` returns them as a
-    dict, :meth:`record_metrics` publishes them under the
-    ``resultcache`` metrics scope, and :meth:`merge_stats` folds a
-    worker's counters back into the parent's (the ``--jobs`` /
-    journal-replay contract the compile cache already follows).
+    ``ResultCache(cache_dir=None, max_entries=None)``: see
+    :class:`repro.store.Store` for the tiers and counters; values are
+    :class:`ResultCacheEntry` records.  Adds the ``validations`` /
+    ``divergences`` counters of the validation mode.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None,
-                 max_entries: int = 256):
-        self.cache_dir = cache_dir
-        self.max_entries = max(1, int(max_entries))
-        self._mem: "OrderedDict[str, ResultCacheEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
-        self.disk_errors = 0
-        self.validations = 0
-        self.divergences = 0
+    NAMESPACE = "resultcache"
+    SUFFIX = ".result.pkl"
+    METRIC_SCOPE = "resultcache"
+    COUNTERS = Store.COUNTERS + ("validations", "divergences")
 
-    # -- keys ----------------------------------------------------------
-    @staticmethod
-    def key_for(name: str, options: Any, want_trace: bool = False,
+    @classmethod
+    def key_for(cls, name: str, options: Any, want_trace: bool = False,
                 want_metrics: bool = False) -> str:
         """The content key for ``(kernel name, options, obs shape)``.
 
@@ -203,55 +159,13 @@ class ResultCache:
         an unkeyable object (never silently a process-local key).
         """
         kfp, input_dg = workload_digests(name, options.scale)
-        h = hashlib.sha256()
-        h.update(f"repro-resultcache-v{RESULT_CACHE_VERSION}".encode())
-        for part in (name, kfp, options.fingerprint(), input_dg,
-                     f"trace={bool(want_trace)}",
-                     f"metrics={bool(want_metrics)}"):
-            h.update(b"|")
-            h.update(part.encode())
-        return h.hexdigest()
-
-    # -- lookup --------------------------------------------------------
-    def get(self, key: str) -> Optional[ResultCacheEntry]:
-        """The entry for ``key``, or ``None`` (counted as a miss).
-
-        Memory first (refreshing LRU recency), then the disk tier; a
-        disk hit is promoted into memory.
-        """
-        entry = self._mem.get(key)
-        if entry is not None:
-            self._mem.move_to_end(key)
-            self.hits += 1
-            return entry
-        if self.cache_dir is not None:
-            entry = self._disk_load(key)
-            if entry is not None:
-                self.disk_hits += 1
-                self.hits += 1
-                self._insert(key, entry)
-                return entry
-        self.misses += 1
-        return None
+        return cls.make_key(name, kfp, options.fingerprint(), input_dg,
+                            bool(want_trace), bool(want_metrics))
 
     def put(self, key: str, kernel: str, run: Any) -> ResultCacheEntry:
         """Store a finished run under ``key`` (both tiers)."""
-        entry = ResultCacheEntry(
-            version=RESULT_CACHE_VERSION, key=key, kernel=kernel,
-            digest=run_digest(run), run=run,
-        )
-        self.stores += 1
-        self._insert(key, entry)
-        if self.cache_dir is not None:
-            self._disk_store(key, entry)
-        return entry
-
-    def _insert(self, key: str, entry: ResultCacheEntry) -> None:
-        self._mem[key] = entry
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
-            self._mem.popitem(last=False)
-            self.evictions += 1
+        return super().put(key, ResultCacheEntry(
+            kernel=kernel, digest=run_digest(run), run=run))
 
     # -- validation ----------------------------------------------------
     def should_validate(self, key: str, fraction: float,
@@ -271,7 +185,7 @@ class ResultCache:
         draw = int.from_bytes(h[:8], "big") / float(1 << 64)
         return draw < fraction
 
-    def validate(self, entry: ResultCacheEntry,
+    def validate(self, key: str, entry: ResultCacheEntry,
                  fresh_run: Optional[Any]) -> None:
         """Compare a validation re-execution against the cached entry.
 
@@ -285,95 +199,6 @@ class ResultCache:
             self.divergences += 1
             raise ResultCacheDivergenceError(
                 "cached result diverges from validation re-execution",
-                kernel=entry.kernel, key=entry.key,
+                kernel=entry.kernel, key=key,
                 cached_digest=entry.digest, fresh_digest=fresh,
             )
-
-    # -- persistent tier -----------------------------------------------
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}.result.pkl")
-
-    def _disk_load(self, key: str) -> Optional[ResultCacheEntry]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:  # corrupt / truncated / unpicklable entry
-            self._reject(path)
-            return None
-        # Self-description check: wrong type, schema version skew, or a
-        # key mismatch (file renamed / hash collision) are all misses.
-        if (not isinstance(entry, ResultCacheEntry)
-                or entry.version != RESULT_CACHE_VERSION
-                or entry.key != key):
-            self._reject(path)
-            return None
-        return entry
-
-    def _reject(self, path: str) -> None:
-        self.disk_errors += 1
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    def _disk_store(self, key: str, entry: ResultCacheEntry) -> None:
-        try:
-            atomic_pickle(self._path(key), entry)
-            self.disk_writes += 1
-        except Exception:
-            # An unwritable directory or unpicklable attachment
-            # degrades the cache to in-memory; never fails the run.
-            self.disk_errors += 1
-
-    # -- introspection -------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_writes": self.disk_writes,
-            "disk_errors": self.disk_errors,
-            "validations": self.validations,
-            "divergences": self.divergences,
-            "entries": len(self._mem),
-        }
-
-    def record_metrics(self, metrics) -> None:
-        """Publish the counters into ``metrics`` (scope
-        ``resultcache``)."""
-        if metrics is None:
-            return
-        scope = metrics.scope("resultcache")
-        scope.inc("hits", self.hits)
-        scope.inc("misses", self.misses)
-        scope.inc("stores", self.stores)
-        scope.inc("evictions", self.evictions)
-        scope.inc("disk_hits", self.disk_hits)
-        scope.inc("disk_writes", self.disk_writes)
-        scope.inc("disk_errors", self.disk_errors)
-        scope.inc("validations", self.validations)
-        scope.inc("divergences", self.divergences)
-        scope.gauge("entries", len(self._mem))
-
-    def merge_stats(self, stats: Optional[Dict[str, int]]) -> None:
-        """Fold a worker's :meth:`stats` dict into the counters."""
-        if not stats:
-            return
-        for field in ("hits", "misses", "stores", "evictions",
-                      "disk_hits", "disk_writes", "disk_errors",
-                      "validations", "divergences"):
-            setattr(self, field, getattr(self, field)
-                    + stats.get(field, 0))
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __repr__(self) -> str:
-        tier = f", dir={self.cache_dir!r}" if self.cache_dir else ""
-        return (f"ResultCache({len(self._mem)}/{self.max_entries} "
-                f"entries, {self.hits} hits, {self.misses} misses{tier})")

@@ -28,10 +28,10 @@ Fault isolation protects against *in-process* failures; three further
 layers protect against the process-level ones (``docs/resilience.md``
 §7):
 
-* ``journal=PATH`` appends every completed per-kernel result to a
-  durable JSONL journal (:mod:`repro.evalharness.journal`) the moment
-  it lands; ``resume=True`` reloads it, skips the journaled kernels and
-  reassembles a byte-identical report.
+* ``result_cache_dir=DIR`` stores every healthy per-kernel run the
+  moment it lands (:mod:`repro.evalharness.resultcache`); re-running a
+  killed sweep against the same directory replays the finished kernels
+  and reassembles a byte-identical report.
 * the ``jobs > 1`` pool driver survives worker death (SIGKILL, OOM,
   segfault): it respawns the pool, requeues the kernels that were in
   flight under a bounded crash budget, and degrades the ones that keep
@@ -52,12 +52,11 @@ from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.compiler.cache import CompileCache, cached_optimize_kernel
-from repro.evalharness.journal import JournalEntry, RunJournal
 from repro.evalharness.options import KERNEL_KWARGS, SUITE_KWARGS, RunOptions
 from repro.evalharness.resultcache import ResultCache
 from repro.interp import interpret
@@ -255,9 +254,9 @@ def run_kernel(
     ``DIR/<kernel>.<engine>.ckpt``, and a watchdog-detected hang
     additionally saves a ``.hang.ckpt`` post-mortem (see
     ``docs/resilience.md`` §7).  Suite-only fields (``retry``,
-    ``isolate``, ``inject``, ``jobs``, ``journal``/``resume``,
-    ``trace_path``) are ignored here.  Everything defaults to off, so
-    the measurement path is unchanged.
+    ``isolate``, ``inject``, ``jobs``, ``trace_path``) are ignored
+    here.  Everything defaults to off, so the measurement path is
+    unchanged.
     """
     o = _resolve_options(scale, options, legacy, KERNEL_KWARGS)
     cache = o.cache
@@ -278,7 +277,7 @@ def run_kernel(
                 with wall_clock_limit(o.timeout, sim="run_kernel",
                                       kernel=name):
                     fresh = _execute_kernel(name, o, cache)
-                rcache.validate(entry, fresh)
+                rcache.validate(key, entry, fresh)
             return entry.run
         with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
             run = _execute_kernel(name, o, cache)
@@ -490,7 +489,7 @@ def _run_one(
             if rcache.should_validate(key, opts.validate_cache_fraction,
                                       opts.validate_cache_seed):
                 fresh_run, _ = _run_one(name, opts, spec, cache)
-                rcache.validate(entry, fresh_run)
+                rcache.validate(key, entry, fresh_run)
             return entry.run, None
         run, failure = _run_one(name, opts, spec, cache)
         if failure is None and run is not None:
@@ -553,11 +552,12 @@ def _suite_worker(payload):
     builds its *own* tracer / metrics registry / compile cache — no
     state is shared with the parent (``opts`` arrives with the live
     fields stripped) — and ships them back with the result; the parent
-    merges them in deterministic kernel order.  ``opts.cache_dir``
-    gives the workers a shared persistent tier (the disk writes are
-    atomic, so concurrent workers are safe).  The fault spec and
-    watchdog config travel inside the payload, so a requeued or
-    resumed kernel replays the exact same deterministic fault campaign.
+    merges them in deterministic kernel order.  ``opts.cache_dir`` and
+    ``opts.result_cache_dir`` give the workers shared persistent tiers
+    (the disk writes are atomic, so concurrent workers are safe).  The
+    fault spec and watchdog config travel inside the payload, so a
+    requeued or re-run kernel replays the exact same deterministic
+    fault campaign.
     """
     (name, opts, spec, want_trace, want_metrics) = payload
     _maybe_kill_for_test(name)
@@ -589,7 +589,25 @@ def trace_file_for(base: str, kernel_name: str) -> str:
     return f"{root}.{safe}{ext}"
 
 
-def _run_jobs(todo, jobs, isolate, retry, payload_for, record):
+@dataclass
+class _Outcome:
+    """One kernel's finished result plus everything the parent merges.
+
+    Exactly one of ``run`` / ``failure`` is set.  ``tracer`` /
+    ``metrics`` are the per-kernel registries and ``cache_stats`` /
+    ``result_cache_stats`` the kernel's cache counters (what a
+    ``--jobs`` worker ships back), merged in input order.
+    """
+
+    run: Any = None
+    failure: Any = None
+    tracer: Any = None
+    metrics: Any = None
+    cache_stats: Any = None
+    result_cache_stats: Any = None
+
+
+def _run_jobs(todo, jobs, isolate, retry, payload_for):
     """Crash-tolerant process-pool driver for ``run_suite(jobs > 1)``.
 
     At most ``jobs`` kernels are in flight at once.  When a worker dies
@@ -603,18 +621,13 @@ def _run_jobs(todo, jobs, isolate, retry, payload_for, record):
     is discarded and a fresh one respawned.  Bounding the in-flight
     window to ``jobs`` bounds the collateral blame per crash.
 
-    ``record(name, entry)`` fires the moment a kernel's result is
-    final (completion order — that is what makes the journal durable);
-    the caller reassembles the report in input order afterwards.
+    Returns ``{name: _Outcome}``; the caller reassembles the report in
+    input order.
     """
-    fresh: Dict[str, JournalEntry] = {}
+    outcomes: Dict[str, _Outcome] = {}
     pending = deque(todo)
     budget: Dict[str, int] = {}
     crash_records: Dict[str, List[AttemptRecord]] = {}
-
-    def finish(name, entry):
-        fresh[name] = entry
-        record(name, entry)
 
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
@@ -639,14 +652,14 @@ def _run_jobs(todo, jobs, isolate, retry, payload_for, record):
                 except Exception as exc:  # noqa: BLE001 — worker failed
                     if not isolate:
                         raise
-                    finish(name, JournalEntry(
+                    outcomes[name] = _Outcome(
                         failure=KernelFailure.from_attempts(
-                            name, [AttemptRecord.from_error(0, exc)])))
+                            name, [AttemptRecord.from_error(0, exc)]))
                 else:
-                    finish(name, JournalEntry(
+                    outcomes[name] = _Outcome(
                         run=run, failure=failure, tracer=wtracer,
                         metrics=wmetrics, cache_stats=wstats,
-                        result_cache_stats=wrstats))
+                        result_cache_stats=wrstats)
             if not crashed:
                 continue
             # A worker died: the executor is broken, every future it
@@ -671,11 +684,11 @@ def _run_jobs(todo, jobs, isolate, retry, payload_for, record):
                 if budget[name] > 0:
                     pending.append(name)
                 else:
-                    finish(name, JournalEntry(
-                        failure=KernelFailure.from_attempts(name, records)))
+                    outcomes[name] = _Outcome(
+                        failure=KernelFailure.from_attempts(name, records))
     finally:
         pool.shutdown(wait=False)
-    return fresh
+    return outcomes
 
 
 def run_suite(
@@ -714,7 +727,7 @@ def run_suite(
         Optional shared :class:`repro.obs.Tracer` /
         :class:`repro.obs.Metrics` threaded through every kernel on
         every machine (``--trace`` / ``--metrics`` on the CLI).  Under
-        ``jobs > 1`` (and whenever a journal is armed) each kernel
+        ``jobs > 1`` (and whenever a result cache is armed) each kernel
         records into its own registry and the parent merges them back
         in kernel order, so the aggregate is independent of completion
         order.
@@ -739,11 +752,17 @@ def run_suite(
         :mod:`repro.evalharness.resultcache`).  A kernel whose content
         key — kernel IR hash, options fingerprint, input digest — was
         seen before returns the stored :class:`KernelRun` without
-        executing; its per-kernel tracer/metrics replay exactly like a
-        journal resume, so reports stay byte-identical to a cold sweep
-        across ``--jobs`` too.  Kernels under a fault campaign bypass
-        the cache, and only healthy runs are stored.  Counters land in
-        ``metrics`` under the ``resultcache/`` scope.
+        executing; its per-kernel tracer/metrics replay too, so reports
+        stay byte-identical to a cold sweep across ``--jobs``.  Kernels
+        under a fault campaign and checkpointing runs bypass the cache,
+        and only healthy runs are stored.  Counters land in ``metrics``
+        under the ``resultcache/`` scope.  This is also crash resume:
+        every healthy run is stored the moment it finishes, so
+        re-running a killed sweep against the same ``result_cache_dir``
+        replays the finished kernels and executes only the rest.
+        Degraded rows, fault-campaign kernels and checkpointing runs
+        re-execute; they are deterministic, so the report and fault
+        logs come out byte-identical.
     validate_cache_fraction / validate_cache_seed:
         Seeded trust-but-verify sampling for cache hits
         (``--validate-cache-fraction``): the selected fraction is
@@ -756,16 +775,6 @@ def run_suite(
         its own tracer and its own file (``trace_file_for``:
         ``OUT.<kernel>.json``) so a multi-kernel sweep no longer
         overwrites one file per kernel.
-    journal / resume:
-        ``journal=PATH`` arms the durable run journal
-        (:class:`repro.evalharness.journal.RunJournal`): every
-        completed kernel is appended — atomically, fsync'd — the
-        moment it finishes, in completion order.  ``resume=True``
-        additionally loads an existing journal at ``PATH``, skips the
-        kernels it already holds (replaying their runs, traces,
-        metrics and cache counters), and runs only the rest; the final
-        report is byte-identical to the uninterrupted sweep
-        (``--journal`` / ``--resume`` on the CLI).
     timeout:
         Per-kernel wall-clock budget in host seconds (``--timeout``).
         Each attempt is bounded by
@@ -787,21 +796,6 @@ def run_suite(
     if cache is None:
         cache = CompileCache(o.cache_dir)
     rcache = _resolve_result_cache(o)
-    if o.resume and o.journal is None:
-        raise ValueError("run_suite(resume=True) requires journal=PATH")
-
-    jnl: Optional[RunJournal] = None
-    replayed: Dict[str, JournalEntry] = {}
-    if o.journal is not None:
-        jnl = (RunJournal.for_options(o.journal, o, resume=True) if o.resume
-               else RunJournal.for_options(o.journal, o))
-        replayed = {n: jnl.entries[n] for n in names if n in jnl.entries}
-        jnl.flush()  # the header (plus replayed entries) lands up front
-    todo = [n for n in names if n not in replayed]
-
-    def record(name: str, entry: JournalEntry) -> None:
-        if jnl is not None:
-            jnl.record(name, entry)
 
     if o.jobs > 1:
         want_trace = o.trace_path is not None or tracer is not None
@@ -816,17 +810,15 @@ def run_suite(
             return (name, wire_opts, inject.get(name),
                     want_trace, want_metrics)
 
-        fresh = _run_jobs(todo, o.jobs, o.isolate, o.retry, payload_for,
-                          record)
+        outcomes = _run_jobs(names, o.jobs, o.isolate, o.retry, payload_for)
     else:
-        fresh = {}
-        # With a journal or a result cache armed the serial path
-        # mirrors the jobs-mode contract: per-kernel registries, merged
-        # in name order at the end, so a resume (or a cache hit, which
-        # replays the stored registries) reproduces identical
-        # aggregate streams.
-        per_kernel_obs = jnl is not None or rcache is not None
-        for name in todo:
+        outcomes = {}
+        # With a result cache armed the serial path mirrors the
+        # jobs-mode contract: per-kernel registries, merged in name
+        # order at the end, so a cache hit (which replays the stored
+        # registries) reproduces identical aggregate streams.
+        per_kernel_obs = rcache is not None
+        for name in names:
             if per_kernel_obs:
                 ktracer = (Tracer() if (o.trace_path is not None
                                         or tracer is not None) else None)
@@ -843,40 +835,31 @@ def run_suite(
             # ktracer/kmetrics, so this is the identity there.
             if run is not None:
                 ktracer, kmetrics = run.trace, run.metrics
-            entry = JournalEntry(run=run, failure=failure, tracer=ktracer,
-                                 metrics=kmetrics)
-            fresh[name] = entry
-            record(name, entry)
+            outcomes[name] = _Outcome(run=run, failure=failure,
+                                      tracer=ktracer, metrics=kmetrics)
 
     # -- assemble in *input* order (not completion order): the merged
     # metrics/trace streams and the report row order are then identical
-    # to an uninterrupted serial sweep.
+    # to a serial sweep.
     runs: Dict[str, KernelRun] = {}
     failures: Dict[str, KernelFailure] = {}
     for name in names:
-        entry = replayed.get(name)
-        if entry is None:
-            entry = fresh.get(name)
-        if entry is None:
-            continue  # unreachable: every todo kernel gets an entry
-        if entry.failure is not None:
-            failures[name] = entry.failure
-        elif entry.run is not None:
-            runs[name] = entry.run
-        if (entry.metrics is not None and metrics is not None
-                and entry.metrics is not metrics):
-            metrics.merge(entry.metrics)
-        if entry.tracer is not None:
+        outcome = outcomes[name]
+        if outcome.failure is not None:
+            failures[name] = outcome.failure
+        elif outcome.run is not None:
+            runs[name] = outcome.run
+        if (outcome.metrics is not None and metrics is not None
+                and outcome.metrics is not metrics):
+            metrics.merge(outcome.metrics)
+        if outcome.tracer is not None:
             if o.trace_path is not None:
-                entry.tracer.dump(trace_file_for(o.trace_path, name))
-            if tracer is not None and entry.tracer is not tracer:
-                tracer.merge(entry.tracer)
-        if entry.cache_stats is not None:
-            cache.merge_stats(entry.cache_stats)
+                outcome.tracer.dump(trace_file_for(o.trace_path, name))
+            if tracer is not None and outcome.tracer is not tracer:
+                tracer.merge(outcome.tracer)
+        cache.merge_stats(outcome.cache_stats)
         if rcache is not None:
-            # ``getattr``: journals written before the result cache
-            # existed unpickle without the field.
-            rcache.merge_stats(getattr(entry, "result_cache_stats", None))
+            rcache.merge_stats(outcome.result_cache_stats)
 
     cache.record_metrics(metrics)
     if rcache is not None:

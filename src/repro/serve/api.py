@@ -177,7 +177,7 @@ def result_digest(run: Any) -> str:
 
 
 def run_summary(run: Any) -> Dict[str, Any]:
-    """Small JSON-able summary for a response (mirrors the journal's)."""
+    """Small JSON-able summary for a response: per-engine cycles."""
     return {
         "fermi_cycles": run.fermi.cycles,
         "vgiw_cycles": run.vgiw.cycles,

@@ -39,6 +39,7 @@ the ``serve`` process lane, so a load run opens directly in Perfetto.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -71,7 +72,9 @@ __all__ = ["ExecutionService"]
 #: Per-worker-process warm compile caches, keyed by cache_dir.  This is
 #: the "persistent worker" in persistent worker pool: the process (and
 #: this cache) survives across batches, so repeat kernels skip the
-#: whole compile pipeline.
+#: whole compile pipeline.  Each cache's memory tier is a bounded LRU
+#: (``CompileCache.MAX_ENTRIES``), so a long-lived worker cannot grow
+#: without limit.
 _WARM_CACHES: Dict[str, CompileCache] = {}
 
 
@@ -93,10 +96,12 @@ def _serve_worker(payload):
     ``opts.timeout`` → :func:`~repro.resilience.wall_clock_limit`).
 
     Returns ``(batch_id, run, failure, compile_s, execute_s, digest,
-    summary, cache_delta)`` — ``run``/``failure`` exactly as
-    :func:`~repro.evalharness.runner._run_one` reports them, and
+    summary, cache_delta, cache_entries)`` — ``run``/``failure`` exactly
+    as :func:`~repro.evalharness.runner._run_one` reports them,
     ``cache_delta`` the compile-cache counter *increments* this batch
-    caused (the parent folds them into its aggregate).
+    caused (the parent folds them into its aggregate), and
+    ``cache_entries`` the ``(pid, entries)`` size of this worker's
+    bounded compile cache.
     """
     (batch_id, kernel, opts, budget_s) = payload
     _maybe_kill_for_test(kernel)
@@ -130,7 +135,7 @@ def _serve_worker(payload):
     cache_delta = {k: after[k] - before.get(k, 0)
                    for k in after if k != "entries"}
     return (batch_id, run, failure, compile_s, execute_s, digest,
-            summary, cache_delta)
+            summary, cache_delta, (os.getpid(), after["entries"]))
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +256,8 @@ class ExecutionService:
         self._batch_sizes: List[int] = []
         self._worker_crashes = 0
         self.cache_stats: Dict[str, int] = {}
+        #: latest compile-cache size per live worker pid
+        self._cache_entries: Dict[int, int] = {}
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ExecutionService":
@@ -258,6 +265,7 @@ class ExecutionService:
             return self
         self._stopping.clear()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._cache_entries.clear()
         self._t0_mono = time.monotonic()
         self._t0_wall = time.time()
         self._running = True
@@ -524,11 +532,12 @@ class ExecutionService:
 
     def _finish_batch(self, batch: Batch, payload) -> None:
         (_, run, failure, compile_s, execute_s, digest, summary,
-         cache_delta) = payload
+         cache_delta, (pid, entries)) = payload
         now = time.monotonic()
         self.scheduler.observe(batch.key, execute_s)
         for k, v in cache_delta.items():
             self.cache_stats[k] = self.cache_stats.get(k, 0) + v
+        self._cache_entries[pid] = entries
         # One healthy execution populates the result cache for every
         # entry in the batch (they share one content key, so one store
         # answers all future equals at admission).
@@ -607,6 +616,7 @@ class ExecutionService:
             self._scope.inc("worker_crashes")
         self._pool.shutdown(wait=False)
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._cache_entries.clear()
         requeue: List[QueueEntry] = []
         now = time.monotonic()
         for batch in batches:
@@ -714,7 +724,9 @@ class ExecutionService:
                 "evicted": self._evicted,
             },
             "worker_crashes": self._worker_crashes,
-            "compile_cache": dict(self.cache_stats),
+            "compile_cache": dict(
+                self.cache_stats,
+                entries=sum(self._cache_entries.values())),
         }
         if self.result_cache is not None:
             report["result_cache"] = self.result_cache.stats()

@@ -240,7 +240,7 @@ class FermiSM(CheckpointMixin):
                 "fermi-analysis", kernel_fingerprint(kernel)
             )
             ipdom, cached_pressure = compile_cache.get_or_build(
-                "fermi-analysis", key,
+                key,
                 lambda: (
                     immediate_post_dominators(kernel),
                     _register_pressure(kernel),

@@ -1,5 +1,6 @@
-"""Crash-safe evaluation: atomic I/O, the durable run journal,
-worker-crash recovery, and per-kernel wall-clock timeouts.
+"""Crash-safe evaluation: atomic I/O, resume by re-running against the
+result store, worker-crash recovery, and per-kernel wall-clock
+timeouts.
 
 Companion to ``tests/test_parallel_suite.py`` (which pins the happy
 paths of the ``--jobs`` pool); this file kills things on purpose.
@@ -13,7 +14,7 @@ import pickle
 import pytest
 
 from repro.engine import EngineSnapshot
-from repro.evalharness.journal import JournalEntry, RunJournal
+from repro.evalharness import ResultCache, RunOptions
 from repro.evalharness.report import generate_report
 from repro.evalharness.runner import (
     KILL_ENV,
@@ -70,108 +71,72 @@ def test_atomic_pickle_unpicklable_leaves_nothing(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# the journal file itself
+# resume = re-run against the same result store
 # ---------------------------------------------------------------------
-def test_journal_roundtrip(tmp_path):
-    path = str(tmp_path / "j.jsonl")
-    j = RunJournal(path, scale=SCALE)
-    j.record("a/b", JournalEntry(run=None, failure=None))
-    loaded = RunJournal.load(path)
-    assert loaded.scale == SCALE
-    assert "a/b" in loaded
-    assert loaded.skipped_lines == 0
+TINY = RunOptions(scale=SCALE)
 
 
-def test_journal_lines_are_schema_stable(tmp_path):
-    path = str(tmp_path / "j.jsonl")
-    RunJournal(path, scale=SCALE).record("a/b", JournalEntry())
-    lines = [json.loads(l) for l in open(path)]
-    assert lines[0]["journal"] == "repro.evalharness.journal"
-    assert lines[0]["scale"] == SCALE
-    entry = lines[1]
-    assert entry["kernel"] == "a/b"
-    assert entry["status"] == "ok"
-    assert set(entry) == {"v", "kernel", "status", "summary", "payload"}
+def _with_store(store_dir):
+    """Sweep options writing finished runs to ``store_dir``."""
+    return TINY.replace(result_cache_dir=store_dir)
 
 
-def test_journal_tolerates_corrupt_lines(tmp_path):
-    path = str(tmp_path / "j.jsonl")
-    RunJournal(path, scale=SCALE).record("a/b", JournalEntry())
-    with open(path, "a") as fh:
-        fh.write("{ not json\n")                      # torn / garbage
-        fh.write('{"v": 999, "kernel": "x"}\n')       # foreign version
-        fh.write('{"v": 1, "kernel": "y", "payload": "AAAA"}\n')  # bad pickle
-    loaded = RunJournal.load(path)
-    assert list(loaded.entries) == ["a/b"]
-    assert loaded.skipped_lines == 3
+def _entries(store_dir):
+    return sorted(f for f in os.listdir(store_dir)
+                  if f.endswith(".result.pkl"))
 
 
-def test_journal_refuses_scale_mismatch(tmp_path):
-    path = str(tmp_path / "j.jsonl")
-    RunJournal(path, scale="tiny").flush()
-    with pytest.raises(ValueError, match="scale"):
-        RunJournal.resume(path, scale="small")
-
-
-def test_resume_requires_journal_path():
-    with pytest.raises(ValueError, match="journal"):
-        run_suite(KERNELS[:1], scale=SCALE, resume=True)
-
-
-# ---------------------------------------------------------------------
-# journal + resume through run_suite
-# ---------------------------------------------------------------------
 def test_journaled_sweep_report_unchanged(tmp_path, baseline):
-    path = str(tmp_path / "j.jsonl")
-    suite = run_suite(KERNELS, scale=SCALE, journal=path)
+    """Arming the result store (the sweep's durable record) leaves the
+    report untouched and records one entry per finished kernel."""
+    store = str(tmp_path / "store")
+    suite = run_suite(KERNELS, options=_with_store(store))
     assert _report(suite) == baseline
-    assert len(RunJournal.load(path)) == len(KERNELS)
+    assert len(_entries(store)) == len(KERNELS)
 
 
 def test_resume_after_parent_death_is_byte_identical(tmp_path, baseline):
-    """Simulate a parent killed mid-sweep: keep only the journal's first
-    two kernel entries, then resume.  The resumed report must be
-    byte-identical and the journal complete afterwards."""
-    path = str(tmp_path / "j.jsonl")
-    run_suite(KERNELS, scale=SCALE, journal=path)
-    lines = open(path).read().splitlines()
-    truncated = str(tmp_path / "interrupted.jsonl")
-    with open(truncated, "w") as fh:
-        fh.write("\n".join(lines[:3]) + "\n")  # header + 2 of 3 kernels
+    """Simulate a parent killed mid-sweep: the store holds only the
+    first two kernels' entries.  Re-running the sweep against it
+    replays those two, executes the third, and the report is
+    byte-identical; the store is complete afterwards."""
+    store = str(tmp_path / "store")
+    run_suite(KERNELS[:2], options=_with_store(store))
+    assert len(_entries(store)) == 2
 
-    resumed = run_suite(KERNELS, scale=SCALE, journal=truncated, resume=True)
+    rcache = ResultCache(store)
+    resumed = run_suite(KERNELS, options=TINY.replace(result_cache=rcache))
     assert _report(resumed) == baseline
-    assert len(RunJournal.load(truncated)) == len(KERNELS)
+    assert (rcache.hits, rcache.misses) == (2, 1)
+    assert len(_entries(store)) == len(KERNELS)
 
 
 def test_resume_with_nothing_to_do_is_byte_identical(tmp_path, baseline):
-    path = str(tmp_path / "j.jsonl")
-    run_suite(KERNELS, scale=SCALE, journal=path)
-    replayed = run_suite(KERNELS, scale=SCALE, journal=path, resume=True)
+    store = str(tmp_path / "store")
+    run_suite(KERNELS, options=_with_store(store))
+    rcache = ResultCache(store)
+    replayed = run_suite(KERNELS, options=TINY.replace(result_cache=rcache))
     assert _report(replayed) == baseline
+    assert (rcache.hits, rcache.misses) == (len(KERNELS), 0)
 
 
 def test_resume_replays_identical_fault_logs(tmp_path):
-    """Satellite (c): the fault spec travels in the worker payload and
-    the retry seeds are deterministic, so a resumed sweep reproduces the
-    degraded row's fault logs byte for byte."""
+    """The fault spec travels in the worker payload and the retry seeds
+    are deterministic, so the degraded row — which a re-run against
+    the store re-executes rather than replays — reproduces its fault
+    logs byte for byte."""
     inject = {"bfs/Kernel": FaultSpec(kind="abort", seed=3, rate=1.0)}
     full = run_suite(KERNELS, scale=SCALE, inject=inject)
     assert full.degraded == ["bfs/Kernel"]
     want_logs = json.dumps(full.failure_logs(), sort_keys=True)
 
-    # journal the sweep, then drop the degraded kernel's entry and
-    # resume: it re-runs, replaying the identical campaign
-    path = str(tmp_path / "j.jsonl")
-    run_suite(KERNELS, scale=SCALE, inject=inject, journal=path)
-    keep = [l for l in open(path).read().splitlines()
-            if '"bfs/Kernel"' not in l]
-    truncated = str(tmp_path / "interrupted.jsonl")
-    with open(truncated, "w") as fh:
-        fh.write("\n".join(keep) + "\n")
+    store = str(tmp_path / "store")
+    run_suite(KERNELS, options=_with_store(store).replace(inject=inject))
+    # only the healthy kernels were stored
+    assert len(_entries(store)) == len(KERNELS) - 1
 
-    resumed = run_suite(KERNELS, scale=SCALE, inject=inject,
-                        journal=truncated, resume=True)
+    resumed = run_suite(KERNELS,
+                        options=_with_store(store).replace(inject=inject))
     assert json.dumps(resumed.failure_logs(), sort_keys=True) == want_logs
     assert _report(resumed) == _report(full)
 
@@ -187,13 +152,11 @@ def test_suite_survives_worker_sigkill(tmp_path, baseline, monkeypatch):
     token.write_text("once")
     monkeypatch.setenv(KILL_ENV, f"bfs/Kernel:{token}")
 
-    journal = str(tmp_path / "j.jsonl")
-    suite = run_suite(KERNELS, scale=SCALE, jobs=2, journal=journal)
+    suite = run_suite(KERNELS, scale=SCALE, jobs=2)
 
     assert not token.exists(), "the kill hook never fired"
     assert suite.ok, f"unexpected degraded rows: {suite.degraded}"
     assert _report(suite) == baseline
-    assert len(RunJournal.load(journal)) == len(KERNELS)
 
 
 def test_exhausted_crash_budget_degrades(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ The contracts under test (``docs/serving.md`` / ``docs/api.md``):
 * cache hits replay the stored run byte-identically — same report,
   same digests — across serial, ``--jobs`` and serve executions;
 * a corrupt, truncated or version-skewed disk entry is a *miss*
-  (recovered by re-execution), never an exception or a wrong result;
+  (recovered by re-execution), never an exception or a wrong result —
+  tested once for both cache namespaces in ``tests/test_store.py``;
 * the seeded validation mode re-executes sampled hits and hard-fails
   on digest divergence (typed degraded response on the serve path).
 """
@@ -23,7 +24,6 @@ import sys
 import pytest
 
 from repro.evalharness import (
-    RESULT_CACHE_VERSION,
     ResultCache,
     RunOptions,
     option_key,
@@ -31,7 +31,6 @@ from repro.evalharness import (
     run_suite,
 )
 from repro.evalharness.report import generate_report
-from repro.evalharness.resultcache import ResultCacheEntry
 from repro.resilience import (
     FaultSpec,
     OptionKeyError,
@@ -85,11 +84,10 @@ def test_fingerprint_stable_across_processes():
 
 
 def test_fingerprint_ignores_reporting_knobs(tmp_path):
-    """Journal/jobs/cache-dir/trace knobs change *how* a sweep runs,
-    not *what* it computes — they must not shift the identity key."""
+    """Jobs/cache-dir/trace knobs change *how* a sweep runs, not
+    *what* it computes — they must not shift the identity key."""
     base = RunOptions(scale="tiny")
-    dressed = base.replace(jobs=4, journal=str(tmp_path / "j.jsonl"),
-                           cache_dir=str(tmp_path / "cc"),
+    dressed = base.replace(jobs=4, cache_dir=str(tmp_path / "cc"),
                            result_cache_dir=str(tmp_path / "rc"),
                            validate_cache_fraction=0.5,
                            trace_path=str(tmp_path / "t.json"))
@@ -146,60 +144,9 @@ def test_live_cache_object_is_shared_and_counted():
     assert stats["hits"] == 1 and stats["entries"] == 1
 
 
-# ----------------------------------------------------------------------
-# Tolerant loader: corruption and version skew are misses
-# ----------------------------------------------------------------------
 def _entry_files(tmp_path):
     return sorted(str(tmp_path / f) for f in os.listdir(tmp_path)
                   if f.endswith(".result.pkl"))
-
-
-def test_corrupt_disk_entry_is_a_miss_and_recovers(tmp_path):
-    opts = TINY.replace(result_cache_dir=str(tmp_path))
-    want = result_digest(run_kernel("nn/euclid", options=opts))
-    (path,) = _entry_files(tmp_path)
-    with open(path, "wb") as fh:
-        fh.write(b"not a pickle")
-    fresh = run_kernel("nn/euclid", options=opts)
-    assert result_digest(fresh) == want
-    # The poisoned file was removed and replaced by the re-execution.
-    (repaired,) = _entry_files(tmp_path)
-    with open(repaired, "rb") as fh:
-        entry = pickle.load(fh)
-    assert isinstance(entry, ResultCacheEntry)
-    assert entry.digest == want
-
-
-def test_version_skewed_entry_is_a_miss(tmp_path):
-    opts = TINY.replace(result_cache_dir=str(tmp_path))
-    run_kernel("nn/euclid", options=opts)
-    (path,) = _entry_files(tmp_path)
-    with open(path, "rb") as fh:
-        entry = pickle.load(fh)
-    entry.version = RESULT_CACHE_VERSION + 1
-    with open(path, "wb") as fh:
-        pickle.dump(entry, fh)
-    rcache = ResultCache(cache_dir=str(tmp_path))
-    key = os.path.basename(path)[: -len(".result.pkl")]
-    assert rcache.get(key) is None
-    assert rcache.disk_errors == 1
-    assert not os.path.exists(path)
-
-
-def test_mem_tier_lru_eviction():
-    rcache = ResultCache(max_entries=2)
-
-    class _Run:  # digest stub: avoids building three real runs
-        name, n_threads = "stub", 1
-
-    for key in ("k1", "k2", "k3"):
-        entry = ResultCacheEntry(version=RESULT_CACHE_VERSION, key=key,
-                                 kernel="stub", digest="d", run=_Run())
-        rcache._insert(key, entry)
-    assert len(rcache) == 2
-    assert rcache.evictions == 1
-    assert rcache.get("k1") is None  # the LRU entry was evicted
-    assert rcache.get("k3") is not None
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +169,7 @@ def _poison_digest(tmp_path):
     (path,) = _entry_files(tmp_path)
     with open(path, "rb") as fh:
         entry = pickle.load(fh)
-    entry.digest = "0" * 64
+    entry.value.digest = "0" * 64
     with open(path, "wb") as fh:
         pickle.dump(entry, fh)
 

@@ -10,17 +10,16 @@ Contracts (``docs/api.md``):
   wrong-entry-point keywords all raise ``TypeError``;
 * ``fingerprint()`` keys batching: identical semantics → identical
   fingerprint, reporting/live knobs don't perturb it;
-* the run journal stamps the options summary into its header;
 * the ``repro.evalharness`` CLI constructs a ``RunOptions`` directly
   (no deprecation warnings on the migrated path).
 """
 
-import json
+import os
 import warnings
 
 import pytest
 
-from repro.evalharness import RunOptions, run_kernel, run_suite
+from repro.evalharness import ResultCache, RunOptions, run_kernel, run_suite
 from repro.evalharness.options import KERNEL_KWARGS, SUITE_KWARGS
 from repro.obs import Metrics
 from repro.serve import result_digest
@@ -91,15 +90,15 @@ def test_run_kernel_still_rejects_suite_only_keywords():
 
 
 def test_run_suite_options_path(tmp_path):
-    journal = str(tmp_path / "sweep.jsonl")
-    opts = RunOptions(scale="tiny", journal=journal)
+    opts = RunOptions(scale="tiny", result_cache_dir=str(tmp_path))
     runs = run_suite(["nn/euclid"], options=opts)
     assert runs.ok and "nn/euclid" in runs
-    # The journal header carries the greppable options summary.
-    header = json.loads(open(journal).readline())
-    assert header["scale"] == "tiny"
-    assert header["options"]["scale"] == "tiny"
-    assert header["options"]["journal"] == journal
+    # The options reach the result store: one entry, replayed on re-run.
+    assert len(os.listdir(tmp_path)) == 1
+    rcache = ResultCache(str(tmp_path))
+    again = run_suite(["nn/euclid"], options=opts.replace(result_cache=rcache))
+    assert rcache.stats()["hits"] == 1
+    assert result_digest(again["nn/euclid"]) == result_digest(runs["nn/euclid"])
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +110,8 @@ def test_fingerprint_tracks_semantics_only():
     assert base.fingerprint() != base.replace(scale="small").fingerprint()
     assert base.fingerprint() != base.replace(verify=False).fingerprint()
     # Reporting / persistence / live knobs never perturb the key.
-    same = base.replace(jobs=4, trace_path="t.json", journal="j.jsonl",
-                        cache_dir="/tmp/cc", metrics=Metrics())
+    same = base.replace(jobs=4, trace_path="t.json", cache_dir="/tmp/cc",
+                        result_cache_dir="/tmp/rc", metrics=Metrics())
     assert base.fingerprint() == same.fingerprint()
 
 

@@ -16,6 +16,9 @@ import os
 
 import pytest
 
+import repro.serve.service as service_mod
+from repro.arch import FabricSpec, UnitKind, VGIWConfig
+from repro.compiler import CompileCache
 from repro.evalharness import RunOptions, run_kernel
 from repro.evalharness.runner import KILL_ENV
 from repro.obs import Metrics, Tracer
@@ -155,6 +158,32 @@ def test_worker_sigkill_mid_batch_recovers(tmp_path, monkeypatch):
     assert not os.path.exists(token)  # the kill latch fired exactly once
     assert all(r.status == "ok" for r in responses)
     assert all(r.digest == want for r in responses)
+
+
+# ----------------------------------------------------------------------
+# Bounded memory in a long-lived worker
+# ----------------------------------------------------------------------
+def test_long_lived_worker_compile_cache_stays_bounded(monkeypatch):
+    """More distinct (kernel, vgiw_config) points than the compile
+    namespace's cap, pushed through one warm worker: its memory tier
+    stays at or below the cap and the evictions are counted.  The pool
+    forks after the cap is lowered, so the worker inherits it."""
+    monkeypatch.setattr(CompileCache, "MAX_ENTRIES", 4)
+    monkeypatch.setattr(service_mod, "_WARM_CACHES", {})
+    counts = dict(FabricSpec().counts)
+    counts[UnitKind.COMPUTE] -= 1
+    counts[UnitKind.SPECIAL] += 1
+    configs = [VGIWConfig(), VGIWConfig(fabric=FabricSpec(counts=counts))]
+    with ExecutionService(workers=1) as svc:
+        tickets = [svc.submit(SubmitRequest(
+                       kernel, TINY.replace(vgiw_config=config)))
+                   for kernel in KERNELS[:2] for config in configs]
+        responses = [svc.wait(t, timeout=300) for t in tickets]
+        stats = svc.stats()["compile_cache"]
+    assert all(r.status == "ok" for r in responses)
+    assert 0 < stats["entries"] <= 4
+    assert stats["evictions"] > 0
+    assert stats["misses"] > 4
 
 
 # ----------------------------------------------------------------------
