@@ -183,15 +183,15 @@ def _remeasure(jobs: int) -> dict:
     import platform
     import time
 
-    from repro.evalharness.runner import run_suite
+    from repro.evalharness.runner import RunOptions, run_suite
 
     t0 = time.time()
-    runs = run_suite(None, scale="small")
+    runs = run_suite(None, options=RunOptions(scale="small"))
     serial_s = time.time() - t0
     check_golden(runs)
 
     t0 = time.time()
-    run_suite(None, scale="small", jobs=jobs)
+    run_suite(None, options=RunOptions(scale="small", jobs=jobs))
     jobsn_s = time.time() - t0
 
     doc = load_trajectory()

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.evalharness.runner import run_suite
+from repro.evalharness.runner import RunOptions, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -23,4 +23,4 @@ def scale() -> str:
 @pytest.fixture(scope="session")
 def suite_runs(scale):
     """All Table 2 kernels simulated on Fermi, VGIW, and SGMF."""
-    return run_suite(scale=scale)
+    return run_suite(options=RunOptions(scale=scale))

@@ -14,11 +14,8 @@ consume::
     opts = RunOptions(scale="tiny", verify=True)
     run = run_kernel("nn/euclid", options=opts)
 
-Legacy keyword call sites keep working through one documented adapter:
-``run_kernel(name, scale, verify=..., watchdog=..., ...)`` is folded
-into a ``RunOptions`` by :meth:`RunOptions.from_kwargs` and emits a
-single ``DeprecationWarning`` naming the keywords used (``scale`` —
-positional or keyword — stays first-class and does not warn).
+``scale`` — positional or keyword — stays a first-class argument of
+both entry points; every other option travels in the ``RunOptions``.
 
 Field groups
 ------------
@@ -43,9 +40,7 @@ parallelism               ``jobs``
 ========================  ==============================================
 
 Suite-only fields (``retry``, ``isolate``, ``inject``, ``trace_path``,
-``jobs``) are ignored by ``run_kernel``; the legacy adapter still
-rejects them there (they were never accepted), so no call site
-silently changes meaning.
+``jobs``) are ignored by ``run_kernel``.
 
 The class is frozen: derive variants with :meth:`replace`
 (``opts.replace(scale="medium")``).  :meth:`fingerprint` returns a
@@ -57,28 +52,13 @@ requests may share one execution, and the result cache keys on it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace as _dc_replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.resilience.errors import OptionKeyError
 from repro.store import option_key
 
 __all__ = ["RunOptions", "option_key"]
-
-#: Legacy keywords ``run_kernel`` historically accepted (beyond scale).
-KERNEL_KWARGS: Tuple[str, ...] = (
-    "verify", "optimize", "vgiw_config", "fermi_config", "sgmf_config",
-    "watchdog", "faults", "tracer", "metrics", "cache",
-    "checkpoint_every", "checkpoint_dir",
-)
-
-#: Legacy keywords ``run_suite`` historically accepted (beyond scale).
-SUITE_KWARGS: Tuple[str, ...] = (
-    "verify", "isolate", "watchdog", "retry", "inject", "tracer",
-    "metrics", "jobs", "cache", "cache_dir", "trace_path", "timeout",
-    "checkpoint_every", "checkpoint_dir",
-)
 
 
 @dataclass(frozen=True)
@@ -120,59 +100,14 @@ class RunOptions:
     jobs: int = 1
 
     # -- construction --------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, _warn: bool = True, _allowed: Optional[Tuple[str, ...]] = None,
-                    **kwargs: Any) -> "RunOptions":
-        """Fold a legacy keyword call into a :class:`RunOptions`.
-
-        This is *the* adapter behind the deprecated ``run_kernel`` /
-        ``run_suite`` keyword surface: unknown names raise ``TypeError``
-        (exactly as the old signatures did), and any accepted legacy
-        keyword emits one ``DeprecationWarning`` listing the names used.
-        ``scale`` is exempt — it remains first-class.  Pass
-        ``_warn=False`` for internal, non-deprecated construction.
-        """
-        allowed = set(_allowed if _allowed is not None
-                      else tuple(f.name for f in fields(cls)))
-        allowed.add("scale")
-        unknown = sorted(set(kwargs) - allowed)
-        if unknown:
-            raise TypeError(
-                f"unexpected keyword argument(s): {', '.join(unknown)}"
-            )
-        legacy = sorted(set(kwargs) - {"scale"})
-        if legacy and _warn:
-            warnings.warn(
-                f"passing execution options as keywords "
-                f"({', '.join(legacy)}) is deprecated; construct a "
-                f"repro.evalharness.RunOptions and pass options=...",
-                DeprecationWarning, stacklevel=3,
-            )
-        return cls(**kwargs)
-
-    def to_kwargs(self, include_defaults: bool = False) -> Dict[str, Any]:
-        """The options as the historical keyword mapping.
-
-        By default only non-default fields are emitted, so the result
-        round-trips through :meth:`from_kwargs` and reads like the
-        minimal legacy call.  ``include_defaults=True`` emits every
-        field.
-        """
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if include_defaults or value != f.default:
-                out[f.name] = value
-        return out
-
     def replace(self, **changes: Any) -> "RunOptions":
         """A copy with ``changes`` applied (the class is frozen)."""
         return _dc_replace(self, **changes)
 
     # -- identity ------------------------------------------------------
     #: fields that carry live, process-local objects; excluded from the
-    #: fingerprint and forbidden in repro.serve submissions (the service
-    #: owns its own registries and caches).
+    #: fingerprint.  repro.serve answers a set tracer/metrics with fresh
+    #: registries of its own and rejects the others.
     LIVE_FIELDS: Tuple[str, ...] = ("tracer", "metrics", "cache", "faults",
                                     "result_cache")
 

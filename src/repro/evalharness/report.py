@@ -19,7 +19,7 @@ from repro.evalharness.experiments import (
     table2_benchmarks,
     workload_characterization,
 )
-from repro.evalharness.runner import KernelRun, run_suite
+from repro.evalharness.runner import KernelRun, RunOptions, run_suite
 from repro.obs import Metrics
 
 
@@ -34,7 +34,7 @@ def generate_report(runs: Optional[Dict[str, KernelRun]] = None,
     report.
     """
     if runs is None:
-        runs = run_suite(scale=scale, metrics=metrics)
+        runs = run_suite(options=RunOptions(scale=scale, metrics=metrics))
     out = io.StringIO()
     out.write("# EXPERIMENTS — paper vs. measured\n\n")
     out.write(

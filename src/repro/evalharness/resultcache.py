@@ -57,8 +57,11 @@ mismatch raises :class:`~repro.resilience.ResultCacheDivergenceError`
 what the loader can detect or execution is not deterministic over the
 key, and every cached answer is suspect.
 
-Counters are exported through :class:`repro.obs.Metrics` under the
-``resultcache`` scope by :meth:`ResultCache.record_metrics`;
+The harness and :mod:`repro.serve` share one path for all of it:
+:meth:`ResultCache.bypasses` decides what may be cached,
+:meth:`ResultCache.validate` counts validations and divergences, and
+:meth:`ResultCache.record_metrics` exports the counters through
+:class:`repro.obs.Metrics` under the ``resultcache`` scope.
 ``docs/serving.md`` documents the serving-side behaviour and
 ``docs/api.md`` the harness-side flags.
 """
@@ -146,21 +149,36 @@ class ResultCache(Store):
     METRIC_SCOPE = "resultcache"
     COUNTERS = Store.COUNTERS + ("validations", "divergences")
 
+    @staticmethod
+    def bypasses(name: str, options: Any) -> bool:
+        """True when running ``name`` under ``options`` must neither be
+        answered from nor stored in the cache.
+
+        A fault campaign on the kernel (``options.inject``), a fault
+        injector (``options.faults``) and checkpointing make the
+        execution deliberately not a pure function of the key.  The
+        one policy ``run_kernel``, the sweep and ``repro.serve`` share.
+        """
+        return (options.faults is not None
+                or options.checkpoint_every is not None
+                or name in (options.inject or {}))
+
     @classmethod
-    def key_for(cls, name: str, options: Any, want_trace: bool = False,
-                want_metrics: bool = False) -> str:
-        """The content key for ``(kernel name, options, obs shape)``.
+    def key_for(cls, name: str, options: Any) -> str:
+        """The content key for ``(kernel name, options)``.
 
         Builds (memoised) the workload to hash the kernel IR and the
         actual input, takes the canonical options fingerprint, and
-        folds in whether the run records per-kernel observability —
-        see the module docstring for the full key anatomy.  Raises
+        folds in the observability shape — whether ``options`` carries
+        a tracer / metrics registry; see the module docstring for the
+        full key anatomy.  Raises
         :class:`~repro.resilience.OptionKeyError` if the options hold
         an unkeyable object (never silently a process-local key).
         """
         kfp, input_dg = workload_digests(name, options.scale)
         return cls.make_key(name, kfp, options.fingerprint(), input_dg,
-                            bool(want_trace), bool(want_metrics))
+                            options.tracer is not None,
+                            options.metrics is not None)
 
     def put(self, key: str, kernel: str, run: Any) -> ResultCacheEntry:
         """Store a finished run under ``key`` (both tiers)."""
@@ -189,9 +207,11 @@ class ResultCache(Store):
                  fresh_run: Optional[Any]) -> None:
         """Compare a validation re-execution against the cached entry.
 
-        Divergence — a failed re-execution or a digest mismatch — is a
-        hard :class:`~repro.resilience.ResultCacheDivergenceError`;
-        see the module docstring for why it cannot be soft.
+        Divergence — a failed re-execution (``fresh_run=None``) or a
+        digest mismatch — is a hard
+        :class:`~repro.resilience.ResultCacheDivergenceError`; see the
+        module docstring for why it cannot be soft (``repro.serve``
+        turns it into a degraded response).
         """
         self.validations += 1
         fresh = None if fresh_run is None else run_digest(fresh_run)

@@ -32,10 +32,11 @@ layers protect against the process-level ones (``docs/resilience.md``
   moment it lands (:mod:`repro.evalharness.resultcache`); re-running a
   killed sweep against the same directory replays the finished kernels
   and reassembles a byte-identical report.
-* the ``jobs > 1`` pool driver survives worker death (SIGKILL, OOM,
-  segfault): it respawns the pool, requeues the kernels that were in
-  flight under a bounded crash budget, and degrades the ones that keep
-  killing workers with :class:`~repro.resilience.WorkerCrashError`.
+* ``jobs > 1`` runs the sweep on :class:`repro.serve.ExecutionService`,
+  whose pool survives worker death (SIGKILL, OOM, segfault): it
+  respawns the pool, requeues the kernels that were in flight under a
+  bounded crash budget, and degrades the ones that keep killing
+  workers with :class:`~repro.resilience.WorkerCrashError`.
 * ``timeout=SECONDS`` arms a per-kernel wall-clock guard
   (:func:`~repro.resilience.wall_clock_limit`) that feeds the same
   retry/degraded-row machinery as the cycle watchdog, and
@@ -46,18 +47,14 @@ layers protect against the process-level ones (``docs/resilience.md``
 from __future__ import annotations
 
 import os
-import signal
-from collections import deque
 from collections.abc import Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.compiler.cache import CompileCache, cached_optimize_kernel
-from repro.evalharness.options import KERNEL_KWARGS, SUITE_KWARGS, RunOptions
+from repro.evalharness.options import RunOptions
 from repro.evalharness.resultcache import ResultCache
 from repro.interp import interpret
 from repro.kernels.base import Workload
@@ -72,11 +69,9 @@ from repro.power import (
 from repro.resilience import (
     AttemptRecord,
     FaultInjector,
-    FaultSpec,
     KernelFailure,
     ReproError,
     RetryPolicy,
-    WorkerCrashError,
     wall_clock_limit,
 )
 from repro.resilience.errors import (
@@ -99,10 +94,11 @@ __all__ = [
     "trace_file_for",
 ]
 
-#: Test-only crash hook: ``"<kernel>:<token-file>"``.  A pool worker
-#: assigned ``<kernel>`` consumes (unlinks) the token file and SIGKILLs
-#: itself, so the crash fires exactly once and the requeued attempt
-#: succeeds.  Shared by ``tests/test_crash_recovery.py`` and the CI
+#: Test-only crash hook: ``"<kernel>:<token-file>"``.  A
+#: :mod:`repro.serve` pool worker assigned ``<kernel>`` consumes
+#: (unlinks) the token file and SIGKILLs itself, so the crash fires
+#: exactly once and the requeued attempt succeeds.  Shared by
+#: ``tests/test_crash_recovery.py``, ``tests/test_serve.py`` and the CI
 #: crash-recovery smoke job.
 KILL_ENV = "REPRO_SUITE_KILL"
 
@@ -190,50 +186,30 @@ def _save_hang_snapshot(core, checkpoint_dir: Optional[str],
         pass
 
 
-def _resolve_options(scale: Optional[str], options: Optional[RunOptions],
-                     legacy: Dict[str, object],
-                     allowed: tuple) -> RunOptions:
-    """Shared front door of ``run_kernel`` / ``run_suite``.
-
-    Exactly one of the two call styles is accepted: the consolidated
-    ``options=RunOptions(...)`` object, or the historical keyword
-    sprawl (folded through :meth:`RunOptions.from_kwargs`, which emits
-    the ``DeprecationWarning``).  A positional/keyword ``scale`` stays
-    first-class and composes with ``options`` only when it does not
-    conflict.
-    """
-    if options is not None:
-        if legacy:
-            raise TypeError(
-                "pass either options=RunOptions(...) or legacy keywords, "
-                f"not both (got keywords: {', '.join(sorted(legacy))})"
-            )
-        if scale is not None and scale != options.scale:
-            raise TypeError(
-                f"scale={scale!r} conflicts with options.scale="
-                f"{options.scale!r}; set it on the RunOptions"
-            )
-        return options
-    if scale is not None:
-        legacy = dict(legacy, scale=scale)
-    return RunOptions.from_kwargs(_allowed=allowed, **legacy)
+def _resolve_options(scale: Optional[str],
+                     options: Optional[RunOptions]) -> RunOptions:
+    """Shared front door of ``run_kernel`` / ``run_suite``: ``scale``
+    stays first-class and composes with ``options`` only when it does
+    not conflict."""
+    if options is None:
+        return RunOptions() if scale is None else RunOptions(scale=scale)
+    if scale is not None and scale != options.scale:
+        raise TypeError(
+            f"scale={scale!r} conflicts with options.scale="
+            f"{options.scale!r}; set it on the RunOptions"
+        )
+    return options
 
 
 def run_kernel(
     name: str,
     scale: Optional[str] = None,
     options: Optional[RunOptions] = None,
-    **legacy,
 ) -> KernelRun:
     """Run one registry workload on all three machines.
 
     The execution options travel in one :class:`RunOptions` value
-    object (``options=``); the historical keyword surface (``verify``,
-    ``optimize``, per-machine configs, ``watchdog``, ``faults``,
-    ``tracer``/``metrics``, ``cache``, ``checkpoint_every``/
-    ``checkpoint_dir``) keeps working through the documented
-    deprecation adapter (:meth:`RunOptions.from_kwargs`) and emits a
-    ``DeprecationWarning``; ``scale`` stays first-class.  See
+    object (``options=``); ``scale`` stays first-class.  See
     ``docs/api.md`` for the field-by-field reference.
 
     Option semantics: ``watchdog`` arms the forward-progress watchdog
@@ -258,33 +234,31 @@ def run_kernel(
     here.  Everything defaults to off, so the measurement path is
     unchanged.
     """
-    o = _resolve_options(scale, options, legacy, KERNEL_KWARGS)
+    o = _resolve_options(scale, options)
     cache = o.cache
     if cache is None and o.cache_dir is not None:
         cache = CompileCache(o.cache_dir)
     rcache = _resolve_result_cache(o)
-    # The result cache only short-circuits *pure* single runs: a
-    # caller-supplied tracer/metrics registry expects to receive this
-    # run's events, a fault injector deliberately perturbs it, and
-    # checkpointing is about the execution, not the result.
-    if (rcache is not None and o.tracer is None and o.metrics is None
-            and o.faults is None and o.checkpoint_every is None):
-        key = ResultCache.key_for(name, o)
-        entry = rcache.get(key)
-        if entry is not None:
-            if rcache.should_validate(key, o.validate_cache_fraction,
-                                      o.validate_cache_seed):
-                with wall_clock_limit(o.timeout, sim="run_kernel",
-                                      kernel=name):
-                    fresh = _execute_kernel(name, o, cache)
-                rcache.validate(key, entry, fresh)
-            return entry.run
+    # Beyond the shared bypass policy, a caller-supplied tracer/metrics
+    # registry expects to receive this run's events, so it is not
+    # answered from the cache either.
+    if (rcache is None or o.tracer is not None or o.metrics is not None
+            or ResultCache.bypasses(name, o)):
         with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-            run = _execute_kernel(name, o, cache)
-        rcache.put(key, name, run)
-        return run
+            return _execute_kernel(name, o, cache)
+    key = ResultCache.key_for(name, o)
+    entry = rcache.get(key)
+    if entry is not None:
+        if rcache.should_validate(key, o.validate_cache_fraction,
+                                  o.validate_cache_seed):
+            with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
+                fresh = _execute_kernel(name, o, cache)
+            rcache.validate(key, entry, fresh)
+        return entry.run
     with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-        return _execute_kernel(name, o, cache)
+        run = _execute_kernel(name, o, cache)
+    rcache.put(key, name, run)
+    return run
 
 
 def _resolve_result_cache(o: RunOptions) -> Optional[ResultCache]:
@@ -448,54 +422,51 @@ class SuiteResult(Mapping):
 def _run_one(
     name: str,
     opts: RunOptions,
-    spec: Optional[FaultSpec],
     cache: Optional[CompileCache],
     rcache: Optional[ResultCache] = None,
-):
+) -> Tuple[Optional[KernelRun], Optional[KernelFailure]]:
     """One kernel of a sweep, with PR 1's retry/degraded-row machinery.
 
     ``opts`` is the sweep's resolved :class:`RunOptions` with the
     per-kernel tracer/metrics already substituted in (``opts.retry``
-    must be materialised).  Returns ``(run, None)`` on success or
-    ``(None, failure)`` when the kernel exhausted its retries.  With
+    must be materialised); the kernel's fault campaign, if any, is
+    ``opts.inject[name]``.  Returns ``(run, None)`` on success or
+    ``(None, failure)`` when the kernel exhausted its retries; the
+    failure carries the attempts' registries.  With
     ``opts.isolate=False`` the first failure propagates (the historical
     behaviour).  ``opts.timeout`` bounds each attempt in host
     wall-clock seconds via :func:`~repro.resilience.wall_clock_limit`;
     the resulting ``SimulationHangError`` flows through the same retry
-    machinery as a watchdog hang.  Shared verbatim by the serial loop,
-    the ``--jobs`` worker, and the :mod:`repro.serve` execution pool so
+    machinery as a watchdog hang.  Shared verbatim by the serial loop
+    and the :mod:`repro.serve` worker (which runs ``--jobs`` sweeps) so
     the paths cannot drift.
 
     ``rcache`` arms the result-cache short circuit: a hit returns the
     stored run (its attached per-kernel tracer/metrics replay the
     observability) without executing; a successful miss is stored.
-    Kernels under a fault campaign (``spec`` / ``opts.faults``) and
-    checkpointing runs bypass the cache — their executions are
-    deliberately not pure functions of the key.  Only healthy runs are
-    cached: degraded rows always re-execute.  A sampled fraction of
-    hits (``opts.validate_cache_fraction``) is re-executed and compared
-    against the cached digest; divergence raises
-    :class:`~repro.resilience.ResultCacheDivergenceError` *out of* the
-    retry machinery — it must abort the sweep, not degrade a row.
+    Runs :meth:`ResultCache.bypasses` names skip the cache.  Only
+    healthy runs are cached: degraded rows always re-execute.  A
+    sampled fraction of hits (``opts.validate_cache_fraction``) is
+    re-executed and compared against the cached digest; divergence
+    raises :class:`~repro.resilience.ResultCacheDivergenceError` *out
+    of* the retry machinery — it must abort the sweep, not degrade a
+    row.
     """
-    if (rcache is not None and spec is None and opts.faults is None
-            and opts.checkpoint_every is None):
-        key = ResultCache.key_for(
-            name, opts, want_trace=opts.tracer is not None,
-            want_metrics=opts.metrics is not None,
-        )
+    if rcache is not None and not ResultCache.bypasses(name, opts):
+        key = ResultCache.key_for(name, opts)
         entry = rcache.get(key)
         if entry is not None:
             if rcache.should_validate(key, opts.validate_cache_fraction,
                                       opts.validate_cache_seed):
-                fresh_run, _ = _run_one(name, opts, spec, cache)
+                fresh_run, _ = _run_one(name, opts, cache)
                 rcache.validate(key, entry, fresh_run)
             return entry.run, None
-        run, failure = _run_one(name, opts, spec, cache)
-        if failure is None and run is not None:
+        run, failure = _run_one(name, opts, cache)
+        if failure is None:
             rcache.put(key, name, run)
         return run, failure
 
+    spec = (opts.inject or {}).get(name)
     retry = opts.retry
     if not opts.isolate:
         injector = FaultInjector(spec) if spec is not None else None
@@ -523,59 +494,9 @@ def _run_one(
             # must still finish; record it as a degraded row too.
             attempts.append(
                 AttemptRecord.from_error(attempt, exc, injector, wd))
-    return None, KernelFailure.from_attempts(name, attempts)
-
-
-def _maybe_kill_for_test(name: str) -> None:
-    """Honour the :data:`KILL_ENV` crash hook (test/CI only).
-
-    The token file is the once-latch: whichever worker unlinks it first
-    dies; every later assignment of the same kernel runs normally.
-    """
-    spec = os.environ.get(KILL_ENV)
-    if not spec:
-        return
-    target, _, token = spec.partition(":")
-    if target != name or not token:
-        return
-    try:
-        os.unlink(token)
-    except OSError:
-        return  # token already consumed — the retry must succeed
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _suite_worker(payload):
-    """Process-pool worker: one kernel, fully isolated.
-
-    Module top-level (picklable under every start method).  The worker
-    builds its *own* tracer / metrics registry / compile cache — no
-    state is shared with the parent (``opts`` arrives with the live
-    fields stripped) — and ships them back with the result; the parent
-    merges them in deterministic kernel order.  ``opts.cache_dir`` and
-    ``opts.result_cache_dir`` give the workers shared persistent tiers
-    (the disk writes are atomic, so concurrent workers are safe).  The
-    fault spec and watchdog config travel inside the payload, so a
-    requeued or re-run kernel replays the exact same deterministic
-    fault campaign.
-    """
-    (name, opts, spec, want_trace, want_metrics) = payload
-    _maybe_kill_for_test(name)
-    tracer = Tracer() if want_trace else None
-    metrics = Metrics() if want_metrics else None
-    cache = CompileCache(opts.cache_dir)
-    rcache = (ResultCache(opts.result_cache_dir)
-              if opts.result_cache_dir is not None else None)
-    run, failure = _run_one(
-        name, opts.replace(tracer=tracer, metrics=metrics), spec, cache,
-        rcache,
-    )
-    # On a cache hit the stored run carries its own registries; ship
-    # those so the parent merges the replayed streams, not empty ones.
-    if run is not None:
-        tracer, metrics = run.trace, run.metrics
-    return (name, run, failure, tracer, metrics, cache.stats(),
-            rcache.stats() if rcache is not None else None)
+    failure = KernelFailure.from_attempts(name, attempts)
+    failure.trace, failure.metrics = opts.tracer, opts.metrics
+    return None, failure
 
 
 def trace_file_for(base: str, kernel_name: str) -> str:
@@ -589,105 +510,56 @@ def trace_file_for(base: str, kernel_name: str) -> str:
     return f"{root}.{safe}{ext}"
 
 
-@dataclass
-class _Outcome:
-    """One kernel's finished result plus everything the parent merges.
+def _run_on_service(names: List[str], o: RunOptions, cache: CompileCache,
+                    rcache: Optional[ResultCache]):
+    """``run_suite(jobs > 1)``: the sweep as a client of
+    :class:`repro.serve.ExecutionService` with ``jobs`` workers.
 
-    Exactly one of ``run`` / ``failure`` is set.  ``tracer`` /
-    ``metrics`` are the per-kernel registries and ``cache_stats`` /
-    ``result_cache_stats`` the kernel's cache counters (what a
-    ``--jobs`` worker ships back), merged in input order.
+    One request per kernel, waited on in input order.  The service
+    owns the pool and its crash recovery (blame, requeue, crash budget
+    ``retry.max_attempts``, respawn); it answers result-cache hits at
+    admission and records each kernel's tracer/metrics in a fresh
+    registry returned on the response.  With ``isolate=False`` the
+    first failure in input order is raised with its original type (a
+    worker death as :class:`~repro.resilience.WorkerCrashError`, never
+    requeued); a result-cache divergence is raised either way.  The
+    workers' compile-cache counters are folded into ``cache``.
+
+    Returns ``{name: (run, failure)}``.
     """
+    # repro.serve imports this module; import it at call time.
+    from repro.serve import ExecutionService, SubmitRequest
 
-    run: Any = None
-    failure: Any = None
-    tracer: Any = None
-    metrics: Any = None
-    cache_stats: Any = None
-    result_cache_stats: Any = None
-
-
-def _run_jobs(todo, jobs, isolate, retry, payload_for):
-    """Crash-tolerant process-pool driver for ``run_suite(jobs > 1)``.
-
-    At most ``jobs`` kernels are in flight at once.  When a worker dies
-    hard (SIGKILL, OOM, segfault) the pool raises
-    ``BrokenProcessPool`` for *every* in-flight future — the pool
-    cannot say which kernel the dead worker held — so the driver blames
-    all of them: each loses one unit of its crash budget
-    (``retry.max_attempts`` units total) and is requeued; a kernel
-    whose budget runs out becomes a degraded row carrying
-    :class:`~repro.resilience.WorkerCrashError`.  The broken executor
-    is discarded and a fresh one respawned.  Bounding the in-flight
-    window to ``jobs`` bounds the collateral blame per crash.
-
-    Returns ``{name: _Outcome}``; the caller reassembles the report in
-    input order.
-    """
-    outcomes: Dict[str, _Outcome] = {}
-    pending = deque(todo)
-    budget: Dict[str, int] = {}
-    crash_records: Dict[str, List[AttemptRecord]] = {}
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    want_trace = o.trace_path is not None or o.tracer is not None
+    request_opts = o.replace(tracer=Tracer() if want_trace else None,
+                             cache=None, faults=None, result_cache=None)
+    service = ExecutionService(
+        workers=o.jobs, queue_limit=max(1, len(names)),
+        crash_budget=o.retry.max_attempts if o.isolate else 1,
+        result_cache=rcache,
+        validate_cache_fraction=o.validate_cache_fraction,
+        validate_cache_seed=o.validate_cache_seed,
+    ).start()
+    outcomes = {}
     try:
-        in_flight: Dict[object, str] = {}
-        while pending or in_flight:
-            while pending and len(in_flight) < jobs:
-                nxt = pending.popleft()
-                in_flight[pool.submit(_suite_worker, payload_for(nxt))] = nxt
-            done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-            crashed: List[str] = []
-            for future in done:
-                name = in_flight.pop(future)
-                try:
-                    (_, run, failure, wtracer, wmetrics,
-                     wstats, wrstats) = future.result()
-                except BrokenProcessPool:
-                    crashed.append(name)
-                except ResultCacheDivergenceError:
-                    # Cache divergence is never a degraded row: every
-                    # cached answer is suspect, so the sweep must die.
-                    raise
-                except Exception as exc:  # noqa: BLE001 — worker failed
-                    if not isolate:
-                        raise
-                    outcomes[name] = _Outcome(
-                        failure=KernelFailure.from_attempts(
-                            name, [AttemptRecord.from_error(0, exc)]))
-                else:
-                    outcomes[name] = _Outcome(
-                        run=run, failure=failure, tracer=wtracer,
-                        metrics=wmetrics, cache_stats=wstats,
-                        result_cache_stats=wrstats)
-            if not crashed:
-                continue
-            # A worker died: the executor is broken, every future it
-            # still held is poisoned, and no new work can be submitted.
-            crashed.extend(in_flight.values())
-            in_flight.clear()
-            pool.shutdown(wait=False)
-            if not isolate:
-                raise WorkerCrashError(
-                    "a worker process died during the sweep",
-                    kernels=",".join(sorted(crashed)))
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            for name in crashed:
-                budget[name] = budget.get(
-                    name, max(1, retry.max_attempts)) - 1
-                records = crash_records.setdefault(name, [])
-                records.append(AttemptRecord.from_error(
-                    len(records),
-                    WorkerCrashError(
-                        "worker process died (SIGKILL/OOM/segfault) "
-                        "while this kernel was in flight", kernel=name)))
-                if budget[name] > 0:
-                    pending.append(name)
-                else:
-                    outcomes[name] = _Outcome(
-                        failure=KernelFailure.from_attempts(name, records))
+        tickets = [service.submit(SubmitRequest(name, request_opts,
+                                                want_run=True))
+                   for name in names]
+        for name, ticket in zip(names, tickets):
+            response = service.wait(ticket)
+            failure = response.failure
+            if failure is None and not response.ok:  # rejected
+                failure = KernelFailure(name, response.error_type,
+                                        response.error)
+            if failure is not None and (
+                    not o.isolate
+                    or isinstance(failure.error, ResultCacheDivergenceError)):
+                raise failure.error or ReproError(failure.message,
+                                                  kernel=name)
+            outcomes[name] = (response.run, failure)
     finally:
-        pool.shutdown(wait=False)
+        service.stop(drain=False)
+    cache.merge_stats(service.cache_stats)
     return outcomes
 
 
@@ -695,18 +567,14 @@ def run_suite(
     names: Optional[Iterable[str]] = None,
     scale: Optional[str] = None,
     options: Optional[RunOptions] = None,
-    **legacy,
 ) -> SuiteResult:
     """Run the whole Table 2 suite (the data behind every figure).
 
     Execution options travel in one :class:`RunOptions` value object
-    (``options=``); the historical keyword surface keeps working
-    through the documented deprecation adapter
-    (:meth:`RunOptions.from_kwargs`, which emits a
-    ``DeprecationWarning``), and ``scale`` stays first-class.
+    (``options=``); ``scale`` stays first-class.
 
-    Options (``RunOptions`` fields / legacy keywords)
-    -------------------------------------------------
+    Options (``RunOptions`` fields)
+    -------------------------------
     isolate:
         When True (default) a failing kernel is retried per ``retry``
         and, if still failing, reported as a degraded row instead of
@@ -733,13 +601,14 @@ def run_suite(
         order.
     jobs:
         Process-pool width (``--jobs`` on the CLI).  ``1`` (default)
-        runs serially in-process.  ``N > 1`` fans the kernels out to
-        ``N`` worker processes; results are reassembled in the input
-        name order, so reports are byte-identical to a serial sweep.
-        Fault isolation still applies per kernel inside each worker —
-        a degraded kernel in one worker never disturbs the others —
-        and the driver additionally survives worker *death* (see
-        :func:`_run_jobs`).
+        runs serially in-process.  ``N > 1`` submits the kernels to a
+        :class:`repro.serve.ExecutionService` with ``N`` workers;
+        results are reassembled in the input name order, so reports
+        are byte-identical to a serial sweep.  Fault isolation still
+        applies per kernel inside each worker — a degraded kernel in
+        one worker never disturbs the others — and the service
+        additionally survives worker *death* (see
+        :func:`_run_on_service`).
     cache / cache_dir:
         Compile memoisation (see :mod:`repro.compiler.cache`).  By
         default a fresh in-memory :class:`CompileCache` is created for
@@ -787,10 +656,9 @@ def run_suite(
         (``--checkpoint-every`` / ``--checkpoint-dir``; see
         ``docs/resilience.md`` §7).
     """
-    o = _resolve_options(scale, options, legacy, SUITE_KWARGS)
+    o = _resolve_options(scale, options)
     o = o.replace(retry=o.retry or RetryPolicy())
     names = list(names) if names is not None else all_names()
-    inject = dict(o.inject or {})
     tracer, metrics = o.tracer, o.metrics
     cache = o.cache
     if cache is None:
@@ -798,19 +666,7 @@ def run_suite(
     rcache = _resolve_result_cache(o)
 
     if o.jobs > 1:
-        want_trace = o.trace_path is not None or tracer is not None
-        want_metrics = metrics is not None
-        # The payload options cross a process boundary: strip the live
-        # parent-side objects (the worker builds its own registries;
-        # workers share the result cache through its disk tier).
-        wire_opts = o.replace(tracer=None, metrics=None, cache=None,
-                              faults=None, result_cache=None)
-
-        def payload_for(name: str):
-            return (name, wire_opts, inject.get(name),
-                    want_trace, want_metrics)
-
-        outcomes = _run_jobs(names, o.jobs, o.isolate, o.retry, payload_for)
+        outcomes = _run_on_service(names, o, cache, rcache)
     else:
         outcomes = {}
         # With a result cache armed the serial path mirrors the
@@ -826,40 +682,30 @@ def run_suite(
             else:
                 ktracer = Tracer() if o.trace_path is not None else tracer
                 kmetrics = metrics
-            run, failure = _run_one(
-                name, o.replace(tracer=ktracer, metrics=kmetrics),
-                inject.get(name), cache, rcache,
-            )
-            # A cache hit's run carries the registries recorded at
-            # store time; on a miss run.trace/run.metrics *are*
-            # ktracer/kmetrics, so this is the identity there.
-            if run is not None:
-                ktracer, kmetrics = run.trace, run.metrics
-            outcomes[name] = _Outcome(run=run, failure=failure,
-                                      tracer=ktracer, metrics=kmetrics)
+            outcomes[name] = _run_one(
+                name, o.replace(tracer=ktracer, metrics=kmetrics), cache,
+                rcache)
 
     # -- assemble in *input* order (not completion order): the merged
     # metrics/trace streams and the report row order are then identical
-    # to a serial sweep.
+    # to a serial sweep.  A run or failure carries the kernel's own
+    # registries (a cache hit's are the ones recorded at store time).
     runs: Dict[str, KernelRun] = {}
     failures: Dict[str, KernelFailure] = {}
     for name in names:
-        outcome = outcomes[name]
-        if outcome.failure is not None:
-            failures[name] = outcome.failure
-        elif outcome.run is not None:
-            runs[name] = outcome.run
-        if (outcome.metrics is not None and metrics is not None
-                and outcome.metrics is not metrics):
-            metrics.merge(outcome.metrics)
-        if outcome.tracer is not None:
+        run, failure = outcomes[name]
+        if failure is not None:
+            failures[name] = done = failure
+        else:
+            runs[name] = done = run
+        if (done.metrics is not None and metrics is not None
+                and done.metrics is not metrics):
+            metrics.merge(done.metrics)
+        if done.trace is not None:
             if o.trace_path is not None:
-                outcome.tracer.dump(trace_file_for(o.trace_path, name))
-            if tracer is not None and outcome.tracer is not tracer:
-                tracer.merge(outcome.tracer)
-        cache.merge_stats(outcome.cache_stats)
-        if rcache is not None:
-            rcache.merge_stats(outcome.result_cache_stats)
+                done.trace.dump(trace_file_for(o.trace_path, name))
+            if tracer is not None and done.trace is not tracer:
+                tracer.merge(done.trace)
 
     cache.record_metrics(metrics)
     if rcache is not None:

@@ -24,8 +24,6 @@ from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-import warnings
-
 from repro.compiler.optimize import optimize_kernel
 from repro.engine import create_engine, engine_names, unknown_engine_error
 from repro.ir.kernel import Kernel
@@ -56,13 +54,8 @@ class LaunchStats:
     attributes application code actually reaches for (``bbs``,
     ``fabric``, ``sm``, ``engine``, ``kernel_name``, ``n_threads``,
     ``n_blocks``), each raising the backend's natural
-    ``AttributeError`` when the wrapped result has no such field.
-
-    Any *other* attribute still falls through to the wrapped result as
-    a deprecation shim, but the access emits a ``DeprecationWarning``
-    naming the attribute — migrate such call sites to
-    ``stats.result.<name>`` (or file the attribute for promotion to an
-    explicit property) so the blanket fall-through can be retired.
+    ``AttributeError`` when the wrapped result has no such field.  Any
+    other result attribute is read through ``stats.result.<name>``.
     """
 
     __slots__ = ("result",)
@@ -115,20 +108,6 @@ class LaunchStats:
     def sm(self):
         """Fermi streaming-multiprocessor statistics (``SMStats``)."""
         return self.result.sm
-
-    def __getattr__(self, name: str):
-        # Deprecation shim: fall through to the backend's native result.
-        # Dunder/private lookups (pickle, copy, IPython protocols) pass
-        # through silently; public names warn so the shim can be retired.
-        value = getattr(self.result, name)
-        if not name.startswith("_"):
-            warnings.warn(
-                f"LaunchStats.{name} resolves through the deprecated "
-                f"attribute fall-through; use stats.result.{name} "
-                f"instead",
-                DeprecationWarning, stacklevel=2,
-            )
-        return value
 
     def __repr__(self) -> str:
         return f"LaunchStats(cycles={self.cycles}, result={self.result!r})"
@@ -233,8 +212,8 @@ class Device:
         handles are converted to their base addresses.  Returns a
         :class:`LaunchStats` (also stored as ``last_result``) exposing
         ``cycles`` / ``result`` / ``trace`` / ``metrics`` uniformly
-        across backends, with attribute fall-through to the backend's
-        native run result.
+        across backends; the backend's native run result is
+        ``stats.result``.
         """
         missing = [p for p in kernel.params if p not in params]
         if missing:

@@ -90,6 +90,15 @@ class KernelFailure:
     error_type: str
     message: str
     attempts: List[AttemptRecord] = field(default_factory=list)
+    #: the exception that ended the kernel when it was not retried away
+    #: (``isolate=False``, a worker crash, a result-cache divergence);
+    #: ``run_suite`` re-raises it.  Not part of the failure log.
+    error: Optional[BaseException] = field(default=None, compare=False,
+                                           repr=False)
+    #: the per-kernel registries the failed attempts recorded into (the
+    #: counterparts of ``KernelRun.trace`` / ``KernelRun.metrics``)
+    trace: Any = field(default=None, compare=False, repr=False)
+    metrics: Any = field(default=None, compare=False, repr=False)
 
     @property
     def n_attempts(self) -> int:
@@ -133,3 +142,13 @@ class KernelFailure:
             message=last.message,
             attempts=attempts,
         )
+
+    @classmethod
+    def from_error(cls, name: str, exc: BaseException,
+                   attempts: int = 1) -> "KernelFailure":
+        """The failure ``exc`` ended, logged as ``attempts`` identical
+        attempts and kept as :attr:`error`."""
+        failure = cls.from_attempts(
+            name, [AttemptRecord.from_error(i, exc) for i in range(attempts)])
+        failure.error = exc
+        return failure

@@ -233,6 +233,10 @@ class ForwardProgressWatchdog:
         )
 
 
+#: re-fire period of an expired :func:`wall_clock_limit` (seconds)
+REFIRE_S = 0.01
+
+
 @contextlib.contextmanager
 def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
     """Bound a simulator run by *host* wall-clock time.
@@ -249,7 +253,11 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
     only way to interrupt a tight pure-Python loop without cooperation
     from the loop body.  Outside the main thread, or on platforms
     without ``SIGALRM``, the guard degrades to a no-op — the
-    simulated-cycle watchdog remains the backstop there.
+    simulated-cycle watchdog remains the backstop there.  Once expired,
+    the alarm re-fires every :data:`REFIRE_S` until the guard exits:
+    the interpreter swallows an exception raised inside a finalizer or
+    weakref callback (a garbage collection can be running when the
+    alarm lands), and the timeout must not be lost with it.
 
     ``seconds`` of ``None`` or ``<= 0`` disables the guard.
     """
@@ -264,6 +272,9 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
         return
 
     def _fire(signum, frame):
+        signal.setitimer(signal.ITIMER_REAL, REFIRE_S)
+        if frame is not None and frame.f_code is _GUARD_CODE:
+            return  # arming or disarming: the finally disarms
         raise SimulationHangError(
             f"{sim}: wall-clock timeout after {seconds:g}s",
             sim=sim,
@@ -278,6 +289,10 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: the guard's own generator code, whose frame the alarm must not unwind
+_GUARD_CODE = wall_clock_limit.__wrapped__.__code__
 
 
 def snapshot_from_replicas(

@@ -53,11 +53,14 @@ RESPONSE_STATUSES: Tuple[str, ...] = ("ok", "cached", "degraded",
 class SubmitRequest:
     """One kernel-execution request.
 
-    ``options`` must be *pure*: the live-object fields
-    (``RunOptions.LIVE_FIELDS`` — tracer, metrics, cache, faults) are
-    owned by the service, which records into its own registries and
-    warms its own compile caches; a submission carrying any of them is
-    rejected (typed response, not an exception).  ``deadline_s`` is a
+    ``options`` must not carry the live objects the service owns
+    (``cache``, ``faults``, ``result_cache``): it warms its own compile
+    caches, and a fault campaign travels as the picklable ``inject``;
+    a submission carrying one is rejected (typed response, not an
+    exception).  A set ``tracer`` / ``metrics`` asks for a fresh
+    per-request registry of that kind, recorded in the worker and
+    returned on ``response.run``; the caller's object is never
+    written to.  ``deadline_s`` is a
     relative budget in host seconds from submission: a request still
     queued when it expires is shed with status ``"deadline"``, and a
     dispatched request's execution is bounded by its remaining budget
@@ -99,9 +102,11 @@ class RunResponse:
         and the timing split collapses to the (sub-millisecond)
         admission latency.
     ``"degraded"``
-        The kernel was executed but failed (verification, hang,
-        exhausted worker-crash budget...); ``error_type`` / ``error``
-        carry the diagnosis, mirroring a sweep's degraded rows.
+        The kernel was executed but failed (verification, hang, fault
+        campaign, exhausted worker-crash budget...); ``failure`` is the
+        :class:`~repro.resilience.KernelFailure` a sweep's degraded row
+        embeds (attempts, fault logs), and ``error_type`` / ``error``
+        summarise it.
     ``"rejected"``
         Admission control refused the submission (queue full, unknown
         kernel, live options fields, service stopped) — nothing ran.
@@ -133,6 +138,7 @@ class RunResponse:
     batch_id: Optional[int] = None
     batch_size: int = 0
     run: Any = None  # KernelRun when want_run was set and status == "ok"
+    failure: Any = None  # KernelFailure when status == "degraded"
 
     @property
     def ok(self) -> bool:

@@ -6,7 +6,8 @@ name the same kernel and their options have equal
 :meth:`~repro.evalharness.RunOptions.fingerprint` — same scale, same
 verification/optimisation settings, same architecture configs, same
 watchdog — because ``run_kernel`` is deterministic over exactly those
-inputs.  A dispatch pops *every* queued request with the chosen key
+inputs — and they ask for the same per-request tracer/metrics
+registries.  A dispatch pops *every* queued request with the chosen key
 into one :class:`Batch`; the pool executes the kernel once and the
 service fans the result out to all members.  On the single-core hosts
 the simulator targets, this coalescing — not parallelism — is the
@@ -41,6 +42,9 @@ __all__ = ["Batch", "BatchScheduler", "QueueEntry", "SCHED_POLICIES"]
 
 SCHED_POLICIES: Tuple[str, ...] = ("fifo", "sjf")
 
+#: (kernel, options fingerprint, wants a tracer, wants metrics)
+BatchKey = Tuple[str, str, bool, bool]
+
 #: EWMA smoothing for the SJF execution-time estimates.
 _EWMA_ALPHA = 0.5
 
@@ -51,14 +55,14 @@ class QueueEntry:
 
     request: object  # SubmitRequest
     ticket: object  # Ticket
-    key: Tuple[str, str]  # (kernel, options.fingerprint())
+    key: BatchKey
     opts: object  # service-resolved RunOptions (pure, retry set)
     enqueued_mono: float  # time.monotonic() at admission
     deadline_mono: Optional[float]  # absolute monotonic expiry, or None
     crash_budget: int  # remaining worker-crash requeues
     seq: int = 0  # admission order (set by the scheduler)
     cache_key: Optional[str] = None  # result-cache key (cache armed)
-    expected_digest: Optional[str] = None  # cache-validation expectation
+    cached: object = None  # ResultCacheEntry this execution validates
 
     def expired(self, now: float) -> bool:
         return self.deadline_mono is not None and now > self.deadline_mono
@@ -69,7 +73,7 @@ class Batch:
     """A coalesced execution: compatible requests served by one run."""
 
     batch_id: int
-    key: Tuple[str, str]
+    key: BatchKey
     entries: List[QueueEntry]
     dispatch_mono: float = 0.0  # stamped by the service at dispatch
 
@@ -97,7 +101,7 @@ class BatchScheduler:
         self._queue: List[QueueEntry] = []  # admission order
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
-        self._estimates: Dict[Tuple[str, str], float] = {}
+        self._estimates: Dict[BatchKey, float] = {}
         self._seq = 0
         self._batch_counter = 0
         #: high-water mark of the queue depth (reported by stats())
@@ -168,7 +172,7 @@ class BatchScheduler:
             return None, None
 
     # -- learning (SJF) -------------------------------------------------
-    def observe(self, key: Tuple[str, str], execute_s: float) -> None:
+    def observe(self, key: BatchKey, execute_s: float) -> None:
         """Feed an observed execution time into the SJF estimates."""
         with self._lock:
             old = self._estimates.get(key)
@@ -177,18 +181,18 @@ class BatchScheduler:
                 else _EWMA_ALPHA * execute_s + (1 - _EWMA_ALPHA) * old
             )
 
-    def estimate(self, key: Tuple[str, str]) -> float:
+    def estimate(self, key: BatchKey) -> float:
         with self._lock:
             return self._estimates.get(key, 0.0)
 
     # -- dispatch -------------------------------------------------------
-    def _pick_key(self) -> Tuple[str, str]:
+    def _pick_key(self) -> BatchKey:
         """The key to dispatch next (lock held, queue non-empty)."""
         if self.policy == "fifo":
             return self._queue[0].key
         # sjf: smallest estimated execution time; arrival order breaks
         # ties (and orders the never-seen keys among themselves).
-        first_seq: Dict[Tuple[str, str], int] = {}
+        first_seq: Dict[BatchKey, int] = {}
         for entry in self._queue:
             first_seq.setdefault(entry.key, entry.seq)
         return min(

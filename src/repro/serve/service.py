@@ -12,12 +12,15 @@ single-core hosts this simulator targets, batching + warm caches (not
 parallelism) are what make the service beat a serial ``run_kernel``
 loop.
 
-Failure containment mirrors the sweep harness:
+Failure containment is the sweep harness's — ``run_suite(jobs > 1)``
+runs on this service, so it is the one crash-tolerant pool:
 
-* a kernel that fails *in-process* (verification, hang, fault) comes
-  back as a ``"degraded"`` response via the same
-  :func:`~repro.evalharness.runner._run_one` retry machinery sweeps
-  use;
+* a kernel that fails *in-process* (verification, hang, fault — a
+  ``RunOptions.inject`` campaign included) comes back as a
+  ``"degraded"`` response carrying its
+  :class:`~repro.resilience.KernelFailure`, via the same
+  :func:`~repro.evalharness.runner._run_one` retry machinery serial
+  sweeps use;
 * a worker that dies *hard* (SIGKILL, OOM, segfault) breaks the pool —
   the dispatcher respawns it and requeues every in-flight request
   under a bounded per-request crash budget, after which the request
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import signal
 import threading
 import time
 from collections import OrderedDict
@@ -50,9 +54,16 @@ from typing import Any, Dict, List, Optional
 from repro.compiler.cache import CompileCache, cached_optimize_kernel
 from repro.evalharness.options import RunOptions
 from repro.evalharness.resultcache import ResultCache
-from repro.evalharness.runner import _maybe_kill_for_test, _run_one
+from repro.evalharness.runner import KILL_ENV, _run_one
 from repro.kernels.registry import all_names, make_workload
-from repro.resilience import OptionKeyError, RetryPolicy, WorkerCrashError
+from repro.obs import Metrics, Tracer
+from repro.resilience import (
+    KernelFailure,
+    OptionKeyError,
+    ResultCacheDivergenceError,
+    RetryPolicy,
+    WorkerCrashError,
+)
 from repro.serve.api import (
     LatencyStats,
     RunResponse,
@@ -86,22 +97,43 @@ def _warm_cache(cache_dir: Optional[str]) -> CompileCache:
     return cache
 
 
+def _maybe_kill_for_test(name: str) -> None:
+    """Honour the :data:`~repro.evalharness.runner.KILL_ENV` crash hook
+    (test/CI only).
+
+    The token file is the once-latch: whichever worker unlinks it first
+    dies; every later assignment of the same kernel runs normally.
+    """
+    spec = os.environ.get(KILL_ENV)
+    if not spec:
+        return
+    target, _, token = spec.partition(":")
+    if target != name or not token:
+        return
+    try:
+        os.unlink(token)
+    except OSError:
+        return  # token already consumed — the retry must succeed
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _serve_worker(payload):
     """Execute one batch's kernel once; ship back result + timing split.
 
     ``payload`` is ``(batch_id, kernel, opts, budget_s)`` where ``opts``
-    is a pure, resolved :class:`RunOptions` (live fields ``None``,
-    ``retry`` materialised, ``isolate=True``) and ``budget_s`` is the
-    batch's tightest remaining deadline (bounds the execution through
-    ``opts.timeout`` → :func:`~repro.resilience.wall_clock_limit`).
+    is the service-resolved :class:`RunOptions` (``retry``
+    materialised; ``tracer`` / ``metrics`` fresh registries or
+    ``None``) and ``budget_s`` is the batch's tightest remaining
+    deadline (bounds the execution through ``opts.timeout`` →
+    :func:`~repro.resilience.wall_clock_limit`).
 
     Returns ``(batch_id, run, failure, compile_s, execute_s, digest,
     summary, cache_delta, cache_entries)`` — ``run``/``failure`` exactly
     as :func:`~repro.evalharness.runner._run_one` reports them,
     ``cache_delta`` the compile-cache counter *increments* this batch
-    caused (the parent folds them into its aggregate), and
-    ``cache_entries`` the ``(pid, entries)`` size of this worker's
-    bounded compile cache.
+    caused, counted as a serial run counts them (the parent folds them
+    into its aggregate), and ``cache_entries`` the ``(pid, entries)``
+    size of this worker's bounded compile cache.
     """
     (batch_id, kernel, opts, budget_s) = payload
     _maybe_kill_for_test(kernel)
@@ -119,14 +151,14 @@ def _serve_worker(payload):
         cached_optimize_kernel(workload.kernel, params=workload.params,
                                unroll=False, cache=cache)
     compile_s = time.monotonic() - t0
+    warm = cache.stats()
 
     timeout = opts.timeout
     if budget_s is not None:
         timeout = budget_s if timeout is None else min(timeout, budget_s)
 
     t1 = time.monotonic()
-    run, failure = _run_one(kernel, opts.replace(timeout=timeout), None,
-                            cache)
+    run, failure = _run_one(kernel, opts.replace(timeout=timeout), cache)
     execute_s = time.monotonic() - t1
 
     digest = None if run is None else result_digest(run)
@@ -134,6 +166,11 @@ def _serve_worker(payload):
     after = cache.stats()
     cache_delta = {k: after[k] - before.get(k, 0)
                    for k in after if k != "entries"}
+    # The run repeats each pre-warm lookup as a hit; a serial run makes
+    # that lookup once, so count it once.
+    warm_lookups = (warm["hits"] + warm["misses"]
+                    - before["hits"] - before["misses"])
+    cache_delta["hits"] -= min(warm_lookups, after["hits"] - warm["hits"])
     return (batch_id, run, failure, compile_s, execute_s, digest,
             summary, cache_delta, (os.getpid(), after["entries"]))
 
@@ -185,9 +222,12 @@ class ExecutionService:
         is unknown.  :meth:`result` stays a non-consuming peek.
     tracer / metrics:
         Optional :class:`repro.obs.Tracer` / :class:`repro.obs.Metrics`;
-        the service records into the ``serve/`` metric scope (plus
-        ``resultcache/`` when the cache is armed) and one trace span
-        per request.
+        the service records into the ``serve/`` metric scope and one
+        trace span per request; when the result cache is armed,
+        :meth:`stop` adds what it counted meanwhile to the
+        ``resultcache/`` scope.  (These are the service's own
+        registries; a request's ``RunOptions.tracer`` / ``metrics``
+        only asks for a per-request registry on ``response.run``.)
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -220,9 +260,8 @@ class ExecutionService:
         self.tracer = tracer
         self.metrics = metrics
         self._scope = metrics.scope("serve") if metrics is not None else None
-        self._rscope = (metrics.scope("resultcache")
-                        if metrics is not None
-                        and self.result_cache is not None else None)
+        #: result-cache counters at start(), published as a delta by stop()
+        self._rcache_base: Optional[Dict[str, int]] = None
         self._known = frozenset(all_names(include_extras=True))
 
         self._ids = itertools.count(1)
@@ -266,6 +305,8 @@ class ExecutionService:
         self._stopping.clear()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self._cache_entries.clear()
+        if self.result_cache is not None:
+            self._rcache_base = self.result_cache.stats()
         self._t0_mono = time.monotonic()
         self._t0_wall = time.time()
         self._running = True
@@ -299,6 +340,9 @@ class ExecutionService:
             self._dispatcher.join()
         if self._pool is not None:
             self._pool.shutdown(wait=False)
+        if self.result_cache is not None:
+            self.result_cache.record_metrics(self.metrics,
+                                             since=self._rcache_base)
         self._running = False
 
     def __enter__(self) -> "ExecutionService":
@@ -327,11 +371,15 @@ class ExecutionService:
                 error_type=error_type))
             return ticket
 
-        live = request.options.live_fields_set()
-        if live:
+        # The service owns the caches, and a live fault injector cannot
+        # cross the process boundary (``inject`` is the picklable fault
+        # campaign); a tracer/metrics field only asks for a registry.
+        owned = [n for n in request.options.live_fields_set()
+                 if n not in ("tracer", "metrics")]
+        if owned:
             return reject(
-                f"options carry live object fields ({', '.join(live)}); "
-                f"the service owns its own registries and caches",
+                f"options carry live object fields ({', '.join(owned)}); "
+                f"the service owns its own caches",
                 "LiveOptionsError")
         if request.kernel not in self._known:
             return reject(f"unknown kernel {request.kernel!r}",
@@ -340,12 +388,15 @@ class ExecutionService:
             return reject("service is not accepting submissions",
                           "ServiceStopped")
 
-        opts = request.options.replace(
-            isolate=True,
-            retry=request.options.retry or RetryPolicy(),
-            cache_dir=(self.cache_dir
-                       if request.options.cache_dir is None
-                       else request.options.cache_dir),
+        # A set tracer/metrics asks for a per-request registry: a fresh
+        # one (the caller's object is never pickled or written to).
+        options = request.options
+        opts = options.replace(
+            retry=options.retry or RetryPolicy(),
+            cache_dir=(self.cache_dir if options.cache_dir is None
+                       else options.cache_dir),
+            tracer=None if options.tracer is None else Tracer(),
+            metrics=None if options.metrics is None else Metrics(),
         )
         try:
             fingerprint = opts.fingerprint()
@@ -355,21 +406,20 @@ class ExecutionService:
             return reject(str(exc), "OptionKeyError")
 
         cache_key: Optional[str] = None
-        expected_digest: Optional[str] = None
+        cached = None
         admit_mono = time.monotonic()
-        if self.result_cache is not None:
+        if (self.result_cache is not None
+                and not ResultCache.bypasses(request.kernel, opts)):
             cache_key = ResultCache.key_for(request.kernel, opts)
             hit = self.result_cache.get(cache_key)
-            if self._rscope is not None:
-                self._rscope.inc("hits" if hit is not None else "misses")
             if hit is not None:
                 if self.result_cache.should_validate(
                         cache_key, self.validate_cache_fraction,
                         self.validate_cache_seed):
                     # Trust-but-verify: this hit executes normally; the
-                    # fresh digest is checked against this expectation
-                    # when its batch completes.
-                    expected_digest = hit.digest
+                    # fresh run is checked against it when its batch
+                    # completes.
+                    cached = hit
                 else:
                     run = hit.run
                     self._finish(None, RunResponse(
@@ -382,12 +432,13 @@ class ExecutionService:
         now = time.monotonic()
         entry = QueueEntry(
             request=request, ticket=ticket,
-            key=(request.kernel, fingerprint), opts=opts,
-            enqueued_mono=now,
+            key=(request.kernel, fingerprint, opts.tracer is not None,
+                 opts.metrics is not None),
+            opts=opts, enqueued_mono=now,
             deadline_mono=(None if request.deadline_s is None
                            else now + request.deadline_s),
             crash_budget=self.crash_budget,
-            cache_key=cache_key, expected_digest=expected_digest,
+            cache_key=cache_key, cached=cached,
         )
         if not self.scheduler.offer(entry):
             return reject(
@@ -485,7 +536,7 @@ class ExecutionService:
                     self._finish_batch(batch, payload)
             if crashed:
                 # The executor is broken: every other in-flight future
-                # is poisoned too.  Blame them all (like _run_jobs).
+                # is poisoned too.  Blame them all.
                 crashed.extend(in_flight.values())
                 in_flight.clear()
                 self._recover(crashed)
@@ -542,38 +593,20 @@ class ExecutionService:
         # entry in the batch (they share one content key, so one store
         # answers all future equals at admission).
         stored_key = batch.entries[0].cache_key if batch.entries else None
-        if (self.result_cache is not None and failure is None
-                and run is not None and stored_key is not None):
+        if failure is None and stored_key is not None:
             self.result_cache.put(stored_key, batch.kernel, run)
-            if self._rscope is not None:
-                self._rscope.inc("stores")
-                self._rscope.gauge("entries", len(self.result_cache))
         for entry in batch.entries:
             request: SubmitRequest = entry.request
-            if failure is None and entry.expected_digest is not None \
-                    and digest != entry.expected_digest:
-                # Trust-but-verify tripped: the fresh execution does
-                # not match what the cache would have answered.  Typed
-                # degraded response (the service never raises), loud
-                # counters — every cached answer is now suspect.
-                self.result_cache.validations += 1
-                self.result_cache.divergences += 1
-                if self._rscope is not None:
-                    self._rscope.inc("validations")
-                    self._rscope.inc("divergences")
-                response = RunResponse(
-                    request_id=entry.ticket.request_id,
-                    kernel=request.kernel, status="degraded",
-                    client=request.client,
-                    error=(f"cached digest {entry.expected_digest[:12]} "
-                           f"diverges from fresh execution "
-                           f"{(digest or 'none')[:12]}"),
-                    error_type="ResultCacheDivergenceError")
-            elif failure is None:
-                if entry.expected_digest is not None:
-                    self.result_cache.validations += 1
-                    if self._rscope is not None:
-                        self._rscope.inc("validations")
+            outcome = failure
+            if entry.cached is not None:
+                # Trust-but-verify: a divergence is a typed degraded
+                # response (the service never raises), loudly counted.
+                try:
+                    self.result_cache.validate(entry.cache_key,
+                                               entry.cached, run)
+                except ResultCacheDivergenceError as exc:
+                    outcome = KernelFailure.from_error(batch.kernel, exc)
+            if outcome is None:
                 response = RunResponse(
                     request_id=entry.ticket.request_id,
                     kernel=request.kernel, status="ok",
@@ -581,11 +614,7 @@ class ExecutionService:
                     summary=dict(summary),
                     run=run if request.want_run else None)
             else:
-                response = RunResponse(
-                    request_id=entry.ticket.request_id,
-                    kernel=request.kernel, status="degraded",
-                    client=request.client, error=failure.message,
-                    error_type=failure.error_type)
+                response = self._degraded(entry, outcome)
             response.queue_s = batch.dispatch_mono - entry.enqueued_mono
             response.compile_s = compile_s
             response.execute_s = execute_s
@@ -594,23 +623,32 @@ class ExecutionService:
             response.batch_size = len(batch.entries)
             self._finish(entry, response)
 
+    @staticmethod
+    def _degraded(entry: QueueEntry, failure: KernelFailure,
+                  **timing) -> RunResponse:
+        return RunResponse(
+            request_id=entry.ticket.request_id,
+            kernel=entry.request.kernel, status="degraded",
+            client=entry.request.client, error=failure.message,
+            error_type=failure.error_type, failure=failure, **timing)
+
     def _finish_batch_error(self, batch: Batch, exc: Exception) -> None:
-        """A worker raised instead of reporting (harness bug): degrade
-        the batch's requests rather than killing the service."""
+        """The worker raised instead of reporting — a request with
+        ``isolate=False``, or a harness bug: degrade the batch's
+        requests rather than killing the service."""
         now = time.monotonic()
+        failure = KernelFailure.from_error(batch.kernel, exc)
         for entry in batch.entries:
-            self._finish(entry, RunResponse(
-                request_id=entry.ticket.request_id,
-                kernel=entry.request.kernel, status="degraded",
-                client=entry.request.client, error=str(exc),
-                error_type=type(exc).__name__,
+            self._finish(entry, self._degraded(
+                entry, failure,
                 queue_s=batch.dispatch_mono - entry.enqueued_mono,
                 total_s=now - entry.enqueued_mono,
                 batch_id=batch.batch_id, batch_size=len(batch.entries)))
 
     def _recover(self, batches: List[Batch]) -> None:
         """Worker died hard: respawn the pool, requeue the in-flight
-        requests under their crash budgets (mirrors ``_run_jobs``)."""
+        requests under their crash budgets.  The sweep's ``--jobs``
+        path runs on this, so it is the only crash recovery."""
         self._worker_crashes += 1
         if self._scope is not None:
             self._scope.inc("worker_crashes")
@@ -625,15 +663,14 @@ class ExecutionService:
                 if entry.crash_budget > 0:
                     requeue.append(entry)
                     continue
+                # One attempt record per crash the request survived.
                 exc = WorkerCrashError(
                     "worker process died (SIGKILL/OOM/segfault) while "
-                    "this request was in flight; crash budget exhausted",
+                    "this kernel was in flight",
                     kernel=entry.request.kernel)
-                self._finish(entry, RunResponse(
-                    request_id=entry.ticket.request_id,
-                    kernel=entry.request.kernel, status="degraded",
-                    client=entry.request.client, error=str(exc),
-                    error_type="WorkerCrashError",
+                self._finish(entry, self._degraded(
+                    entry, KernelFailure.from_error(
+                        entry.request.kernel, exc, self.crash_budget),
                     queue_s=batch.dispatch_mono - entry.enqueued_mono,
                     total_s=now - entry.enqueued_mono,
                     batch_id=batch.batch_id))

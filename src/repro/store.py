@@ -248,14 +248,18 @@ class Store:
         for name in self.COUNTERS:
             setattr(self, name, getattr(self, name) + stats.get(name, 0))
 
-    def record_metrics(self, metrics) -> None:
+    def record_metrics(self, metrics,
+                       since: Optional[Dict[str, int]] = None) -> None:
         """Publish the counters into ``metrics`` under
-        :attr:`METRIC_SCOPE`."""
+        :attr:`METRIC_SCOPE`; with ``since`` (an earlier :meth:`stats`)
+        only what they counted after it."""
         if metrics is None:
             return
         scope = metrics.scope(self.METRIC_SCOPE)
+        base = since or {}
         for name in self.COUNTERS:
-            scope.inc(self.METRIC_PREFIX + name, getattr(self, name))
+            scope.inc(self.METRIC_PREFIX + name,
+                      getattr(self, name) - base.get(name, 0))
         scope.gauge(self.METRIC_PREFIX + "entries", len(self._mem))
 
     def __len__(self) -> int:

@@ -126,7 +126,7 @@ def test_resume_replays_identical_fault_logs(tmp_path):
     the store re-executes rather than replays — reproduces its fault
     logs byte for byte."""
     inject = {"bfs/Kernel": FaultSpec(kind="abort", seed=3, rate=1.0)}
-    full = run_suite(KERNELS, scale=SCALE, inject=inject)
+    full = run_suite(KERNELS, options=TINY.replace(inject=inject))
     assert full.degraded == ["bfs/Kernel"]
     want_logs = json.dumps(full.failure_logs(), sort_keys=True)
 
@@ -152,7 +152,7 @@ def test_suite_survives_worker_sigkill(tmp_path, baseline, monkeypatch):
     token.write_text("once")
     monkeypatch.setenv(KILL_ENV, f"bfs/Kernel:{token}")
 
-    suite = run_suite(KERNELS, scale=SCALE, jobs=2)
+    suite = run_suite(KERNELS, options=TINY.replace(jobs=2))
 
     assert not token.exists(), "the kill hook never fired"
     assert suite.ok, f"unexpected degraded rows: {suite.degraded}"
@@ -168,8 +168,8 @@ def test_exhausted_crash_budget_degrades(tmp_path, monkeypatch):
 
     # max_attempts=1 → a single crash exhausts the budget; a one-kernel
     # sweep keeps the in-flight window at 1, so nothing else is blamed.
-    suite = run_suite(["nn/euclid"], scale=SCALE, jobs=2,
-                      retry=RetryPolicy(max_attempts=1))
+    suite = run_suite(["nn/euclid"], options=TINY.replace(
+        jobs=2, retry=RetryPolicy(max_attempts=1)))
     assert suite.degraded == ["nn/euclid"]
     failure = suite.failures["nn/euclid"]
     assert failure.error_type == "WorkerCrashError"
@@ -181,14 +181,15 @@ def test_worker_crash_propagates_without_isolation(tmp_path, monkeypatch):
     token.write_text("once")
     monkeypatch.setenv(KILL_ENV, f"nn/euclid:{token}")
     with pytest.raises(WorkerCrashError):
-        run_suite(["nn/euclid"], scale=SCALE, jobs=2, isolate=False)
+        run_suite(["nn/euclid"], options=TINY.replace(jobs=2,
+                                                      isolate=False))
 
 
 # ---------------------------------------------------------------------
 # wall-clock timeout + persisted checkpoints
 # ---------------------------------------------------------------------
 def test_wall_clock_timeout_degrades_kernel():
-    suite = run_suite(["nn/euclid"], scale=SCALE, timeout=1e-3)
+    suite = run_suite(["nn/euclid"], options=TINY.replace(timeout=1e-3))
     assert suite.degraded == ["nn/euclid"]
     failure = suite.failures["nn/euclid"]
     assert failure.error_type == "SimulationHangError"
@@ -197,8 +198,8 @@ def test_wall_clock_timeout_degrades_kernel():
 
 def test_run_kernel_persists_checkpoints(tmp_path):
     ckpt_dir = str(tmp_path / "ckpt")
-    run_kernel("nn/euclid", scale=SCALE, checkpoint_every=100.0,
-               checkpoint_dir=ckpt_dir)
+    run_kernel("nn/euclid", options=TINY.replace(checkpoint_every=100.0,
+                                                 checkpoint_dir=ckpt_dir))
     for engine in ("fermi", "vgiw", "sgmf"):
         path = checkpoint_file_for(ckpt_dir, "nn/euclid", engine)
         snap = EngineSnapshot.load(path)

@@ -29,7 +29,7 @@ from repro.engine import (
     _REGISTRY,
 )
 from repro.evalharness.experiments import metrics_table
-from repro.evalharness.runner import run_kernel
+from repro.evalharness.runner import RunOptions, run_kernel
 from repro.host import Device, HostError, LaunchStats
 from repro.kernels import saxpy_kernel
 from repro.memory.image import MemoryImage
@@ -54,8 +54,8 @@ from repro.vgiw import VGIWCore, VGIWRunResult
 @pytest.fixture(scope="module")
 def traced_run():
     tracer, metrics = Tracer(), Metrics()
-    run = run_kernel("bfs/Kernel", scale="tiny", tracer=tracer,
-                     metrics=metrics)
+    run = run_kernel("bfs/Kernel", options=RunOptions(
+        scale="tiny", tracer=tracer, metrics=metrics))
     return run, tracer, metrics
 
 
@@ -306,9 +306,13 @@ def test_launch_stats_unified_surface():
     assert stats.cycles == stats.result.cycles > 0
     assert stats.trace is tracer
     assert stats.metrics is metrics
-    # Deprecation shim: historical attribute access falls through.
+    # Forwarded result properties.
     assert stats.bbs.reconfigurations >= 1
     assert stats.fabric.node_fires > 0
+    # No fall-through: any other result attribute is read via .result.
+    assert stats.result.lvc_accesses >= 0
+    with pytest.raises(AttributeError):
+        stats.lvc_accesses
     with pytest.raises(AttributeError):
         stats.no_such_attribute
     assert "LaunchStats" in repr(stats)

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.evalharness import (
+    RunOptions,
     generate_report,
     run_suite,
     runs_to_json,
@@ -44,7 +45,7 @@ def serial_runs():
 
 
 def test_jobs_report_byte_identical_to_serial(serial_runs):
-    parallel = run_suite(KERNELS, scale="tiny", jobs=2)
+    parallel = run_suite(KERNELS, options=RunOptions(scale="tiny", jobs=2))
     assert list(parallel) == list(serial_runs)  # input order, not completion
     assert generate_report(parallel, scale="tiny") == \
         generate_report(serial_runs, scale="tiny")
@@ -53,8 +54,10 @@ def test_jobs_report_byte_identical_to_serial(serial_runs):
 
 def test_jobs_merges_worker_metrics(serial_runs):
     serial_metrics, parallel_metrics = Metrics(), Metrics()
-    run_suite(KERNELS, scale="tiny", metrics=serial_metrics)
-    run_suite(KERNELS, scale="tiny", jobs=2, metrics=parallel_metrics)
+    run_suite(KERNELS, options=RunOptions(scale="tiny",
+                                          metrics=serial_metrics))
+    run_suite(KERNELS, options=RunOptions(scale="tiny", jobs=2,
+                                          metrics=parallel_metrics))
     # Counter aggregates are order-independent, so the merged registry
     # matches the serial one exactly (gauges keep the last kernel's
     # value, which is the same kernel in both orders).  The one honest
@@ -69,7 +72,8 @@ def test_jobs_merges_worker_metrics(serial_runs):
 
 def test_jobs_rejects_nothing_but_reports_cache_counters(serial_runs):
     metrics = Metrics()
-    run_suite(KERNELS, scale="tiny", jobs=2, metrics=metrics)
+    run_suite(KERNELS, options=RunOptions(scale="tiny", jobs=2,
+                                          metrics=metrics))
     # Each kernel compiled exactly once *somewhere*: the folded
     # compile-scope counters show the worker misses.
     assert metrics.value("compile/cache.misses") > 0
@@ -81,9 +85,9 @@ def test_jobs_rejects_nothing_but_reports_cache_counters(serial_runs):
 def test_seeded_faults_same_degraded_rows_serial_vs_jobs():
     inject = {"nn/euclid": FaultSpec("stuck_at", seed=7)}
     wd = WatchdogConfig(max_cycles=5e6)
-    serial = run_suite(KERNELS, scale="tiny", inject=inject, watchdog=wd)
-    parallel = run_suite(KERNELS, scale="tiny", inject=inject, watchdog=wd,
-                         jobs=2)
+    opts = RunOptions(scale="tiny", inject=inject, watchdog=wd)
+    serial = run_suite(KERNELS, options=opts)
+    parallel = run_suite(KERNELS, options=opts.replace(jobs=2))
     assert serial.degraded == parallel.degraded == ["nn/euclid"]
     assert sorted(serial) == sorted(parallel)  # healthy rows survive
     # The deterministic fault campaign produces the same structured
@@ -100,7 +104,8 @@ def test_seeded_faults_same_degraded_rows_serial_vs_jobs():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_trace_path_writes_one_file_per_kernel(tmp_path, jobs):
     base = str(tmp_path / "sweep.json")
-    runs = run_suite(KERNELS[:2], scale="tiny", jobs=jobs, trace_path=base)
+    runs = run_suite(KERNELS[:2], options=RunOptions(
+        scale="tiny", jobs=jobs, trace_path=base))
     assert len(runs) == 2
     for name in KERNELS[:2]:
         path = trace_file_for(base, name)

@@ -15,10 +15,13 @@ The tests here are the acceptance criteria of the resilience work:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.arch.config import FermiConfig, SGMFConfig, VGIWConfig
 from repro.evalharness import (
+    RunOptions,
     SuiteResult,
     VerificationError,
     generate_report,
@@ -41,6 +44,7 @@ from repro.resilience import (
     SimulationError,
     SimulationHangError,
     WatchdogConfig,
+    wall_clock_limit,
 )
 from repro.resilience.errors import VerificationError as ResilienceVerificationError
 from repro.sgmf import SGMFCore, SGMFUnmappableError
@@ -251,9 +255,9 @@ def test_injector_logs_byte_identical_per_seed():
 
 def test_stuck_at_caught_by_verification():
     with pytest.raises(VerificationError, match="diverges from the interpreter"):
-        run_kernel("nn/euclid", scale="tiny",
-                   faults=FaultInjector(FaultSpec("stuck_at", seed=7,
-                                                  payload=3)))
+        run_kernel("nn/euclid", options=RunOptions(
+            scale="tiny",
+            faults=FaultInjector(FaultSpec("stuck_at", seed=7, payload=3))))
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +273,9 @@ INJECT = {
 
 @pytest.fixture(scope="module")
 def degraded_suite():
-    return run_suite(SUBSET, scale="tiny",
-                     watchdog=WatchdogConfig(max_cycles=5e6),
-                     inject=INJECT)
+    return run_suite(SUBSET, options=RunOptions(
+        scale="tiny", watchdog=WatchdogConfig(max_cycles=5e6),
+        inject=INJECT))
 
 
 def test_suite_isolates_injected_failures(degraded_suite):
@@ -318,8 +322,9 @@ def test_retry_reseeds_and_backs_off(degraded_suite):
 def test_same_seed_suite_failure_logs_identical():
     inject = {"nn/euclid": FaultSpec("stuck_at", seed=7, payload=3)}
     results = [
-        run_suite(["nn/euclid"], scale="tiny",
-                  watchdog=WatchdogConfig(max_cycles=5e6), inject=inject)
+        run_suite(["nn/euclid"], options=RunOptions(
+            scale="tiny", watchdog=WatchdogConfig(max_cycles=5e6),
+            inject=inject))
         for _ in range(2)
     ]
     fa, fb = (r.failures["nn/euclid"] for r in results)
@@ -331,12 +336,37 @@ def test_same_seed_suite_failure_logs_identical():
 
 def test_no_isolate_propagates_first_failure():
     with pytest.raises(FaultInjectedError):
-        run_suite(["bfs/Kernel"], scale="tiny", isolate=False,
-                  inject={"bfs/Kernel": FaultSpec("abort")})
+        run_suite(["bfs/Kernel"], options=RunOptions(
+            scale="tiny", isolate=False,
+            inject={"bfs/Kernel": FaultSpec("abort")}))
+
+
+def test_no_isolate_propagates_first_failure_under_jobs():
+    """The ``--jobs`` twin: the service hands the worker's exception
+    back and the sweep raises it with its original type."""
+    with pytest.raises(FaultInjectedError):
+        run_suite(["nn/euclid", "bfs/Kernel"], options=RunOptions(
+            scale="tiny", jobs=2, isolate=False,
+            inject={"bfs/Kernel": FaultSpec("abort")}))
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_wall_clock_timeout_survives_a_swallowed_raise():
+    """The alarm lands in a finalizer, where the interpreter swallows
+    the raise; the guard re-fires and still stops the run."""
+
+    class SlowFinalizer:
+        def __del__(self):
+            time.sleep(0.05)
+
+    with pytest.raises(SimulationHangError, match="wall-clock timeout"):
+        with wall_clock_limit(0.005, sim="suite", kernel="k"):
+            SlowFinalizer()
+            time.sleep(1.0)
 
 
 def test_suite_without_faults_is_all_healthy():
-    runs = run_suite(["nn/euclid"], scale="tiny",
-                     watchdog=WatchdogConfig(max_cycles=1e9))
+    runs = run_suite(["nn/euclid"], options=RunOptions(
+        scale="tiny", watchdog=WatchdogConfig(max_cycles=1e9)))
     assert runs.ok and runs.degraded == []
     assert list(runs.items())[0][0] == "nn/euclid"

@@ -12,6 +12,7 @@ The contracts under test (``docs/serving.md``):
   --jobs``).
 """
 
+import json
 import os
 
 import pytest
@@ -19,9 +20,10 @@ import pytest
 import repro.serve.service as service_mod
 from repro.arch import FabricSpec, UnitKind, VGIWConfig
 from repro.compiler import CompileCache
-from repro.evalharness import RunOptions, run_kernel
+from repro.evalharness import RunOptions, run_kernel, run_suite
 from repro.evalharness.runner import KILL_ENV
 from repro.obs import Metrics, Tracer
+from repro.resilience import FaultSpec
 from repro.serve import (
     BatchScheduler,
     ExecutionService,
@@ -99,13 +101,74 @@ def test_unknown_kernel_is_rejected_not_raised():
 
 
 def test_live_options_fields_are_rejected():
-    polluted = TINY.replace(metrics=Metrics())
+    polluted = TINY.replace(cache=CompileCache())
     with ExecutionService(workers=1) as svc:
         resp = svc.wait(svc.submit(SubmitRequest("nn/euclid", polluted)),
                         timeout=30)
     assert resp.status == "rejected"
     assert resp.error_type == "LiveOptionsError"
-    assert "metrics" in resp.error
+    assert "cache" in resp.error
+
+
+def test_tracer_and_metrics_requests_get_their_own_registries():
+    """A set tracer/metrics asks for a fresh per-request registry,
+    recorded in the worker and returned on ``response.run``; the
+    caller's objects stay untouched, and requests of another shape do
+    not coalesce with it."""
+    mine = Metrics()
+    observed = TINY.replace(tracer=Tracer(), metrics=mine)
+    with ExecutionService(workers=1) as svc:
+        tickets = [svc.submit(SubmitRequest("nn/euclid", observed,
+                                            want_run=True)),
+                   svc.submit(SubmitRequest("nn/euclid", TINY,
+                                            want_run=True))]
+        resp, plain = (svc.wait(t, timeout=120) for t in tickets)
+    assert resp.status == plain.status == "ok"
+    assert resp.digest == plain.digest
+    assert resp.batch_id != plain.batch_id
+    assert resp.run.metrics is not mine
+    assert resp.run.metrics.as_dict() != Metrics().as_dict()
+    assert resp.run.trace.events
+    assert mine.as_dict() == Metrics().as_dict()
+    assert plain.run.metrics is None and plain.run.trace is None
+
+
+# ----------------------------------------------------------------------
+# Fault campaigns: honoured, structured, never cached
+# ----------------------------------------------------------------------
+EUCLID_ABORT = TINY.replace(inject={
+    "nn/euclid": FaultSpec(kind="abort", abort_after=1, seed=3)})
+
+
+def test_fault_campaign_is_honoured_and_never_cached(tmp_path):
+    """Regression: the worker used to drop ``inject``, answer ``"ok"``,
+    and store that fault-free result under the campaign's key."""
+    with ExecutionService(workers=1,
+                          result_cache_dir=str(tmp_path)) as svc:
+        first = svc.wait(svc.submit(SubmitRequest("nn/euclid",
+                                                  EUCLID_ABORT)),
+                         timeout=120)
+        again = svc.wait(svc.submit(SubmitRequest("nn/euclid",
+                                                  EUCLID_ABORT)),
+                         timeout=120)
+    assert first.status == again.status == "degraded"
+    assert first.error_type == "FaultInjectedError"
+    assert first.failure.error_type == "FaultInjectedError"
+    assert not os.listdir(tmp_path)
+
+
+def test_degraded_response_failure_log_equals_serial_sweep():
+    serial = run_suite(["nn/euclid"], options=EUCLID_ABORT)
+    metered = EUCLID_ABORT.replace(metrics=Metrics())
+    with ExecutionService(workers=1) as svc:
+        resp = svc.wait(svc.submit(SubmitRequest("nn/euclid", metered)),
+                        timeout=120)
+    want = serial.failures["nn/euclid"].failure_log
+    assert resp.failure.n_attempts == len(want) == 2
+    assert json.dumps(resp.failure.failure_log, sort_keys=True) == \
+        json.dumps(want, sort_keys=True)
+    # The failed attempts' per-request registry rides back with it.
+    assert resp.failure.metrics.value("fermi/run.threads") > 0
 
 
 def test_queue_full_rejects_with_typed_response():
