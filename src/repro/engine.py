@@ -25,40 +25,16 @@ backend with an ``if/elif`` chain.  Now:
 The built-in engines register lazily (module-path strings) to keep this
 module import-cycle-free: engine modules import ``repro.engine`` for
 the result base.
-
-Crash-safe execution (PR 5) adds the **snapshot contract**: the three
-timing engines mix in :class:`CheckpointMixin`, which defines
-``snapshot()`` / ``restore()`` / ``resume()`` over an engine-owned
-*state dict* captured at a quiescent scheduling boundary (between block
-executions for VGIW, between heap events for Fermi, between thread
-injections for SGMF).  A snapshot is one pickle of that dict —
-register files, LVC lines, token windows, SIMT stacks, cache/DRAM/MSHR
-state, cycle counters, watchdog and fault-injector state — so shared
-references (executor ↔ memory system ↔ tracer) survive the round trip
-and a restored run is cycle- and memory-image-identical to an
-uninterrupted one.  Derived lookup structures that hold function
-objects (exec plans, instruction tables) are deliberately *excluded*
-and rebuilt deterministically on restore; see each engine's
-``_after_restore``.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, Union, runtime_checkable
 
-from repro.resilience.errors import ReproError
-
 __all__ = [
-    "CheckpointMixin",
-    "Checkpointer",
     "Engine",
     "EngineRunResult",
-    "EngineSnapshot",
-    "SNAPSHOT_VERSION",
-    "SnapshotError",
     "UnknownEngineError",
     "create_engine",
     "engine_names",
@@ -150,196 +126,6 @@ class EngineRunResult:
         }
         out.update(self.memory_summary())
         return out
-
-
-# ----------------------------------------------------------------------
-# Snapshots: the crash-safe engine contract
-# ----------------------------------------------------------------------
-#: Bump when any engine's state-dict schema changes; ``restore``
-#: refuses snapshots from another version instead of resuming garbage.
-SNAPSHOT_VERSION = 1
-
-
-class SnapshotError(ReproError):
-    """A snapshot cannot be taken, loaded, or restored."""
-
-
-@dataclass
-class EngineSnapshot:
-    """A self-contained, picklable checkpoint of one engine run.
-
-    ``payload`` is a single pickle of the engine's state dict, taken at
-    a quiescent scheduling boundary.  It embeds everything ``resume``
-    needs — including the compiled kernel / mapping and the memory
-    image — so a snapshot restores in a *fresh process* without access
-    to the original kernel objects.
-    """
-
-    engine: str
-    kernel_name: str
-    cycle: float
-    payload: bytes
-    version: int = SNAPSHOT_VERSION
-
-    def state(self) -> Dict[str, Any]:
-        """Decode the payload (a fresh copy each call)."""
-        return pickle.loads(self.payload)
-
-    def save(self, path: str) -> None:
-        """Atomically persist the snapshot to ``path``."""
-        from repro.resilience.atomicio import atomic_pickle
-
-        atomic_pickle(path, self)
-
-    @staticmethod
-    def load(path: str) -> "EngineSnapshot":
-        """Load a snapshot written by :meth:`save`."""
-        with open(path, "rb") as fh:
-            snap = pickle.load(fh)
-        if not isinstance(snap, EngineSnapshot):
-            raise SnapshotError(
-                f"{path} does not contain an EngineSnapshot "
-                f"(got {type(snap).__name__})"
-            )
-        return snap
-
-    def __repr__(self) -> str:
-        return (f"EngineSnapshot(engine={self.engine!r}, "
-                f"kernel={self.kernel_name!r}, cycle={self.cycle:.0f}, "
-                f"{len(self.payload)} payload bytes)")
-
-
-class Checkpointer:
-    """Periodic-checkpoint schedule for an engine run loop.
-
-    ``every`` is in simulated cycles; the engine asks :meth:`due` at
-    each scheduling boundary and calls :meth:`taken` after emitting, so
-    a long-running boundary skips forward past every missed deadline
-    instead of emitting a burst.
-    """
-
-    __slots__ = ("every", "sink", "next_due")
-
-    def __init__(self, every: float,
-                 sink: Optional[Callable[["EngineSnapshot"], None]] = None,
-                 start: float = 0.0):
-        if every <= 0:
-            raise SnapshotError(
-                f"checkpoint_every must be positive: {every}"
-            )
-        self.every = float(every)
-        self.sink = sink
-        self.next_due = start + self.every
-
-    def due(self, cycle: float) -> bool:
-        return cycle >= self.next_due
-
-    def taken(self, cycle: float) -> None:
-        while self.next_due <= cycle:
-            self.next_due += self.every
-
-
-class CheckpointMixin:
-    """Shared ``snapshot()`` / ``restore()`` / ``resume()`` surface.
-
-    A concrete engine provides:
-
-    * ``engine`` — its registry name (stamped into snapshots);
-    * ``_drive(state, checkpointer)`` — run the state dict to
-      completion and return the engine's result object;
-    * ``_after_restore(state)`` — rebuild the derived, unpicklable
-      structures (exec plans, instruction tables) from restored state.
-
-    The mixin keeps ``_state`` pointing at the live state dict while a
-    run is in flight (cleared on completion), ``last_snapshot`` at the
-    most recent checkpoint (useful when a watchdog or wall-clock
-    timeout killed the run afterwards), and ``last_memory`` at the
-    memory image the most recent run mutated (the restored copy, after
-    ``resume`` — callers comparing memory images need it because a
-    restored run operates on the snapshot's embedded image, not the
-    caller's original object).
-    """
-
-    engine: str = "?"
-
-    _state: Optional[Dict[str, Any]] = None
-    last_snapshot: Optional[EngineSnapshot] = None
-    last_memory = None
-
-    # -- hooks ---------------------------------------------------------
-    def _drive(self, state: Dict[str, Any],
-               checkpointer: Optional[Checkpointer]):
-        raise NotImplementedError
-
-    def _after_restore(self, state: Dict[str, Any]) -> None:
-        """Rebuild derived structures; default: nothing to rebuild."""
-
-    # -- contract ------------------------------------------------------
-    def snapshot(self) -> EngineSnapshot:
-        """Capture the in-flight run's state at the current boundary.
-
-        Only meaningful at a quiescent scheduling boundary — engines
-        call this from their checkpoint sites; callers normally receive
-        snapshots through ``checkpoint_sink`` rather than calling this
-        directly.
-        """
-        state = self._state
-        if state is None:
-            raise SnapshotError(
-                f"{self.engine}: no run in flight to snapshot"
-            )
-        return EngineSnapshot(
-            engine=self.engine,
-            kernel_name=state["kernel_name"],
-            cycle=float(state["clock"]),
-            payload=pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    def restore(self, snap: EngineSnapshot) -> None:
-        """Adopt ``snap`` as this engine's in-flight run state."""
-        if snap.engine != self.engine:
-            raise SnapshotError(
-                f"cannot restore a {snap.engine!r} snapshot into a "
-                f"{self.engine!r} engine"
-            )
-        if snap.version != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot version {snap.version} != supported "
-                f"{SNAPSHOT_VERSION}", kernel=snap.kernel_name,
-            )
-        state = snap.state()
-        self._after_restore(state)
-        self._state = state
-
-    def resume(self, *, checkpoint_every: Optional[float] = None,
-               checkpoint_sink: Optional[Callable[[EngineSnapshot], None]]
-               = None):
-        """Run the restored (or interrupted) state to completion.
-
-        Returns the same result type as ``run``; cycle counts and the
-        final memory image (``last_memory``) are identical to an
-        uninterrupted run.
-        """
-        state = self._state
-        if state is None:
-            raise SnapshotError(
-                f"{self.engine}: no restored state to resume "
-                f"(call restore() first)"
-            )
-        ck = None
-        if checkpoint_every is not None:
-            ck = Checkpointer(checkpoint_every, checkpoint_sink,
-                              start=float(state["clock"]))
-        return self._drive(state, ck)
-
-    # -- checkpoint emission (engine-side helper) ----------------------
-    def _emit_checkpoint(self, ck: Optional[Checkpointer]) -> None:
-        snap = self.snapshot()
-        self.last_snapshot = snap
-        if ck is not None:
-            if ck.sink is not None:
-                ck.sink(snap)
-            ck.taken(snap.cycle)
 
 
 # ----------------------------------------------------------------------

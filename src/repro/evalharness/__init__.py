@@ -24,7 +24,6 @@ from repro.evalharness.runner import (
     KernelRun,
     SuiteResult,
     VerificationError,
-    checkpoint_file_for,
     run_kernel,
     run_suite,
     trace_file_for,
@@ -42,7 +41,6 @@ __all__ = [
     "SuiteResult",
     "VerificationError",
     "arithmean",
-    "checkpoint_file_for",
     "degraded_kernels",
     "fig10_energy_levels",
     "fig11_energy_vs_sgmf",

@@ -13,8 +13,6 @@ Usage::
                                 [--max-cycles N] [--stall-cycles N]
                                 [--no-isolate]
                                 [--timeout SECONDS]
-                                [--checkpoint-every CYCLES]
-                                [--checkpoint-dir DIR]
 
 ``--inject`` arms a deterministic fault campaign on one kernel (it may
 be repeated); combined with the default fault isolation the affected
@@ -45,10 +43,8 @@ files in Perfetto / ``chrome://tracing``.  ``--metrics`` records the
 cross-engine metric registry and appends its column group to the
 report.  See ``docs/observability.md``.
 
-``--timeout`` bounds each kernel attempt in host wall-clock seconds;
-``--checkpoint-every`` / ``--checkpoint-dir`` persist periodic
-simulator snapshots for post-mortem restore.  See
-``docs/resilience.md`` §7.
+``--timeout`` bounds each kernel attempt in host wall-clock seconds.
+See ``docs/resilience.md`` §7.3.
 """
 
 from __future__ import annotations
@@ -135,14 +131,6 @@ def main(argv=None) -> int:
                         metavar="SECONDS",
                         help="wall-clock budget per kernel attempt; a "
                              "timed-out kernel is retried then degraded")
-    parser.add_argument("--checkpoint-every", type=float, default=None,
-                        metavar="CYCLES",
-                        help="snapshot every simulator's state every N "
-                             "simulated cycles")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="persist the newest snapshot per kernel and "
-                             "engine under DIR (implies restorable "
-                             "post-mortems; see docs/resilience.md)")
     args = parser.parse_args(argv)
 
     names = None
@@ -182,9 +170,7 @@ def main(argv=None) -> int:
                          cache_dir=args.cache_dir, trace_path=args.trace,
                          result_cache_dir=args.result_cache,
                          validate_cache_fraction=args.validate_cache_fraction,
-                         timeout=args.timeout,
-                         checkpoint_every=args.checkpoint_every,
-                         checkpoint_dir=args.checkpoint_dir)
+                         timeout=args.timeout)
 
     t0 = time.time()
     runs = run_suite(names, options=options)

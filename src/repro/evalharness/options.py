@@ -2,7 +2,7 @@
 
 ``run_kernel`` grew to a 13-keyword signature and ``run_suite`` to a
 15-keyword one; every new capability (watchdogs, fault campaigns,
-tracing, compile caching, checkpoints) widened both, and the
+tracing, compile caching) widened both, and the
 new :mod:`repro.serve` request types would have had to mirror the whole
 sprawl a third time.  :class:`RunOptions` consolidates the execution
 options into a single frozen dataclass that ``run_kernel``,
@@ -35,7 +35,6 @@ compilation               ``cache``, ``cache_dir``
 result caching            ``result_cache``, ``result_cache_dir``,
                           ``validate_cache_fraction``,
                           ``validate_cache_seed``
-crash safety              ``checkpoint_every``, ``checkpoint_dir``
 parallelism               ``jobs``
 ========================  ==============================================
 
@@ -93,9 +92,6 @@ class RunOptions:
     result_cache_dir: Optional[str] = None
     validate_cache_fraction: float = 0.0
     validate_cache_seed: int = 0
-    # -- crash safety --------------------------------------------------
-    checkpoint_every: Optional[float] = None
-    checkpoint_dir: Optional[str] = None
     # -- parallelism ---------------------------------------------------
     jobs: int = 1
 
@@ -119,8 +115,8 @@ class RunOptions:
         architecture configs, watchdog/retry/fault campaign, and
         timeout.  Reporting/persistence knobs that cannot change a
         result (``trace_path``, ``jobs``, ``cache_dir``,
-        ``result_cache_dir``, validation sampling, checkpoints) are
-        excluded, as are the live-object fields.
+        ``result_cache_dir``, validation sampling) are excluded, as
+        are the live-object fields.
         :mod:`repro.serve` batches requests whose kernel and
         fingerprint match, and the result cache keys entries on it —
         both require the key to be identical *across processes*, so
@@ -129,8 +125,7 @@ class RunOptions:
         :class:`~repro.resilience.OptionKeyError`).
         """
         skip = set(self.LIVE_FIELDS) | {
-            "trace_path", "jobs", "cache_dir",
-            "checkpoint_every", "checkpoint_dir", "result_cache_dir",
+            "trace_path", "jobs", "cache_dir", "result_cache_dir",
             "validate_cache_fraction", "validate_cache_seed",
         }
         parts = []

@@ -154,13 +154,12 @@ class ResultCache(Store):
         """True when running ``name`` under ``options`` must neither be
         answered from nor stored in the cache.
 
-        A fault campaign on the kernel (``options.inject``), a fault
-        injector (``options.faults``) and checkpointing make the
-        execution deliberately not a pure function of the key.  The
+        A fault campaign on the kernel (``options.inject``) or a fault
+        injector (``options.faults``) makes the execution deliberately
+        not a pure function of the key.  The
         one policy ``run_kernel``, the sweep and ``repro.serve`` share.
         """
         return (options.faults is not None
-                or options.checkpoint_every is not None
                 or name in (options.inject or {}))
 
     @classmethod

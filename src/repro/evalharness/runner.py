@@ -39,9 +39,7 @@ layers protect against the process-level ones (``docs/resilience.md``
   workers with :class:`~repro.resilience.WorkerCrashError`.
 * ``timeout=SECONDS`` arms a per-kernel wall-clock guard
   (:func:`~repro.resilience.wall_clock_limit`) that feeds the same
-  retry/degraded-row machinery as the cycle watchdog, and
-  ``checkpoint_every``/``checkpoint_dir`` persist periodic engine
-  snapshots so a killed run leaves a restorable state behind.
+  retry/degraded-row machinery as the cycle watchdog.
 """
 
 from __future__ import annotations
@@ -74,10 +72,7 @@ from repro.resilience import (
     RetryPolicy,
     wall_clock_limit,
 )
-from repro.resilience.errors import (
-    ResultCacheDivergenceError,
-    SimulationHangError,
-)
+from repro.resilience.errors import ResultCacheDivergenceError
 from repro.resilience.errors import VerificationError  # re-export (was local)
 from repro.sgmf import SGMFCore, SGMFRunResult, SGMFUnmappableError
 from repro.simt import FermiRunResult, FermiSM
@@ -88,7 +83,6 @@ __all__ = [
     "RunOptions",
     "SuiteResult",
     "VerificationError",
-    "checkpoint_file_for",
     "run_kernel",
     "run_suite",
     "trace_file_for",
@@ -145,47 +139,6 @@ class KernelRun:
         return self.sgmf is not None
 
 
-def checkpoint_file_for(checkpoint_dir: str, kernel_name: str,
-                        engine: str, hang: bool = False) -> str:
-    """Checkpoint path: ``DIR/<kernel>.<engine>.ckpt`` (slashes in the
-    kernel name become underscores; hang post-mortems get
-    ``.<engine>.hang.ckpt``)."""
-    safe = kernel_name.replace("/", "_")
-    suffix = "hang.ckpt" if hang else "ckpt"
-    return os.path.join(checkpoint_dir, f"{safe}.{engine}.{suffix}")
-
-
-def _checkpoint_sink(checkpoint_dir: Optional[str], kernel_name: str,
-                     engine: str):
-    """A checkpoint sink that persists each snapshot (atomically) to the
-    kernel's per-engine checkpoint file, newest-wins."""
-    if checkpoint_dir is None:
-        return None
-    path = checkpoint_file_for(checkpoint_dir, kernel_name, engine)
-    return lambda snap: snap.save(path)
-
-
-def _save_hang_snapshot(core, checkpoint_dir: Optional[str],
-                        kernel_name: str, exc: SimulationHangError) -> None:
-    """Best-effort post-mortem: persist the hung engine's full state.
-
-    Only for watchdog-detected hangs — the engines guarantee their
-    state dict sits at a consistent resume boundary when the watchdog
-    fires.  A wall-clock ``SIGALRM`` can land mid-update, so that case
-    keeps only the last periodic checkpoint.
-    """
-    if checkpoint_dir is None:
-        return
-    if exc.context.get("wall_clock_limit_s") is not None:
-        return
-    try:
-        snap = core.snapshot()
-        snap.save(checkpoint_file_for(
-            checkpoint_dir, kernel_name, core.engine, hang=True))
-    except Exception:  # noqa: BLE001 — diagnostics must not mask the hang
-        pass
-
-
 def _resolve_options(scale: Optional[str],
                      options: Optional[RunOptions]) -> RunOptions:
     """Shared front door of ``run_kernel`` / ``run_suite``: ``scale``
@@ -224,12 +177,7 @@ def run_kernel(
     (``run_suite`` threads one through the whole sweep; with no
     ``cache`` but a ``cache_dir`` a fresh disk-backed cache is built
     here).  ``timeout`` bounds the run in host wall-clock seconds.
-    ``checkpoint_every`` arms periodic engine snapshots every N
-    simulated cycles; with ``checkpoint_dir`` each engine's newest
-    snapshot is persisted (atomically) to
-    ``DIR/<kernel>.<engine>.ckpt``, and a watchdog-detected hang
-    additionally saves a ``.hang.ckpt`` post-mortem (see
-    ``docs/resilience.md`` §7).  Suite-only fields (``retry``,
+    Suite-only fields (``retry``,
     ``isolate``, ``inject``, ``jobs``, ``trace_path``) are ignored
     here.  Everything defaults to off, so the measurement path is
     unchanged.
@@ -309,54 +257,34 @@ def _execute_kernel(name: str, o: RunOptions,
             )
 
     mem_f = workload.memory.clone()
-    fermi_core = FermiSM(o.fermi_config)
-    try:
-        fermi = fermi_core.run(
-            kernel, mem_f, workload.params, workload.n_threads,
-            watchdog=o.watchdog, faults=o.faults, tracer=tracer,
-            metrics=metrics, compile_cache=cache,
-            checkpoint_every=o.checkpoint_every,
-            checkpoint_sink=_checkpoint_sink(o.checkpoint_dir, name, "fermi"),
-        )
-    except SimulationHangError as exc:
-        _save_hang_snapshot(fermi_core, o.checkpoint_dir, name, exc)
-        raise
+    fermi = FermiSM(o.fermi_config).run(
+        kernel, mem_f, workload.params, workload.n_threads,
+        watchdog=o.watchdog, faults=o.faults, tracer=tracer,
+        metrics=metrics, compile_cache=cache,
+    )
     check(mem_f, "Fermi")
 
     mem_v = workload.memory.clone()
-    vgiw_core = VGIWCore(o.vgiw_config)
-    try:
-        vgiw = vgiw_core.run(
-            kernel, mem_v, workload.params, workload.n_threads, profile=True,
-            watchdog=o.watchdog, faults=o.faults, tracer=tracer,
-            metrics=metrics, compile_cache=cache,
-            checkpoint_every=o.checkpoint_every,
-            checkpoint_sink=_checkpoint_sink(o.checkpoint_dir, name, "vgiw"),
-        )
-    except SimulationHangError as exc:
-        _save_hang_snapshot(vgiw_core, o.checkpoint_dir, name, exc)
-        raise
+    vgiw = VGIWCore(o.vgiw_config).run(
+        kernel, mem_v, workload.params, workload.n_threads, profile=True,
+        watchdog=o.watchdog, faults=o.faults, tracer=tracer,
+        metrics=metrics, compile_cache=cache,
+    )
     check(mem_v, "VGIW")
 
     sgmf: Optional[SGMFRunResult] = None
     sgmf_bd: Optional[EnergyBreakdown] = None
-    sgmf_core = SGMFCore(o.sgmf_config)
     try:
         mem_s = workload.memory.clone()
-        sgmf = sgmf_core.run(
+        sgmf = SGMFCore(o.sgmf_config).run(
             sgmf_kernel, mem_s, workload.params, workload.n_threads,
             watchdog=o.watchdog, faults=o.faults, tracer=tracer,
             metrics=metrics, compile_cache=cache,
-            checkpoint_every=o.checkpoint_every,
-            checkpoint_sink=_checkpoint_sink(o.checkpoint_dir, name, "sgmf"),
         )
         check(mem_s, "SGMF")
         sgmf_bd = energy_sgmf(sgmf)
     except SGMFUnmappableError:
         pass
-    except SimulationHangError as exc:
-        _save_hang_snapshot(sgmf_core, o.checkpoint_dir, name, exc)
-        raise
 
     return KernelRun(
         name=name,
@@ -623,14 +551,13 @@ def run_suite(
         seen before returns the stored :class:`KernelRun` without
         executing; its per-kernel tracer/metrics replay too, so reports
         stay byte-identical to a cold sweep across ``--jobs``.  Kernels
-        under a fault campaign and checkpointing runs bypass the cache,
-        and only healthy runs are stored.  Counters land in ``metrics``
-        under the ``resultcache/`` scope.  This is also crash resume:
+        under a fault campaign bypass the cache, and only healthy runs
+        are stored.  Counters land in ``metrics`` under the
+        ``resultcache/`` scope.  This is also crash resume:
         every healthy run is stored the moment it finishes, so
         re-running a killed sweep against the same ``result_cache_dir``
         replays the finished kernels and executes only the rest.
-        Degraded rows, fault-campaign kernels and checkpointing runs
-        re-execute; they are deterministic, so the report and fault
+        Degraded rows and fault-campaign kernels re-execute; they are deterministic, so the report and fault
         logs come out byte-identical.
     validate_cache_fraction / validate_cache_seed:
         Seeded trust-but-verify sampling for cache hits
@@ -650,11 +577,6 @@ def run_suite(
         :func:`~repro.resilience.wall_clock_limit`; a timed-out
         attempt raises ``SimulationHangError`` into the normal
         retry/degraded-row machinery.
-    checkpoint_every / checkpoint_dir:
-        Periodic engine snapshots every N simulated cycles, persisted
-        per kernel and engine under ``checkpoint_dir``
-        (``--checkpoint-every`` / ``--checkpoint-dir``; see
-        ``docs/resilience.md`` §7).
     """
     o = _resolve_options(scale, options)
     o = o.replace(retry=o.retry or RetryPolicy())

@@ -1,11 +1,11 @@
 """Atomic, durable file writes shared by the crash-safe paths.
 
-Three subsystems must never leave a torn file behind a crash: the
+Two subsystems must never leave a torn file behind a crash: the
 content-addressed store's disk tier (:mod:`repro.store`, under the
 compile and result caches — a torn entry would at best cost a rebuild,
-and a killed sweep resumes by replaying these files), engine snapshot
-files, and the Chrome-trace export (a truncated JSON file looks empty
-to Perfetto, which reads as "the run produced no events").
+and a killed sweep resumes by replaying these files), and the
+Chrome-trace export (a truncated JSON file looks empty to Perfetto,
+which reads as "the run produced no events").
 
 All of them use the same POSIX recipe, extracted here so it is written
 once and tested once:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.arch.config import SGMFConfig
-from repro.engine import CheckpointMixin, Checkpointer, EngineRunResult
+from repro.engine import EngineRunResult
 from repro.ir.instr import TermKind, coerce_i64
 from repro.ir.kernel import Kernel
 from repro.ir.vecops import (
@@ -94,18 +94,12 @@ class SGMFRunResult(EngineRunResult):
         return 1.0 - self.waste_fires / total if total else 1.0
 
 
-class SGMFCore(CheckpointMixin):
+class SGMFCore:
     """A single SGMF core attached to the standard memory hierarchy."""
-
-    engine = "sgmf"
 
     def __init__(self, config: Optional[SGMFConfig] = None):
         self.config = config or SGMFConfig()
         self._faults: Optional[FaultInjector] = None
-        #: derived per-replica exec plans (rebuilt on restore — the
-        #: plan rows hold function objects and cannot be pickled)
-        self._plans: Optional[List[Dict[str, ExecPlan]]] = None
-        self._waste_units: Optional[List[Dict[str, List[int]]]] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -115,11 +109,7 @@ class SGMFCore(CheckpointMixin):
         then dispatches on flat tuples instead of re-inspecting DFG
         nodes (cycle-identical; see docs/performance.md).  Pseudo
         nodes (wired live values, non-entry initiators) are excluded
-        from the energy accounting, matching the SGMF convention.
-
-        Pure function of ``(mapping, converted params, config)``, all
-        of which a snapshot carries, so a restore rebuilds identical
-        plans."""
+        from the energy accounting, matching the SGMF convention."""
         plans: List[Dict[str, ExecPlan]] = []
         waste_units: List[Dict[str, List[int]]] = []
         for ridx in range(mapping.n_replicas):
@@ -141,14 +131,6 @@ class SGMFCore(CheckpointMixin):
             waste_units.append(wu_map)
         return plans, waste_units
 
-    def _after_restore(self, state) -> None:
-        # ``_run_thread`` reads ``self.config``, so a fresh-process
-        # restore must adopt the snapshot's config before resuming.
-        self.config = state["config"]
-        self._plans, self._waste_units = self._build_plans(
-            state["mapping"], state["params"], state["config"]
-        )
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -162,8 +144,6 @@ class SGMFCore(CheckpointMixin):
         tracer=None,
         metrics: Optional[Metrics] = None,
         compile_cache=None,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_sink=None,
     ) -> SGMFRunResult:
         """Execute the kernel, or raise :class:`SGMFUnmappableError`.
 
@@ -174,8 +154,6 @@ class SGMFCore(CheckpointMixin):
         returned result.  ``compile_cache`` memoises the whole-kernel
         mapping per kernel × fabric config (``SGMFUnmappableError``
         included — the capacity proof is derived once per sweep).
-        ``checkpoint_every`` arms periodic state snapshots at
-        thread-injection boundaries (see ``docs/resilience.md`` §7).
         """
         config = self.config
         # Disabled-mode fast path: one local None-test per hook site.
@@ -200,72 +178,22 @@ class SGMFCore(CheckpointMixin):
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
             tracer=trace,
         )
+        stats = FabricStats()
+        self._waste_fires = 0
+        self._faults = faults
 
         n_replicas = mapping.n_replicas
-        self._plans, self._waste_units = self._build_plans(
-            mapping, params, config
-        )
+        reps = [_ReplicaState(config) for _ in range(n_replicas)]
+        plans, waste_units = self._build_plans(mapping, params, config)
+        depth = config.token_buffer_depth
         wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name)
         wd.start(0.0)
         if faults is not None:
             faults.maybe_abort(f"sgmf/{kernel.name}", 0.0)
 
-        # The whole mutable run state: one pickle of this dict is a
-        # complete checkpoint (thread-injection boundaries only — the
-        # per-thread walk keeps no state across threads beyond ``reps``
-        # and the fabric/memory objects held here).
-        state = {
-            "kernel_name": kernel.name,
-            "clock": 0.0,
-            "config": config,
-            "kernel": kernel,
-            "mapping": mapping,
-            "params": params,
-            "n_threads": n_threads,
-            "memory": memory,
-            "memsys": memsys,
-            "stats": FabricStats(),
-            "faults": faults,
-            "wd": wd,
-            "trace": trace,
-            "tracer": tracer,
-            "metrics": metrics,
-            "max_block_visits": max_block_visits,
-            "n_replicas": n_replicas,
-            "reps": [_ReplicaState(config) for _ in range(n_replicas)],
-            "next_thread": 0,
-            "waste_fires": 0,
-        }
-        self._state = state
-        ck = None
-        if checkpoint_every is not None:
-            ck = Checkpointer(checkpoint_every, checkpoint_sink, start=0.0)
-        return self._drive(state, ck)
-
-    # ------------------------------------------------------------------
-    def _drive(self, st, ck: Optional[Checkpointer]) -> SGMFRunResult:
-        """Advance the state dict to completion (run and resume share
-        this loop)."""
-        config = st["config"]
-        kernel = st["kernel"]
-        kernel_name = st["kernel_name"]
-        memory = st["memory"]
-        memsys = st["memsys"]
-        stats = st["stats"]
-        wd = st["wd"]
-        trace = st["trace"]
-        reps = st["reps"]
-        n_replicas = st["n_replicas"]
-        n_threads = st["n_threads"]
-        max_block_visits = st["max_block_visits"]
-        plans, waste_units = self._plans, self._waste_units
-        depth = config.token_buffer_depth
-        self._faults = st["faults"]
-        self._waste_fires = st["waste_fires"]
-
         def snapshot(now: float):
             snap = snapshot_from_replicas(
-                sim="sgmf", kernel=kernel_name, now=now, replicas=reps,
+                sim="sgmf", kernel=kernel.name, now=now, replicas=reps,
             )
             if trace is not None:
                 # Hang forensics: the last N timeline events show what
@@ -278,13 +206,11 @@ class SGMFCore(CheckpointMixin):
 
         # Batched execution: one vectorized functional pass over all
         # threads, then per-thread timing replays with stores committed
-        # at each thread boundary (so checkpoints and the watchdog see
-        # the scalar path's memory state).  A resumed run (next_thread
-        # > 0) stays scalar: its memory already holds earlier threads'
-        # stores.
+        # at each thread boundary (so a hang leaves the scalar path's
+        # memory state behind).
         batch = None
-        if (st["faults"] is None and st["next_thread"] == 0
-                and n_threads >= 4 and not scalar_exec_requested()):
+        if (faults is None and n_threads >= 4
+                and not scalar_exec_requested()):
             batch = self._functional_waves(
                 kernel, plans[0], n_threads, memory, max_block_visits
             )
@@ -295,15 +221,8 @@ class SGMFCore(CheckpointMixin):
             paths = batch["paths"]
             mdata = memory.data
 
-        end_time = st["clock"]
-        i = st["next_thread"]
-        while i < n_threads:
-            # Thread-injection boundary: a quiescent checkpoint point.
-            if ck is not None and ck.due(end_time):
-                st["next_thread"] = i
-                st["clock"] = end_time
-                st["waste_fires"] = self._waste_fires
-                self._emit_checkpoint(ck)
+        end_time = 0.0
+        for i in range(n_threads):
             ridx = i % n_replicas
             rep = reps[ridx]
             inject = rep.next_inject
@@ -336,25 +255,9 @@ class SGMFCore(CheckpointMixin):
                     pid="sgmf", tid=ridx, thread=i, replica=ridx,
                 )
             wd.progress(completion)
-            i += 1
-            # Keep the state dict boundary-consistent before the
-            # watchdog can raise: a hang then leaves ``_state`` (and
-            # ``last_snapshot`` checkpoints) resumable as-is.
-            st["next_thread"] = i
-            st["clock"] = end_time
-            st["waste_fires"] = self._waste_fires
             wd.check(end_time, snapshot)
 
-        st["clock"] = end_time
-        return self._finish(st)
-
-    # ------------------------------------------------------------------
-    def _finish(self, st) -> SGMFRunResult:
-        memsys, stats = st["memsys"], st["stats"]
-        metrics = st["metrics"]
-        end_time = st["clock"]
-        waste_fires = st["waste_fires"]
-        n_threads = st["n_threads"]
+        waste_fires = self._waste_fires
         stats.threads = n_threads
         if metrics is not None:
             scope = metrics.scope("sgmf")
@@ -366,21 +269,19 @@ class SGMFCore(CheckpointMixin):
             scope.inc("fabric.node_fires", stats.node_fires)
             scope.inc("fabric.token_hops", stats.token_hops)
             scope.inc("fabric.waste_fires", waste_fires)
-            scope.gauge("fabric.replicas", st["n_replicas"])
+            scope.gauge("fabric.replicas", n_replicas)
 
-        self.last_memory = st["memory"]
-        self._state = None
         return SGMFRunResult(
-            kernel_name=st["kernel_name"],
+            kernel_name=kernel.name,
             n_threads=n_threads,
             cycles=end_time,
             fabric=stats,
             waste_fires=waste_fires,
-            n_replicas=st["n_replicas"],
+            n_replicas=n_replicas,
             l1=memsys.l1_stats,
             l2=memsys.l2_stats,
             dram=memsys.dram.stats,
-        ).attach_obs(st["tracer"], metrics)
+        ).attach_obs(tracer, metrics)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -428,7 +329,7 @@ class SGMFCore(CheckpointMixin):
 
         Buffered stores commit per thread in ``(tid, program order)``
         via one lexsort; ``bounds[t] : bounds[t+1]`` slices thread
-        ``t``'s writes so :meth:`_drive` applies them at the exact
+        ``t``'s writes so :meth:`run` applies them at the exact
         thread boundary the scalar path would have.
         """
         data = memory.data

@@ -26,12 +26,13 @@ resource timelines.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.arch.config import FermiConfig
 from repro.compiler.cfganalysis import immediate_post_dominators
-from repro.engine import CheckpointMixin, Checkpointer, EngineRunResult
+from repro.engine import EngineRunResult
 from repro.ir.instr import Instr, Op, UnitClass, unit_class
 from repro.ir.kernel import Kernel
 from repro.ir.types import DType, Reg, is_reserved_reg
@@ -41,7 +42,6 @@ from repro.memory.dram import DRAMStats
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
 from repro.obs.metrics import Metrics, record_shared_run_metrics
-from repro.resilience.errors import SimulationHangError
 from repro.resilience.faults import FaultInjector
 from repro.resilience.watchdog import (
     DiagnosticSnapshot,
@@ -139,16 +139,11 @@ class _WarpCtx:
         self.reg_ready: Dict[str, float] = {}
 
 
-class FermiSM(CheckpointMixin):
+class FermiSM:
     """One Fermi-class SM attached to the standard memory hierarchy."""
-
-    engine = "fermi"
 
     def __init__(self, config: Optional[FermiConfig] = None):
         self.config = config or FermiConfig()
-        #: per-block descriptor tables (derived, rebuilt on restore —
-        #: the rows hold function objects and cannot be pickled)
-        self._tables: Optional[Dict[str, tuple]] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -157,10 +152,7 @@ class FermiSM(CheckpointMixin):
         """Precompute one descriptor row per instruction so the issue
         loop never re-derives unit class / register operand lists /
         FPU-ness per warp (they are per-instruction constants).
-        Cycle-identical: only host-side Python overhead changes.
-
-        Pure function of ``(kernel, converted params)``, both of which
-        a snapshot carries, so a restore rebuilds identical tables."""
+        Cycle-identical: only host-side Python overhead changes."""
         tables: Dict[str, tuple] = {}
         for bname, block in kernel.blocks.items():
             descs = []
@@ -189,9 +181,6 @@ class FermiSM(CheckpointMixin):
             )
         return tables
 
-    def _after_restore(self, state) -> None:
-        self._tables = self._build_tables(state["kernel"], state["params"])
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -204,8 +193,6 @@ class FermiSM(CheckpointMixin):
         tracer=None,
         metrics: Optional[Metrics] = None,
         compile_cache=None,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_sink=None,
     ) -> FermiRunResult:
         """Execute ``n_threads`` of ``kernel`` against ``memory``.
 
@@ -215,8 +202,7 @@ class FermiSM(CheckpointMixin):
         receives the run's counters under the ``fermi/`` scope.  Both
         attach to the returned result.  ``compile_cache`` memoises the
         CFG analyses (IPDOM tree, register-pressure estimate) per
-        kernel.  ``checkpoint_every`` arms periodic state snapshots at
-        warp-event boundaries (see ``docs/resilience.md`` §7).
+        kernel.
         """
         config = self.config
         # Disabled-mode fast path: one local None-test per hook site.
@@ -250,7 +236,7 @@ class FermiSM(CheckpointMixin):
             ipdom = immediate_post_dominators(kernel)
             cached_pressure = None
         stats = SMStats()
-        self._tables = self._build_tables(kernel, params)
+        tables = self._build_tables(kernel, params)
         wd = ForwardProgressWatchdog(watchdog, "fermi", kernel.name)
         wd.start(0.0)
         if faults is not None:
@@ -275,106 +261,32 @@ class FermiSM(CheckpointMixin):
             stats.register_pressure = pressure
             stats.resident_warps = min(max_resident, n_warps)
 
-        # The whole mutable run state: one pickle of this dict is a
-        # complete checkpoint.  Event ordering uses a plain int
-        # ``counter`` (was ``itertools.count``) and the pending-warp
-        # queue a plain int cursor (was a live ``iter(range(...))``) —
-        # behaviour-identical, but picklable.
-        state = {
-            "kernel_name": kernel.name,
-            "clock": 0.0,
-            "config": config,
-            "kernel": kernel,
-            "params": params,
-            "n_threads": n_threads,
-            "memory": memory,
-            "memsys": memsys,
-            "stats": stats,
-            "ipdom": ipdom,
-            "wd": wd,
-            "trace": trace,
-            "tracer": tracer,
-            "metrics": metrics,
-            "ws": ws,
-            "n_warps": n_warps,
-            "heap": [],
-            "counter": 0,
-            "next_pending": max_resident,
-            "issue_free": 0.0,
-            "ldst_free": 0.0,
-            "sfu_free": 0.0,
-            "alu_free": 0.0,
-            "mshr_outstanding": [],
-            "horizon": 0.0,
-        }
+        def make_ctx(warp_id: int) -> _WarpCtx:
+            base = warp_id * ws
+            valid = min(ws, n_threads - base)
+            warp = Warp(warp_id, base, ws, valid, params, memory)
+            stack = SIMTStack(kernel.entry, warp.valid_mask, ipdom)
+            return _WarpCtx(warp, stack, kernel.entry)
 
-        heap = state["heap"]
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        pending = iter(range(max_resident, n_warps))
+        heap: List = []
+        counter = itertools.count()
         for wid in range(min(max_resident, n_warps)):
-            heapq.heappush(
-                heap, (0.0, state["counter"], self._make_ctx(state, wid))
-            )
-            state["counter"] += 1
+            heappush(heap, (0.0, next(counter), make_ctx(wid)))
             if trace is not None:
                 trace.instant("warp.launch", "fermi.simt", 0.0,
                               pid="fermi", warp=wid)
 
-        self._state = state
-        ck = None
-        if checkpoint_every is not None:
-            ck = Checkpointer(checkpoint_every, checkpoint_sink, start=0.0)
-        return self._drive(state, ck)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _make_ctx(st, warp_id: int) -> _WarpCtx:
-        ws = st["ws"]
-        base = warp_id * ws
-        valid = min(ws, st["n_threads"] - base)
-        warp = Warp(warp_id, base, ws, valid, st["params"], st["memory"])
-        stack = SIMTStack(st["kernel"].entry, warp.valid_mask, st["ipdom"])
-        return _WarpCtx(warp, stack, st["kernel"].entry)
-
-    # ------------------------------------------------------------------
-    def _drive(self, st, ck: Optional[Checkpointer]) -> FermiRunResult:
-        """Advance the state dict to completion.
-
-        The hot event loop works on hoisted locals (exactly the
-        variables the pre-checkpoint implementation kept); ``sync``
-        writes them back into the state dict at the only points where a
-        consistent view matters — a checkpoint boundary, a watchdog
-        hang, and completion."""
-        config = st["config"]
-        kernel_name = st["kernel_name"]
-        memsys = st["memsys"]
-        stats = st["stats"]
-        tables = self._tables
-        wd = st["wd"]
-        trace = st["trace"]
-        ws = st["ws"]
-        n_warps = st["n_warps"]
-        heap = st["heap"]
-
-        issue_free = st["issue_free"]
-        self._ldst_free = st["ldst_free"]
-        self._sfu_free = st["sfu_free"]
-        self._alu_free = st["alu_free"]
-        self._mshr_outstanding = st["mshr_outstanding"]
-        horizon = st["horizon"]
-        counter = st["counter"]
-        next_pending = st["next_pending"]
+        issue_free = 0.0
+        self._ldst_free = 0.0
+        self._sfu_free = 0.0
+        self._alu_free = 0.0
+        self._mshr_outstanding: List[float] = []
+        horizon = 0.0
         issue_period = config.issue_period_cycles
         ctx: Optional[_WarpCtx] = None
-
-        def sync(now: float) -> None:
-            st["clock"] = now
-            st["issue_free"] = issue_free
-            st["ldst_free"] = self._ldst_free
-            st["sfu_free"] = self._sfu_free
-            st["alu_free"] = self._alu_free
-            st["mshr_outstanding"] = self._mshr_outstanding
-            st["horizon"] = horizon
-            st["counter"] = counter
-            st["next_pending"] = next_pending
 
         def snapshot(now: float) -> DiagnosticSnapshot:
             stalled: Dict[str, float] = {}
@@ -403,7 +315,7 @@ class FermiSM(CheckpointMixin):
                 trace.instant("snapshot", "watchdog", now, pid="fermi")
             return DiagnosticSnapshot(
                 sim="fermi",
-                kernel=kernel_name,
+                kernel=kernel.name,
                 cycle=now,
                 events_retired=0,
                 last_progress_cycle=0.0,
@@ -415,26 +327,10 @@ class FermiSM(CheckpointMixin):
             )
 
         wd_armed = wd.armed
-        heappush = heapq.heappush
-        heappop = heapq.heappop
         while heap:
-            # Heap-event boundary: every ctx is parked in the heap, so
-            # the state dict (once synced) is a complete checkpoint.
-            if ck is not None and ck.due(heap[0][0]):
-                sync(heap[0][0])
-                self._emit_checkpoint(ck)
-            t, c, ctx = heappop(heap)
+            t, _, ctx = heappop(heap)
             if wd_armed:
-                try:
-                    wd.check(t, snapshot)
-                except SimulationHangError:
-                    # Re-park the popped warp: the run is then at an
-                    # exact event boundary, so the hang itself leaves a
-                    # resumable snapshot behind.
-                    heappush(heap, (t, c, ctx))
-                    sync(t)
-                    self.last_snapshot = self.snapshot()
-                    raise
+                wd.check(t, snapshot)
             descs, term, has_cond, cond_name, cond_is_reg = tables[ctx.block]
             mask = ctx.stack.current().mask
             active = bin(mask).count("1")
@@ -467,8 +363,7 @@ class FermiSM(CheckpointMixin):
                 if done > horizon:
                     horizon = done
                 ctx.ready = issue + 1.0
-                heappush(heap, (ctx.ready, counter, ctx))
-                counter += 1
+                heappush(heap, (ctx.ready, next(counter), ctx))
                 continue
 
             # Block terminator: a branch instruction.
@@ -510,13 +405,9 @@ class FermiSM(CheckpointMixin):
                         "warp.retire", "fermi.simt", issue + 1.0,
                         pid="fermi", warp=ctx.warp.warp_id,
                     )
-                nxt = next_pending if next_pending < n_warps else None
+                nxt = next(pending, None)
                 if nxt is not None:
-                    next_pending += 1
-                    heapq.heappush(
-                        heap, (issue + 1.0, counter, self._make_ctx(st, nxt))
-                    )
-                    counter += 1
+                    heappush(heap, (issue + 1.0, next(counter), make_ctx(nxt)))
                     if trace is not None:
                         trace.instant("warp.launch", "fermi.simt",
                                       issue + 1.0, pid="fermi", warp=nxt)
@@ -524,21 +415,12 @@ class FermiSM(CheckpointMixin):
             ctx.block = next_block
             ctx.idx = 0
             ctx.ready = issue + 1.0
-            heapq.heappush(heap, (ctx.ready, counter, ctx))
-            counter += 1
+            heappush(heap, (ctx.ready, next(counter), ctx))
 
-        sync(horizon)
-        return self._finish(st)
-
-    # ------------------------------------------------------------------
-    def _finish(self, st) -> FermiRunResult:
-        memsys, stats = st["memsys"], st["stats"]
-        metrics = st["metrics"]
-        horizon = st["horizon"]
         if metrics is not None:
             scope = metrics.scope("fermi")
             record_shared_run_metrics(
-                scope, cycles=horizon, n_threads=st["n_threads"],
+                scope, cycles=horizon, n_threads=n_threads,
                 l1=memsys.l1_stats, l2=memsys.l2_stats,
                 dram=memsys.dram.stats,
             )
@@ -553,17 +435,15 @@ class FermiSM(CheckpointMixin):
             scope.inc("simt.wasted_lane_slots", stats.wasted_lane_slots)
             scope.gauge("simt.simd_efficiency", stats.simd_efficiency)
 
-        self.last_memory = st["memory"]
-        self._state = None
         return FermiRunResult(
-            kernel_name=st["kernel_name"],
-            n_threads=st["n_threads"],
+            kernel_name=kernel.name,
+            n_threads=n_threads,
             cycles=horizon,
             sm=stats,
             l1=memsys.l1_stats,
             l2=memsys.l2_stats,
             dram=memsys.dram.stats,
-        ).attach_obs(st["tracer"], metrics)
+        ).attach_obs(tracer, metrics)
 
     # ------------------------------------------------------------------
     def _dispatch(

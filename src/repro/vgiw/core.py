@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.arch.config import VGIWConfig
 from repro.compiler.pipeline import CompiledKernel, compile_kernel
-from repro.engine import CheckpointMixin, Checkpointer, EngineRunResult
+from repro.engine import EngineRunResult
 from repro.ir.kernel import Kernel
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
@@ -118,10 +118,18 @@ class VGIWRunResult(EngineRunResult):
         return agg
 
 
-class VGIWCore(CheckpointMixin):
-    """A single VGIW core attached to the standard memory hierarchy."""
+def _select(cvt: ControlVectorTable, policy: str,
+            last_block: Optional[int]) -> Optional[int]:
+    """The BBS policy: which pending block vector runs next."""
+    if policy == "largest_vector":
+        return cvt.largest_vector()
+    if policy == "round_robin":
+        return cvt.next_nonempty(last_block)
+    return cvt.first_nonempty()
 
-    engine = "vgiw"
+
+class VGIWCore:
+    """A single VGIW core attached to the standard memory hierarchy."""
 
     def __init__(self, config: Optional[VGIWConfig] = None):
         self.config = config or VGIWConfig()
@@ -140,8 +148,6 @@ class VGIWCore(CheckpointMixin):
         tracer=None,
         metrics: Optional[Metrics] = None,
         compile_cache=None,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_sink=None,
     ) -> VGIWRunResult:
         """Execute ``n_threads`` of ``kernel`` against ``memory``.
 
@@ -158,12 +164,6 @@ class VGIWCore(CheckpointMixin):
         ``compile_cache`` (a :class:`repro.compiler.CompileCache`)
         memoises the place-&-route result per kernel × fabric config —
         see ``docs/performance.md``.
-
-        ``checkpoint_every`` arms periodic state snapshots: every N
-        simulated cycles (measured at block-execution boundaries) an
-        :class:`~repro.engine.EngineSnapshot` is kept on
-        ``self.last_snapshot`` and passed to ``checkpoint_sink`` when
-        given — see ``docs/resilience.md`` §7.
         """
         config = self.config
         # Disabled-mode fast path: one local None-test per hook site.
@@ -219,224 +219,128 @@ class VGIWCore(CheckpointMixin):
         lvc_tile = config.memory.l2_size_bytes // (2 * lv_words)
         tile_size = max(64, min(cvt_tile, lvc_tile))
 
-        # Every piece of mutable run state lives in this dict: one
-        # pickle of it is a complete checkpoint (shared references —
-        # executor ↔ memsys ↔ lvc ↔ trace — survive as one object
-        # graph), and ``_drive`` below advances it to completion.
-        state = {
-            "kernel_name": kernel_obj.name,
-            "clock": 0.0,
-            "config": config,
-            "compiled": compiled,
-            "params": params,
-            "n_threads": n_threads,
-            "memory": memory,
-            "memsys": memsys,
-            "lvc": lvc,
-            "executor": executor,
-            "bbs": BBSStats(),
-            "cvt_stats_total": CVTStats(),
-            "wd": wd,
-            "trace": trace,
-            "tracer": tracer,
-            "metrics": metrics,
-            "profile": profile,
-            "profile_records": [],
-            "max_block_executions": max_block_executions,
-            "n_blocks": n_blocks,
-            "tile_size": tile_size,
-            "tiles": 0,
-            "tile_base": 0,
-            "tile_threads": 0,
-            # Intra-tile scheduling state (``cvt is None`` ⇔ between
-            # tiles, which is also a valid checkpoint boundary).
-            "cvt": None,
-            "configured_block": None,
-            "last_block": None,
-            "executions": 0,
-        }
-        self._state = state
-        ck = None
-        if checkpoint_every is not None:
-            ck = Checkpointer(checkpoint_every, checkpoint_sink, start=0.0)
-        return self._drive(state, ck)
-
-    # ------------------------------------------------------------------
-    def _select(self, st) -> Optional[int]:
-        cvt = st["cvt"]
-        policy = st["config"].bbs_policy
-        if policy == "largest_vector":
-            return cvt.largest_vector()
-        if policy == "round_robin":
-            return cvt.next_nonempty(st["last_block"])
-        return cvt.first_nonempty()
-
-    def _diag_snapshot(self, st, now: float):
-        compiled, trace = st["compiled"], st["trace"]
-        snap = st["executor"].diagnostic_snapshot(
-            now, sim="vgiw", kernel=st["kernel_name"],
-        )
-        snap.detail["tile"] = st["tiles"]
-        cvt = st["cvt"]
-        if cvt is not None:
-            snap.detail["cvt_pending"] = {
-                compiled.schedule.name_of(bid): cvt.pending_count(bid)
-                for bid in range(st["n_blocks"])
-                if cvt.pending_count(bid)
-            }
-        if trace is not None:
-            # Hang forensics: the last N timeline events show what the
-            # machine did just before it stopped.
-            snap.detail["recent_trace"] = [
-                ev.brief() for ev in trace.tail(16)
-            ]
-            trace.instant(
-                "snapshot", "watchdog", now, pid="vgiw",
-                tile=st["tiles"],
-            )
-        return snap
-
-    # ------------------------------------------------------------------
-    def _drive(self, st, ck: Optional[Checkpointer]) -> VGIWRunResult:
-        """Advance the state dict to completion (run and resume share
-        this loop, so a restored run replays the exact scheduling
-        sequence an uninterrupted one would)."""
-        config = st["config"]
-        compiled = st["compiled"]
-        executor = st["executor"]
-        bbs = st["bbs"]
-        wd = st["wd"]
-        trace = st["trace"]
-        n_blocks = st["n_blocks"]
-        kernel_name = st["kernel_name"]
+        bbs = BBSStats()
+        cvt_stats_total = CVTStats()
+        profile_records: List[BlockExecution] = []
+        policy = config.bbs_policy
+        time = 0.0
+        tiles = 0
 
         def snapshot(now: float):
-            return self._diag_snapshot(st, now)
-
-        while True:
-            if st["cvt"] is None:
-                # Between tiles: start the next one, or finish the run.
-                if st["tile_base"] >= st["n_threads"]:
-                    break
-                st["tiles"] += 1
-                st["tile_threads"] = min(
-                    st["tile_size"], st["n_threads"] - st["tile_base"]
+            snap = executor.diagnostic_snapshot(
+                now, sim="vgiw", kernel=kernel_obj.name,
+            )
+            snap.detail["tile"] = tiles
+            snap.detail["cvt_pending"] = {
+                compiled.schedule.name_of(bid): cvt.pending_count(bid)
+                for bid in range(n_blocks)
+                if cvt.pending_count(bid)
+            }
+            if trace is not None:
+                # Hang forensics: the last N timeline events show what
+                # the machine did just before it stopped.
+                snap.detail["recent_trace"] = [
+                    ev.brief() for ev in trace.tail(16)
+                ]
+                trace.instant(
+                    "snapshot", "watchdog", now, pid="vgiw", tile=tiles,
                 )
-                cvt = ControlVectorTable(
-                    n_blocks, st["tile_threads"], config.cvt_banks,
-                    config.cvt_word_bits,
-                )
-                cvt.activate_all(0)
-                st["cvt"] = cvt
-                st["configured_block"] = None
-                st["last_block"] = None
-                st["executions"] = 0
+            return snap
 
-            cvt = st["cvt"]
-            tile_base = st["tile_base"]
-            block_id = self._select(st)
-            if block_id is None:
-                # Tile drained: fold its CVT stats, advance.
-                st["cvt_stats_total"].word_reads += cvt.stats.word_reads
-                st["cvt_stats_total"].word_writes += cvt.stats.word_writes
-                st["cvt"] = None
-                st["tile_base"] += st["tile_size"]
-                continue
+        for tile_base in range(0, n_threads, tile_size):
+            tiles += 1
+            tile_threads = min(tile_size, n_threads - tile_base)
+            cvt = ControlVectorTable(
+                n_blocks, tile_threads, config.cvt_banks, config.cvt_word_bits
+            )
+            cvt.activate_all(0)
+            configured_block: Optional[int] = None
+            last_block: Optional[int] = None
+            executions = 0
 
-            st["last_block"] = block_id
-            st["executions"] += 1
-            time = st["clock"]
-            if st["executions"] > st["max_block_executions"]:
-                raise SimulationHangError(
-                    f"kernel {kernel_name}: runaway block scheduling "
-                    f"(> {st['max_block_executions']} block executions)",
-                    snapshot=snapshot(time),
-                    kernel=kernel_name,
-                    block=compiled.schedule.name_of(block_id),
-                    block_id=block_id,
-                    tile=st["tiles"],
-                    threads_retired=wd.events_retired,
-                )
-            cb = compiled.block_by_id(block_id)
+            while (block_id := _select(cvt, policy, last_block)) is not None:
+                last_block = block_id
+                executions += 1
+                if executions > max_block_executions:
+                    raise SimulationHangError(
+                        f"kernel {kernel_obj.name}: runaway block scheduling "
+                        f"(> {max_block_executions} block executions)",
+                        snapshot=snapshot(time),
+                        kernel=kernel_obj.name,
+                        block=compiled.schedule.name_of(block_id),
+                        block_id=block_id,
+                        tile=tiles,
+                        threads_retired=wd.events_retired,
+                    )
+                cb = compiled.block_by_id(block_id)
 
-            # Reconfigure unless the grid already holds this block.
-            if st["configured_block"] != block_id:
-                bbs.reconfigurations += 1
-                bbs.config_cycles += config.fabric.config_cycles
+                # Reconfigure unless the grid already holds this block.
+                if configured_block != block_id:
+                    bbs.reconfigurations += 1
+                    bbs.config_cycles += config.fabric.config_cycles
+                    if trace is not None:
+                        trace.complete(
+                            f"reconfigure:{cb.name}", "vgiw.bbs", time,
+                            config.fabric.config_cycles, pid="vgiw",
+                            block=cb.name, tile=tiles,
+                        )
+                    time += config.fabric.config_cycles
+                    configured_block = block_id
+
+                tids: List[int] = []
+                for base, bitmap in cvt.pop_batches(block_id):
+                    bbs.batches_sent += 1
+                    tids.extend(
+                        tile_base + t for t in iter_batch_tids(base, bitmap)
+                    )
+                bbs.threads_streamed += len(tids)
+                bbs.blocks_executed += 1
+
+                outcomes, end_time = executor.execute_block(cb, tids, time)
+                retired = sum(1 for oc in outcomes if oc.next_block is None)
                 if trace is not None:
                     trace.complete(
-                        f"reconfigure:{cb.name}", "vgiw.bbs", time,
-                        config.fabric.config_cycles, pid="vgiw",
-                        block=cb.name, tile=st["tiles"],
+                        f"block:{cb.name}", "vgiw.block", time,
+                        end_time - time, pid="vgiw",
+                        block=cb.name, threads=len(tids),
+                        replicas=cb.n_replicas, retired=retired,
+                        tile=tiles,
                     )
-                time += config.fabric.config_cycles
-                st["configured_block"] = block_id
+                if retired:
+                    wd.progress(end_time, retired)
+                wd.check(end_time, snapshot)
+                if profile:
+                    profile_records.append(BlockExecution(
+                        block=cb.name, block_id=block_id,
+                        n_threads=len(tids), start=time, end=end_time,
+                        replicas=cb.n_replicas,
+                    ))
+                time = end_time
 
-            batches = list(cvt.pop_batches(block_id))
-            tids: List[int] = []
-            for base, bitmap in batches:
-                bbs.batches_sent += 1
-                tids.extend(
-                    tile_base + t for t in iter_batch_tids(base, bitmap)
-                )
-            bbs.threads_streamed += len(tids)
-            bbs.blocks_executed += 1
+                # Each replica's terminator CVU assembles batch packets
+                # in completion order with two open batches per target
+                # (paper section 3.5); out-of-order completion flushes
+                # partial batches, which cost extra CVT writes.
+                per_replica: Dict[int, List] = {}
+                for oc in outcomes:
+                    per_replica.setdefault(oc.replica, []).append(oc)
+                for replica_outcomes in per_replica.values():
+                    for target, base, bitmap in terminator_batches(
+                        replica_outcomes, tid_offset=tile_base
+                    ):
+                        bbs.batches_received += 1
+                        cvt.or_batch(
+                            compiled.schedule.id_of(target), base, bitmap
+                        )
+                cvt.check_invariant()
 
-            outcomes, end_time = executor.execute_block(cb, tids, time)
-            retired = sum(1 for oc in outcomes if oc.next_block is None)
-            if trace is not None:
-                trace.complete(
-                    f"block:{cb.name}", "vgiw.block", time,
-                    end_time - time, pid="vgiw",
-                    block=cb.name, threads=len(tids),
-                    replicas=cb.n_replicas, retired=retired,
-                    tile=st["tiles"],
-                )
-            if retired:
-                wd.progress(end_time, retired)
-            wd.check(end_time, snapshot)
-            if st["profile"]:
-                st["profile_records"].append(BlockExecution(
-                    block=cb.name, block_id=block_id,
-                    n_threads=len(tids), start=time, end=end_time,
-                    replicas=cb.n_replicas,
-                ))
-            st["clock"] = end_time
+            cvt_stats_total.word_reads += cvt.stats.word_reads
+            cvt_stats_total.word_writes += cvt.stats.word_writes
 
-            # Each replica's terminator CVU assembles batch packets
-            # in completion order with two open batches per target
-            # (paper section 3.5); out-of-order completion flushes
-            # partial batches, which cost extra CVT writes.
-            per_replica: Dict[int, List] = {}
-            for oc in outcomes:
-                per_replica.setdefault(oc.replica, []).append(oc)
-            for replica_outcomes in per_replica.values():
-                for target, base, bitmap in terminator_batches(
-                    replica_outcomes, tid_offset=tile_base
-                ):
-                    bbs.batches_received += 1
-                    cvt.or_batch(
-                        compiled.schedule.id_of(target), base, bitmap
-                    )
-            cvt.check_invariant()
-
-            # Block-execution boundary: no replica state is in flight,
-            # so this is a quiescent point to checkpoint at.
-            if ck is not None and ck.due(st["clock"]):
-                self._emit_checkpoint(ck)
-
-        return self._finish(st)
-
-    # ------------------------------------------------------------------
-    def _finish(self, st) -> VGIWRunResult:
-        memsys, lvc, executor = st["memsys"], st["lvc"], st["executor"]
-        bbs, cvt_stats_total = st["bbs"], st["cvt_stats_total"]
-        metrics = st["metrics"]
-        time = st["clock"]
         if metrics is not None:
             scope = metrics.scope("vgiw")
             record_shared_run_metrics(
-                scope, cycles=time, n_threads=st["n_threads"],
+                scope, cycles=time, n_threads=n_threads,
                 l1=memsys.l1_stats, l2=memsys.l2_stats,
                 dram=memsys.dram.stats,
             )
@@ -453,13 +357,11 @@ class VGIWCore(CheckpointMixin):
             scope.inc("lvc.buffered", lvc.buffered)
             scope.inc("fabric.node_fires", executor.stats.node_fires)
             scope.inc("fabric.token_hops", executor.stats.token_hops)
-            scope.gauge("run.tiles", st["tiles"])
+            scope.gauge("run.tiles", tiles)
 
-        self.last_memory = st["memory"]
-        self._state = None
         return VGIWRunResult(
-            kernel_name=st["kernel_name"],
-            n_threads=st["n_threads"],
+            kernel_name=kernel_obj.name,
+            n_threads=n_threads,
             cycles=time,
             fabric=executor.stats,
             bbs=bbs,
@@ -472,8 +374,9 @@ class VGIWCore(CheckpointMixin):
             l1=memsys.l1_stats,
             l2=memsys.l2_stats,
             dram=memsys.dram.stats,
-            n_blocks=st["n_blocks"],
-            n_live_values=st["compiled"].n_live_values,
-            tiles=st["tiles"],
-            block_profile=st["profile_records"],
-        ).attach_obs(st["tracer"], metrics)
+            n_blocks=n_blocks,
+            n_live_values=compiled.n_live_values,
+            tiles=tiles,
+            block_profile=profile_records,
+        ).attach_obs(tracer, metrics)
+

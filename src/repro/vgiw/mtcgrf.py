@@ -605,22 +605,6 @@ class MTCGRFExecutor:
         self.last_replicas: List[_ReplicaState] = []
 
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Engine-snapshot support: the exec-plan cache holds
-        :data:`repro.ir.instr.EVAL` lambdas, which cannot be pickled.
-        The plans are pure functions of ``(block placement, params,
-        op_latency)``, all of which *are* in the snapshot, so
-        :meth:`_plan_for` rebuilds them bit-identically on demand after
-        a restore."""
-        state = self.__dict__.copy()
-        state["_plans"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._plans = {}
-
-    # ------------------------------------------------------------------
     def unit_name(self, uid: int) -> str:
         """``unit{uid}[{kind}]`` when the fabric is known (snapshots)."""
         if self.fabric is not None and uid < len(self.fabric.units):

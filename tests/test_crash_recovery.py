@@ -13,13 +13,10 @@ import pickle
 
 import pytest
 
-from repro.engine import EngineSnapshot
 from repro.evalharness import ResultCache, RunOptions
 from repro.evalharness.report import generate_report
 from repro.evalharness.runner import (
     KILL_ENV,
-    checkpoint_file_for,
-    run_kernel,
     run_suite,
 )
 from repro.resilience import FaultSpec, RetryPolicy, WorkerCrashError
@@ -186,7 +183,7 @@ def test_worker_crash_propagates_without_isolation(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# wall-clock timeout + persisted checkpoints
+# wall-clock timeout
 # ---------------------------------------------------------------------
 def test_wall_clock_timeout_degrades_kernel():
     suite = run_suite(["nn/euclid"], options=TINY.replace(timeout=1e-3))
@@ -195,14 +192,3 @@ def test_wall_clock_timeout_degrades_kernel():
     assert failure.error_type == "SimulationHangError"
     assert "wall-clock timeout" in failure.message
 
-
-def test_run_kernel_persists_checkpoints(tmp_path):
-    ckpt_dir = str(tmp_path / "ckpt")
-    run_kernel("nn/euclid", options=TINY.replace(checkpoint_every=100.0,
-                                                 checkpoint_dir=ckpt_dir))
-    for engine in ("fermi", "vgiw", "sgmf"):
-        path = checkpoint_file_for(ckpt_dir, "nn/euclid", engine)
-        snap = EngineSnapshot.load(path)
-        assert snap.engine == engine
-        assert snap.kernel_name  # self-describing
-        assert snap.cycle > 0.0

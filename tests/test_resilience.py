@@ -35,6 +35,7 @@ from repro.interp.interpreter import InterpreterError
 from repro.ir import DType, KernelBuilder
 from repro.memory.image import MemoryImage
 from repro.resilience import (
+    AttemptRecord,
     FaultInjectedError,
     FaultInjector,
     FaultSpec,
@@ -148,6 +149,7 @@ def test_vgiw_deadlock_token_buffer_one():
     assert snap.in_flight  # per-replica in-flight token counts present
     d = err.to_dict()
     assert d["snapshot"]["stalled_unit"] == snap.stalled_unit
+    assert AttemptRecord.from_error(0, err).snapshot == snap.to_dict()
 
 
 def test_vgiw_runaway_guard_is_hang_error():
@@ -169,7 +171,12 @@ def test_sgmf_visit_guard_and_watchdog():
     with pytest.raises(SimulationHangError) as exc_info:
         SGMFCore().run(k, mem2, {"out": out2}, 1,
                        watchdog=WatchdogConfig(max_cycles=10_000))
-    assert exc_info.value.context["sim"] == "sgmf"
+    err = exc_info.value
+    assert err.context["sim"] == "sgmf"
+    # The watchdog snapshot reads the live replica states.
+    assert err.snapshot is not None
+    assert err.snapshot.in_flight
+    assert AttemptRecord.from_error(0, err).snapshot == err.snapshot.to_dict()
 
 
 def test_fermi_watchdog_budget():
@@ -183,6 +190,7 @@ def test_fermi_watchdog_budget():
     assert err.context["sim"] == "fermi"
     assert err.snapshot is not None
     assert "resident_warps" in err.snapshot.detail
+    assert AttemptRecord.from_error(0, err).snapshot == err.snapshot.to_dict()
 
 
 def test_watchdog_disarmed_is_noop():
