@@ -20,9 +20,11 @@ blocks in one configuration).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.config import FabricSpec, UnitKind
 from repro.compiler.dfg import BlockDFG, DFGNode
@@ -54,6 +56,19 @@ def _interleave(kind_counts: Sequence[Tuple[UnitKind, int]]) -> List[UnitKind]:
     return [kind for _, _, kind in placed]
 
 
+@lru_cache(maxsize=8)
+def _hop_table(xs: Tuple[int, ...],
+               ys: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """``hop[a][b]`` for units at ``(xs[i], ys[i])``: one broadcast of
+    ``max(1, ceil(manhattan / 2))``, which is 1 on the diagonal too (a
+    unit's output loops back through a switch).  Fabrics of one
+    geometry share the table."""
+    x = np.asarray(xs)
+    y = np.asarray(ys)
+    manhattan = np.abs(x[:, None] - x) + np.abs(y[:, None] - y)
+    return tuple(map(tuple, np.maximum(1, (manhattan + 1) // 2).tolist()))
+
+
 class Fabric:
     """The physical grid: units, positions, and hop distances."""
 
@@ -64,6 +79,23 @@ class Fabric:
         self.by_kind: Dict[UnitKind, List[int]] = {k: [] for k in UnitKind}
         for u in self.units:
             self.by_kind[u.kind].append(u.uid)
+        self._index_hops()
+
+    def _index_hops(self) -> None:
+        #: interconnect latency in cycles, ``hop[a][b]`` (symmetric)
+        self.hop = _hop_table(tuple(u.x for u in self.units),
+                              tuple(u.y for u in self.units))
+
+    # The hop table is derived from the units: pickles (compile-cache
+    # disk entries) leave it out and share the rebuilt one on load.
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("hop", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._index_hops()
 
     def _build(self, spec: FabricSpec) -> None:
         w, h = spec.width, spec.height
@@ -143,11 +175,7 @@ class Fabric:
 
     def hops(self, a: int, b: int) -> int:
         """Interconnect latency in cycles between two units."""
-        if a == b:
-            return 1
-        ua, ub = self.units[a], self.units[b]
-        manhattan = abs(ua.x - ub.x) + abs(ua.y - ub.y)
-        return max(1, math.ceil(manhattan / 2))
+        return self.hop[a][b]
 
 
 @dataclass
@@ -216,22 +244,15 @@ def _place_one(
     improve_passes: int,
 ) -> PlacedReplica:
     unit_of: Dict[int, int] = {}
-    order = dfg.topo_order()
+    hop = fabric.hop
+    nodes = dfg.nodes
     consumers = dfg.consumers()
+    # Wire ends of each node: its inputs, then its consumers, with
+    # multiplicity (an operand read twice is wired twice).
+    neighbours = {n.nid: n.input_nodes() + consumers[n.nid] for n in nodes}
 
-    def cost_of(nid: int, uid: int) -> int:
-        node = dfg.node(nid)
-        total = 0
-        for up in node.input_nodes():
-            if up in unit_of:
-                total += fabric.hops(unit_of[up], uid)
-        for down in consumers[nid]:
-            if down in unit_of:
-                total += fabric.hops(uid, unit_of[down])
-        return total
-
-    for nid in order:
-        node = dfg.node(nid)
+    for nid in dfg.topo_order():
+        node = nodes[nid]
         if node.pseudo:
             continue  # wires occupy no physical unit
         kind = node.unit_kind
@@ -241,21 +262,38 @@ def _place_one(
                 f"no free {kind.value} unit for node {nid} of block "
                 f"{dfg.block_name}"
             )
-        best = min(pool, key=lambda uid: (cost_of(nid, uid), uid))
+        # Wire cost of every unit = column sums of the placed
+        # neighbours' hop rows; the cheapest free unit wins, ties to the
+        # lowest unit ID.
+        rows = [hop[unit_of[m]] for m in neighbours[nid] if m in unit_of]
+        if not rows:
+            best = min(pool)
+        else:
+            cost = rows[0] if len(rows) == 1 else list(map(sum, zip(*rows)))
+            low = min([cost[uid] for uid in pool])
+            best = min([uid for uid in pool if cost[uid] == low])
         pool.remove(best)
         unit_of[nid] = best
 
     # Local improvement: swap same-kind placements when it shortens wires.
+    placed = {nid: [m for m in neighbours[nid] if m in unit_of]
+              for nid in unit_of}
+
+    def cost_of(nid: int) -> int:
+        row = hop[unit_of[nid]]
+        return sum([row[unit_of[m]] for m in placed[nid]])
+
+    kind_of = {nid: nodes[nid].unit_kind for nid in unit_of}
     for _ in range(improve_passes):
         improved = False
         nids = list(unit_of)
         for i, a in enumerate(nids):
             for b in nids[i + 1:]:
-                if dfg.node(a).unit_kind is not dfg.node(b).unit_kind:
+                if kind_of[a] is not kind_of[b]:
                     continue
-                before = cost_of(a, unit_of[a]) + cost_of(b, unit_of[b])
+                before = cost_of(a) + cost_of(b)
                 unit_of[a], unit_of[b] = unit_of[b], unit_of[a]
-                after = cost_of(a, unit_of[a]) + cost_of(b, unit_of[b])
+                after = cost_of(a) + cost_of(b)
                 if after >= before:
                     unit_of[a], unit_of[b] = unit_of[b], unit_of[a]
                 else:
@@ -264,10 +302,10 @@ def _place_one(
             break
 
     edge_hops: Dict[Tuple[int, int], int] = {}
-    for node in dfg.nodes:
+    for node in nodes:
         for up in node.input_nodes():
             if up in unit_of and node.nid in unit_of:
-                hops = fabric.hops(unit_of[up], unit_of[node.nid])
+                hops = hop[unit_of[up]][unit_of[node.nid]]
             else:
                 hops = 1  # edges to/from pseudo wires cost one switch hop
             edge_hops[(up, node.nid)] = hops

@@ -15,7 +15,7 @@ model so the two architectures differ only where the designs differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -185,6 +185,9 @@ class SGMFCore:
         n_replicas = mapping.n_replicas
         reps = [_ReplicaState(config) for _ in range(n_replicas)]
         plans, waste_units = self._build_plans(mapping, params, config)
+        # Compiled timing-walk binders by source text, shared by the
+        # replicas and equal blocks of this run.
+        timing_binders: Dict[str, Callable] = {}
         depth = config.token_buffer_depth
         wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name)
         wd.start(0.0)
@@ -240,7 +243,7 @@ class SGMFCore:
             else:
                 completion = self._run_thread_timing(
                     plans[ridx], waste_units[ridx], rep, i, inject,
-                    paths[i], memsys, stats, wd, snapshot,
+                    paths[i], memsys, stats, wd, snapshot, timing_binders,
                 )
                 if bounds is not None:
                     lo, hi = bounds[i], bounds[i + 1]
@@ -519,6 +522,7 @@ class SGMFCore:
         stats: FabricStats,
         wd: ForwardProgressWatchdog,
         snapshot,
+        timing_binders: Dict[str, Callable],
     ) -> float:
         """Replay one batched thread's walk for timing only.
 
@@ -548,7 +552,7 @@ class SGMFCore:
             fn = plan.timing_fn
             if fn is None:
                 fn = plan.timing_fn = compile_timing(
-                    plan, entries, scu_n, sgmf=True
+                    plan, entries, scu_n, timing_binders, sgmf=True
                 )
             block_completion, term_done = fn(
                 rep, mem_access, tid, entry_time, j, rec, rr

@@ -26,6 +26,7 @@ an exact functional model (asserted against the interpreter in tests).
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -142,12 +143,12 @@ _FLOAT_OPS_PREFIX = "f"
 # routed hop distances, operation latency, semantics function, energy
 # class, and the resolution of its operand sources (immediates and
 # kernel parameters are configuration-time constants, paper §3.5) — is
-# therefore *precompiled* once per (block, replica) into an
-# :class:`ExecPlan` of flat tuples, and the inner loop dispatches on an
-# integer tag.  Cycle counts are bit-identical to the direct walk (the
-# same floating-point max/issue sequence in the same order); only the
-# host-side Python overhead changes.  ``docs/performance.md`` has the
-# measurements.
+# therefore *precompiled* once per block replica that receives threads
+# into an :class:`ExecPlan` of flat tuples, and the inner loop
+# dispatches on an integer tag.  Cycle counts are bit-identical to the
+# direct walk (the same floating-point max/issue sequence in the same
+# order); only the host-side Python overhead changes.
+# ``docs/performance.md`` has the measurements.
 
 #: row tags (``row[0]``) for the plan interpreter's dispatch
 T_INIT, T_LVLOAD, T_LVSTORE, T_LOAD, T_STORE, T_TERM, T_SJ, T_OP, T_SCU = (
@@ -293,45 +294,55 @@ def build_exec_plan(
     )
 
 
-def _emit_issue(L, u: int) -> None:
-    """Emit the unit-calendar claim (``_ReplicaState.issue``) inline:
-    the path-compressed ``claim_slot`` probe, same ``unit_wait``
-    accounting, no call frame."""
+def _emit_issue(L, n: int) -> None:
+    """Emit the unit-calendar claim (``_ReplicaState.issue``) inline for
+    row ``n`` (unit ``u{n}``): the path-compressed ``claim_slot`` probe,
+    same ``unit_wait`` accounting, no call frame."""
     L.append("    q = int(r)")
     L.append("    if q != r:")
     L.append("        q += 1")
-    L.append(f"    s = nf_{u}.get(q)")
+    L.append(f"    s = nf{n}.get(q)")
     L.append("    if s is None:")
-    L.append(f"        nf_{u}[q] = q + 1")
+    L.append(f"        nf{n}[q] = q + 1")
     L.append("        s = q")
     L.append("    else:")
-    L.append(f"        j = nf_{u}.get(s)")
+    L.append(f"        j = nf{n}.get(s)")
     L.append("        while j is not None:")
     L.append("            s = j")
-    L.append(f"            j = nf_{u}.get(s)")
-    L.append(f"        nf_{u}[s] = e = s + 1")
+    L.append(f"            j = nf{n}.get(s)")
+    L.append(f"        nf{n}[s] = e = s + 1")
     L.append("        p = q")
     L.append("        while p != s:")
-    L.append(f"            pn = nf_{u}[p]")
-    L.append(f"            nf_{u}[p] = e")
+    L.append(f"            pn = nf{n}[p]")
+    L.append(f"            nf{n}[p] = e")
     L.append("            p = pn")
-    L.append(f"        uw[{u}] = uw.get({u}, 0.0) + (s - q)")
+    L.append(f"        uw[u{n}] = uw.get(u{n}, 0.0) + (s - q)")
+
+
+#: serial number of each compiled timing walk: a unique code filename
+#: per ``compile()``, so profilers keep one entry per code object
+_timing_serial = itertools.count()
 
 
 def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
-                   sgmf: bool = False):
-    """Generate the straight-line timing walk for one plan.
+                   binders: Dict[str, Callable], sgmf: bool = False):
+    """The straight-line timing walk for one plan.
 
     The vectorized engines split each block into a batched functional
     pass and a per-thread timing replay; this compiles the replay into
-    one specialised Python function per (block, replica): rows are
-    unrolled, unit IDs / latencies / hop counts are constant-folded,
-    ``done`` times live in locals, and the
-    :meth:`_ReplicaState.issue` / :meth:`_ReplicaState.issue_mem` /
-    :meth:`_ReplicaState.issue_scu` calendars are inlined with per-unit
-    state hoisted into locals.  The arithmetic is the interpreted
-    walk's, in the same order, so cycle counts stay bit-identical
-    (asserted by the golden-cycle gate and the differential fuzzer).
+    one specialised Python function per block shape: rows are
+    unrolled, latencies are constant-folded, ``done`` times live in
+    locals, and the :meth:`_ReplicaState.issue` /
+    :meth:`_ReplicaState.issue_mem` / :meth:`_ReplicaState.issue_scu`
+    calendars are inlined with per-unit state hoisted into locals.
+    Each row's unit ID (``u{nid}``) and input hop counts
+    (``h{nid}_{k}``) are named locals bound as default arguments, so
+    the replicas of a block (and equal blocks) share one source text:
+    ``binders`` (one dict per run) maps it to the compiled binder, and
+    each further plan of that shape costs one call of it.  The
+    arithmetic is the interpreted walk's, in the same order, so cycle
+    counts stay bit-identical (asserted by the golden-cycle gate and
+    the differential fuzzer).
 
     VGIW flavour (``sgmf=False``)::
 
@@ -346,89 +357,95 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     memory row's index to its per-thread address list; ``rr`` is the
     SGMF thread's ``regs_ready`` wire-timing dict.
     """
-    issue_uids = set()
-    mem_uids = set()
-    scu_uids = set()
-    mem_rows = []
+    names = []  # bound locals, in binder-argument order
+    values = []
+    issue_rows = []  # (nid, unit ID)
+    mem_rows = []  # (unit ID, nid)
+    scu_rows = []
+    addr_rows = []
     for ri, row in enumerate(plan.rows):
         tag = row[0]
-        if tag in (T_OP, T_SJ, T_TERM):
-            issue_uids.add(row[2])
-        elif tag == T_SCU:
-            issue_uids.add(row[2])
-            scu_uids.add(row[2])
-        elif tag in (T_LOAD, T_STORE):
-            issue_uids.add(row[2])
-            mem_uids.add(row[2])
-            mem_rows.append(ri)
-        elif tag in (T_LVLOAD, T_LVSTORE) and not sgmf:
-            issue_uids.add(row[2])
-            mem_uids.add(row[2])
+        if tag == T_INIT or (sgmf and tag in (T_LVLOAD, T_LVSTORE)):
+            continue
+        nid = row[1]
+        issue_rows.append((nid, row[2]))
+        if tag == T_SCU:
+            scu_rows.append(nid)
+        elif tag in (T_LOAD, T_STORE, T_LVLOAD, T_LVSTORE):
+            mem_rows.append((row[2], nid))
+            if tag in (T_LOAD, T_STORE):
+                addr_rows.append(ri)
 
     L = []
-    if sgmf:
-        L.append("def __timing(rep, mem_access, tid, entry, ti, alists,"
-                 " rr):")
-        L.append("    inject = entry")
-    else:
-        L.append("def __timing(rep, mem_access, lvc_access, tid, inject,"
-                 " ti, alists):")
     L.append("    un = rep.unit_next")
     L.append("    uw = rep.unit_wait")
-    for u in sorted(issue_uids):
-        L.append(f"    nf_{u} = un.get({u})")
-        L.append(f"    if nf_{u} is None:")
-        L.append(f"        nf_{u} = un[{u}] = {{}}")
-    for u in sorted(mem_uids):
-        L.append(f"    out_{u} = rep.ldst_outstanding.setdefault({u}, [])")
-    for u in sorted(scu_uids):
-        L.append(f"    pool_{u} = rep.scu_pool.setdefault"
-                 f"({u}, [0.0] * {scu_instances})")
-    for ri in mem_rows:
+    for n, u in issue_rows:
+        names.append(f"u{n}")
+        values.append(u)
+        L.append(f"    nf{n} = un.get(u{n})")
+        L.append(f"    if nf{n} is None:")
+        L.append(f"        nf{n} = un[u{n}] = {{}}")
+    if mem_rows:
+        # A replica's first walk of the block creates its reservation
+        # buffers, in unit-ID order (hang snapshots list them in
+        # insertion order); later walks find them all.
+        names.append("mu")
+        values.append(tuple(sorted(u for u, _ in mem_rows)))
+        first = mem_rows[0][1]
+        L.append("    lo = rep.ldst_outstanding")
+        L.append(f"    out{first} = lo.get(u{first})")
+        L.append(f"    if out{first} is None:")
+        L.append("        for m in mu:")
+        L.append("            lo.setdefault(m, [])")
+        L.append(f"        out{first} = lo[u{first}]")
+        for _, n in mem_rows[1:]:
+            L.append(f"    out{n} = lo[u{n}]")
+    for n in scu_rows:
+        L.append(f"    pool{n} = rep.scu_pool.setdefault"
+                 f"(u{n}, [0.0] * {scu_instances})")
+    for ri in addr_rows:
         L.append(f"    a_{ri} = alists[{ri}]")
 
     def emit_ready(row):
         L.append("    r = inject")
-        for up, hop in row[3]:
-            if hop:
-                L.append(f"    t = d{up} + {float(hop)!r}")
-            else:
-                L.append(f"    t = d{up}")
+        for k, (up, hop) in enumerate(row[3]):
+            names.append(f"h{row[1]}_{k}")
+            values.append(float(hop))
+            L.append(f"    t = d{up} + h{row[1]}_{k}")
             L.append("    if t > r:")
             L.append("        r = t")
 
-    def emit_mem_preamble(u):
-        L.append(f"    if len(out_{u}) >= {entries}:")
-        L.append(f"        old = heappop(out_{u})")
+    def emit_mem_preamble(n):
+        L.append(f"    if len(out{n}) >= {entries}:")
+        L.append(f"        old = heappop(out{n})")
         L.append("        if old > r:")
-        L.append(f"            uw[{u}] = uw.get({u}, 0.0) + (old - r)")
+        L.append(f"            uw[u{n}] = uw.get(u{n}, 0.0) + (old - r)")
         L.append("            r = old")
 
     for ri, row in enumerate(plan.rows):
         tag = row[0]
+        nid = row[1]
         if tag == T_INIT:
-            L.append(f"    d{row[1]} = inject")
-            continue
-        nid, u = row[1], row[2]
-        if tag == T_OP:
+            L.append(f"    d{nid} = inject")
+        elif tag == T_OP:
             emit_ready(row)
-            _emit_issue(L, u)
+            _emit_issue(L, nid)
             L.append(f"    d{nid} = s + {float(row[4])!r}")
         elif tag == T_SCU:
             emit_ready(row)
-            L.append(f"    e = heappop(pool_{u})")
+            L.append(f"    e = heappop(pool{nid})")
             L.append("    if e > r:")
             L.append("        r = e")
-            _emit_issue(L, u)
-            L.append(f"    heappush(pool_{u}, s + {float(row[4])!r})")
+            _emit_issue(L, nid)
+            L.append(f"    heappush(pool{nid}, s + {float(row[4])!r})")
             L.append(f"    d{nid} = s + {float(row[4])!r}")
         elif tag in (T_LOAD, T_STORE):
             emit_ready(row)
-            emit_mem_preamble(u)
-            _emit_issue(L, u)
+            emit_mem_preamble(nid)
+            _emit_issue(L, nid)
             rw = "True" if tag == T_STORE else "False"
             L.append(f"    c = mem_access(float(s), a_{ri}[ti], {rw})")
-            L.append(f"    heappush(out_{u}, c)")
+            L.append(f"    heappush(out{nid}, c)")
             L.append(f"    d{nid} = c")
         elif tag == T_LVLOAD:
             if sgmf:
@@ -438,11 +455,11 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    d{nid} = inject if inject >= t else t")
             else:
                 emit_ready(row)
-                emit_mem_preamble(u)
-                _emit_issue(L, u)
+                emit_mem_preamble(nid)
+                _emit_issue(L, nid)
                 L.append(f"    c = lvc_access(float(s), {row[4]}, tid,"
-                         f" False, port={u})")
-                L.append(f"    heappush(out_{u}, c)")
+                         f" False, port=u{nid})")
+                L.append(f"    heappush(out{nid}, c)")
                 L.append(f"    d{nid} = c")
         elif tag == T_LVSTORE:
             if sgmf:
@@ -451,19 +468,19 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    rr[{row[6].out_reg!r}] = r")
             else:
                 emit_ready(row)
-                emit_mem_preamble(u)
-                _emit_issue(L, u)
+                emit_mem_preamble(nid)
+                _emit_issue(L, nid)
                 L.append(f"    c = lvc_access(float(s), {row[4]}, tid,"
-                         f" True, port={u})")
-                L.append(f"    heappush(out_{u}, c)")
+                         f" True, port=u{nid})")
+                L.append(f"    heappush(out{nid}, c)")
                 L.append(f"    d{nid} = c")
         elif tag == T_SJ:
             emit_ready(row)
-            _emit_issue(L, u)
+            _emit_issue(L, nid)
             L.append(f"    d{nid} = s + {float(row[4])!r}")
         else:  # T_TERM
             emit_ready(row)
-            _emit_issue(L, u)
+            _emit_issue(L, nid)
             L.append(f"    d{nid} = s + 1.0")
 
     sinks = plan.sinks
@@ -473,12 +490,25 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         L.append(f"        c = d{snk}")
     if sgmf:
         L.append(f"    return c, d{plan.term_nid}")
+        head = "rep, mem_access, tid, entry, ti, alists, rr"
+        L.insert(0, "    inject = entry")
     else:
         L.append("    return c")
-
-    ns = {"heappush": heapq.heappush, "heappop": heapq.heappop}
-    exec(compile("\n".join(L), f"<timing:{plan.block_name}>", "exec"), ns)
-    return ns["__timing"]
+        head = "rep, mem_access, lvc_access, tid, inject, ti, alists"
+    bound = "".join(f", {n}={n}" for n in names)
+    source = "\n".join(
+        [f"def __bind({', '.join(names)}):",
+         f"  def __timing({head}{bound}):"]
+        + ["  " + line for line in L]
+        + ["  return __timing"]
+    )
+    bind = binders.get(source)
+    if bind is None:
+        ns = {"heappush": heapq.heappush, "heappop": heapq.heappop}
+        filename = f"<timing:{plan.block_name}#{next(_timing_serial)}>"
+        exec(compile(source, filename, "exec"), ns)
+        bind = binders[source] = ns["__bind"]
+    return bind(*values)
 
 
 def _op_energy_class(node, op: Optional[Op]) -> str:
@@ -596,8 +626,12 @@ class MTCGRFExecutor:
         self.faults = faults
         self.fabric = fabric  # optional: names units in hang snapshots
         self.stats = FabricStats()
-        #: precompiled per-(block, replica) execution plans
+        #: execution plans by (block, replica), built the first time a
+        #: replica receives threads
         self._plans: Dict[Tuple[str, int], ExecPlan] = {}
+        #: compiled timing-walk binders by source text (one per block
+        #: shape; see :func:`compile_timing`)
+        self._timing_binders: Dict[str, Callable] = {}
         #: functional live-value matrix: (lv_id, tid) -> value
         self.lv_values: Dict[Tuple[int, int], Number] = {}
         #: watchdog diagnostics: the block/replicas being streamed now
@@ -653,7 +687,12 @@ class MTCGRFExecutor:
         outcomes: List[ThreadOutcome] = []
         end_time = start_time
         depth = self.config.token_buffer_depth
-        plans = [self._plan_for(cb, ridx) for ridx in range(n_replicas)]
+        # The BBS hands out whole 64-thread batch packets to the
+        # replicas' initiator CVUs (paper section 3.2), so replicas see
+        # runs of consecutive thread IDs, not an interleave, and only
+        # the first ceil(n / 64) replicas receive any thread.
+        n_running = max(1, min(n_replicas, -(-len(thread_ids) // 64)))
+        plans = [self._plan_for(cb, ridx) for ridx in range(n_running)]
         hop_total = 0
 
         # Functional pass: evaluate every plan row across the whole
@@ -679,12 +718,11 @@ class MTCGRFExecutor:
             nb = batch["next"]
             for plan in plans:
                 if plan.timing_fn is None:
-                    plan.timing_fn = compile_timing(plan, entries, scu_n)
+                    plan.timing_fn = compile_timing(
+                        plan, entries, scu_n, self._timing_binders
+                    )
 
         for i, tid in enumerate(thread_ids):
-            # The BBS hands out whole 64-thread batch packets to the
-            # replicas' initiator CVUs (paper section 3.2), so replicas
-            # see runs of consecutive thread IDs, not an interleave.
             ridx = (i // 64) % n_replicas
             rep = replicas[ridx]
             plan = plans[ridx]

@@ -1,6 +1,12 @@
 """Tests for the fabric model, place & route, replication, scheduling,
 and oversized-block partitioning."""
 
+import glob
+import hashlib
+import math
+import os
+import pickle
+
 import pytest
 
 from repro.arch import FabricSpec, UnitKind
@@ -178,3 +184,87 @@ def test_small_custom_fabric():
     )
     ck = compile_kernel(saxpy_kernel(), spec=spec)
     assert all(cb.n_replicas == 1 for cb in ck.blocks.values())
+
+
+def test_hop_table_is_half_manhattan_rounded_up():
+    small = FabricSpec(
+        width=4,
+        height=4,
+        counts={
+            UnitKind.COMPUTE: 4,
+            UnitKind.SPECIAL: 1,
+            UnitKind.LDST: 4,
+            UnitKind.LVU: 3,
+            UnitKind.SJU: 2,
+            UnitKind.CVU: 2,
+        },
+    )
+    for spec in (FabricSpec(), small):
+        fabric = Fabric(spec)
+        for a in fabric.units:
+            for b in fabric.units:
+                manhattan = abs(a.x - b.x) + abs(a.y - b.y)
+                want = max(1, math.ceil(manhattan / 2))
+                assert fabric.hop[a.uid][b.uid] == want
+                assert fabric.hops(a.uid, b.uid) == want
+
+
+def test_fabric_pickle_round_trip_keeps_hop_table():
+    fabric = Fabric(FabricSpec())
+    clone = pickle.loads(pickle.dumps(fabric))
+    assert "hop" not in fabric.__getstate__()
+    assert clone.hop == fabric.hop
+    assert clone.units == fabric.units
+
+
+#: SHA-256 of every placement below, recorded before the hop table and
+#: neighbour-list scoring replaced per-pair ``Fabric.hops`` calls: the
+#: rewrite must place every node on the same unit.
+PLACEMENT_SHA256 = (
+    "3f115ec31ec3a83fbca3f3e3c74f64ea06734a33971ff16255b4521fd57e325b"
+)
+
+
+def _placement_lines(tag, placed):
+    return (f"{tag} {sorted(placed.unit_of.items())} "
+            f"{sorted(placed.edge_hops.items())}")
+
+
+def test_placements_are_pinned():
+    """VGIW replicas of every block and SGMF replicas of every kernel
+    (or its unmappable message), over all registry kernels at ``small``
+    and the fuzz corpus, optimized unrolled and rolled."""
+    from repro.compiler.optimize import optimize_kernel
+    from repro.fuzz import load_corpus_case
+    from repro.kernels.registry import all_names, make_workload
+    from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
+
+    cases = []
+    for name in all_names(include_extras=True):
+        w = make_workload(name, "small")
+        cases.append((name, w.kernel, w.params))
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    for path in sorted(glob.glob(os.path.join(corpus, "*.kir"))):
+        case = load_corpus_case(path)
+        cases.append((case.name, case.kernel, case.params))
+    assert len(cases) == 27
+
+    digest = hashlib.sha256()
+    for name, kernel, params in cases:
+        for unroll in (True, False):
+            k = optimize_kernel(kernel, params=params, unroll=unroll)
+            lines = [f"{name} unroll={unroll}"]
+            for bname, cb in compile_kernel(k).blocks.items():
+                for r, placed in enumerate(cb.placement.replicas):
+                    lines.append(_placement_lines(f"vgiw {bname} {r}", placed))
+            try:
+                mapping = map_kernel(k)
+            except SGMFUnmappableError as exc:
+                lines.append(f"sgmf unmappable {exc}")
+            else:
+                for r, blocks in enumerate(mapping.replicas):
+                    for bname, placed in blocks.items():
+                        lines.append(
+                            _placement_lines(f"sgmf {bname} {r}", placed))
+            digest.update("\n".join(lines).encode())
+    assert digest.hexdigest() == PLACEMENT_SHA256
