@@ -25,7 +25,6 @@ from repro.ir.vecops import (
     f2i_array,
     f64_batch,
     hazard_key,
-    scalar_exec_requested,
     stores_after_loads,
     vec_eval,
 )
@@ -442,13 +441,13 @@ class Interpreter:
     def run(self, n_threads: int) -> InterpResult:
         """Execute ``n_threads`` threads (TIDs 0..n-1).
 
-        By default threads at the same basic block are evaluated as one
-        numpy batch through :mod:`repro.ir.vecops`; results are
-        identical to the sequential walk, which remains the fallback
-        (and the forced path under ``REPRO_SCALAR_EXEC=1``) for
-        hazardous or erroneous kernels.
+        Threads at the same basic block are evaluated as one numpy batch
+        through :mod:`repro.ir.vecops`; results are identical to the
+        sequential :meth:`run_thread` walk, which remains the fallback
+        for hazardous or erroneous kernels and the oracle the batch is
+        tested against.
         """
-        if n_threads >= 4 and not scalar_exec_requested():
+        if n_threads >= 4:
             result = self._run_wave(n_threads)
             if result is not None:
                 return result

@@ -4,11 +4,11 @@ This module is the batch-execution twin of :data:`repro.ir.instr.EVAL`:
 for every non-memory opcode it provides a masked numpy array kernel that
 evaluates the instruction for a whole *batch* of lanes / tokens /
 threads at once, with results **bit-identical** to mapping the scalar
-``EVAL`` function over the batch.  The three timing simulators and the
-reference interpreter all evaluate through these kernels by default
-(``REPRO_SCALAR_EXEC=1`` restores the scalar path, which the
-differential fuzzer uses as the oracle that the two implementations
-agree — see ``docs/fuzzing.md``).
+``EVAL`` function over the batch.  The three timing simulators evaluate
+through these kernels only; the reference interpreter uses them for its
+thread waves and keeps the scalar ``EVAL`` walk (``run_thread``) as the
+oracle the differential fuzzer and the tests compare against (see
+``docs/fuzzing.md``).
 
 The semantics being vectorized are the *pinned edge-case semantics*
 table in ``src/repro/ir/instr.py``, rendered as the normative reference
@@ -37,7 +37,6 @@ Parity notes (each is covered by ``tests/test_vecops.py``):
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "f2i_array",
     "f64_batch",
     "hazard_key",
-    "scalar_exec_requested",
     "stores_after_loads",
     "to_int_operand",
     "vec_eval",
@@ -75,12 +73,6 @@ _LONGDOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
 
 _I64 = np.int64
 _F64 = np.float64
-
-
-def scalar_exec_requested() -> bool:
-    """True when ``REPRO_SCALAR_EXEC=1`` asks for the scalar execution
-    paths (the vectorized engines read this once per ``run()``)."""
-    return os.environ.get("REPRO_SCALAR_EXEC", "") == "1"
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +192,9 @@ def addr_batch(a, n: int, size: int) -> Optional[np.ndarray]:
     """Normalize an operand batch into validated int64 word addresses
     for a ``size``-word memory.  Returns ``None`` whenever the batch
     cannot be proven safe (non-finite floats, values outside int64,
-    out-of-bounds, mixed types) — callers fall back to their scalar
-    walk, whose per-element ``int()`` + bounds check raises the exact
-    errors in the exact order."""
+    out-of-bounds, mixed types) — callers fall back to a per-thread
+    (or per-lane) evaluation, whose ``int()`` + bounds check raises the
+    exact errors in the exact order."""
     if isinstance(a, np.ndarray):
         k = a.dtype.kind
         if k == "b":
@@ -267,17 +259,17 @@ def stores_after_loads(
 
     The batched engines evaluate every thread's loads against the
     *initial* memory image and buffer every store.  That reproduces the
-    scalar thread-major walk exactly iff, for every address that is both
-    loaded and stored within the batch, **every load of it precedes
-    every store of it** in thread-major order — then the scalar walk's
-    loads would have observed the initial image too, and last-wins
+    sequential thread-major walk exactly iff, for every address that is
+    both loaded and stored within the batch, **every load of it precedes
+    every store of it** in thread-major order — then the sequential
+    walk's loads would have observed the initial image too, and last-wins
     commit reproduces the final image.  The classic private
     read-modify-write (``w[i] = w[i] + d``: load before store, same
     thread) passes; a flat address-set disjointness test would not.
 
     ``load_a``/``store_a`` are word addresses; ``load_k``/``store_k``
     are the matching :func:`hazard_key` values.  Returns ``True`` when
-    the batch result is exactly the scalar result."""
+    the batch result is exactly the sequential result."""
     if not load_a.size or not store_a.size:
         return True
     hot = np.isin(store_a, load_a)

@@ -21,19 +21,8 @@ import numpy as np
 
 from repro.arch.config import SGMFConfig
 from repro.engine import EngineRunResult
-from repro.ir.instr import TermKind, coerce_i64
 from repro.ir.kernel import Kernel
-from repro.ir.vecops import (
-    addr_batch,
-    as_value_array,
-    f2i_array,
-    f64_batch,
-    hazard_key,
-    scalar_exec_requested,
-    stores_after_loads,
-    vec_eval,
-    vec_eval_raw,
-)
+from repro.ir.vecops import as_value_array, hazard_key, stores_after_loads
 from repro.ir.types import DType
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
@@ -49,19 +38,14 @@ from repro.resilience.watchdog import (
 )
 from repro.sgmf.mapping import SGMFMapping, SGMFUnmappableError, map_kernel
 from repro.vgiw.mtcgrf import (
-    T_INIT,
-    T_LOAD,
-    T_LVLOAD,
-    T_LVSTORE,
-    T_OP,
-    T_SCU,
-    T_SJ,
-    T_STORE,
     ExecPlan,
     FabricStats,
+    Trail,
     _ReplicaState,
     build_exec_plan,
-    compile_timing,
+    eval_rows,
+    timing_walk,
+    visit_sequentially,
 )
 
 Number = Union[int, float, bool]
@@ -183,7 +167,7 @@ class SGMFCore:
         self._faults = faults
 
         n_replicas = mapping.n_replicas
-        reps = [_ReplicaState(config) for _ in range(n_replicas)]
+        reps = [_ReplicaState() for _ in range(n_replicas)]
         plans, waste_units = self._build_plans(mapping, params, config)
         # Compiled timing-walk binders by source text, shared by the
         # replicas and equal blocks of this run.
@@ -208,16 +192,28 @@ class SGMFCore:
             return snap
 
         # Batched execution: one vectorized functional pass over all
-        # threads, then per-thread timing replays with stores committed
-        # at each thread boundary (so a hang leaves the scalar path's
-        # memory state behind).
+        # threads, then per-thread timing walks with stores committed at
+        # each thread boundary (so a hang leaves the memory state of a
+        # thread-by-thread walk behind).  ``None`` (and armed faults,
+        # whose hooks fire in sequential order) means thread-major order.
         batch = None
-        if (faults is None and n_threads >= 4
-                and not scalar_exec_requested()):
+        if faults is None:
+            visit_limit = max_block_visits
+            if wd.armed and wd.config.max_cycles is not None:
+                # A visit advances a thread's clock by at least 2 cycles
+                # and the walk checks the watchdog every 256 visits, so
+                # a thread past this many visits trips it: stop the
+                # wave there and let the thread-major walk raise.
+                visit_limit = min(
+                    visit_limit, int(wd.config.max_cycles // 2) + 257
+                )
             batch = self._functional_waves(
-                kernel, plans[0], n_threads, memory, max_block_visits
+                kernel, plans[0], n_threads, memory, visit_limit
             )
-        if batch is not None:
+        if batch is None:
+            regs: Dict[str, np.ndarray] = {}
+            defined: Dict[str, np.ndarray] = {}
+        else:
             st_a, st_v, bounds = (
                 batch["st_a"], batch["st_v"], batch["bounds"]
             )
@@ -236,19 +232,21 @@ class SGMFCore:
                     inject = bound
             rep.inject_times.append(inject)
             if batch is None:
-                completion = self._run_thread(
-                    kernel, plans[ridx], waste_units[ridx], rep, i, inject,
-                    memory, memsys, stats, max_block_visits, wd, snapshot,
+                visit = self._thread_visits(
+                    rep, i, memory, memsys, regs, defined, n_threads,
+                    timing_binders,
                 )
             else:
-                completion = self._run_thread_timing(
-                    plans[ridx], waste_units[ridx], rep, i, inject,
-                    paths[i], memsys, stats, wd, snapshot, timing_binders,
-                )
-                if bounds is not None:
-                    lo, hi = bounds[i], bounds[i + 1]
-                    if hi > lo:
-                        mdata[st_a[lo:hi]] = st_v[lo:hi]
+                visit = self._replay(rep, i, paths[i], memsys,
+                                     timing_binders)
+            completion = self._walk_thread(
+                kernel, plans[ridx], waste_units[ridx], rep, i, inject,
+                visit, stats, wd, snapshot, max_block_visits,
+            )
+            if batch is not None and bounds is not None:
+                lo, hi = bounds[i], bounds[i + 1]
+                if hi > lo:
+                    mdata[st_a[lo:hi]] = st_v[lo:hi]
             rep.next_inject = inject + 1.0
             rep.window.append(completion)
             end_time = max(end_time, completion)
@@ -313,30 +311,28 @@ class SGMFCore:
         plans: Dict[str, ExecPlan],
         n_threads: int,
         memory: MemoryImage,
-        max_block_visits: int,
+        visit_limit: int,
     ):
         """Evaluate every thread's whole-kernel walk as vectorized waves.
 
-        Threads sharing a basic block evaluate each plan row as one
-        :func:`repro.ir.vecops.vec_eval` batch; live values are wires —
-        full-length per-register arrays indexed by tid.  Per-thread
-        block paths and per-row address lists are recorded for the
-        timing replay.  Returns ``None`` whenever the batch cannot
-        reproduce the scalar thread-major semantics exactly — a stored
+        Threads sharing a basic block evaluate its rows as one
+        :func:`repro.vgiw.mtcgrf.eval_rows` batch; live values are wires
+        — full-length per-register arrays indexed by tid.  Each thread's
+        visits (address lists, batch slot, successor) are recorded for
+        the timing walks.  Returns ``None`` whenever the waves cannot
+        reproduce the thread-major sequential walk exactly — a stored
         address is loaded by an earlier-or-equal ``(tid, program
         position)`` (checked by :func:`stores_after_loads`, so private
-        read-modify-writes stay on the batch path), a wire is read
-        before any thread wrote it, an address is invalid, or a thread
-        exceeds the visit bound — and the scalar walk reruns from
+        read-modify-writes stay batched), a wire is read before the
+        thread wrote it, an address is invalid, or a thread exceeds
+        ``visit_limit`` — and the threads rerun one by one from
         untouched state (no writes happen before the bail-out).
 
         Buffered stores commit per thread in ``(tid, program order)``
         via one lexsort; ``bounds[t] : bounds[t+1]`` slices thread
-        ``t``'s writes so :meth:`run` applies them at the exact
-        thread boundary the scalar path would have.
+        ``t``'s writes so :meth:`run` applies them at the exact thread
+        boundary of a thread-by-thread walk.
         """
-        data = memory.data
-        size = memory.size
         regs: Dict[str, np.ndarray] = {}
         defined: Dict[str, np.ndarray] = {}
         visits = np.zeros(n_threads, np.int64)
@@ -347,141 +343,53 @@ class SGMFCore:
         frontier: Dict[str, np.ndarray] = {
             kernel.entry: np.arange(n_threads, dtype=np.int64)
         }
-        try:
-            while frontier:
-                name, wave = frontier.popitem()
-                plan = plans[name]
-                visits[wave] += 1
-                if int(visits[wave].max()) > max_block_visits:
-                    return None
-                n = wave.shape[0]
-                rec: Dict[int, List[int]] = {}
-                for j, t in enumerate(wave.tolist()):
-                    paths[t].append((name, rec, j))
-                value: List[object] = [None] * plan.n_nodes
-                next_name = None
-                taken = None
-                for ri, row in enumerate(plan.rows):
-                    tag = row[0]
-                    if tag == T_INIT:
-                        value[row[1]] = wave
-                    elif tag == T_OP or tag == T_SCU:
-                        args = []
-                        for m, p in row[6]:
-                            v = (p if m == 0
-                                 else value[p] if m == 1 else wave)
-                            if v is None and m == 1:
-                                return None
-                            args.append(v)
-                        dt = row[7]
-                        if dt == 0:
-                            value[row[1]] = vec_eval_raw(
-                                row[8], tuple(args), n
-                            )
-                        else:
-                            value[row[1]] = vec_eval(
-                                row[8], tuple(args), dt, n
-                            )
-                    elif tag == T_LVLOAD:
-                        reg = row[5].out_reg
-                        d = defined.get(reg)
-                        if d is None or not d[wave].all():
-                            return None
-                        value[row[1]] = regs[reg][wave]
-                    elif tag == T_LVSTORE:
-                        m, p = row[5]
-                        v = p if m == 0 else value[p] if m == 1 else wave
-                        if v is None and m == 1:
-                            return None
-                        self._lv_write(
-                            regs, defined, row[6].out_reg, wave, v,
-                            n_threads, n,
-                        )
-                    elif tag == T_LOAD:
-                        m, p = row[4]
-                        a = p if m == 0 else value[p] if m == 1 else wave
-                        if a is None and m == 1:
-                            return None
-                        addrs = addr_batch(a, n, size)
-                        if addrs is None:
-                            return None
-                        rec[ri] = addrs.tolist()
-                        seq += 1
-                        load_log.append((wave, addrs, seq))
-                        raw = data[addrs]
-                        value[row[1]] = f2i_array(raw) if row[5] else raw
-                    elif tag == T_STORE:
-                        m, p = row[4]
-                        a = p if m == 0 else value[p] if m == 1 else wave
-                        if a is None and m == 1:
-                            return None
-                        addrs = addr_batch(a, n, size)
-                        if addrs is None:
-                            return None
-                        rec[ri] = addrs.tolist()
-                        m, p = row[5]
-                        v = p if m == 0 else value[p] if m == 1 else wave
-                        if v is None and m == 1:
-                            return None
-                        fvals = f64_batch(v, n)
-                        if fvals is None:
-                            return None
-                        seq += 1
-                        store_log.append((wave, addrs, fvals, seq))
-                    elif tag == T_SJ:
-                        if row[5] is not None:
-                            m, p = row[5]
-                            v = (p if m == 0
-                                 else value[p] if m == 1 else wave)
-                            if v is None and m == 1:
-                                return None
-                            value[row[1]] = v
-                    else:  # T_TERM
-                        kind = plan.term_kind
-                        if kind is TermKind.RET:
-                            next_name = None
-                        elif kind is TermKind.JMP:
-                            next_name = plan.true_target
-                        else:
-                            m, p = row[4]
-                            c = (p if m == 0
-                                 else value[p] if m == 1 else wave)
-                            if c is None and m == 1:
-                                return None
-                            if isinstance(c, np.ndarray):
-                                if c.dtype.kind == "O":
-                                    taken = np.array(
-                                        [bool(x) for x in c.tolist()],
-                                        bool,
-                                    )
-                                else:
-                                    taken = c != 0
-                            else:
-                                next_name = (
-                                    plan.true_target if c
-                                    else plan.false_target
-                                )
+        while frontier:
+            name, wave = frontier.popitem()
+            plan = plans[name]
+            visits[wave] += 1
+            if int(visits[wave].max()) > visit_limit:
+                return None
+            n = wave.shape[0]
 
-                if taken is not None:
-                    for target, sub in (
-                        (plan.true_target, wave[taken]),
-                        (plan.false_target, wave[~taken]),
-                    ):
-                        if not sub.shape[0]:
-                            continue
-                        prev = frontier.get(target)
-                        frontier[target] = (
-                            sub if prev is None
-                            else np.concatenate([prev, sub])
-                        )
-                elif next_name is not None:
-                    prev = frontier.get(next_name)
-                    frontier[next_name] = (
-                        wave if prev is None
-                        else np.concatenate([prev, wave])
-                    )
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            return None
+            def lv_load(row):
+                d = defined.get(row[5].out_reg)
+                if d is None or not d[wave].all():
+                    return None
+                return regs[row[5].out_reg][wave]
+
+            def lv_store(row, v):
+                self._lv_write(regs, defined, row[6].out_reg, wave, v,
+                               n_threads, n)
+
+            rec = Trail()
+            out = eval_rows(plan, wave, memory, rec, lv_load, lv_store)
+            if out is None:
+                return None
+            mem_log, term = out
+            for _, addrs, fvals in mem_log:
+                seq += 1
+                if fvals is None:
+                    load_log.append((wave, addrs, seq))
+                else:
+                    store_log.append((wave, addrs, fvals, seq))
+
+            if isinstance(term, np.ndarray):
+                tt, ft = plan.true_target, plan.false_target
+                for j, (t, taken) in enumerate(
+                        zip(wave.tolist(), term.tolist())):
+                    paths[t].append((rec, j, tt if taken else ft))
+                parts = ((tt, wave[term]), (ft, wave[~term]))
+            else:
+                for j, t in enumerate(wave.tolist()):
+                    paths[t].append((rec, j, term))
+                parts = () if term is None else ((term, wave),)
+            for target, sub in parts:
+                if not sub.shape[0]:
+                    continue
+                prev = frontier.get(target)
+                frontier[target] = (
+                    sub if prev is None else np.concatenate([prev, sub])
+                )
 
         if store_log and load_log and not stores_after_loads(
             np.concatenate([a for _, a, _ in load_log]),
@@ -510,81 +418,62 @@ class SGMFCore:
         return {"paths": paths, "st_a": st_a, "st_v": st_v,
                 "bounds": bounds}
 
-    def _run_thread_timing(
-        self,
-        plans: Dict[str, ExecPlan],
-        waste_units: Dict[str, List[int]],
-        rep: _ReplicaState,
-        tid: int,
-        inject: float,
-        path: List,
-        memsys: MemorySystem,
-        stats: FabricStats,
-        wd: ForwardProgressWatchdog,
-        snapshot,
-        timing_binders: Dict[str, Callable],
-    ) -> float:
-        """Replay one batched thread's walk for timing only.
-
-        Walks the recorded block path with the compiled straight-line
-        timing functions (:func:`repro.vgiw.mtcgrf.compile_timing`,
-        SGMF flavour): same unit / memory request sequence, same
-        arithmetic, bit-identical cycles.  The waste-fire pass at the
-        end is the scalar walk's, verbatim.
-        """
+    def _replay(self, rep: _ReplicaState, tid: int, path: List,
+                memsys: MemorySystem, timing_binders: Dict[str, Callable]):
+        """The visit function of a batched thread: its recorded visits,
+        timing only."""
         config = self.config
-        entries = config.ldst_reservation_entries
-        scu_n = config.scu_instances
         mem_access = memsys.access_word
-        ops = stats.ops
-        rr: Dict[str, float] = {}
-        visited = set()
-        completion = inject
-        entry_time = inject
-        visits = 0
+        steps = iter(path)
 
-        for name, rec, j in path:
-            visits += 1
-            if not visits % 256:
-                wd.check(entry_time, snapshot)
-            visited.add(name)
-            plan = plans[name]
-            fn = plan.timing_fn
-            if fn is None:
-                fn = plan.timing_fn = compile_timing(
-                    plan, entries, scu_n, timing_binders, sgmf=True
-                )
-            block_completion, term_done = fn(
+        def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
+            rec, j, next_block = next(steps)
+            walk = timing_walk(plan, config, timing_binders, sgmf=True)
+            completion, term_done = walk(
                 rep, mem_access, tid, entry_time, j, rec, rr
             )
-            n = plan.n_nodes
-            stats.node_fires += n
-            stats.tokens += n
-            stats.token_hops += plan.total_hops
-            for cls, count in plan.ops_counts.items():
-                ops[cls] += count
-            if block_completion > completion:
-                completion = block_completion
-            entry_time = term_done + 1.0
+            return completion, term_done, next_block
 
-        issue = rep.issue
-        waste_time = inject + 0.5 * (completion - inject)
-        for name, plan in plans.items():
-            if name in visited:
-                continue
-            n = plan.n_nodes
-            stats.node_fires += n
-            stats.tokens += n
-            self._waste_fires += n
-            for cls, count in plan.ops_counts.items():
-                ops[cls] += count
-            for uid in waste_units[name]:
-                issue(uid, waste_time)
+        return visit
 
-        return completion
+    def _thread_visits(self, rep: _ReplicaState, tid: int,
+                       memory: MemoryImage, memsys: MemorySystem,
+                       regs: Dict[str, np.ndarray],
+                       defined: Dict[str, np.ndarray], n_threads: int,
+                       timing_binders: Dict[str, Callable]):
+        """The visit function of a thread-major thread: each visit runs
+        :func:`repro.vgiw.mtcgrf.visit_sequentially`, with the wires
+        kept in the per-register thread arrays (a wire the thread never
+        wrote raises the ``KeyError`` of a per-thread register map)."""
+        config = self.config
+        faults = self._faults
+        mem_access = memsys.access_word
+        wave = np.array([tid], np.int64)
 
-    # ------------------------------------------------------------------
-    def _run_thread(
+        def lv_load(row):
+            reg = row[5].out_reg
+            d = defined.get(reg)
+            if d is None or not d[tid]:
+                raise KeyError(reg)
+            return regs[reg][wave]
+
+        def lv_store(row, v):
+            self._lv_write(regs, defined, row[6].out_reg, wave, v,
+                           n_threads, 1)
+
+        def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
+            rec = Trail()
+            (completion, term_done), next_block = visit_sequentially(
+                plan, tid, memory, rec, [], lv_load, lv_store, faults,
+                config, timing_binders, True,
+                lambda walk, *cyc: walk(rep, mem_access, tid, entry_time,
+                                        0, rec, rr, *cyc),
+            )
+            return completion, term_done, next_block
+
+        return visit
+
+    def _walk_thread(
         self,
         kernel: Kernel,
         plans: Dict[str, ExecPlan],
@@ -592,37 +481,24 @@ class SGMFCore:
         rep: _ReplicaState,
         tid: int,
         inject: float,
-        memory: MemoryImage,
-        memsys: MemorySystem,
+        visit,
         stats: FabricStats,
+        wd: ForwardProgressWatchdog,
+        snapshot,
         max_block_visits: int,
-        wd: Optional[ForwardProgressWatchdog] = None,
-        snapshot=None,
     ) -> float:
-        """Walk one thread through the precompiled whole-kernel graph.
+        """Walk one thread through the whole-kernel graph.
 
-        Interprets :class:`~repro.vgiw.mtcgrf.ExecPlan` rows (shared
-        with the VGIW fabric model) with the SGMF semantics for live
-        values: LVLOAD/LVSTORE are direct wires between block subgraphs
-        — no LVC unit issue, a fixed one-cycle wire hop on the load
-        side.  Cycle counts are bit-identical to the historical direct
-        DFG walk.
+        ``visit(plan, entry_time, regs_ready)`` runs one block visit and
+        returns ``(completion, term_done, next_block)``: a batched
+        thread's recorded visit (:meth:`_replay`) or a thread-major one
+        (:meth:`_thread_visits`).  Live values are SGMF wires: no LVC
+        unit issue, a fixed one-cycle hop on the load side.  Threads
+        also pump one predicated token through every block they never
+        visit (the waste pass at the end).
         """
-        faults = self._faults
-        config = self.config
-        # Hoisted hot-loop locals (attribute lookups cost on this path).
-        issue = rep.issue
-        issue_mem = rep.issue_mem
-        issue_scu = rep.issue_scu
-        retire_mem = rep.retire_mem
-        entries = config.ldst_reservation_entries
-        mem_access = memsys.access_word
-        mem_read = memory.read
-        mem_write = memory.write
         ops = stats.ops
-
-        regs_ready: Dict[str, float] = {}
-        reg_vals: Dict[str, Number] = {}
+        rr: Dict[str, float] = {}
         visited = set()
         completion = inject
         entry_time = inject
@@ -635,130 +511,30 @@ class SGMFCore:
                 raise SimulationHangError(
                     f"SGMF thread {tid} exceeded {max_block_visits} "
                     f"block visits",
-                    snapshot=None if snapshot is None else snapshot(entry_time),
+                    snapshot=snapshot(entry_time),
                     kernel=kernel.name,
                     block=current,
                     thread=tid,
                     visits=visits,
                 )
-            if wd is not None and not visits % 256:
+            if not visits % 256:
                 # Periodic budget check inside a (possibly unbounded)
                 # per-thread control-flow walk.
                 wd.check(entry_time, snapshot)
             visited.add(current)
             plan = plans[current]
+            block_completion, term_done, current = visit(
+                plan, entry_time, rr
+            )
             n = plan.n_nodes
-            done: List[float] = [0.0] * n
-            value: List[Optional[Number]] = [None] * n
-
-            next_block: Optional[str] = None
-            for row in plan.rows:
-                tag = row[0]
-                nid = row[1]
-                if tag == T_INIT:
-                    done[nid] = entry_time
-                    value[nid] = tid
-                    continue
-                ready = entry_time
-                for up, hop in row[3]:
-                    t = done[up] + hop
-                    if t > ready:
-                        ready = t
-                if tag == T_OP or tag == T_SCU:
-                    latency = row[4]
-                    if tag == T_SCU:
-                        start = issue_scu(row[2], ready, latency)
-                    else:
-                        start = issue(row[2], ready)
-                    done[nid] = start + latency
-                    args = [
-                        p if m == 0 else value[p] if m == 1 else tid
-                        for m, p in row[6]
-                    ]
-                    result = row[5](*args)
-                    dt = row[7]
-                    if dt == 1:
-                        result = coerce_i64(result)
-                    elif dt == 2:
-                        result = float(result)
-                    if faults is not None:
-                        result = faults.corrupt_token(
-                            current, row[2], tid, start, result
-                        )
-                    value[nid] = result
-                elif tag == T_LVLOAD:
-                    # Wired live value: arrives from the producing block.
-                    reg = row[5].out_reg
-                    t = regs_ready[reg] + 1
-                    done[nid] = entry_time if entry_time >= t else t
-                    value[nid] = reg_vals[reg]
-                elif tag == T_LVSTORE:
-                    reg = row[6].out_reg
-                    done[nid] = ready
-                    regs_ready[reg] = ready
-                    m, p = row[5]
-                    reg_vals[reg] = (
-                        p if m == 0 else value[p] if m == 1 else tid
-                    )
-                elif tag == T_LOAD:
-                    m, p = row[4]
-                    addr = int(p if m == 0 else value[p] if m == 1 else tid)
-                    start = issue_mem(row[2], ready, entries)
-                    fin = mem_access(start, addr, False)
-                    retire_mem(row[2], fin)
-                    done[nid] = fin
-                    raw = mem_read(addr)
-                    value[nid] = coerce_i64(raw) if row[5] else raw
-                elif tag == T_STORE:
-                    m, p = row[4]
-                    addr = int(p if m == 0 else value[p] if m == 1 else tid)
-                    start = issue_mem(row[2], ready, entries)
-                    fin = mem_access(start, addr, True)
-                    retire_mem(row[2], fin)
-                    done[nid] = fin
-                    m, p = row[5]
-                    mem_write(
-                        addr, p if m == 0 else value[p] if m == 1 else tid
-                    )
-                elif tag == T_SJ:
-                    start = issue(row[2], ready)
-                    done[nid] = start + row[4]
-                    passthrough = row[5]
-                    if passthrough is not None:
-                        m, p = passthrough
-                        value[nid] = (
-                            p if m == 0 else value[p] if m == 1 else tid
-                        )
-                else:  # T_TERM
-                    start = issue(row[2], ready)
-                    done[nid] = start + 1.0
-                    term_kind = plan.term_kind
-                    if term_kind is TermKind.RET:
-                        next_block = None
-                    elif term_kind is TermKind.JMP:
-                        next_block = plan.true_target
-                    else:
-                        m, p = row[4]
-                        taken = bool(
-                            p if m == 0 else value[p] if m == 1 else tid
-                        )
-                        next_block = (
-                            plan.true_target if taken
-                            else plan.false_target
-                        )
-
-            # Per-visit statistics, batched (O(op classes), not O(nodes)).
             stats.node_fires += n
             stats.tokens += n
             stats.token_hops += plan.total_hops
             for cls, count in plan.ops_counts.items():
                 ops[cls] += count
-
-            block_completion = max(done[s] for s in plan.sinks)
             if block_completion > completion:
                 completion = block_completion
-            entry_time = done[plan.term_nid] + 1.0
-            current = next_block
+            entry_time = term_done + 1.0
 
         # Predicated pass-through: one useless token through every node
         # of every block this thread never reached (paper Figure 1c).
@@ -766,6 +542,7 @@ class SGMFCore:
         # for unit slots around the thread's mid-execution — charging
         # them at injection time would let them backfill long-idle
         # cycles and understate the utilisation loss.
+        issue = rep.issue
         waste_time = inject + 0.5 * (completion - inject)
         for name, plan in plans.items():
             if name in visited:

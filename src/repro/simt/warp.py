@@ -7,12 +7,11 @@ numpy arrays and each instruction evaluates as one masked batch through
 :data:`repro.ir.instr.EVAL` semantics shared with the interpreter and
 the MT-CGRF executor — all machines stay functionally identical.
 
-The per-lane scalar walk is retained as ``_exec_prepared_scalar``: it is
-the forced path under ``REPRO_SCALAR_EXEC=1`` (the differential fuzzer's
-oracle mode) and the fallback the vector path drops into whenever it
-cannot reproduce exact scalar behavior (undefined registers, invalid or
-out-of-bounds addresses, mixed-type lanes), so error messages and error
-ordering are preserved.
+The per-lane walk ``_exec_prepared_scalar`` is the error path: the
+vector path drops into it for lanes it cannot represent (undefined
+registers, invalid or out-of-bounds addresses, mixed-type address or
+value lanes), so error messages and error ordering stay those of a
+lane-by-lane walk.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.ir.vecops import (
     addr_batch,
     f2i_array,
     f64_batch,
-    scalar_exec_requested,
     vec_eval,
 )
 from repro.memory.image import MemoryImage
@@ -50,6 +48,13 @@ _LANES_CACHE_CAP = 1 << 16
 #: mask -> int64 index array of active lanes (the vector path's gather
 #: and scatter index), memoised alongside the tuple cache.
 _LANES_IDX_CACHE: Dict[int, np.ndarray] = {}
+
+
+def _lane_value(arr: np.ndarray, lane: int) -> Number:
+    """One lane of a register as a Python scalar (an ``object`` register
+    of mixed-type lanes already holds Python scalars)."""
+    v = arr[lane]
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _lanes_tuple(mask: int) -> tuple:
@@ -136,7 +141,6 @@ class Warp:
         self._vregs: Dict[str, np.ndarray] = {}
         self._tids = np.arange(base_tid, base_tid + n_lanes, dtype=np.int64)
         self._full_mask = (1 << n_lanes) - 1
-        self._scalar = scalar_exec_requested()
 
     @property
     def _regs(self) -> Dict[str, List[Number]]:
@@ -152,7 +156,7 @@ class Warp:
             return self.base_tid + lane
         if is_param_reg(operand):
             return self.params[operand.name[len(PARAM_PREFIX):]]
-        return self._vregs[operand.name][lane].item()
+        return _lane_value(self._vregs[operand.name], lane)
 
     def _write_lane(self, reg: str, lane: int, value: Number) -> None:
         """Scalar-path register write with dtype promotion (a lane value
@@ -199,7 +203,7 @@ class Warp:
         """Fetch one prepared operand for the vector path: an active-lane
         slice of a register array, a constant, or the lane tids.
         ``None`` means the register is undefined (fall back to the
-        scalar walk, which raises the exact ``KeyError``)."""
+        per-lane walk, which raises the exact ``KeyError``)."""
         if mode == _SRC_REG:
             arr = self._vregs.get(payload)
             if arr is None:
@@ -231,13 +235,10 @@ class Warp:
     def exec_prepared(self, prep, mask: int) -> List[LaneMemOp]:
         """Execute one :func:`prepare_instr` row on all lanes in ``mask``.
 
-        The default path evaluates the whole active-lane batch with one
+        The whole active-lane batch evaluates with one
         :func:`repro.ir.vecops.vec_eval` call; results are identical to
-        the per-lane walk, which handles the exceptional cases (and all
-        execution under ``REPRO_SCALAR_EXEC=1``).
+        the per-lane walk, which handles the exceptional cases.
         """
-        if self._scalar:
-            return self._exec_prepared_scalar(prep, mask)
         full = mask == self._full_mask
         lanes_idx = None if full else _lanes_index(mask)
         n = self.n_lanes if full else lanes_idx.shape[0]
@@ -298,7 +299,7 @@ class Warp:
             dst, dt = prep[3], prep[4]
             for lane in _lanes_tuple(mask):
                 args = [
-                    regs[p][lane].item() if m == _SRC_REG
+                    _lane_value(regs[p], lane) if m == _SRC_REG
                     else p if m == _SRC_CONST else base + lane
                     for m, p in srcs
                 ]
@@ -310,7 +311,7 @@ class Warp:
             _, (am, ap), dst, dt = prep
             mem_read = self.memory.read
             for lane in _lanes_tuple(mask):
-                addr = int(regs[ap][lane].item() if am == _SRC_REG
+                addr = int(_lane_value(regs[ap], lane) if am == _SRC_REG
                            else ap if am == _SRC_CONST else base + lane)
                 v = mem_read(addr)
                 self._write_lane(dst, lane,
@@ -321,10 +322,10 @@ class Warp:
             _, (am, ap), (vm, vp) = prep
             mem_write = self.memory.write
             for lane in _lanes_tuple(mask):
-                addr = int(regs[ap][lane].item() if am == _SRC_REG
+                addr = int(_lane_value(regs[ap], lane) if am == _SRC_REG
                            else ap if am == _SRC_CONST else base + lane)
                 mem_write(addr,
-                          regs[vp][lane].item() if vm == _SRC_REG
+                          _lane_value(regs[vp], lane) if vm == _SRC_REG
                           else vp if vm == _SRC_CONST else base + lane)
                 mem_ops.append(LaneMemOp(lane, addr))
         return mem_ops
@@ -336,7 +337,7 @@ class Warp:
         if term.kind is TermKind.JMP:
             return {term.true_target: mask}
         cond = term.cond
-        if mask and not self._scalar and isinstance(cond, Reg) \
+        if mask and isinstance(cond, Reg) \
                 and not is_param_reg(cond) and cond != TID_REG:
             arr = self._vregs.get(cond.name)
             if arr is not None and arr.dtype.kind in "bif":

@@ -19,14 +19,22 @@ The model is event-ordered per thread over the placed graph:
 * results travel to consumer units over the switched interconnect at one
   cycle per hop, with hop counts from the placement.
 
-Functional values are computed alongside timing, so the executor is also
-an exact functional model (asserted against the interpreter in tests).
+Each block visit runs in two passes over one precompiled plan: a
+functional pass that evaluates every row across the thread vector
+(:func:`eval_rows`), then one compiled timing walk per thread
+(:func:`compile_timing`).  A vector the batch cannot reproduce exactly
+(a thread reading another's or its own earlier store, an undefined live
+value, an invalid address) or one with faults armed runs thread-major:
+the same two passes, one thread at a time.  The executor is therefore
+also an exact functional model (asserted against the interpreter in
+tests).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -43,14 +51,13 @@ from repro.compiler.dfg import (
 from repro.compiler.pipeline import CompiledBlock
 import numpy as np
 
-from repro.ir.instr import EVAL, Op, TermKind, coerce_i64
+from repro.ir.instr import Op, TermKind
 from repro.ir.vecops import (
     addr_batch,
     as_value_array,
     f2i_array,
     f64_batch,
     hazard_key,
-    scalar_exec_requested,
     stores_after_loads,
     vec_eval,
     vec_eval_raw,
@@ -137,20 +144,19 @@ _FLOAT_OPS_PREFIX = "f"
 # ----------------------------------------------------------------------
 # Precompiled execution plans
 # ----------------------------------------------------------------------
-# The per-thread walk over a block's dataflow graph is the hottest loop
-# in the repository (it runs once per node per thread).  Everything
-# about a node that does not depend on the thread — its placed unit,
-# routed hop distances, operation latency, semantics function, energy
-# class, and the resolution of its operand sources (immediates and
-# kernel parameters are configuration-time constants, paper §3.5) — is
-# therefore *precompiled* once per block replica that receives threads
-# into an :class:`ExecPlan` of flat tuples, and the inner loop
-# dispatches on an integer tag.  Cycle counts are bit-identical to the
-# direct walk (the same floating-point max/issue sequence in the same
-# order); only the host-side Python overhead changes.
-# ``docs/performance.md`` has the measurements.
+# A block visit runs in two passes: a functional pass that evaluates
+# the block's dataflow graph across the thread vector (:func:`eval_rows`)
+# and a per-thread timing walk (:func:`compile_timing`), the hottest
+# loop in the repository.  Everything about a node that does not depend
+# on the thread — its placed unit, routed hop distances, operation
+# latency, energy class, and the resolution of its operand sources
+# (immediates and kernel parameters are configuration-time constants,
+# paper §3.5) — is therefore *precompiled* once per block replica that
+# receives threads into an :class:`ExecPlan` of flat tuples that both
+# passes dispatch on by integer tag.  ``docs/performance.md`` has the
+# measurements.
 
-#: row tags (``row[0]``) for the plan interpreter's dispatch
+#: row tags (``row[0]``) for the passes' dispatch
 T_INIT, T_LVLOAD, T_LVSTORE, T_LOAD, T_STORE, T_TERM, T_SJ, T_OP, T_SCU = (
     range(9)
 )
@@ -176,23 +182,24 @@ def resolve_src(src, params: Dict[str, Number]) -> Tuple[int, Number]:
 class ExecPlan:
     """A block's dataflow graph, precompiled for one replica placement.
 
-    ``rows`` drive the interpreter loop in
-    :meth:`MTCGRFExecutor._run_thread` (and its SGMF sibling);
-    ``n_nodes`` / ``total_hops`` / ``ops_counts`` let the per-node
-    statistics be accumulated in O(1) per thread instead of O(nodes).
+    ``rows`` drive the functional pass (:func:`eval_rows`) and the
+    generated timing walk (:func:`compile_timing`); ``n_nodes`` /
+    ``total_hops`` / ``ops_counts`` let the per-node statistics be
+    accumulated in O(1) per thread instead of O(nodes).
     """
 
     __slots__ = (
         "rows", "n_nodes", "total_hops", "ops_counts", "sinks",
         "block_name", "term_kind", "true_target", "false_target",
-        "term_nid", "timing_fn",
+        "term_nid", "timing_fn", "record_fn",
     )
 
     def __init__(self, rows, n_nodes, total_hops, ops_counts, sinks,
                  block_name, term_kind, true_target, false_target,
                  term_nid):
-        #: lazily compiled straight-line timing walk (vectorized mode)
+        #: compiled timing walks, built on first use (:func:`timing_walk`)
         self.timing_fn = None
+        self.record_fn = None
         self.rows = rows
         self.n_nodes = n_nodes
         self.total_hops = total_hops
@@ -276,7 +283,7 @@ def build_exec_plan(
                 else 2 if node.dtype is DType.FLOAT else 0
             )
             rows.append((
-                tag, nid, uid, inputs, latency, EVAL[node.op],
+                tag, nid, uid, inputs, latency,
                 tuple(resolve_src(s, params) for s in node.srcs), dt,
                 node.op,
             ))
@@ -295,27 +302,12 @@ def build_exec_plan(
 
 
 def _emit_issue(L, n: int) -> None:
-    """Emit the unit-calendar claim (``_ReplicaState.issue``) inline for
-    row ``n`` (unit ``u{n}``): the path-compressed ``claim_slot`` probe,
-    same ``unit_wait`` accounting, no call frame."""
-    L.append("    q = int(r)")
-    L.append("    if q != r:")
-    L.append("        q += 1")
-    L.append(f"    s = nf{n}.get(q)")
-    L.append("    if s is None:")
-    L.append(f"        nf{n}[q] = q + 1")
-    L.append("        s = q")
-    L.append("    else:")
-    L.append(f"        j = nf{n}.get(s)")
-    L.append("        while j is not None:")
-    L.append("            s = j")
-    L.append(f"            j = nf{n}.get(s)")
-    L.append(f"        nf{n}[s] = e = s + 1")
-    L.append("        p = q")
-    L.append("        while p != s:")
-    L.append(f"            pn = nf{n}[p]")
-    L.append(f"            nf{n}[p] = e")
-    L.append("            p = pn")
+    """Emit the unit-calendar claim (:meth:`_ReplicaState.issue`) for row
+    ``n`` (unit ``u{n}``): the first free issue cycle at or after the
+    ready time ``r``, with the same ``unit_wait`` accounting."""
+    L.append("    q = ceil(r)")
+    L.append(f"    s = claim(nf{n}, q)")
+    L.append("    if s != q:")
     L.append(f"        uw[u{n}] = uw.get(u{n}, 0.0) + (s - q)")
 
 
@@ -325,24 +317,24 @@ _timing_serial = itertools.count()
 
 
 def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
-                   binders: Dict[str, Callable], sgmf: bool = False):
+                   binders: Dict[str, Callable], sgmf: bool = False,
+                   record: bool = False, stop: Optional[int] = None):
     """The straight-line timing walk for one plan.
 
-    The vectorized engines split each block into a batched functional
-    pass and a per-thread timing replay; this compiles the replay into
-    one specialised Python function per block shape: rows are
-    unrolled, latencies are constant-folded, ``done`` times live in
-    locals, and the :meth:`_ReplicaState.issue` /
-    :meth:`_ReplicaState.issue_mem` / :meth:`_ReplicaState.issue_scu`
-    calendars are inlined with per-unit state hoisted into locals.
-    Each row's unit ID (``u{nid}``) and input hop counts
-    (``h{nid}_{k}``) are named locals bound as default arguments, so
-    the replicas of a block (and equal blocks) share one source text:
-    ``binders`` (one dict per run) maps it to the compiled binder, and
-    each further plan of that shape costs one call of it.  The
-    arithmetic is the interpreted walk's, in the same order, so cycle
-    counts stay bit-identical (asserted by the golden-cycle gate and
-    the differential fuzzer).
+    The engines split each block visit into a functional pass
+    (:func:`eval_rows`) and a per-thread timing walk; this compiles the
+    walk into one specialised Python function per block shape: rows
+    are unrolled, latencies are constant-folded, ``done`` times live in
+    locals, and the :meth:`_ReplicaState.issue` claim (one
+    :func:`claim_slot` call), the SCU instance pools and the
+    reservation buffers are emitted in line with per-unit state hoisted
+    into locals.  Each row's unit ID
+    (``u{nid}``) and input hop counts (``h{nid}_{k}``) are named locals
+    bound as default arguments, so the replicas of a block (and equal
+    blocks) share one source text: ``binders`` (one dict per run) maps
+    it to the compiled binder, and each further plan of that shape
+    costs one call of it.  Cycle counts are pinned by the golden-cycle
+    gate and the differential fuzzer.
 
     VGIW flavour (``sgmf=False``)::
 
@@ -356,14 +348,23 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     ``ti`` indexes this thread inside the batch; ``alists`` maps a
     memory row's index to its per-thread address list; ``rr`` is the
     SGMF thread's ``regs_ready`` wire-timing dict.
+
+    ``record=True`` (faults armed) appends a ``cyc`` dict argument that
+    receives, by node ID, the cycle a fault log entry carries: the issue
+    cycle of each OP/SCU row and the completion of each VGIW live-value
+    fetch.  ``stop`` (implies recording) walks only the first ``stop``
+    rows and returns ``None``: the rows a width-1 functional pass got
+    through before it raised.
     """
+    rows = plan.rows if stop is None else plan.rows[:stop]
+    record = record or stop is not None
     names = []  # bound locals, in binder-argument order
     values = []
     issue_rows = []  # (nid, unit ID)
     mem_rows = []  # (unit ID, nid)
     scu_rows = []
     addr_rows = []
-    for ri, row in enumerate(plan.rows):
+    for ri, row in enumerate(rows):
         tag = row[0]
         if tag == T_INIT or (sgmf and tag in (T_LVLOAD, T_LVSTORE)):
             continue
@@ -422,23 +423,23 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         L.append(f"            uw[u{n}] = uw.get(u{n}, 0.0) + (old - r)")
         L.append("            r = old")
 
-    for ri, row in enumerate(plan.rows):
+    for ri, row in enumerate(rows):
         tag = row[0]
         nid = row[1]
         if tag == T_INIT:
             L.append(f"    d{nid} = inject")
-        elif tag == T_OP:
+        elif tag == T_OP or tag == T_SCU:
             emit_ready(row)
+            if tag == T_SCU:
+                L.append(f"    e = heappop(pool{nid})")
+                L.append("    if e > r:")
+                L.append("        r = e")
             _emit_issue(L, nid)
+            if tag == T_SCU:
+                L.append(f"    heappush(pool{nid}, s + {float(row[4])!r})")
             L.append(f"    d{nid} = s + {float(row[4])!r}")
-        elif tag == T_SCU:
-            emit_ready(row)
-            L.append(f"    e = heappop(pool{nid})")
-            L.append("    if e > r:")
-            L.append("        r = e")
-            _emit_issue(L, nid)
-            L.append(f"    heappush(pool{nid}, s + {float(row[4])!r})")
-            L.append(f"    d{nid} = s + {float(row[4])!r}")
+            if record:
+                L.append(f"    cyc[{nid}] = float(s)")
         elif tag in (T_LOAD, T_STORE):
             emit_ready(row)
             emit_mem_preamble(nid)
@@ -449,8 +450,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append(f"    d{nid} = c")
         elif tag == T_LVLOAD:
             if sgmf:
-                # Wired live value: a one-cycle hop from the producer
-                # (the interpreted walk ignores ``ready`` here too).
+                # Wired live value: a one-cycle hop from the producer.
                 L.append(f"    t = rr[{row[5].out_reg!r}] + 1")
                 L.append(f"    d{nid} = inject if inject >= t else t")
             else:
@@ -461,6 +461,8 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                          f" False, port=u{nid})")
                 L.append(f"    heappush(out{nid}, c)")
                 L.append(f"    d{nid} = c")
+                if record:
+                    L.append(f"    cyc[{nid}] = c")
         elif tag == T_LVSTORE:
             if sgmf:
                 emit_ready(row)
@@ -483,18 +485,22 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             _emit_issue(L, nid)
             L.append(f"    d{nid} = s + 1.0")
 
-    sinks = plan.sinks
-    L.append(f"    c = d{sinks[0]}")
-    for snk in sinks[1:]:
-        L.append(f"    if d{snk} > c:")
-        L.append(f"        c = d{snk}")
+    if stop is not None:
+        L.append("    return None")
+    else:
+        sinks = plan.sinks
+        L.append(f"    c = d{sinks[0]}")
+        for snk in sinks[1:]:
+            L.append(f"    if d{snk} > c:")
+            L.append(f"        c = d{snk}")
+        L.append(f"    return c, d{plan.term_nid}" if sgmf else "    return c")
     if sgmf:
-        L.append(f"    return c, d{plan.term_nid}")
         head = "rep, mem_access, tid, entry, ti, alists, rr"
         L.insert(0, "    inject = entry")
     else:
-        L.append("    return c")
         head = "rep, mem_access, lvc_access, tid, inject, ti, alists"
+    if record:
+        head += ", cyc"
     bound = "".join(f", {n}={n}" for n in names)
     source = "\n".join(
         [f"def __bind({', '.join(names)}):",
@@ -504,11 +510,64 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     )
     bind = binders.get(source)
     if bind is None:
-        ns = {"heappush": heapq.heappush, "heappop": heapq.heappop}
+        ns = {"heappush": heapq.heappush, "heappop": heapq.heappop,
+              "ceil": math.ceil, "claim": claim_slot}
         filename = f"<timing:{plan.block_name}#{next(_timing_serial)}>"
         exec(compile(source, filename, "exec"), ns)
         bind = binders[source] = ns["__bind"]
     return bind(*values)
+
+
+def timing_walk(plan: ExecPlan, config, binders: Dict[str, Callable],
+                sgmf: bool = False, record: bool = False):
+    """``plan``'s compiled timing walk (the recording flavour when
+    ``record``), compiled on first use and kept on the plan."""
+    fn = plan.record_fn if record else plan.timing_fn
+    if fn is None:
+        fn = compile_timing(plan, config.ldst_reservation_entries,
+                            config.scu_instances, binders, sgmf, record)
+        if record:
+            plan.record_fn = fn
+        else:
+            plan.timing_fn = fn
+    return fn
+
+
+def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
+                       rec: Trail, stamps, lv_load, lv_store,
+                       faults: Optional[FaultInjector], config,
+                       binders: Dict[str, Callable], sgmf: bool, call):
+    """One thread's visit of one block in thread-major order: the
+    functional rows at width 1 (:func:`eval_rows`, ``sequential``), then
+    the thread's timing walk, run by ``call(walk, *cyc)`` with the
+    engine's arguments.  Returns the walk's result and the successor
+    block.
+
+    With faults armed the recording walk stamps each queued log entry
+    with its cycle.  When the functional pass raises, the rows the
+    thread got through (``rec.stop``) are still timed and stamped before
+    the error propagates, as in a walk that times each row as it goes.
+    """
+    cyc: Dict[int, float] = {}
+    try:
+        _, term = eval_rows(plan, np.array([tid], np.int64), memory, rec,
+                            lv_load, lv_store, True, faults, stamps)
+    except Exception:
+        call(compile_timing(plan, config.ldst_reservation_entries,
+                            config.scu_instances, binders, sgmf,
+                            stop=rec.stop), cyc)
+        for entry, nid in stamps:
+            entry.cycle = cyc[nid]
+        raise
+    if faults is None:
+        out = call(timing_walk(plan, config, binders, sgmf))
+    else:
+        out = call(timing_walk(plan, config, binders, sgmf, True), cyc)
+        for entry, nid in stamps:
+            entry.cycle = cyc[nid]
+    if isinstance(term, np.ndarray):
+        term = plan.true_target if term[0] else plan.false_target
+    return out, term
 
 
 def _op_energy_class(node, op: Optional[Op]) -> str:
@@ -540,11 +599,10 @@ class _ReplicaState:
     exactly what tagged-token hardware does.
     """
 
-    def __init__(self, config: VGIWConfig):
+    def __init__(self):
         self.unit_next: Dict[int, Dict[int, int]] = {}
         self.scu_pool: Dict[int, List[float]] = {}
         self.ldst_outstanding: Dict[int, List[float]] = {}
-        self.config = config
         self.next_inject: float = 0.0
         self.window: List[float] = []  # completion times, injection order
         #: injection time per thread, parallel to ``window`` (lets the
@@ -562,12 +620,9 @@ class _ReplicaState:
         leaves the unit, and the switch replicates it to all consumers
         (the fanout bound is enforced statically by split insertion).
 
-        This is the hottest call of both dataflow simulators (one call
-        per non-memory token), so the calendar probe is written flat:
-        single ``unit_high`` lookup, no helper frame.
+        The timing walks emit the same claim inline (:func:`_emit_issue`).
         """
-        ti = int(ready)
-        t = ti if ti == ready else ti + 1
+        t = math.ceil(ready)
         nf = self.unit_next.get(uid)
         if nf is None:
             nf = self.unit_next[uid] = {}
@@ -578,31 +633,151 @@ class _ReplicaState:
             self.unit_wait[uid] = self.unit_wait.get(uid, 0.0) + (start - t)
         return float(start)
 
-    def issue_scu(self, uid: int, ready: float, latency: int) -> float:
-        pool = self.scu_pool.setdefault(
-            uid, [0.0] * self.config.scu_instances
-        )
-        earliest = heapq.heappop(pool)
-        start = self.issue(uid, max(ready, earliest))
-        heapq.heappush(pool, start + latency)
-        return start
 
-    def issue_mem(self, uid: int, ready: float, entries: int) -> float:
-        out = self.ldst_outstanding.setdefault(uid, [])
-        if len(out) >= entries:
-            oldest = heapq.heappop(out)
-            if oldest > ready:
-                # Reservation buffer full: the unit is blocked waiting
-                # for an outstanding memory response (this is where a
-                # dropped response shows up in the stall histogram).
-                self.unit_wait[uid] = (
-                    self.unit_wait.get(uid, 0.0) + (oldest - ready)
-                )
-                ready = oldest
-        return self.issue(uid, ready)
+class Trail(dict):
+    """The per-thread address lists of one functional pass, by memory
+    row index (the timing walk's ``alists``).
 
-    def retire_mem(self, uid: int, completion: float) -> None:
-        heapq.heappush(self.ldst_outstanding[uid], completion)
+    ``stop`` counts the rows a thread has got through: when a width-1
+    pass raises, the sequential walk has already timed exactly those
+    rows (a memory row is timed once its address is known, before the
+    bounds check; a VGIW live-value fetch before its lookup).
+    """
+
+    __slots__ = ("stop",)
+
+    def __init__(self):
+        super().__init__()
+        self.stop = 0
+
+
+def _fire_token_fault(faults: FaultInjector, plan: ExecPlan, row, tid: int,
+                      v: np.ndarray, stamps) -> np.ndarray:
+    """The OP-node fault hook on a width-1 result, in row order with the
+    row's own unit ID; a log entry it adds is queued in ``stamps`` for
+    the cycle only the timing walk knows."""
+    before = v.tolist()[0]
+    logged = len(faults.log)
+    after = faults.corrupt_token(plan.block_name, row[2], tid, 0.0, before)
+    if len(faults.log) > logged:
+        stamps.append((faults.log[-1], row[1]))
+    return v if after is before else as_value_array([after], 1)
+
+
+def _scalar_address(a, memory: MemoryImage, rec: Trail, ri: int):
+    """Width 1: the address batch check rejected ``a``.  Convert and
+    bounds-check it the sequential way, raising its exact error."""
+    addr = int(a.tolist()[0] if isinstance(a, np.ndarray) else a)
+    rec[ri] = [addr]
+    rec.stop = ri + 1  # timed before the bounds check
+    memory.read(addr)
+    return np.array([addr], np.int64)
+
+
+def eval_rows(plan: ExecPlan, tids: np.ndarray, memory: MemoryImage,
+              rec: Trail, lv_load, lv_store, sequential: bool = False,
+              faults: Optional[FaultInjector] = None, stamps=None):
+    """Evaluate ``plan``'s rows over the thread batch ``tids``: the one
+    functional pass of both dataflow engines.
+
+    Every row runs as one :mod:`repro.ir.vecops` batch.  Loads read the
+    memory image as it stands; ``rec`` receives every memory row's
+    address list.  ``lv_load(row)`` returns a row's live-value batch
+    (``None``: not every thread has it) and ``lv_store(row, v)`` takes
+    one; both are the engine's (VGIW's live value cache, SGMF's wires).
+
+    Returns ``(mem_log, term)``: ``mem_log`` lists ``(row index,
+    addresses, float64 values or None for a load)`` in row order, and
+    ``term`` is the successor block (``None`` on return) or a per-thread
+    bool array choosing the branch's true target.
+
+    By default stores are only logged (the caller commits them) and
+    ``None`` is returned whenever the batch cannot reproduce the
+    thread-major sequential walk exactly — an undefined live value, an
+    invalid address, a failing conversion; nothing is written then.
+    ``sequential=True`` evaluates one thread (``tids`` of length 1) in
+    the sequential walk's terms: stores are written through in program
+    order, so a thread re-reading its own store sees it, each of those
+    cases raises the sequential walk's own error, and an armed
+    ``faults`` injector fires row by row (log entries queue in
+    ``stamps`` as ``(entry, nid)``).
+    """
+    n = tids.shape[0]
+    data = memory.data
+    size = memory.size
+    value: List[object] = [None] * plan.n_nodes
+    mem_log = []
+    term = None
+
+    def operand(src):
+        m, p = src
+        return p if m == SRC_CONST else value[p] if m == SRC_NODE else tids
+
+    try:
+        for ri, row in enumerate(plan.rows):
+            rec.stop = ri
+            tag = row[0]
+            if tag == T_INIT:
+                value[row[1]] = tids
+            elif tag == T_OP or tag == T_SCU:
+                args = tuple(operand(src) for src in row[5])
+                # Predicate results (dt 0) stay uncoerced, as EVAL
+                # leaves them.
+                v = (vec_eval_raw(row[7], args, n) if row[6] == 0
+                     else vec_eval(row[7], args, row[6], n))
+                if faults is not None:
+                    v = _fire_token_fault(faults, plan, row, int(tids[0]),
+                                          v, stamps)
+                value[row[1]] = v
+            elif tag == T_LOAD or tag == T_STORE:
+                a = operand(row[4])
+                addrs = addr_batch(a, n, size)
+                if addrs is None:
+                    if not sequential:
+                        return None
+                    addrs = _scalar_address(a, memory, rec, ri)
+                rec[ri] = addrs.tolist()
+                if tag == T_LOAD:
+                    mem_log.append((ri, addrs, None))
+                    raw = data[addrs]
+                    value[row[1]] = f2i_array(raw) if row[5] else raw
+                    continue
+                v = operand(row[5])
+                fvals = f64_batch(v, n)
+                if fvals is None:
+                    if not sequential:
+                        return None
+                    # Raises the sequential walk's conversion error.
+                    memory.write(rec[ri][0], v.tolist()[0])
+                if sequential:
+                    data[addrs] = fvals
+                mem_log.append((ri, addrs, fvals))
+            elif tag == T_LVLOAD:
+                v = lv_load(row)
+                if v is None:
+                    return None
+                value[row[1]] = v
+            elif tag == T_LVSTORE:
+                lv_store(row, operand(row[5]))
+            elif tag == T_TERM:
+                kind = plan.term_kind
+                if kind is TermKind.JMP:
+                    term = plan.true_target
+                elif kind is TermKind.BR:
+                    c = operand(row[4])
+                    if not isinstance(c, np.ndarray):
+                        term = plan.true_target if c else plan.false_target
+                    elif c.dtype.kind == "O":
+                        term = np.array([bool(x) for x in c.tolist()], bool)
+                    else:
+                        term = c != 0
+            elif row[5] is not None:  # T_SJ passthrough
+                value[row[1]] = operand(row[5])
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        if sequential:
+            raise
+        return None
+    return mem_log, term
 
 
 class MTCGRFExecutor:
@@ -676,7 +851,7 @@ class MTCGRFExecutor:
         ``start_time``; return per-thread outcomes and the cycle at
         which the whole vector has drained."""
         n_replicas = cb.n_replicas
-        replicas = [_ReplicaState(self.config) for _ in range(n_replicas)]
+        replicas = [_ReplicaState() for _ in range(n_replicas)]
         for r in replicas:
             r.next_inject = start_time
         self.last_block = cb
@@ -695,32 +870,22 @@ class MTCGRFExecutor:
         plans = [self._plan_for(cb, ridx) for ridx in range(n_running)]
         hop_total = 0
 
-        # Functional pass: evaluate every plan row across the whole
-        # thread vector at once (replica plans share functional content
-        # — only unit IDs and hop counts differ — so plans[0] stands in
-        # for all of them).  ``None`` means some construct needs the
-        # scalar walk (in-batch memory hazard, fault hooks, undefined
-        # operand, out-of-range address, ...); nothing has been
-        # committed at that point, so the scalar path reruns from
-        # untouched state and reproduces exact values and errors.
+        # Functional pass over the whole vector at once (replica plans
+        # share functional content — only unit IDs and hop counts
+        # differ — so plans[0] stands in for all of them).  ``None``
+        # means the vector needs thread-major order (see
+        # :meth:`_functional_batch`); with faults armed it always does,
+        # since the hooks fire in sequential (thread, row) order.
         batch = None
-        if (self.faults is None and len(thread_ids) >= 4
-                and not scalar_exec_requested()):
+        if self.faults is None:
             batch = self._functional_batch(plans[0], thread_ids)
         if batch is not None:
-            # Per-thread python address lists (one conversion per batch)
-            # and the compiled straight-line timing walks.
-            alists = {ri: a.tolist() for ri, a in batch["addrs"].items()}
             mem_access = self.memsys.access_word
             lvc_access = self.lvc.access
-            entries = self.config.ldst_reservation_entries
-            scu_n = self.config.scu_instances
+            alists = batch["addrs"]
             nb = batch["next"]
-            for plan in plans:
-                if plan.timing_fn is None:
-                    plan.timing_fn = compile_timing(
-                        plan, entries, scu_n, self._timing_binders
-                    )
+            walks = [timing_walk(plan, self.config, self._timing_binders)
+                     for plan in plans]
 
         for i, tid in enumerate(thread_ids):
             ridx = (i // 64) % n_replicas
@@ -736,19 +901,18 @@ class MTCGRFExecutor:
                     inject = bound
             rep.inject_times.append(inject)
             if batch is None:
-                outcome, completion = self._run_thread(plan, rep, tid, inject)
+                completion, next_block = self._thread_visit(
+                    plan, rep, tid, inject
+                )
             else:
-                completion = plan.timing_fn(
+                completion = walks[ridx](
                     rep, mem_access, lvc_access, tid, inject, i, alists
                 )
-                outcome = ThreadOutcome(
-                    tid, nb[i] if isinstance(nb, list) else nb, completion
-                )
-            outcome.replica = ridx
+                next_block = nb[i] if isinstance(nb, list) else nb
+            outcomes.append(ThreadOutcome(tid, next_block, completion, ridx))
             hop_total += plan.total_hops
             rep.next_inject = inject + 1.0
             rep.window.append(completion)
-            outcomes.append(outcome)
             end_time = max(end_time, completion)
 
         if batch is not None:
@@ -785,168 +949,72 @@ class MTCGRFExecutor:
     def _functional_batch(self, plan: ExecPlan, thread_ids: List[int]):
         """Evaluate ``plan``'s rows over the whole thread vector.
 
-        Returns ``None`` when any row needs the per-thread scalar walk:
-        a stored address was loaded at an earlier-or-equal ``(thread,
+        Returns ``None`` when the vector needs thread-major order: a
+        stored address was loaded at an earlier-or-equal ``(thread,
         row)`` position (:func:`stores_after_loads` — private
-        load-then-store patterns stay on the batch path), a live value is
-        fetched before any block stored it (the scalar walk raises the
-        diagnostic mid-vector, after earlier threads' side effects), an
-        address is invalid, or an operand is undefined.  No state is
-        mutated before returning, so the fallback reruns from scratch.
+        load-then-store patterns stay batched), a live value is fetched
+        before any block stored it, an address is invalid, or a
+        conversion fails.  No state is mutated before returning, so
+        :meth:`_thread_visit` reruns the vector from scratch.
 
-        On success returns the per-row address arrays (consumed by
-        :meth:`_run_thread_timing` — cache timing depends on the exact
-        address stream), the per-thread successor blocks, and the
-        buffered memory / live-value writes for :meth:`_commit_batch`.
+        On success returns the per-row address lists (consumed by the
+        timing walks — cache timing depends on the exact address
+        stream), the per-thread successor blocks, and the buffered
+        memory / live-value writes for :meth:`_commit_batch`.
         """
         n = len(thread_ids)
         tids = np.asarray(thread_ids, np.int64)
-        size = self.memory.size
-        data = self.memory.data
         lv_values = self.lv_values
-        value: List[object] = [None] * plan.n_nodes
-        addrs_of: Dict[int, np.ndarray] = {}
-        load_parts = []  # (row_index, addrs)
-        store_parts = []  # (row_index, addrs, float64 values)
         lv_overlay: Dict[int, object] = {}
-        next_blocks: object = None
 
-        def operand(src):
-            m, p = src
-            if m == SRC_CONST:
-                return p
-            if m == SRC_NODE:
-                return value[p]
-            return tids
+        def lv_load(row):
+            lv_id = row[4]
+            if lv_id in lv_overlay:
+                return lv_overlay[lv_id]
+            out = []
+            for t in thread_ids:
+                lv = lv_values.get((lv_id, t), _MISSING)
+                if lv is _MISSING:
+                    return None
+                out.append(lv)
+            return as_value_array(out, n)
 
-        try:
-            for ri, row in enumerate(plan.rows):
-                tag = row[0]
-                if tag == T_INIT:
-                    value[row[1]] = tids
-                elif tag == T_OP or tag == T_SCU:
-                    args = []
-                    for s in row[6]:
-                        v = operand(s)
-                        if v is None and s[0] == SRC_NODE:
-                            return None
-                        args.append(v)
-                    dt = row[7]
-                    if dt == 0:
-                        # VGIW stores predicate results uncoerced (the
-                        # scalar walk leaves dt==0 results raw).
-                        value[row[1]] = vec_eval_raw(row[8], tuple(args), n)
-                    else:
-                        value[row[1]] = vec_eval(row[8], tuple(args), dt, n)
-                elif tag == T_LOAD:
-                    a = operand(row[4])
-                    if a is None and row[4][0] == SRC_NODE:
-                        return None
-                    addrs = addr_batch(a, n, size)
-                    if addrs is None:
-                        return None
-                    load_parts.append((ri, addrs))
-                    addrs_of[ri] = addrs
-                    raw = data[addrs]
-                    value[row[1]] = f2i_array(raw) if row[5] else raw
-                elif tag == T_STORE:
-                    a = operand(row[4])
-                    if a is None and row[4][0] == SRC_NODE:
-                        return None
-                    addrs = addr_batch(a, n, size)
-                    if addrs is None:
-                        return None
-                    addrs_of[ri] = addrs
-                    v = operand(row[5])
-                    if v is None and row[5][0] == SRC_NODE:
-                        return None
-                    fvals = f64_batch(v, n)
-                    if fvals is None:
-                        return None
-                    store_parts.append((ri, addrs, fvals))
-                elif tag == T_LVLOAD:
-                    lv_id = row[4]
-                    if lv_id in lv_overlay:
-                        value[row[1]] = lv_overlay[lv_id]
-                    else:
-                        out = []
-                        for t in thread_ids:
-                            lv = lv_values.get((lv_id, t), _MISSING)
-                            if lv is _MISSING:
-                                return None
-                            out.append(lv)
-                        value[row[1]] = as_value_array(out, n)
-                elif tag == T_LVSTORE:
-                    v = operand(row[5])
-                    if v is None and row[5][0] == SRC_NODE:
-                        return None
-                    lv_overlay[row[4]] = v
-                elif tag == T_TERM:
-                    kind = plan.term_kind
-                    if kind is TermKind.RET:
-                        next_blocks = None
-                    elif kind is TermKind.JMP:
-                        next_blocks = plan.true_target
-                    else:
-                        c = operand(row[4])
-                        if c is None and row[4][0] == SRC_NODE:
-                            return None
-                        if isinstance(c, np.ndarray):
-                            if c.dtype.kind == "O":
-                                taken = [bool(x) for x in c.tolist()]
-                            else:
-                                taken = (c != 0).tolist()
-                            next_blocks = [
-                                plan.true_target if t else plan.false_target
-                                for t in taken
-                            ]
-                        else:
-                            next_blocks = (
-                                plan.true_target if c
-                                else plan.false_target
-                            )
-                # T_SJ passthrough forwards its operand unchanged.
-                elif row[5] is not None:
-                    v = operand(row[5])
-                    if v is None and row[5][0] == SRC_NODE:
-                        return None
-                    value[row[1]] = v
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            # The scalar walk raises mid-vector with earlier threads'
-            # side effects applied; rerun it to reproduce that exactly.
+        def lv_store(row, v):
+            lv_overlay[row[4]] = v
+
+        rec = Trail()
+        out = eval_rows(plan, tids, self.memory, rec, lv_load, lv_store)
+        if out is None:
             return None
-
-        if store_parts and load_parts:
+        mem_log, term = out
+        stores = [entry for entry in mem_log if entry[2] is not None]
+        if stores and len(stores) < len(mem_log):
             # One block = one plan: the row index is the per-thread
             # program position, the batch slot is the thread-major rank.
             pos = np.arange(n, dtype=np.int64)
+            loads = [entry for entry in mem_log if entry[2] is None]
             if not stores_after_loads(
-                np.concatenate([a for _, a in load_parts]),
-                np.concatenate([hazard_key(pos, ri)
-                                for ri, _ in load_parts]),
-                np.concatenate([a for _, a, _ in store_parts]),
-                np.concatenate([hazard_key(pos, ri)
-                                for ri, _, _ in store_parts]),
+                np.concatenate([a for _, a, _ in loads]),
+                np.concatenate([hazard_key(pos, ri) for ri, _, _ in loads]),
+                np.concatenate([a for _, a, _ in stores]),
+                np.concatenate([hazard_key(pos, ri) for ri, _, _ in stores]),
             ):
                 return None
-
-        return {
-            "addrs": addrs_of,
-            "next": next_blocks,
-            "stores": store_parts,
-            "lv": lv_overlay,
-        }
+        if isinstance(term, np.ndarray):
+            term = [plan.true_target if t else plan.false_target
+                    for t in term.tolist()]
+        return {"addrs": rec, "next": term, "stores": stores,
+                "lv": lv_overlay}
 
     def _commit_batch(self, batch, thread_ids: List[int]) -> None:
         """Apply a functional batch's buffered writes.
 
-        Memory stores commit in scalar order — thread-major, then row
-        order — via a stable lexsort with fancy assignment (documented
-        last-wins for duplicate indices), so repeated addresses resolve
-        exactly as the interleaved scalar walk would.  Live values are
-        materialised back to plain Python scalars (``tolist``) so the
-        ``lv_values`` dict stays type-identical for later blocks that
-        may run the scalar path.
+        Memory stores commit in sequential order — thread-major, then
+        row order — via a stable lexsort with fancy assignment
+        (documented last-wins for duplicate indices), so repeated
+        addresses resolve exactly as a thread-by-thread walk would.
+        Live values are materialised back to plain Python scalars
+        (``tolist``), the form :meth:`_thread_visit` stores too.
         """
         parts = batch["stores"]
         if len(parts) == 1:
@@ -973,169 +1041,46 @@ class MTCGRFExecutor:
                 for t in thread_ids:
                     lv_values[(lv_id, t)] = vals
 
-    # ------------------------------------------------------------------
-    def _run_thread(
-        self,
-        plan: ExecPlan,
-        rep: _ReplicaState,
-        tid: int,
-        inject: float,
-    ) -> Tuple[ThreadOutcome, float]:
-        """Interpret one thread over a precompiled plan.
-
-        Hot loop: ``done`` / ``value`` are flat lists indexed by node
-        ID, operand sources are pre-resolved ``(mode, payload)`` pairs,
-        and the frequently used bound methods are hoisted to locals.
-        The arithmetic (the ``max`` over input arrivals, the issue /
-        latency sums) is exactly the direct walk's, in the same order,
-        so cycle counts are bit-identical.
-        """
-        n = plan.n_nodes
-        done: List[float] = [0.0] * n
-        value: List[Number] = [None] * n
-        next_block: Optional[str] = None
+    def _thread_visit(self, plan: ExecPlan, rep: _ReplicaState, tid: int,
+                      inject: float) -> Tuple[float, Optional[str]]:
+        """One thread through one block in thread-major order
+        (:func:`visit_sequentially`), its live values read from and
+        written through to ``lv_values``.  Returns the completion cycle
+        and the successor block."""
         faults = self.faults
-        block_name = plan.block_name
-
-        issue = rep.issue
-        issue_mem = rep.issue_mem
-        issue_scu = rep.issue_scu
-        retire_mem = rep.retire_mem
-        entries = self.config.ldst_reservation_entries
-        lvc_access = self.lvc.access
-        mem_access = self.memsys.access_word
-        mem_read = self.memory.read
-        mem_write = self.memory.write
         lv_values = self.lv_values
+        rec = Trail()
+        stamps: List[Tuple[object, int]] = []
 
-        for row in plan.rows:
-            tag = row[0]
-            if tag == T_INIT:
-                nid = row[1]
-                done[nid] = inject
-                value[nid] = tid
-                continue
-            nid = row[1]
-            uid = row[2]
-            # Arrival of the latest input token.  A producer's switch
-            # replicates one token to all of its (fanout-bounded, see
-            # the compiler's split insertion) consumers in the same
-            # cycle, so delivery costs only the routed hop latency.
-            ready = inject
-            for up, hop in row[3]:
-                t = done[up] + hop
-                if t > ready:
-                    ready = t
-
-            if tag == T_OP:
-                start = issue(uid, ready)
-                done[nid] = start + row[4]
-                args = [
-                    p if m == 0 else value[p] if m == 1 else tid
-                    for m, p in row[6]
-                ]
-                result = row[5](*args)
-                dt = row[7]
-                if dt == 1:
-                    result = coerce_i64(result)
-                elif dt == 2:
-                    result = float(result)
-                if faults is not None:
-                    result = faults.corrupt_token(
-                        block_name, uid, tid, start, result
-                    )
-                value[nid] = result
-            elif tag == T_LOAD:
-                m, p = row[4]
-                addr = int(p if m == 0 else value[p] if m == 1 else tid)
-                start = issue_mem(uid, ready, entries)
-                completion = mem_access(start, addr, False)
-                retire_mem(uid, completion)
-                done[nid] = completion
-                raw = mem_read(addr)
-                value[nid] = coerce_i64(raw) if row[5] else raw
-            elif tag == T_STORE:
-                m, p = row[4]
-                addr = int(p if m == 0 else value[p] if m == 1 else tid)
-                start = issue_mem(uid, ready, entries)
-                completion = mem_access(start, addr, True)
-                retire_mem(uid, completion)
-                done[nid] = completion
-                m, p = row[5]
-                mem_write(addr, p if m == 0 else value[p] if m == 1 else tid)
-            elif tag == T_LVLOAD:
-                lv_id = row[4]
-                start = issue_mem(uid, ready, entries)
-                completion = lvc_access(start, lv_id, tid, False, port=uid)
-                retire_mem(uid, completion)
-                done[nid] = completion
-                try:
-                    lv_value = lv_values[(lv_id, tid)]
-                except KeyError:
-                    raise SimulationError(
-                        f"thread {tid} fetches live value {lv_id} "
-                        f"(%{row[5].out_reg}) before any block stored it",
-                        block=block_name,
-                        thread=tid,
-                        live_value=lv_id,
-                    ) from None
-                if faults is not None:
-                    lv_value = faults.corrupt_lv(
-                        lv_id, tid, completion, lv_value
-                    )
-                value[nid] = lv_value
-            elif tag == T_LVSTORE:
-                lv_id = row[4]
-                start = issue_mem(uid, ready, entries)
-                completion = lvc_access(start, lv_id, tid, True, port=uid)
-                retire_mem(uid, completion)
-                done[nid] = completion
-                m, p = row[5]
-                lv_values[(lv_id, tid)] = (
-                    p if m == 0 else value[p] if m == 1 else tid
+        def lv_load(row):
+            lv_id = row[4]
+            lv = lv_values.get((lv_id, tid), _MISSING)
+            if lv is _MISSING:
+                rec.stop += 1  # the fetch is timed before the lookup
+                raise SimulationError(
+                    f"thread {tid} fetches live value {lv_id} "
+                    f"(%{row[5].out_reg}) before any block stored it",
+                    block=plan.block_name,
+                    thread=tid,
+                    live_value=lv_id,
                 )
-            elif tag == T_SCU:
-                start = issue_scu(uid, ready, row[4])
-                done[nid] = start + row[4]
-                args = [
-                    p if m == 0 else value[p] if m == 1 else tid
-                    for m, p in row[6]
-                ]
-                result = row[5](*args)
-                dt = row[7]
-                if dt == 1:
-                    result = coerce_i64(result)
-                elif dt == 2:
-                    result = float(result)
-                if faults is not None:
-                    result = faults.corrupt_token(
-                        block_name, uid, tid, start, result
-                    )
-                value[nid] = result
-            elif tag == T_SJ:
-                start = issue(uid, ready)
-                done[nid] = start + row[4]
-                if row[5] is not None:
-                    m, p = row[5]
-                    value[nid] = (
-                        p if m == 0 else value[p] if m == 1 else tid
-                    )
-            else:  # T_TERM
-                start = issue(uid, ready)
-                done[nid] = start + 1.0
-                kind = plan.term_kind
-                if kind is TermKind.RET:
-                    next_block = None
-                elif kind is TermKind.JMP:
-                    next_block = plan.true_target
-                else:
-                    m, p = row[4]
-                    taken = bool(
-                        p if m == 0 else value[p] if m == 1 else tid
-                    )
-                    next_block = (
-                        plan.true_target if taken else plan.false_target
-                    )
+            if faults is not None:
+                logged = len(faults.log)
+                lv = faults.corrupt_lv(lv_id, tid, 0.0, lv)
+                if len(faults.log) > logged:
+                    stamps.append((faults.log[-1], row[1]))
+            return as_value_array([lv], 1)
 
-        completion = max(done[s] for s in plan.sinks)
-        return ThreadOutcome(tid, next_block, completion), completion
+        def lv_store(row, v):
+            lv_values[(row[4], tid)] = (
+                v.tolist()[0] if isinstance(v, np.ndarray) else v
+            )
+
+        mem_access = self.memsys.access_word
+        lvc_access = self.lvc.access
+        return visit_sequentially(
+            plan, tid, self.memory, rec, stamps, lv_load, lv_store, faults,
+            self.config, self._timing_binders, False,
+            lambda walk, *cyc: walk(rep, mem_access, lvc_access, tid,
+                                    inject, 0, rec, *cyc),
+        )

@@ -1,5 +1,7 @@
 """Tests for the reference interpreter against numpy golden models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,53 @@ def test_trace_block_visit_counts():
     merge = kernel.exit_blocks()[0]
     assert result.block_visits[merge] == 16
     assert result.total_instructions == sum(t.instructions for t in result.traces)
+
+
+# ----------------------------------------------------------------------
+# Wave execution vs. the per-thread oracle
+# ----------------------------------------------------------------------
+def _oracle_cases():
+    import glob
+    import os
+
+    from repro.fuzz import generate_case, load_corpus_case
+
+    cases = [generate_case(seed) for seed in range(40)]
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    cases += [load_corpus_case(path)
+              for path in sorted(glob.glob(os.path.join(corpus, "*.kir")))]
+    return cases
+
+
+def _threads_one_by_one(case):
+    mem = case.build_memory()
+    interp = Interpreter(case.kernel, mem, case.params)
+    try:
+        traces = [interp.run_thread(t) for t in range(case.n_threads)]
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return (type(exc).__name__, str(exc)), None
+    visits = Counter()
+    for t in traces:
+        visits.update(t.blocks)
+    return (mem.data, traces), visits
+
+
+def test_run_matches_per_thread_oracle():
+    """``Interpreter.run`` (waves of threads per block) against
+    ``run_thread`` called thread by thread: memory image, per-thread
+    traces and block visits all agree on generated kernels and the
+    fuzz corpus."""
+    for case in _oracle_cases():
+        want, want_visits = _threads_one_by_one(case)
+        mem = case.build_memory()
+        try:
+            res = Interpreter(case.kernel, mem, case.params).run(
+                case.n_threads)
+        except Exception as exc:  # noqa: BLE001
+            assert want == (type(exc).__name__, str(exc)), case.seed
+            continue
+        assert want_visits is not None, case.seed
+        data, traces = want
+        assert np.array_equal(mem.data, data, equal_nan=True), case.seed
+        assert res.traces == traces, case.seed
+        assert res.block_visits == want_visits, case.seed

@@ -83,6 +83,74 @@ def _copy_setup(n=16):
     return mem, {"src": src, "dst": dst, "n": n}, n
 
 
+# Hang snapshots pinned from the per-thread sequential walks.
+VGIW_DEADLOCK_MESSAGE = (
+    'vgiw: no event retired for 10049 cycles (stall budget 10000); '
+    'suspected blocker loop.1/replica0/token_buffer [cycle=10049.0, '
+    'events_retired=0, kernel=spin, sim=vgiw]'
+)
+VGIW_DEADLOCK_SNAPSHOT = {
+ 'sim': 'vgiw',
+ 'kernel': 'spin',
+ 'cycle': 10049.0,
+ 'events_retired': 0,
+ 'last_progress_cycle': 0.0,
+ 'in_flight': {'loop.1/replica0': 0,
+               'loop.1/replica1': 0,
+               'loop.1/replica2': 0,
+               'loop.1/replica3': 0,
+               'loop.1/replica4': 0,
+               'loop.1/replica5': 0,
+               'loop.1/replica6': 0,
+               'loop.1/replica7': 0},
+ 'reservation_occupancy': {},
+ 'mshr_outstanding': 0,
+ 'stalled_units': {'loop.1/replica0/token_buffer': 35.0},
+ 'stalled_unit': 'loop.1/replica0/token_buffer',
+ 'oldest_thread_age': None,
+ 'detail': {'current_block': 'loop.1',
+            'lvc_word_requests': '1336',
+            'l1_misses': '0',
+            'tile': '1',
+            'cvt_pending': '{}'}}
+VGIW_DEADLOCK_FORMAT = (
+    'hang snapshot: sim=vgiw kernel=spin cycle=10049\n'
+    '  events retired: 0 (last progress at cycle 0)\n'
+    '  in-flight threads: loop.1/replica0=0, loop.1/replica1=0, '
+    'loop.1/replica2=0, loop.1/replica3=0, loop.1/replica4=0, '
+    'loop.1/replica5=0, loop.1/replica6=0, loop.1/replica7=0\n'
+    '  stalled units (cycles): loop.1/replica0/token_buffer:35\n'
+    '  suspected blocker: loop.1/replica0/token_buffer\n'
+    '  current_block: loop.1\n'
+    '  cvt_pending: {}\n'
+    '  l1_misses: 0\n'
+    '  lvc_word_requests: 1336\n'
+    '  tile: 1'
+)
+SGMF_SPIN_MESSAGE = (
+    'sgmf: simulation exceeded its 10000-cycle budget [cycle=10740.0, '
+    'events_retired=0, kernel=spin, sim=sgmf]'
+)
+SGMF_SPIN_SNAPSHOT = {
+ 'sim': 'sgmf',
+ 'kernel': 'spin',
+ 'cycle': 10740.0,
+ 'events_retired': 0,
+ 'last_progress_cycle': 0.0,
+ 'in_flight': {'replica0': 0, 'replica1': 0, 'replica2': 0},
+ 'reservation_occupancy': {},
+ 'mshr_outstanding': 0,
+ 'stalled_units': {},
+ 'stalled_unit': None,
+ 'oldest_thread_age': None,
+ 'detail': {}}
+SGMF_SPIN_FORMAT = (
+    'hang snapshot: sim=sgmf kernel=spin cycle=10740\n'
+    '  events retired: 0 (last progress at cycle 0)\n'
+    '  in-flight threads: replica0=0, replica1=0, replica2=0'
+)
+
+
 # ----------------------------------------------------------------------
 # Exception hierarchy
 # ----------------------------------------------------------------------
@@ -150,6 +218,9 @@ def test_vgiw_deadlock_token_buffer_one():
     d = err.to_dict()
     assert d["snapshot"]["stalled_unit"] == snap.stalled_unit
     assert AttemptRecord.from_error(0, err).snapshot == snap.to_dict()
+    assert str(err) == VGIW_DEADLOCK_MESSAGE
+    assert snap.to_dict() == VGIW_DEADLOCK_SNAPSHOT
+    assert snap.format() == VGIW_DEADLOCK_FORMAT
 
 
 def test_vgiw_runaway_guard_is_hang_error():
@@ -160,23 +231,34 @@ def test_vgiw_runaway_guard_is_hang_error():
         VGIWCore().run(k, mem, {"out": out}, 1, max_block_executions=50)
 
 
-def test_sgmf_visit_guard_and_watchdog():
+def _sgmf_spin(n_threads, **kwargs):
     k = spin_kernel()
     mem = MemoryImage(8)
     out = mem.alloc("out", 1)
-    with pytest.raises(SimulationHangError, match="block visits"):
-        SGMFCore().run(k, mem, {"out": out}, 1, max_block_visits=100)
-    mem2 = MemoryImage(8)
-    out2 = mem2.alloc("out", 1)
     with pytest.raises(SimulationHangError) as exc_info:
-        SGMFCore().run(k, mem2, {"out": out2}, 1,
-                       watchdog=WatchdogConfig(max_cycles=10_000))
-    err = exc_info.value
+        SGMFCore().run(k, mem, {"out": out}, n_threads, **kwargs)
+    return exc_info.value
+
+
+def test_sgmf_visit_guard_and_watchdog():
+    err = _sgmf_spin(1, max_block_visits=100)
+    assert "block visits" in str(err)
+    err = _sgmf_spin(1, watchdog=WatchdogConfig(max_cycles=10_000))
     assert err.context["sim"] == "sgmf"
     # The watchdog snapshot reads the live replica states.
     assert err.snapshot is not None
     assert err.snapshot.in_flight
     assert AttemptRecord.from_error(0, err).snapshot == err.snapshot.to_dict()
+    assert str(err) == SGMF_SPIN_MESSAGE
+    assert err.snapshot.to_dict() == SGMF_SPIN_SNAPSHOT
+    assert err.snapshot.format() == SGMF_SPIN_FORMAT
+    # A wider launch trips the same check on its first thread, without
+    # first running every thread up to the block-visit bound.
+    start = time.monotonic()
+    wide = _sgmf_spin(4, watchdog=WatchdogConfig(max_cycles=10_000))
+    assert time.monotonic() - start < 5.0
+    assert str(wide) == SGMF_SPIN_MESSAGE
+    assert wide.snapshot.to_dict() == SGMF_SPIN_SNAPSHOT
 
 
 def test_fermi_watchdog_budget():

@@ -9,9 +9,9 @@ bit-for-bit.  This module pins that agreement three ways:
    ``vec_eval`` / ``vec_eval_raw`` on whole batches;
 2. randomized operand sweeps per opcode, elementwise-compared against
    mapping ``EVAL`` over the batch (NaN-aware, signed-zero-aware);
-3. whole-kernel parity: fuzz-generated kernels and engine launches run
-   identically with ``REPRO_SCALAR_EXEC=1`` and without it (cycles and
-   final memory both).
+3. whole-kernel parity: fuzz-generated kernels and engine launches end
+   with the reference interpreter's memory image, in cycles pinned from
+   the per-thread sequential walks.
 """
 
 import math
@@ -31,7 +31,6 @@ from repro.ir.vecops import (
     f2i_array,
     f64_batch,
     hazard_key,
-    scalar_exec_requested,
     stores_after_loads,
     vec_eval,
     vec_eval_raw,
@@ -182,15 +181,6 @@ def test_coerce_array_matches_scalar_coercions():
     assert coerce_array(i, 2, 3).dtype == np.float64
 
 
-def test_scalar_exec_requested_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR_EXEC", raising=False)
-    assert not scalar_exec_requested()
-    monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
-    assert scalar_exec_requested()
-    monkeypatch.setenv("REPRO_SCALAR_EXEC", "0")
-    assert not scalar_exec_requested()
-
-
 # ----------------------------------------------------------------------
 # Randomized per-opcode parity sweeps
 # ----------------------------------------------------------------------
@@ -237,52 +227,82 @@ def test_random_batches_match_scalar_eval(op):
 
 
 # ----------------------------------------------------------------------
-# Whole-kernel parity: scalar engines vs. vectorized engines
+# Whole-kernel parity: engines vs. the interpreter, cycles pinned
 # ----------------------------------------------------------------------
-def _run_everything(case):
-    from repro.fuzz import run_case
+# Cycles recorded from the per-thread sequential walks (``None``: the
+# kernel does not fit the SGMF fabric); the final memory must equal the
+# reference interpreter's.
+FUZZ_CYCLES = {
+    (2, "vgiw"): 1556.0, (2, "sgmf"): None, (2, "fermi"): 1004.0,
+    (11, "vgiw"): 207.0, (11, "sgmf"): 68.0, (11, "fermi"): 326.0,
+    (29, "vgiw"): 68.0, (29, "sgmf"): 30.0, (29, "fermi"): 115.0,
+}
 
-    report = run_case(case)
-    return [(o.engine, o.status) for o in report.outcomes], report.divergent
+WORKLOAD_CYCLES = {
+    ("nn/euclid", "vgiw"): 669.0,
+    ("nn/euclid", "sgmf"): 432.0,
+    ("nn/euclid", "fermi"): 504.0,
+    ("lud/lud_internal", "vgiw"): 4954.0,
+    ("lud/lud_internal", "sgmf"): 2607.0,
+}
+
+
+def _launch(engine_name, kernel, memory, params, n_threads):
+    from repro.engine import create_engine
+
+    res = create_engine(engine_name).run(kernel, memory, params, n_threads)
+    return res.cycles
+
+
+def _interpreted(kernel, memory, params, n_threads):
+    from repro.interp import interpret
+
+    golden = memory.clone()
+    interpret(kernel, golden, params, n_threads)
+    return golden.data
 
 
 @pytest.mark.parametrize("seed", [2, 11, 29])
-def test_fuzz_kernels_identical_scalar_vs_vector(seed, monkeypatch):
-    """The engine-level property: a fuzz-generated kernel produces the
-    same oracle outcome under REPRO_SCALAR_EXEC=1 and the default
-    vectorized paths (the scalar run is the reference oracle)."""
+def test_fuzz_kernels_identical_scalar_vs_vector(seed):
+    """Fuzz-generated kernels: every engine ends with the interpreter's
+    memory image, in the cycles of the sequential walk."""
+    from repro.compiler.optimize import optimize_kernel
     from repro.fuzz import generate_case
+    from repro.sgmf import SGMFUnmappableError
 
     case = generate_case(seed)
-    monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
-    scalar_out, scalar_div = _run_everything(case)
-    monkeypatch.delenv("REPRO_SCALAR_EXEC")
-    vector_out, vector_div = _run_everything(case)
-    assert scalar_out == vector_out
-    assert scalar_div == vector_div == False  # noqa: E712
+    for engine_name in ("vgiw", "sgmf", "fermi"):
+        kernel = optimize_kernel(case.kernel, params=case.params,
+                                 unroll=engine_name != "sgmf")
+        mem = case.build_memory()
+        want = _interpreted(case.kernel, mem, case.params, case.n_threads)
+        if FUZZ_CYCLES[seed, engine_name] is None:
+            with pytest.raises(SGMFUnmappableError):
+                _launch(engine_name, kernel, mem, case.params,
+                        case.n_threads)
+            continue
+        cycles = _launch(engine_name, kernel, mem, case.params,
+                         case.n_threads)
+        assert np.array_equal(mem.data, want, equal_nan=True), engine_name
+        assert cycles == FUZZ_CYCLES[seed, engine_name]
+
+
+def _check_workload(workload, engine_name):
+    from repro.kernels.registry import make_workload
+
+    wl = make_workload(workload, scale="tiny")
+    mem = wl.memory.clone()
+    want = _interpreted(wl.kernel, mem, wl.params, wl.n_threads)
+    cycles = _launch(engine_name, wl.kernel, mem, wl.params, wl.n_threads)
+    assert np.array_equal(mem.data, want, equal_nan=True)
+    assert cycles == WORKLOAD_CYCLES[workload, engine_name]
 
 
 @pytest.mark.parametrize("engine_name", ["vgiw", "sgmf", "fermi"])
-def test_engine_batch_path_cycle_identical(engine_name, monkeypatch):
-    """One real workload per engine: cycles and memory are bit-identical
-    with and without the vectorized batch paths."""
-    from repro.engine import create_engine
-    from repro.kernels.registry import make_workload
-
-    wl = make_workload("nn/euclid", scale="tiny")
-
-    def launch():
-        mem = wl.memory.clone()
-        eng = create_engine(engine_name)
-        res = eng.run(wl.kernel, mem, wl.params, wl.n_threads)
-        return res.cycles, mem.data.copy()
-
-    monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
-    c_scalar, m_scalar = launch()
-    monkeypatch.delenv("REPRO_SCALAR_EXEC")
-    c_vector, m_vector = launch()
-    assert c_scalar == c_vector
-    assert np.array_equal(m_scalar, m_vector, equal_nan=True)
+def test_engine_batch_path_cycle_identical(engine_name):
+    """One real workload per engine: the interpreter's memory, in the
+    cycles of the sequential walk."""
+    _check_workload("nn/euclid", engine_name)
 
 
 # ----------------------------------------------------------------------
@@ -352,25 +372,8 @@ def test_hazard_key_orders_thread_major():
 
 
 @pytest.mark.parametrize("engine_name", ["vgiw", "sgmf"])
-def test_rmw_kernel_stays_batch_and_cycle_identical(engine_name,
-                                                    monkeypatch):
+def test_rmw_kernel_stays_batch_and_cycle_identical(engine_name):
     """lud_internal is an in-place read-modify-write kernel — the kind
     the hazard check exists for.  Cycles and memory must match the
-    scalar walk exactly."""
-    from repro.engine import create_engine
-    from repro.kernels.registry import make_workload
-
-    wl = make_workload("lud/lud_internal", scale="tiny")
-
-    def launch():
-        mem = wl.memory.clone()
-        eng = create_engine(engine_name)
-        res = eng.run(wl.kernel, mem, wl.params, wl.n_threads)
-        return res.cycles, mem.data.copy()
-
-    monkeypatch.setenv("REPRO_SCALAR_EXEC", "1")
-    c_scalar, m_scalar = launch()
-    monkeypatch.delenv("REPRO_SCALAR_EXEC")
-    c_vector, m_vector = launch()
-    assert c_scalar == c_vector
-    assert np.array_equal(m_scalar, m_vector, equal_nan=True)
+    sequential walk exactly."""
+    _check_workload("lud/lud_internal", engine_name)

@@ -89,3 +89,38 @@ def test_select_and_special_ops():
 def test_lanes_of_iterates_set_bits():
     assert list(Warp.lanes_of(0b1011)) == [0, 1, 3]
     assert list(Warp.lanes_of(0)) == []
+
+
+# ----------------------------------------------------------------------
+# The per-lane path: lanes the vector path cannot represent
+# ----------------------------------------------------------------------
+def test_out_of_range_lane_address_raises_scalar_error():
+    from repro.memory.image import MemoryError_
+
+    warp, mem = make_warp(n_lanes=8, valid=8, mem_size=16)
+    instr = Instr(Op.MUL, "a", (Reg("tid"), Imm(4, DType.INT)), DType.INT)
+    warp.exec_instr(instr, 0xFF)
+    load = Instr(Op.LOAD, "v", (Reg("a"),), DType.FLOAT)
+    with pytest.raises(MemoryError_, match=r"^address 16 out of bounds "
+                                           r"\[0, 16\)$"):
+        warp.exec_instr(load, 0xFF)
+    # Lanes before the faulting one completed, as in a lane-by-lane walk.
+    assert warp._regs["v"][:4] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_mixed_type_lanes_keep_their_values():
+    warp, mem = make_warp(n_lanes=4, valid=4)
+    mem.write_block(0, [10.0, 11.0, 12.0, 13.0])
+    for lane, addr in enumerate([0, 1.0, 2, 3.0]):
+        warp._write_lane("a", lane, addr)
+    for lane, v in enumerate([-1, 2.5, False, 7]):
+        warp._write_lane("v", lane, v)
+    load = Instr(Op.LOAD, "v", (Reg("a"),), DType.FLOAT)
+    ops = warp.exec_instr(load, 0b0101)
+    assert [(m.lane, m.word_addr) for m in ops] == [(0, 0), (2, 2)]
+    got = warp._regs["v"]
+    assert got == [10.0, 2.5, 12.0, 7]
+    assert [type(v) for v in got] == [float, float, float, int]
+    store = Instr(Op.STORE, None, (Reg("a"), Reg("v")), DType.FLOAT)
+    warp.exec_instr(store, 0b1010)
+    assert mem.read_block(0, 4).tolist() == [10.0, 2.5, 12.0, 7.0]
