@@ -136,7 +136,7 @@ def _remeasure() -> dict:
         "warm_statuses": warm_statuses,
         "warm_latency_total_s": {
             k: round(v, 5)
-            for k, v in warm.latency("total_s").summary().items()
+            for k, v in warm.latency("total_s").as_dict().items()
         },
         "result_cache": stats["result_cache"],
         "golden": "byte-identical" if identical else "DIVERGED",

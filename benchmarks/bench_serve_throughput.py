@@ -123,7 +123,7 @@ def _remeasure() -> dict:
     assert all(r.status == "ok" for r in report.responses)
     identical = [r.digest for r in report.responses] == serial_digests
     latency = {name: {k: round(v, 4) for k, v in
-                      report.latency(name).summary().items()}
+                      report.latency(name).as_dict().items()}
                for name in ("total_s", "queue_s", "compile_s",
                             "execute_s")}
     return {

@@ -122,7 +122,9 @@ class RunOptions:
         both require the key to be identical *across processes*, so
         every field value is keyed canonically by content via
         :func:`option_key` (an unkeyable object raises
-        :class:`~repro.resilience.OptionKeyError`).
+        :class:`~repro.resilience.OptionKeyError`).  An empty mapping
+        keys as ``None``: ``inject={}`` (what the CLI passes) and the
+        default ``inject=None`` request the same execution.
         """
         skip = set(self.LIVE_FIELDS) | {
             "trace_path", "jobs", "cache_dir", "result_cache_dir",
@@ -132,8 +134,11 @@ class RunOptions:
         for f in fields(self):
             if f.name in skip:
                 continue
+            value = getattr(self, f.name)
+            if isinstance(value, Mapping) and not value:
+                value = None
             try:
-                parts.append(f"{f.name}={option_key(getattr(self, f.name))}")
+                parts.append(f"{f.name}={option_key(value)}")
             except OptionKeyError as exc:
                 raise OptionKeyError(
                     f"RunOptions.{f.name} cannot be fingerprinted: {exc}",

@@ -145,6 +145,8 @@ class ResultCache(Store):
     """
 
     NAMESPACE = "resultcache"
+    #: 2: an empty ``inject`` mapping keys as ``None``
+    VERSION = 2
     SUFFIX = ".result.pkl"
     METRIC_SCOPE = "resultcache"
     COUNTERS = Store.COUNTERS + ("validations", "divergences")

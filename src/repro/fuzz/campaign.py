@@ -224,15 +224,11 @@ def run_campaign(config: CampaignConfig,
             # summary) independent of completion order.
             for index, future in enumerate(futures):
                 if expired():
+                    # Stragglers that could not be cancelled still
+                    # finish, but their reports are dropped, so the cut
+                    # is clean at ``index``.
                     for pending in futures[index:]:
                         pending.cancel()
-                    skipped = sum(
-                        1 for pending in futures[index:]
-                        if pending.cancelled()
-                    )
-                    # non-cancellable stragglers still finish; count
-                    # them as skipped too — their reports are dropped
-                    # so the cut is clean at ``index``.
                     skipped = len(seeds) - index
                     break
                 _, report = future.result()

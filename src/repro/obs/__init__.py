@@ -10,9 +10,9 @@ subsequent performance PR:
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled-mode fast
   path (allocation-free no-ops, < 2 % end-to-end overhead, enforced by
   ``benchmarks/bench_trace_overhead.py``);
-* :class:`Metrics` — a registry of named counters / gauges / summary
-  histograms with per-engine ``scope()`` namespaces and a shared
-  cross-engine namespace (:data:`SHARED_COUNTERS`).
+* :class:`Metrics` — a registry of named counters / gauges / bounded
+  :class:`Histogram` s with per-engine ``scope()`` namespaces and a
+  shared cross-engine namespace (:data:`SHARED_COUNTERS`).
 
 Engines accept ``tracer=`` / ``metrics=`` keyword arguments (see the
 :class:`repro.engine.Engine` protocol) and attach both to their run
@@ -27,6 +27,7 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.metrics import (
+    Histogram,
     Metrics,
     MetricsScope,
     SHARED_COUNTERS,
@@ -36,6 +37,7 @@ from repro.obs.metrics import (
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
+    "Histogram",
     "Metrics",
     "MetricsScope",
     "NULL_TRACER",

@@ -1,4 +1,4 @@
-"""Metric registry: named counters, gauges, and summary histograms.
+"""Metric registry: named counters, gauges, and bounded histograms.
 
 A :class:`Metrics` registry holds flat, ``/``-namespaced instruments::
 
@@ -6,7 +6,7 @@ A :class:`Metrics` registry holds flat, ``/``-namespaced instruments::
     vgiw = metrics.scope("vgiw")          # per-engine namespace
     vgiw.inc("bbs.reconfigurations", 12)  # -> "vgiw/bbs.reconfigurations"
     vgiw.gauge("run.cycles", 8123.0)
-    vgiw.observe("block.span", 41.0)      # summary histogram
+    vgiw.observe("block.span", 41.0)      # bounded histogram
 
 Naming convention (see ``docs/observability.md``): the scope prefix is
 the engine (``vgiw`` / ``fermi`` / ``sgmf``), the metric name is
@@ -19,11 +19,15 @@ the parity is enforced by ``tests/test_obs.py``.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
+    "Histogram",
+    "MAX_BUCKETS",
     "Metrics",
     "MetricsScope",
+    "REL_ERROR",
     "SHARED_COUNTERS",
     "SHARED_GAUGES",
     "record_shared_run_metrics",
@@ -48,16 +52,39 @@ SHARED_GAUGES: Tuple[str, ...] = (
 )
 
 
-class Histogram:
-    """Constant-space summary histogram (count / sum / min / max)."""
+#: Relative error bound of :meth:`Histogram.percentile` against the
+#: nearest-rank sample.
+REL_ERROR = 0.01
+#: The bucketed range: values at or below the floor share the zero
+#: bucket (read as 0.0), values above the ceiling the top bucket.
+HIST_FLOOR, HIST_CEIL = 1e-9, 1e9
+_GAMMA = (1 + REL_ERROR) / (1 - REL_ERROR)  # ratio of bucket bounds
+_LOG_GAMMA = math.log(_GAMMA)
+#: Hard cap on one histogram's bucket count, whatever it observes.
+MAX_BUCKETS = 1 + math.ceil(math.log(HIST_CEIL / HIST_FLOOR) / _LOG_GAMMA)
 
-    __slots__ = ("count", "total", "min", "max")
+
+class Histogram:
+    """Bounded, mergeable, log-bucketed histogram.
+
+    ``count``, ``total``, ``min`` and ``max`` are exact.  Samples are
+    also counted in sparse log buckets, so :meth:`percentile` is within
+    :data:`REL_ERROR` (relative) of the nearest-rank sample whenever
+    that sample lies in ``(HIST_FLOOR, HIST_CEIL]``.  Values outside
+    the range (negatives too) share the zero or the top bucket, so a
+    histogram never holds more than :data:`MAX_BUCKETS` buckets.
+    :meth:`merge` adds bucket counts: merging equals observing every
+    sample in one histogram.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
 
     def __init__(self):
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        self.buckets: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -67,20 +94,42 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+        # Bucket k >= 1 holds (HIST_FLOOR * _GAMMA**(k-1), ... * _GAMMA**k].
+        index = 0 if value <= HIST_FLOOR else max(1, math.ceil(
+            math.log(min(value, HIST_CEIL) / HIST_FLOOR) / _LOG_GAMMA))
+        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile (``p`` in [0, 100]) within
+        :data:`REL_ERROR`; 0.0 when empty."""
+        if not self.count:
+            return 0.0
+        rank = min(self.count, max(1, math.ceil(p / 100.0 * self.count)))
+        seen = 0
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen >= rank:
+                break
+        # The point within REL_ERROR of the whole of bucket ``index``.
+        value = (HIST_FLOOR * 2 * _GAMMA ** index / (_GAMMA + 1)
+                 if index else 0.0)
+        return min(self.max, max(self.min, value))
+
     def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's samples into this one (summary
-        statistics compose exactly: counts/sums add, min/max combine)."""
+        """Fold another histogram's samples into this one (counts, sums
+        and buckets add, min/max combine)."""
         self.count += other.count
         self.total += other.total
         if other.min is not None and (self.min is None or other.min < self.min):
             self.min = other.min
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
+        for index, n in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -89,11 +138,13 @@ class Histogram:
             "min": 0.0 if self.min is None else self.min,
             "max": 0.0 if self.max is None else self.max,
             "mean": self.mean,
+            "p50": self.percentile(50),
+            "p99": self.percentile(99),
         }
 
 
 class Metrics:
-    """Flat registry of counters, gauges, and summary histograms."""
+    """Flat registry of counters, gauges, and bounded histograms."""
 
     __slots__ = ("counters", "gauges", "histograms")
 
@@ -112,7 +163,7 @@ class Metrics:
         self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Record one sample into summary histogram ``name``."""
+        """Record one sample into histogram ``name``."""
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()
@@ -238,6 +289,11 @@ class MetricsScope:
 
     def value(self, name: str, default: Optional[float] = None):
         return self.registry.value(self._name(name), default)
+
+    def histogram(self, name: str) -> Histogram:
+        """Histogram ``name`` (a fresh empty one when never observed)."""
+        hist = self.registry.histograms.get(self._name(name))
+        return Histogram() if hist is None else hist
 
     def __repr__(self) -> str:
         return f"MetricsScope({self.prefix!r} -> {self.registry!r})"

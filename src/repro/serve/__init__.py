@@ -12,7 +12,6 @@ service and prints a throughput/latency report.  See
 
 from repro.serve.api import (
     RESPONSE_STATUSES,
-    LatencyStats,
     RunResponse,
     SubmitRequest,
     Ticket,
@@ -26,7 +25,6 @@ __all__ = [
     "Batch",
     "BatchScheduler",
     "ExecutionService",
-    "LatencyStats",
     "LoadGen",
     "LoadReport",
     "RESPONSE_STATUSES",

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.evalharness.options import RunOptions
 
 __all__ = [
-    "LatencyStats",
+    "LATENCY_SERIES",
     "RESPONSE_STATUSES",
     "RunResponse",
     "SubmitRequest",
@@ -47,6 +46,10 @@ __all__ = [
 #: Every terminal state a submission can reach.
 RESPONSE_STATUSES: Tuple[str, ...] = ("ok", "cached", "degraded",
                                       "rejected", "deadline")
+
+#: The latency series a response can feed (see :func:`latency_samples`).
+LATENCY_SERIES: Tuple[str, ...] = ("total_s", "queue_s", "compile_s",
+                                   "execute_s", "cached_s")
 
 
 @dataclass(frozen=True)
@@ -191,51 +194,19 @@ def run_summary(run: Any) -> Dict[str, Any]:
     }
 
 
-class LatencyStats:
-    """Raw-sample latency accumulator with percentile readout.
+def latency_samples(response: RunResponse) -> Dict[str, float]:
+    """The latency series ``response`` feeds, with its value in each.
 
-    The metric registry's :class:`~repro.obs.metrics.Histogram` keeps
-    only count/sum/min/max (cheap to merge across processes); a serving
-    report needs real tail percentiles, so the service additionally
-    feeds every sample into one of these per timing component.
-    Nearest-rank percentiles over the sorted samples — deterministic
-    and exact for the sample sizes a load run produces.
+    The one rule ``ExecutionService.stats()`` and ``LoadReport.latency``
+    share: ``total_s`` counts answered requests; the ``queue_s`` /
+    ``compile_s`` / ``execute_s`` split counts executed ones (``ok``,
+    ``degraded``); ``cached_s`` counts cache hits.  Rejected and
+    deadline-shed requests never ran and feed no series.
     """
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile (``p`` in [0, 100]); 0.0 when empty."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def summary(self) -> Dict[str, float]:
-        if not self.samples:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0,
-                    "max": 0.0}
-        return {
-            "count": len(self.samples),
-            "mean": sum(self.samples) / len(self.samples),
-            "p50": self.p50,
-            "p99": self.p99,
-            "max": max(self.samples),
-        }
+    r = response
+    if r.status == "cached":
+        return {"total_s": r.total_s, "cached_s": r.total_s}
+    if r.status in ("ok", "degraded"):
+        return {"total_s": r.total_s, "queue_s": r.queue_s,
+                "compile_s": r.compile_s, "execute_s": r.execute_s}
+    return {}

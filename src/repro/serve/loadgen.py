@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.evalharness.options import RunOptions
-from repro.serve.api import LatencyStats, RunResponse, SubmitRequest
+from repro.obs import Histogram
+from repro.serve.api import RunResponse, SubmitRequest, latency_samples
 from repro.serve.service import ExecutionService
 
 __all__ = ["LoadGen", "LoadReport"]
@@ -56,16 +57,15 @@ class LoadReport:
             counts[resp.status] = counts.get(resp.status, 0) + 1
         return counts
 
-    def latency(self, component: str = "total_s") -> LatencyStats:
-        # Cache hits never queued or executed, so their (zero) component
-        # splits would skew everything except the end-to-end total.
-        statuses = (("ok", "cached", "degraded") if component == "total_s"
-                    else ("ok", "degraded"))
-        stats = LatencyStats()
+    def latency(self, component: str = "total_s") -> Histogram:
+        """One latency series over the responses, by the service's rule
+        (:func:`~repro.serve.api.latency_samples`)."""
+        hist = Histogram()
         for resp in self.responses:
-            if resp.status in statuses:
-                stats.observe(getattr(resp, component))
-        return stats
+            value = latency_samples(resp).get(component)
+            if value is not None:
+                hist.observe(value)
+        return hist
 
     def identities(self) -> List[Dict[str, Any]]:
         """Per-request ``(kernel, status, digest)`` rows in stream
@@ -81,7 +81,7 @@ class LoadReport:
             "throughput_rps": round(self.throughput_rps, 3),
             "status_counts": self.status_counts,
             "latency": {
-                name: self.latency(name).summary()
+                name: self.latency(name).as_dict()
                 for name in ("total_s", "queue_s", "compile_s",
                              "execute_s")
             },

@@ -23,6 +23,7 @@ Policies
     execution time, learned online as an exponentially-weighted moving
     average of observed ``execute_s`` per key (unseen keys estimate
     0.0, so new kernels are probed eagerly; ties break by arrival).
+    Only this policy keeps the estimates.
     Improves mean latency under mixed workloads at the cost of
     fairness; the classic starvation caveat applies under sustained
     overload, which is what ``deadline_s`` shedding is for.
@@ -173,17 +174,16 @@ class BatchScheduler:
 
     # -- learning (SJF) -------------------------------------------------
     def observe(self, key: BatchKey, execute_s: float) -> None:
-        """Feed an observed execution time into the SJF estimates."""
+        """Feed an observed execution time into the SJF estimates (a
+        no-op under ``fifo``, which never reads them)."""
+        if self.policy != "sjf":
+            return
         with self._lock:
             old = self._estimates.get(key)
             self._estimates[key] = (
                 execute_s if old is None
                 else _EWMA_ALPHA * execute_s + (1 - _EWMA_ALPHA) * old
             )
-
-    def estimate(self, key: BatchKey) -> float:
-        with self._lock:
-            return self._estimates.get(key, 0.0)
 
     # -- dispatch -------------------------------------------------------
     def _pick_key(self) -> BatchKey:

@@ -31,11 +31,11 @@ runs on this service, so it is the one crash-tolerant pool:
   by its remaining budget through
   :func:`~repro.resilience.wall_clock_limit`).
 
-Observability: with a :class:`repro.obs.Metrics` registry attached the
-service publishes counters, queue-depth gauges and latency histograms
-under the ``serve/`` scope, keeps raw-sample
-:class:`~repro.serve.api.LatencyStats` for true p50/p99, and (with a
-:class:`repro.obs.Tracer`) emits one Chrome-trace span per request on
+Observability: the service records every event once — counters,
+queue-depth gauges, batch-size and latency histograms — into the
+``serve/`` scope of one :class:`repro.obs.Metrics` registry, and
+:meth:`ExecutionService.stats` is a view over that scope.  With a
+:class:`repro.obs.Tracer` it emits one Chrome-trace span per request on
 the ``serve`` process lane, so a load run opens directly in Perfetto.
 """
 
@@ -65,10 +65,12 @@ from repro.resilience import (
     WorkerCrashError,
 )
 from repro.serve.api import (
-    LatencyStats,
+    LATENCY_SERIES,
+    RESPONSE_STATUSES,
     RunResponse,
     SubmitRequest,
     Ticket,
+    latency_samples,
     result_digest,
     run_summary,
 )
@@ -221,8 +223,10 @@ class ExecutionService:
         past this bound (``evicted`` counter), after which its ticket
         is unknown.  :meth:`result` stays a non-consuming peek.
     tracer / metrics:
-        Optional :class:`repro.obs.Tracer` / :class:`repro.obs.Metrics`;
-        the service records into the ``serve/`` metric scope and one
+        Optional :class:`repro.obs.Tracer` / :class:`repro.obs.Metrics`
+        (default: a fresh ``Metrics()``); the service records into the
+        ``serve/`` metric scope, which :meth:`stats` reads back (a
+        registry shared by two services reports their sum), and one
         trace span per request; when the result cache is armed,
         :meth:`stop` adds what it counted meanwhile to the
         ``resultcache/`` scope.  (These are the service's own
@@ -258,8 +262,8 @@ class ExecutionService:
         self.validate_cache_seed = int(validate_cache_seed)
         self.retention_limit = max(1, int(retention_limit))
         self.tracer = tracer
-        self.metrics = metrics
-        self._scope = metrics.scope("serve") if metrics is not None else None
+        self.metrics = Metrics() if metrics is None else metrics
+        self._scope = self.metrics.scope("serve")
         #: result-cache counters at start(), published as a delta by stop()
         self._rcache_base: Optional[Dict[str, int]] = None
         self._known = frozenset(all_names(include_extras=True))
@@ -270,30 +274,13 @@ class ExecutionService:
         #: ``retention_limit``; wait() pops, result() peeks)
         self._responses: "OrderedDict[int, RunResponse]" = OrderedDict()
         self._events: Dict[int, threading.Event] = {}
-        self._evicted = 0
 
         self._running = False
         self._stopping = threading.Event()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._t0_mono = 0.0
-        self._t0_wall = 0.0
 
-        #: raw-sample latency accumulators (true p50/p99; the metric
-        #: histograms only keep count/sum/min/max)
-        self.latency: Dict[str, LatencyStats] = {
-            "total_s": LatencyStats(),
-            "queue_s": LatencyStats(),
-            "compile_s": LatencyStats(),
-            "execute_s": LatencyStats(),
-            "cached_s": LatencyStats(),
-        }
-        self._counts: Dict[str, int] = {
-            "submitted": 0, "ok": 0, "cached": 0, "degraded": 0,
-            "rejected": 0, "deadline": 0,
-        }
-        self._batch_sizes: List[int] = []
-        self._worker_crashes = 0
         self.cache_stats: Dict[str, int] = {}
         #: latest compile-cache size per live worker pid
         self._cache_entries: Dict[int, int] = {}
@@ -308,7 +295,6 @@ class ExecutionService:
         if self.result_cache is not None:
             self._rcache_base = self.result_cache.stats()
         self._t0_mono = time.monotonic()
-        self._t0_wall = time.time()
         self._running = True
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch",
@@ -360,8 +346,6 @@ class ExecutionService:
         ticket = Ticket(rid, request.kernel, time.time())
         with self._lock:
             self._events[rid] = threading.Event()
-        self._counts["submitted"] += 1
-        if self._scope is not None:
             self._scope.inc("requests_submitted")
 
         def reject(message: str, error_type: str) -> Ticket:
@@ -444,8 +428,7 @@ class ExecutionService:
             return reject(
                 f"queue full (limit {self.scheduler.queue_limit})",
                 "QueueFullError")
-        if self._scope is not None:
-            self._scope.gauge("queue_depth", self.scheduler.depth())
+        self._scope.gauge("queue_depth", self.scheduler.depth())
         return ticket
 
     def wait(self, ticket: Ticket,
@@ -574,12 +557,10 @@ class ExecutionService:
         future = self._pool.submit(
             _serve_worker, (batch.batch_id, batch.kernel, opts, budget_s))
         in_flight[future] = batch
-        self._batch_sizes.append(len(batch.entries))
-        if self._scope is not None:
-            self._scope.inc("batches")
+        with self._lock:
             self._scope.observe("batch_size", len(batch.entries))
-            self._scope.gauge("queue_depth", self.scheduler.depth())
-            self._scope.gauge("in_flight", len(in_flight))
+        self._scope.gauge("queue_depth", self.scheduler.depth())
+        self._scope.gauge("in_flight", len(in_flight))
 
     def _finish_batch(self, batch: Batch, payload) -> None:
         (_, run, failure, compile_s, execute_s, digest, summary,
@@ -649,8 +630,7 @@ class ExecutionService:
         """Worker died hard: respawn the pool, requeue the in-flight
         requests under their crash budgets.  The sweep's ``--jobs``
         path runs on this, so it is the only crash recovery."""
-        self._worker_crashes += 1
-        if self._scope is not None:
+        with self._lock:
             self._scope.inc("worker_crashes")
         self._pool.shutdown(wait=False)
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
@@ -679,28 +659,6 @@ class ExecutionService:
     # -- completion -----------------------------------------------------
     def _finish(self, entry: Optional[QueueEntry],
                 response: RunResponse) -> None:
-        self._counts[response.status] = \
-            self._counts.get(response.status, 0) + 1
-        executed = response.status in ("ok", "degraded") \
-            and response.batch_id is not None
-        self.latency["total_s"].observe(response.total_s)
-        if executed:
-            self.latency["queue_s"].observe(response.queue_s)
-            self.latency["compile_s"].observe(response.compile_s)
-            self.latency["execute_s"].observe(response.execute_s)
-        elif response.status == "cached":
-            # Cache hits get their own latency series: admission-time
-            # answers would otherwise drown the execution percentiles.
-            self.latency["cached_s"].observe(response.total_s)
-        if self._scope is not None:
-            self._scope.inc(f"requests_{response.status}")
-            self._scope.observe("total_s", response.total_s)
-            if executed:
-                self._scope.observe("queue_s", response.queue_s)
-                self._scope.observe("compile_s", response.compile_s)
-                self._scope.observe("execute_s", response.execute_s)
-            elif response.status == "cached":
-                self._scope.observe("cached_s", response.total_s)
         if self.tracer is not None and entry is not None:
             # One span per request on the "serve" lane, in µs since
             # service start (the native Chrome-trace time base).
@@ -710,8 +668,10 @@ class ExecutionService:
                 start_us, response.total_s * 1e6, pid="serve",
                 tid=0, status=response.status,
                 batch=response.batch_id, client=response.client)
-        evicted = 0
         with self._lock:
+            self._scope.inc(f"requests_{response.status}")
+            for series, value in latency_samples(response).items():
+                self._scope.observe(series, value)
             self._responses[response.request_id] = response
             event = self._events.get(response.request_id)
             # Bounded retention: responses nobody picks up age out
@@ -721,46 +681,49 @@ class ExecutionService:
             while len(self._responses) > self.retention_limit:
                 old_rid, _ = self._responses.popitem(last=False)
                 self._events.pop(old_rid, None)
-                evicted += 1
-        if evicted:
-            self._evicted += evicted
-            if self._scope is not None:
-                self._scope.inc("responses_evicted", evicted)
+                self._scope.inc("responses_evicted")
         if event is not None:
             event.set()
 
     # -- reporting ------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """JSON-able service report (counts, batching, latency split)."""
-        sizes = self._batch_sizes
+        """JSON-able service report (counts, batching, latency split),
+        read from the ``serve/`` scope of :attr:`metrics`."""
+        scope = self._scope
+        with self._lock:
+            requests = {status: scope.value(f"requests_{status}", 0)
+                        for status in ("submitted",) + RESPONSE_STATUSES}
+            sizes = scope.histogram("batch_size")
+            latency = {name: scope.histogram(name).as_dict()
+                       for name in LATENCY_SERIES}
+            held = len(self._responses)
+            evicted = scope.value("responses_evicted", 0)
+            crashes = scope.value("worker_crashes", 0)
         uptime = (time.monotonic() - self._t0_mono) if self._t0_mono else 0.0
-        completed = sum(self._counts.get(s, 0)
-                        for s in ("ok", "cached", "degraded",
-                                  "rejected", "deadline"))
+        completed = sum(requests[s] for s in RESPONSE_STATUSES)
         report = {
             "workers": self.workers,
             "policy": self.scheduler.policy,
             "uptime_s": uptime,
-            "requests": dict(self._counts),
+            "requests": requests,
             "throughput_rps": (completed / uptime) if uptime > 0 else 0.0,
             "batches": {
-                "count": len(sizes),
-                "batched_requests": sum(sizes),
-                "mean_size": (sum(sizes) / len(sizes)) if sizes else 0.0,
-                "max_size": max(sizes) if sizes else 0,
+                "count": sizes.count,
+                "batched_requests": int(sizes.total),
+                "mean_size": sizes.mean,
+                "max_size": int(sizes.max or 0),
             },
             "queue": {
                 "limit": self.scheduler.queue_limit,
                 "peak_depth": self.scheduler.peak_depth,
             },
-            "latency": {name: stats.summary()
-                        for name, stats in self.latency.items()},
+            "latency": latency,
             "retention": {
                 "limit": self.retention_limit,
-                "held": len(self._responses),
-                "evicted": self._evicted,
+                "held": held,
+                "evicted": evicted,
             },
-            "worker_crashes": self._worker_crashes,
+            "worker_crashes": crashes,
             "compile_cache": dict(
                 self.cache_stats,
                 entries=sum(self._cache_entries.values())),

@@ -14,6 +14,8 @@ Covers the contracts promised by docs/observability.md:
 """
 
 import json
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.host import Device, HostError, LaunchStats
 from repro.kernels import saxpy_kernel
 from repro.memory.image import MemoryImage
 from repro.obs import (
+    Histogram,
     Metrics,
     NULL_TRACER,
     NullTracer,
@@ -42,6 +45,7 @@ from repro.obs import (
     TraceEvent,
     Tracer,
 )
+from repro.obs.metrics import MAX_BUCKETS, REL_ERROR
 from repro.resilience import SimulationHangError, WatchdogConfig
 from repro.sgmf import SGMFRunResult
 from repro.simt import FermiRunResult
@@ -171,6 +175,83 @@ def test_metrics_scope_and_value():
     assert "bbs.reconfigurations = 3" in m.format("vgiw")
     dumped = m.as_dict()
     assert dumped["histograms"]["vgiw/block.span"]["count"] == 2
+
+
+# ----------------------------------------------------------------------
+# The bounded histogram
+# ----------------------------------------------------------------------
+def _nearest_rank(ordered, p):
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def _log_uniform(rng, n, lo_exp, hi_exp):
+    return [10 ** rng.uniform(lo_exp, hi_exp) for _ in range(n)]
+
+
+def test_histogram_percentiles_within_rel_error_of_nearest_rank():
+    """Seeded sample sets spanning 9 decades: every percentile is within
+    REL_ERROR (relative) of the exact nearest-rank sample."""
+    worst = 0.0
+    for seed in range(60):
+        rng = random.Random(seed)
+        samples = _log_uniform(rng, rng.randint(1, 800), -6, 3)
+        hist = Histogram()
+        for x in samples:
+            hist.observe(x)
+        ordered = sorted(samples)
+        for p in (0, 1, 50, 90, 99, 100):
+            want = _nearest_rank(ordered, p)
+            got = hist.percentile(p)
+            assert ordered[0] <= got <= ordered[-1]
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= REL_ERROR * (1 + 1e-9)
+    assert worst > REL_ERROR / 10  # the buckets really are approximate
+
+
+def test_histogram_bucket_count_is_capped():
+    """10^5 samples over 24 decades (past both ends of the bucketed
+    range): the bucket count stays under the hard cap, and count /
+    sum / min / max stay exact."""
+    rng = random.Random(3)
+    samples = _log_uniform(rng, 10 ** 5, -12, 12) + [0.0, -1.0]
+    hist = Histogram()
+    for x in samples:
+        hist.observe(x)
+    assert len(hist.buckets) <= MAX_BUCKETS
+    assert MAX_BUCKETS < 2100
+    assert hist.count == len(samples)
+    assert hist.min == -1.0 and hist.max == max(samples)
+    assert hist.total == pytest.approx(sum(samples))
+    want = _nearest_rank(sorted(samples), 50)
+    assert hist.percentile(50) == pytest.approx(want, rel=REL_ERROR)
+
+
+def test_histogram_merge_equals_observing_all():
+    rng = random.Random(11)
+    a_samples = _log_uniform(rng, 500, -6, 2)
+    b_samples = _log_uniform(rng, 300, -3, 4)
+    a, b, both = Histogram(), Histogram(), Histogram()
+    for x in a_samples:
+        a.observe(x)
+        both.observe(x)
+    for x in b_samples:
+        b.observe(x)
+        both.observe(x)
+    a.merge(b)
+    assert a.buckets == both.buckets
+    assert (a.count, a.min, a.max) == (both.count, both.min, both.max)
+    assert a.total == pytest.approx(both.total)
+    for p in (1, 50, 99):
+        assert a.percentile(p) == both.percentile(p)
+
+
+def test_empty_histogram_reads_zero():
+    hist = Histogram()
+    assert hist.percentile(50) == 0.0
+    assert hist.as_dict() == {"count": 0, "sum": 0.0, "min": 0.0,
+                              "max": 0.0, "mean": 0.0, "p50": 0.0,
+                              "p99": 0.0}
 
 
 def test_metrics_table_rows(traced_run):

@@ -103,6 +103,33 @@ def test_fingerprint_canonicalizes_mapping_order():
     assert a.fingerprint() == b.fingerprint()
 
 
+def test_fingerprint_keys_empty_mapping_as_none():
+    """The CLI passes ``inject={}``; an API sweep leaves it ``None``.
+    Both request the same execution, so both key the same."""
+    assert RunOptions(inject={}).fingerprint() == RunOptions().fingerprint()
+    assert (ResultCache.key_for("nn/euclid", TINY.replace(inject={}))
+            == ResultCache.key_for("nn/euclid", TINY))
+
+
+def test_cli_warmed_store_is_hit_by_api_sweep(tmp_path):
+    """A store the CLI writes answers ``run_suite`` with
+    ``RunOptions(result_cache_dir=...)``: a miss would store a second
+    entry under another key."""
+    from repro.evalharness.__main__ import main
+
+    assert main(["--scale", "tiny", "--kernels", "nn/euclid",
+                 "--result-cache", str(tmp_path),
+                 "--out", str(tmp_path / "cli.md")]) == 0
+    written = _entry_files(tmp_path)
+    assert len(written) == 1
+    before = os.stat(written[0]).st_mtime_ns
+    runs = run_suite(["nn/euclid"], options=RunOptions(
+        scale="tiny", result_cache_dir=str(tmp_path)))
+    assert "nn/euclid" in runs
+    assert _entry_files(tmp_path) == written
+    assert os.stat(written[0]).st_mtime_ns == before
+
+
 def test_option_key_rejects_default_repr_objects():
     with pytest.raises(OptionKeyError, match="object"):
         option_key(object())

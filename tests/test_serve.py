@@ -28,6 +28,7 @@ from repro.serve import (
     BatchScheduler,
     ExecutionService,
     LoadGen,
+    LoadReport,
     SubmitRequest,
     result_digest,
 )
@@ -216,7 +217,7 @@ def test_worker_sigkill_mid_batch_recovers(tmp_path, monkeypatch):
         tickets = [svc.submit(SubmitRequest("nn/euclid", TINY))
                    for _ in range(4)]
         responses = [svc.wait(t, timeout=300) for t in tickets]
-        crashes = svc._worker_crashes
+        crashes = svc.stats()["worker_crashes"]
     assert crashes >= 1
     assert not os.path.exists(token)  # the kill latch fired exactly once
     assert all(r.status == "ok" for r in responses)
@@ -257,6 +258,15 @@ def test_scheduler_rejects_bad_policy():
         BatchScheduler(policy="lifo")
 
 
+def test_fifo_scheduler_learns_nothing():
+    """Only ``sjf`` reads the execution-time estimates, so ``fifo``
+    keeps none (one per distinct options fingerprint otherwise)."""
+    sched = BatchScheduler(policy="fifo", queue_limit=8)
+    for i in range(50):
+        sched.observe((f"k{i}", "f"), 1.0)
+    assert sched._estimates == {}
+
+
 def test_sjf_dispatches_learned_short_kernel_first():
     from repro.serve.scheduler import QueueEntry
 
@@ -285,7 +295,7 @@ def test_serve_metrics_scope_and_trace_spans():
     assert resp.status == "ok"
     assert metrics.value("serve/requests_submitted") == 1
     assert metrics.value("serve/requests_ok") == 1
-    assert metrics.value("serve/batches") == 1
+    assert metrics.histograms["serve/batch_size"].count == 1
     hist = metrics.histograms["serve/execute_s"]
     assert hist.count == 1 and hist.total > 0
     spans = [e for e in tracer.events if e.cat == "serve"]
@@ -296,6 +306,86 @@ def test_serve_metrics_scope_and_trace_spans():
     assert stats["requests"]["ok"] == 1
     for component in ("queue_s", "compile_s", "execute_s", "total_s"):
         assert stats["latency"][component]["count"] == 1
+
+
+def test_stats_is_a_view_over_the_metrics_registry():
+    """``stats()`` reads the ``serve/`` scope: two services sharing one
+    registry report their sum, and the batch figures are the
+    ``batch_size`` histogram's exact count and total."""
+    metrics = Metrics()
+    for _ in range(2):
+        with ExecutionService(workers=1, metrics=metrics) as svc:
+            tickets = [svc.submit(SubmitRequest("nn/euclid", TINY))
+                       for _ in range(3)]
+            assert all(svc.wait(t, timeout=120).status == "ok"
+                       for t in tickets)
+    stats = svc.stats()
+    sizes = metrics.histograms["serve/batch_size"]
+    assert stats["requests"]["submitted"] == 6
+    assert stats["requests"]["ok"] == 6
+    assert stats["batches"]["count"] == sizes.count
+    assert stats["batches"]["batched_requests"] == 6
+    assert stats["batches"]["max_size"] == sizes.max
+    assert stats["latency"]["total_s"]["count"] == 6
+    assert set(stats["requests"]) == {"submitted", "ok", "cached",
+                                      "degraded", "rejected", "deadline"}
+
+
+def test_concurrent_submissions_lose_no_counts():
+    """Client threads (more than cores) record into the one registry
+    at once, with a short switch interval: no update is lost."""
+    import sys
+    import threading
+
+    n_threads, per_thread = 8, 50
+    with ExecutionService(workers=1) as svc:
+        def client():
+            for _ in range(per_thread):
+                svc.wait(svc.submit(SubmitRequest("no/such", TINY)),
+                         timeout=30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = svc.stats()
+    total = n_threads * per_thread
+    assert stats["requests"]["submitted"] == total
+    assert stats["requests"]["rejected"] == total
+
+
+def test_rejected_requests_feed_no_latency_series():
+    """Regression: rejected requests never ran and carry
+    ``total_s == 0.0``; they used to be counted in ``total_s`` and pull
+    its percentiles to zero.  The service and ``LoadReport`` now follow
+    one rule (``latency_samples``)."""
+    with ExecutionService(workers=1, queue_limit=1) as svc:
+        blocker = svc.submit(SubmitRequest("nn/euclid",
+                                           RunOptions(scale="small")))
+        tickets = [svc.submit(SubmitRequest(k, TINY))
+                   for k in KERNELS * 2]
+        responses = [svc.wait(t, timeout=120) for t in tickets]
+        responses.append(svc.wait(blocker, timeout=120))
+        stats = svc.stats()
+    answered = [r for r in responses if r.status == "ok"]
+    assert len(answered) < len(responses), "expected rejections"
+    assert {r.status for r in responses} <= {"ok", "rejected"}
+    report = LoadReport(mode="closed", n_requests=len(responses),
+                        wall_s=1.0, responses=responses)
+    for name in ("total_s", "queue_s", "compile_s", "execute_s"):
+        assert stats["latency"][name]["count"] == len(answered)
+        assert report.latency(name).count == len(answered)
+    assert stats["latency"]["total_s"]["min"] > 0.0
+    assert stats["latency"]["total_s"]["p50"] == pytest.approx(
+        report.latency("total_s").percentile(50))
 
 
 # ----------------------------------------------------------------------
