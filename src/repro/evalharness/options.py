@@ -52,7 +52,7 @@ requests may share one execution, and the result cache keys on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace as _dc_replace
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Mapping, Optional, Tuple
 
 from repro.resilience.errors import OptionKeyError
 from repro.store import option_key
@@ -104,8 +104,8 @@ class RunOptions:
     #: fields that carry live, process-local objects; excluded from the
     #: fingerprint.  repro.serve answers a set tracer/metrics with fresh
     #: registries of its own and rejects the others.
-    LIVE_FIELDS: Tuple[str, ...] = ("tracer", "metrics", "cache", "faults",
-                                    "result_cache")
+    LIVE_FIELDS: ClassVar[Tuple[str, ...]] = (
+        "tracer", "metrics", "cache", "faults", "result_cache")
 
     def fingerprint(self) -> str:
         """Stable content key over the pure (value-like) fields.

@@ -21,11 +21,11 @@ from repro.ir.instr import EVAL, Op, TermKind, coerce_i64
 from repro.ir.kernel import Kernel
 from repro.ir.types import DType, Imm, Operand, Reg, TID_REG, is_param_reg, PARAM_PREFIX
 from repro.ir.vecops import (
+    MemLog,
     addr_batch,
     f2i_array,
     f64_batch,
-    hazard_key,
-    stores_after_loads,
+    scatter,
     vec_eval,
 )
 from repro.memory.image import MemoryImage
@@ -60,17 +60,21 @@ class InterpResult:
 
     @property
     def total_instructions(self) -> int:
+        """Instructions executed, summed over every thread."""
         return sum(t.instructions for t in self.traces)
 
     @property
     def total_loads(self) -> int:
+        """Loads executed, summed over every thread."""
         return sum(t.loads for t in self.traces)
 
     @property
     def total_stores(self) -> int:
+        """Stores executed, summed over every thread."""
         return sum(t.stores for t in self.traces)
 
     def visits_of(self, tid: int, block: str) -> int:
+        """How many times thread ``tid`` entered basic block ``block``."""
         return sum(1 for b in self.traces[tid].blocks if b == block)
 
 
@@ -260,24 +264,6 @@ class Interpreter:
     # Vectorized wave execution
     # ------------------------------------------------------------------
     @staticmethod
-    def _wave_write(regs, defined, dst, wave, vals, n_threads):
-        """Scatter a batch result into the per-register thread arrays,
-        promoting to ``object`` dtype on a cross-block dtype conflict."""
-        arr = regs.get(dst)
-        if arr is None:
-            arr = np.zeros(n_threads, vals.dtype)
-            regs[dst] = arr
-            defined[dst] = np.zeros(n_threads, bool)
-        elif arr.dtype != vals.dtype:
-            if arr.dtype.kind != "O":
-                obj = np.empty(n_threads, object)
-                obj[:] = arr.tolist()
-                arr = regs[dst] = obj
-            vals = np.array(vals.tolist(), dtype=object)
-        arr[wave] = vals
-        defined[dst][wave] = True
-
-    @staticmethod
     def _wave_values(regs, defined, wave, mode, payload):
         """Fetch one operand for a wave: a register's thread slice, a
         constant, or the tid array.  ``None`` means some thread reads an
@@ -295,11 +281,10 @@ class Interpreter:
         """Execute all threads as vectorized waves.
 
         Threads sharing a basic block evaluate each instruction as one
-        :func:`repro.ir.vecops.vec_eval` batch.  Stores are buffered and
-        committed in ``(tid, program order)`` — the scalar thread-major
-        order — and a store to an address some earlier-or-equal ``(tid,
-        program position)`` loaded (:func:`stores_after_loads`) aborts
-        the wave (returns ``None``) so the sequential path, whose
+        :func:`repro.ir.vecops.vec_eval` batch.  Loads and stores go to
+        a :class:`~repro.ir.vecops.MemLog` ranked by tid: stores commit
+        in the scalar thread-major order, and a log that is not exact
+        aborts the wave (returns ``None``) so the sequential path, whose
         results are the contract, reruns from untouched memory.  The
         same bail-out covers undefined registers, invalid addresses and
         visit-bound overruns: the scalar path raises the exact errors.
@@ -314,10 +299,8 @@ class Interpreter:
         visits = np.zeros(n_threads, np.int64)
         blocks_trace: List[List[str]] = [[] for _ in range(n_threads)]
         counts = np.zeros((n_threads, 3), np.int64)
-        load_log: List = []  # (wave, addrs, seq), in wave order
-        store_log: List = []  # (wave, addrs, f64 values), in wave order
-        store_seq: List[int] = []
-        seq = 0  # program-order counter shared by the hazard keys
+        log = MemLog()
+        seq = 0  # program position of each row, across waves
         frontier: Dict[str, np.ndarray] = {
             kernel.entry: np.arange(n_threads, dtype=np.int64)
         }
@@ -346,8 +329,7 @@ class Interpreter:
                             return None
                         args.append(v)
                     vals = vec_eval(op, tuple(args), dt, n)
-                    self._wave_write(regs, defined, dst, wave, vals,
-                                     n_threads)
+                    scatter(regs, defined, dst, wave, vals, n_threads)
                 elif tag == 0:  # LOAD
                     am, ap = row[1]
                     a = self._wave_values(regs, defined, wave, am, ap)
@@ -356,13 +338,12 @@ class Interpreter:
                     addrs = addr_batch(a, n, size)
                     if addrs is None:
                         return None
-                    load_log.append((wave, addrs, seq))
+                    log.record(wave, seq, addrs)
                     raw = data[addrs]
                     dt = row[3]
                     vals = (f2i_array(raw) if dt == 1
                             else raw if dt == 2 else raw != 0)
-                    self._wave_write(regs, defined, row[2], wave, vals,
-                                     n_threads)
+                    scatter(regs, defined, row[2], wave, vals, n_threads)
                 else:  # STORE
                     am, ap = row[1]
                     a = self._wave_values(regs, defined, wave, am, ap)
@@ -378,8 +359,7 @@ class Interpreter:
                     fvals = f64_batch(v, n)
                     if fvals is None:
                         return None
-                    store_log.append((wave, addrs, fvals))
-                    store_seq.append(seq)
+                    log.record(wave, seq, addrs, fvals)
             if tcode == 0:
                 continue
             if tcode == 1:
@@ -406,26 +386,9 @@ class Interpreter:
                     nxt = frontier.get(target)
                     frontier[target] = (part if nxt is None
                                         else np.concatenate((nxt, part)))
-        if store_log and load_log and not stores_after_loads(
-            np.concatenate([a for _, a, _ in load_log]),
-            np.concatenate([hazard_key(w, s) for w, _, s in load_log]),
-            np.concatenate([a for _, a, _ in store_log]),
-            np.concatenate([hazard_key(w, _s)
-                            for (w, _, _), _s in zip(store_log, store_seq)]),
-        ):
+        if not log.exact():
             return None
-        # Commit stores in scalar (thread-major, then program) order so
-        # the per-address last writer matches the sequential contract.
-        if store_log:
-            all_t = np.concatenate([w for w, _, _ in store_log])
-            all_a = np.concatenate([a for _, a, _ in store_log])
-            all_v = np.concatenate([v for _, _, v in store_log])
-            all_s = np.concatenate([
-                np.full(w.shape[0], s, np.int64)
-                for (w, _, _), s in zip(store_log, store_seq)
-            ])
-            order = np.lexsort((all_s, all_t))
-            data[all_a[order]] = all_v[order]
+        log.commit(data)
         traces = []
         for tid in range(n_threads):
             tr = ThreadTrace(tid, blocks_trace[tid])

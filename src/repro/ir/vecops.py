@@ -53,6 +53,7 @@ from repro.ir.instr import (
 )
 
 __all__ = [
+    "MemLog",
     "VEVAL",
     "addr_batch",
     "as_value_array",
@@ -60,6 +61,7 @@ __all__ = [
     "f2i_array",
     "f64_batch",
     "hazard_key",
+    "scatter",
     "stores_after_loads",
     "to_int_operand",
     "vec_eval",
@@ -290,6 +292,100 @@ def stores_after_loads(
     s_starts = np.flatnonzero(np.r_[True, sa_s[1:] != sa_s[:-1]])
     s_min = np.minimum.reduceat(sk_s, s_starts)
     return bool((l_max < s_min).all())
+
+
+class MemLog:
+    """The loads and stores of one batched pass, under the one
+    memory-order rule of every batched pass.
+
+    Loads read memory as it stood before the batch; stores are only
+    logged.  Each row carries every element's *rank* in the thread-major
+    walk the batch must reproduce (the tid of a whole-kernel wave, the
+    slot of a VGIW block vector) and its program position.  Stores come
+    out in that walk's order: rank, then position.
+    """
+
+    __slots__ = ("_loads", "_stores")
+
+    def __init__(self) -> None:
+        self._loads: list = []   # (ranks, addrs, position)
+        self._stores: list = []  # (ranks, addrs, float64 values, position)
+
+    def record(self, ranks: np.ndarray, pos: int, addrs: np.ndarray,
+               vals: Optional[np.ndarray] = None) -> None:
+        """Log one memory row: a load when ``vals`` is ``None``, else a
+        store of ``vals``, element by element with ``ranks``."""
+        if vals is None:
+            self._loads.append((ranks, addrs, pos))
+        else:
+            self._stores.append((ranks, addrs, vals, pos))
+
+    def exact(self) -> bool:
+        """True when the batch equals the thread-major walk
+        (:func:`stores_after_loads`)."""
+        loads, stores = self._loads, self._stores
+        if not loads or not stores:
+            return True
+        return stores_after_loads(
+            np.concatenate([a for _, a, _ in loads]),
+            np.concatenate([hazard_key(r, p) for r, _, p in loads]),
+            np.concatenate([a for _, a, _, _ in stores]),
+            np.concatenate([hazard_key(r, p) for r, _, _, p in stores]),
+        )
+
+    def _ordered(self):
+        """``(ranks, addrs, vals)`` of every store in commit order."""
+        stores = self._stores
+        if len(stores) == 1:
+            ranks, addrs, vals, _ = stores[0]
+            # A VGIW vector's slots ascend; a wave's tids need not.
+            if (ranks[1:] > ranks[:-1]).all():
+                return ranks, addrs, vals
+        ranks = np.concatenate([r for r, _, _, _ in stores])
+        pos = np.concatenate([np.full(r.shape[0], p, np.int64)
+                              for r, _, _, p in stores])
+        order = np.lexsort((pos, ranks))
+        return (ranks[order],
+                np.concatenate([a for _, a, _, _ in stores])[order],
+                np.concatenate([v for _, _, v, _ in stores])[order])
+
+    def commit(self, data: np.ndarray) -> None:
+        """Write every store into ``data`` in commit order (fancy
+        assignment keeps the last of repeated indices)."""
+        if self._stores:
+            _, addrs, vals = self._ordered()
+            data[addrs] = vals
+
+    def by_thread(self, n_ranks: int):
+        """``(addrs, vals, bounds)`` in commit order, ``bounds[r]:bounds[r
+        + 1]`` slicing rank ``r``'s stores; ``None`` if nothing stored."""
+        if not self._stores:
+            return None
+        ranks, addrs, vals = self._ordered()
+        return addrs, vals, np.searchsorted(ranks, np.arange(n_ranks + 1))
+
+
+def scatter(regs: Dict[str, np.ndarray], defined: Dict[str, np.ndarray],
+            dst: str, wave: np.ndarray, vals, n_threads: int) -> None:
+    """Write a batch result (a scalar broadcasts) at the threads
+    ``wave`` of ``regs[dst]``, a per-thread array marked in
+    ``defined[dst]``; a dtype conflict promotes it to ``object``."""
+    if not isinstance(vals, np.ndarray):
+        n = wave.shape[0]
+        vals = as_value_array([vals] * n, n)
+    arr = regs.get(dst)
+    if arr is None:
+        arr = np.zeros(n_threads, vals.dtype)
+        regs[dst] = arr
+        defined[dst] = np.zeros(n_threads, bool)
+    elif arr.dtype != vals.dtype:
+        if arr.dtype.kind != "O":
+            obj = np.empty(n_threads, object)
+            obj[:] = arr.tolist()
+            arr = regs[dst] = obj
+        vals = np.array(vals.tolist(), dtype=object)
+    arr[wave] = vals
+    defined[dst][wave] = True
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,14 @@ model so the two architectures differ only where the designs differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.arch.config import SGMFConfig
 from repro.engine import EngineRunResult
 from repro.ir.kernel import Kernel
-from repro.ir.vecops import as_value_array, hazard_key, stores_after_loads
+from repro.ir.vecops import MemLog, scatter
 from repro.ir.types import DType
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
@@ -74,6 +74,9 @@ class SGMFRunResult(EngineRunResult):
 
     @property
     def useful_fire_fraction(self) -> float:
+        """Share of node fires that did useful work: 1 minus the
+        predicated pass-through fires of unvisited blocks (1.0 when
+        nothing fired)."""
         total = self.fabric.node_fires
         return 1.0 - self.waste_fires / total if total else 1.0
 
@@ -83,7 +86,6 @@ class SGMFCore:
 
     def __init__(self, config: Optional[SGMFConfig] = None):
         self.config = config or SGMFConfig()
-        self._faults: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -163,8 +165,7 @@ class SGMFCore:
             tracer=trace,
         )
         stats = FabricStats()
-        self._waste_fires = 0
-        self._faults = faults
+        waste_fires = 0
 
         n_replicas = mapping.n_replicas
         reps = [_ReplicaState() for _ in range(n_replicas)]
@@ -210,14 +211,14 @@ class SGMFCore:
             batch = self._functional_waves(
                 kernel, plans[0], n_threads, memory, visit_limit
             )
+        stores = None
         if batch is None:
             regs: Dict[str, np.ndarray] = {}
             defined: Dict[str, np.ndarray] = {}
         else:
-            st_a, st_v, bounds = (
-                batch["st_a"], batch["st_v"], batch["bounds"]
-            )
-            paths = batch["paths"]
+            paths, stores = batch
+        if stores is not None:
+            st_a, st_v, bounds = stores
             mdata = memory.data
 
         end_time = 0.0
@@ -234,16 +235,17 @@ class SGMFCore:
             if batch is None:
                 visit = self._thread_visits(
                     rep, i, memory, memsys, regs, defined, n_threads,
-                    timing_binders,
+                    timing_binders, faults,
                 )
             else:
                 visit = self._replay(rep, i, paths[i], memsys,
                                      timing_binders)
-            completion = self._walk_thread(
+            completion, waste = self._walk_thread(
                 kernel, plans[ridx], waste_units[ridx], rep, i, inject,
                 visit, stats, wd, snapshot, max_block_visits,
             )
-            if batch is not None and bounds is not None:
+            waste_fires += waste
+            if stores is not None:
                 lo, hi = bounds[i], bounds[i + 1]
                 if hi > lo:
                     mdata[st_a[lo:hi]] = st_v[lo:hi]
@@ -258,7 +260,6 @@ class SGMFCore:
             wd.progress(completion)
             wd.check(end_time, snapshot)
 
-        waste_fires = self._waste_fires
         stats.threads = n_threads
         if metrics is not None:
             scope = metrics.scope("sgmf")
@@ -285,26 +286,6 @@ class SGMFCore:
         ).attach_obs(tracer, metrics)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lv_write(regs, defined, reg, wave, vals, n_threads, n):
-        """Scatter a wave's live-value batch into the per-register
-        thread arrays, promoting to ``object`` dtype on conflict."""
-        if not isinstance(vals, np.ndarray):
-            vals = as_value_array([vals] * n, n)
-        arr = regs.get(reg)
-        if arr is None:
-            arr = np.zeros(n_threads, vals.dtype)
-            regs[reg] = arr
-            defined[reg] = np.zeros(n_threads, bool)
-        elif arr.dtype != vals.dtype:
-            if arr.dtype.kind != "O":
-                obj = np.empty(n_threads, object)
-                obj[:] = arr.tolist()
-                arr = regs[reg] = obj
-            vals = np.array(vals.tolist(), dtype=object)
-        arr[wave] = vals
-        defined[reg][wave] = True
-
     def _functional_waves(
         self,
         kernel: Kernel,
@@ -320,26 +301,22 @@ class SGMFCore:
         — full-length per-register arrays indexed by tid.  Each thread's
         visits (address lists, batch slot, successor) are recorded for
         the timing walks.  Returns ``None`` whenever the waves cannot
-        reproduce the thread-major sequential walk exactly — a stored
-        address is loaded by an earlier-or-equal ``(tid, program
-        position)`` (checked by :func:`stores_after_loads`, so private
-        read-modify-writes stay batched), a wire is read before the
-        thread wrote it, an address is invalid, or a thread exceeds
-        ``visit_limit`` — and the threads rerun one by one from
-        untouched state (no writes happen before the bail-out).
+        reproduce the thread-major sequential walk exactly — their
+        :class:`~repro.ir.vecops.MemLog`, ranked by tid, is not exact, a
+        wire is read before the thread wrote it, an address is invalid,
+        or a thread exceeds ``visit_limit`` — and the threads rerun one
+        by one from untouched state (no writes happen before then).
 
-        Buffered stores commit per thread in ``(tid, program order)``
-        via one lexsort; ``bounds[t] : bounds[t+1]`` slices thread
-        ``t``'s writes so :meth:`run` applies them at the exact thread
+        Otherwise returns ``(paths, MemLog.by_thread(n_threads))`` so
+        :meth:`run` commits each thread's stores at the exact thread
         boundary of a thread-by-thread walk.
         """
         regs: Dict[str, np.ndarray] = {}
         defined: Dict[str, np.ndarray] = {}
         visits = np.zeros(n_threads, np.int64)
         paths: List[List] = [[] for _ in range(n_threads)]
-        load_log: List = []  # (wave, addrs, seq)
-        store_log: List = []  # (wave, addrs, f64 values, seq)
-        seq = 0  # shared program-order counter for the hazard keys
+        log = MemLog()
+        seq = 0  # program position of each memory row, across waves
         frontier: Dict[str, np.ndarray] = {
             kernel.entry: np.arange(n_threads, dtype=np.int64)
         }
@@ -349,7 +326,6 @@ class SGMFCore:
             visits[wave] += 1
             if int(visits[wave].max()) > visit_limit:
                 return None
-            n = wave.shape[0]
 
             def lv_load(row):
                 d = defined.get(row[5].out_reg)
@@ -358,8 +334,7 @@ class SGMFCore:
                 return regs[row[5].out_reg][wave]
 
             def lv_store(row, v):
-                self._lv_write(regs, defined, row[6].out_reg, wave, v,
-                               n_threads, n)
+                scatter(regs, defined, row[6].out_reg, wave, v, n_threads)
 
             rec = Trail()
             out = eval_rows(plan, wave, memory, rec, lv_load, lv_store)
@@ -368,10 +343,7 @@ class SGMFCore:
             mem_log, term = out
             for _, addrs, fvals in mem_log:
                 seq += 1
-                if fvals is None:
-                    load_log.append((wave, addrs, seq))
-                else:
-                    store_log.append((wave, addrs, fvals, seq))
+                log.record(wave, seq, addrs, fvals)
 
             if isinstance(term, np.ndarray):
                 tt, ft = plan.true_target, plan.false_target
@@ -391,32 +363,9 @@ class SGMFCore:
                     sub if prev is None else np.concatenate([prev, sub])
                 )
 
-        if store_log and load_log and not stores_after_loads(
-            np.concatenate([a for _, a, _ in load_log]),
-            np.concatenate([hazard_key(w, s) for w, _, s in load_log]),
-            np.concatenate([a for _, a, _, _ in store_log]),
-            np.concatenate([hazard_key(w, s) for w, _, _, s in store_log]),
-        ):
+        if not log.exact():
             return None
-
-        if store_log:
-            all_t = np.concatenate([w for w, _, _, _ in store_log])
-            all_a = np.concatenate([a for _, a, _, _ in store_log])
-            all_v = np.concatenate([v for _, _, v, _ in store_log])
-            all_s = np.concatenate(
-                [np.full(w.shape[0], sq, np.int64)
-                 for w, _, _, sq in store_log]
-            )
-            order = np.lexsort((all_s, all_t))
-            st_a = all_a[order]
-            st_v = all_v[order]
-            bounds = np.searchsorted(
-                all_t[order], np.arange(n_threads + 1)
-            )
-        else:
-            st_a = st_v = bounds = None
-        return {"paths": paths, "st_a": st_a, "st_v": st_v,
-                "bounds": bounds}
+        return paths, log.by_thread(n_threads)
 
     def _replay(self, rep: _ReplicaState, tid: int, path: List,
                 memsys: MemorySystem, timing_binders: Dict[str, Callable]):
@@ -440,13 +389,13 @@ class SGMFCore:
                        memory: MemoryImage, memsys: MemorySystem,
                        regs: Dict[str, np.ndarray],
                        defined: Dict[str, np.ndarray], n_threads: int,
-                       timing_binders: Dict[str, Callable]):
+                       timing_binders: Dict[str, Callable],
+                       faults: Optional[FaultInjector]):
         """The visit function of a thread-major thread: each visit runs
         :func:`repro.vgiw.mtcgrf.visit_sequentially`, with the wires
         kept in the per-register thread arrays (a wire the thread never
         wrote raises the ``KeyError`` of a per-thread register map)."""
         config = self.config
-        faults = self._faults
         mem_access = memsys.access_word
         wave = np.array([tid], np.int64)
 
@@ -458,8 +407,7 @@ class SGMFCore:
             return regs[reg][wave]
 
         def lv_store(row, v):
-            self._lv_write(regs, defined, row[6].out_reg, wave, v,
-                           n_threads, 1)
+            scatter(regs, defined, row[6].out_reg, wave, v, n_threads)
 
         def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
             rec = Trail()
@@ -486,8 +434,9 @@ class SGMFCore:
         wd: ForwardProgressWatchdog,
         snapshot,
         max_block_visits: int,
-    ) -> float:
-        """Walk one thread through the whole-kernel graph.
+    ) -> Tuple[float, int]:
+        """Walk one thread through the whole-kernel graph; returns its
+        completion cycle and its wasted node fires.
 
         ``visit(plan, entry_time, regs_ready)`` runs one block visit and
         returns ``(completion, term_done, next_block)``: a batched
@@ -544,20 +493,21 @@ class SGMFCore:
         # cycles and understate the utilisation loss.
         issue = rep.issue
         waste_time = inject + 0.5 * (completion - inject)
+        waste = 0
         for name, plan in plans.items():
             if name in visited:
                 continue
             n = plan.n_nodes
             stats.node_fires += n
             stats.tokens += n
-            self._waste_fires += n
+            waste += n
             for cls, count in plan.ops_counts.items():
                 ops[cls] += count
             # Occupies an issue slot but performs no memory access.
             for uid in waste_units[name]:
                 issue(uid, waste_time)
 
-        return completion
+        return completion, waste
 
     def mapping_for(self, kernel: Kernel) -> SGMFMapping:
         """Expose the mapping (used by reports and tests)."""

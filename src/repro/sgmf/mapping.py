@@ -52,6 +52,7 @@ class SGMFMapping:
 
     @property
     def n_replicas(self) -> int:
+        """Number of whole-kernel graph replicas placed on the fabric."""
         return len(self.replicas)
 
 

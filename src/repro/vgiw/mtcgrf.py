@@ -53,12 +53,11 @@ import numpy as np
 
 from repro.ir.instr import Op, TermKind
 from repro.ir.vecops import (
+    MemLog,
     addr_batch,
     as_value_array,
     f2i_array,
     f64_batch,
-    hazard_key,
-    stores_after_loads,
     vec_eval,
     vec_eval_raw,
 )
@@ -949,12 +948,11 @@ class MTCGRFExecutor:
     def _functional_batch(self, plan: ExecPlan, thread_ids: List[int]):
         """Evaluate ``plan``'s rows over the whole thread vector.
 
-        Returns ``None`` when the vector needs thread-major order: a
-        stored address was loaded at an earlier-or-equal ``(thread,
-        row)`` position (:func:`stores_after_loads` — private
-        load-then-store patterns stay batched), a live value is fetched
-        before any block stored it, an address is invalid, or a
-        conversion fails.  No state is mutated before returning, so
+        Returns ``None`` when the vector needs thread-major order: its
+        :class:`~repro.ir.vecops.MemLog` (ranked by batch slot, the row
+        index as program position) is not exact (private load-then-store
+        patterns stay batched), a live value is fetched before any block
+        stored it, an address is invalid, or a conversion fails.  No state is mutated before returning, so
         :meth:`_thread_visit` reruns the vector from scratch.
 
         On success returns the per-row address lists (consumed by the
@@ -987,50 +985,28 @@ class MTCGRFExecutor:
         if out is None:
             return None
         mem_log, term = out
-        stores = [entry for entry in mem_log if entry[2] is not None]
-        if stores and len(stores) < len(mem_log):
-            # One block = one plan: the row index is the per-thread
-            # program position, the batch slot is the thread-major rank.
-            pos = np.arange(n, dtype=np.int64)
-            loads = [entry for entry in mem_log if entry[2] is None]
-            if not stores_after_loads(
-                np.concatenate([a for _, a, _ in loads]),
-                np.concatenate([hazard_key(pos, ri) for ri, _, _ in loads]),
-                np.concatenate([a for _, a, _ in stores]),
-                np.concatenate([hazard_key(pos, ri) for ri, _, _ in stores]),
-            ):
-                return None
+        log = MemLog()
+        slots = np.arange(n, dtype=np.int64)
+        for ri, addrs, fvals in mem_log:
+            log.record(slots, ri, addrs, fvals)
+        if not log.exact():
+            return None
         if isinstance(term, np.ndarray):
             term = [plan.true_target if t else plan.false_target
                     for t in term.tolist()]
-        return {"addrs": rec, "next": term, "stores": stores,
+        return {"addrs": rec, "next": term, "stores": log,
                 "lv": lv_overlay}
 
     def _commit_batch(self, batch, thread_ids: List[int]) -> None:
         """Apply a functional batch's buffered writes.
 
-        Memory stores commit in sequential order — thread-major, then
-        row order — via a stable lexsort with fancy assignment
-        (documented last-wins for duplicate indices), so repeated
-        addresses resolve exactly as a thread-by-thread walk would.
-        Live values are materialised back to plain Python scalars
-        (``tolist``), the form :meth:`_thread_visit` stores too.
+        Memory stores commit in the thread-major order of the batch's
+        :class:`~repro.ir.vecops.MemLog`, so repeated addresses resolve
+        exactly as a thread-by-thread walk would.  Live values are
+        materialised back to plain Python scalars (``tolist``), the form
+        :meth:`_thread_visit` stores too.
         """
-        parts = batch["stores"]
-        if len(parts) == 1:
-            # Ascending fancy assignment == ascending thread order.
-            _, addrs, fvals = parts[0]
-            self.memory.data[addrs] = fvals
-        elif parts:
-            n = len(thread_ids)
-            all_a = np.concatenate([p[1] for p in parts])
-            all_v = np.concatenate([p[2] for p in parts])
-            all_t = np.concatenate([np.arange(n)] * len(parts))
-            all_r = np.concatenate(
-                [np.full(n, p[0], np.int64) for p in parts]
-            )
-            order = np.lexsort((all_r, all_t))
-            self.memory.data[all_a[order]] = all_v[order]
+        batch["stores"].commit(self.memory.data)
 
         lv_values = self.lv_values
         for lv_id, vals in batch["lv"].items():

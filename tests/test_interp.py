@@ -148,16 +148,38 @@ def test_trace_block_visit_counts():
 # ----------------------------------------------------------------------
 # Wave execution vs. the per-thread oracle
 # ----------------------------------------------------------------------
+class _Table2Case:
+    """A Table 2 registry workload at ``tiny`` in the fuzz-case shape:
+    the optimized kernel, the one ``run_kernel`` verifies against the
+    interpreter."""
+
+    def __init__(self, name):
+        from repro.compiler.optimize import optimize_kernel
+        from repro.kernels.registry import make_workload
+
+        wl = make_workload(name, "tiny")
+        self.seed = name
+        self.kernel = optimize_kernel(wl.kernel, params=wl.params)
+        self.params = wl.params
+        self.n_threads = wl.n_threads
+        self._memory = wl.memory
+
+    def build_memory(self):
+        return self._memory.clone()
+
+
 def _oracle_cases():
     import glob
     import os
 
     from repro.fuzz import generate_case, load_corpus_case
+    from repro.kernels.registry import all_names
 
     cases = [generate_case(seed) for seed in range(40)]
     corpus = os.path.join(os.path.dirname(__file__), "corpus")
     cases += [load_corpus_case(path)
               for path in sorted(glob.glob(os.path.join(corpus, "*.kir")))]
+    cases += [_Table2Case(name) for name in all_names()]
     return cases
 
 
@@ -174,11 +196,21 @@ def _threads_one_by_one(case):
     return (mem.data, traces), visits
 
 
-def test_run_matches_per_thread_oracle():
+def test_run_matches_per_thread_oracle(monkeypatch):
     """``Interpreter.run`` (waves of threads per block) against
     ``run_thread`` called thread by thread: memory image, per-thread
-    traces and block visits all agree on generated kernels and the
-    fuzz corpus."""
+    traces and block visits all agree on generated kernels, the fuzz
+    corpus and the Table 2 kernels.  Some of the cases must be answered
+    by the wave path itself, not by its fallback to ``run_thread``."""
+    answered = []
+    run_wave = Interpreter._run_wave
+
+    def counting_run_wave(self, n_threads):
+        result = run_wave(self, n_threads)
+        answered.append(result is not None)
+        return result
+
+    monkeypatch.setattr(Interpreter, "_run_wave", counting_run_wave)
     for case in _oracle_cases():
         want, want_visits = _threads_one_by_one(case)
         mem = case.build_memory()
@@ -193,3 +225,4 @@ def test_run_matches_per_thread_oracle():
         assert np.array_equal(mem.data, data, equal_nan=True), case.seed
         assert res.traces == traces, case.seed
         assert res.block_visits == want_visits, case.seed
+    assert sum(answered) > 0

@@ -11,6 +11,7 @@ Contracts (``docs/api.md``):
   (no deprecation warnings).
 """
 
+import dataclasses
 import os
 import warnings
 
@@ -65,6 +66,15 @@ def test_fingerprint_tracks_semantics_only():
     same = base.replace(jobs=4, trace_path="t.json", cache_dir="/tmp/cc",
                         result_cache_dir="/tmp/rc", metrics=Metrics())
     assert base.fingerprint() == same.fingerprint()
+
+
+def test_live_fields_is_a_class_constant_not_a_field():
+    # A dataclass field would be a constructor keyword and would land in
+    # every fingerprint, live-object names included.
+    assert "LIVE_FIELDS" not in {f.name for f in dataclasses.fields(RunOptions)}
+    with pytest.raises(TypeError):
+        RunOptions(LIVE_FIELDS=())
+    assert "LIVE_FIELDS=" not in RunOptions().fingerprint()
 
 
 def test_live_fields_set_names_the_offenders():

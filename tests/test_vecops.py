@@ -24,6 +24,7 @@ from repro.ir import EVAL, Op
 from repro.ir.instr import INT64_MAX, INT64_MIN, coerce_i64, result_dtype
 from repro.ir.types import DType
 from repro.ir.vecops import (
+    MemLog,
     VEVAL,
     addr_batch,
     as_value_array,
@@ -31,6 +32,7 @@ from repro.ir.vecops import (
     f2i_array,
     f64_batch,
     hazard_key,
+    scatter,
     stores_after_loads,
     vec_eval,
     vec_eval_raw,
@@ -316,15 +318,36 @@ def _a(addrs):
     return np.asarray(addrs, np.int64)
 
 
+def _benign(loads, stores):
+    """The hazard rule on one batch, asked both ways: of
+    ``stores_after_loads`` directly and of a :class:`MemLog` holding the
+    same rows.  ``loads``/``stores`` are ``(threads, position, addrs)``
+    rows; the two answers must agree."""
+    def flat(rows):
+        if not rows:
+            return _a([]), _a([])
+        return (np.concatenate([_a(a) for _, _, a in rows]),
+                np.concatenate([_keys(t, p) for t, p, _ in rows]))
+
+    log = MemLog()
+    for threads, pos, addrs in loads:
+        log.record(_a(threads), pos, _a(addrs))
+    for threads, pos, addrs in stores:
+        log.record(_a(threads), pos, _a(addrs), np.zeros(len(addrs)))
+    answer = stores_after_loads(*flat(loads), *flat(stores))
+    assert log.exact() == answer
+    return answer
+
+
 def test_hazard_disjoint_addresses_are_benign():
-    assert stores_after_loads(_a([1, 2]), _keys([0, 1], 1),
-                              _a([3, 4]), _keys([0, 1], 2))
+    assert _benign([([0, 1], 1, [1, 2])], [([0, 1], 2, [3, 4])])
 
 
 def test_hazard_empty_sides_are_benign():
-    e = np.empty(0, np.int64)
-    assert stores_after_loads(e, e, _a([5]), _keys([0], 1))
-    assert stores_after_loads(_a([5]), _keys([0], 1), e, e)
+    assert _benign([], [([0], 1, [5])])
+    assert _benign([([0], 1, [5])], [])
+    assert _benign([([], 1, [])], [([0], 1, [5])])
+    assert _benign([([0], 1, [5])], [([], 1, [])])
 
 
 def test_hazard_private_rmw_is_benign():
@@ -332,43 +355,139 @@ def test_hazard_private_rmw_is_benign():
     # against initial memory reproduce the scalar thread-major walk.
     threads = [0, 1, 2, 3]
     addrs = [10, 11, 12, 13]
-    assert stores_after_loads(_a(addrs), _keys(threads, 1),
-                              _a(addrs), _keys(threads, 2))
+    assert _benign([(threads, 1, addrs)], [(threads, 2, addrs)])
 
 
 def test_hazard_store_then_load_same_thread_falls_back():
     # A thread re-reading its own store must see the stored value; the
     # batch would hand it the initial memory instead.
-    assert not stores_after_loads(_a([7]), _keys([0], 2),
-                                  _a([7]), _keys([0], 1))
+    assert not _benign([([0], 2, [7])], [([0], 1, [7])])
 
 
 def test_hazard_earlier_thread_store_falls_back():
     # Thread 0 stores an address thread 1 loads: in thread-major order
     # the load observes the store, so the batch must not claim it.
-    assert not stores_after_loads(_a([9]), _keys([1], 1),
-                                  _a([9]), _keys([0], 2))
+    assert not _benign([([1], 1, [9])], [([0], 2, [9])])
 
 
 def test_hazard_later_thread_store_is_benign():
     # Thread 0 loads what only thread 1 stores: the scalar load runs
     # before the store and sees initial memory, same as the batch.
-    assert stores_after_loads(_a([9]), _keys([0], 2),
-                              _a([9]), _keys([1], 1))
+    assert _benign([([0], 2, [9])], [([1], 1, [9])])
 
 
 def test_hazard_one_bad_address_among_many():
-    loads = _a([1, 2, 3])
-    lkeys = _keys([0, 0, 0], 5)
-    stores = _a([3, 4])
-    assert stores_after_loads(loads, lkeys, stores, _keys([1, 1], 1))
-    assert not stores_after_loads(loads, lkeys, stores, _keys([0, 0], 1))
+    loads = [([0, 0, 0], 5, [1, 2, 3])]
+    assert _benign(loads, [([1, 1], 1, [3, 4])])
+    assert not _benign(loads, [([0, 0], 1, [3, 4])])
+
+
+def test_hazard_duplicate_addresses_across_rows_and_threads():
+    # Address 5 is loaded and stored by several threads over several
+    # rows.  Benign while every store of it comes after every load in
+    # (thread, position) order; one late load breaks it.
+    loads = [([0, 1], 1, [5, 5]), ([1], 3, [5])]
+    stores = [([2, 3], 2, [5, 5]), ([2], 4, [5])]
+    assert _benign(loads, stores)
+    assert not _benign(loads + [([3], 5, [5])], stores)
 
 
 def test_hazard_key_orders_thread_major():
     # Keys compare lexicographically by (thread, seq) as one int64.
     assert int(_keys([0], 999)[0]) < int(_keys([1], 1)[0])
     assert int(_keys([2], 3)[0]) < int(_keys([2], 4)[0])
+
+
+# ----------------------------------------------------------------------
+# Commit order: MemLog hands out stores as the thread-major walk does
+# ----------------------------------------------------------------------
+def _store_log(rows):
+    """A :class:`MemLog` of store rows ``(ranks, position, addrs,
+    values)``."""
+    log = MemLog()
+    for ranks, pos, addrs, vals in rows:
+        log.record(_a(ranks), pos, _a(addrs), np.asarray(vals, np.float64))
+    return log
+
+
+def _walk(rows, size):
+    """The memory image of the thread-major walk: every store applied
+    one at a time in (rank, position) order."""
+    writes = sorted(
+        (r, pos, a, v)
+        for ranks, pos, addrs, vals in rows
+        for r, a, v in zip(ranks, addrs, vals)
+    )
+    data = np.zeros(size)
+    for _, _, a, v in writes:
+        data[a] = v
+    return data
+
+
+#: Store rows in wave order, ranks unsorted within rows: address 5 is
+#: written by ranks 2, 0, 0, 1 and address 6 by ranks 1, 2, 1.
+_DUP_ROWS = [
+    ([2, 0, 1], 1, [5, 5, 6], [20.0, 0.0, 10.0]),
+    ([0, 2, 1], 2, [5, 6, 5], [1.0, 21.0, 11.0]),
+    ([1], 3, [6], [12.0]),
+]
+
+
+def test_commit_last_writer_is_highest_rank_then_position():
+    data = np.zeros(8)
+    _store_log(_DUP_ROWS).commit(data)
+    # 5: rank 2 at position 1 outranks rank 1 at the later position 2.
+    # 6: rank 2 at position 2 outranks rank 1 at the later position 3.
+    assert data[5] == 20.0 and data[6] == 21.0
+    assert np.array_equal(data, _walk(_DUP_ROWS, 8))
+
+
+def test_by_thread_bounds_slice_each_threads_stores():
+    # Rank 3 stores nothing, rank 4 is past every store.
+    addrs, vals, bounds = _store_log(_DUP_ROWS).by_thread(5)
+    assert bounds.tolist() == [0, 2, 5, 7, 7, 7]
+    for rank in range(5):
+        want = [
+            (a, v)
+            for ranks, pos, row_a, row_v in sorted(_DUP_ROWS,
+                                                   key=lambda r: r[1])
+            for r, a, v in zip(ranks, row_a, row_v) if r == rank
+        ]
+        lo, hi = bounds[rank], bounds[rank + 1]
+        assert list(zip(addrs[lo:hi].tolist(), vals[lo:hi].tolist())) \
+            == want, rank
+    assert _store_log([]).by_thread(3) is None
+
+
+def test_single_store_row_fast_path_matches_lexsort_path():
+    # One row in ascending rank order commits without a sort; the same
+    # writes in a shuffled row (or split over two rows) take the lexsort
+    # path.  All three give the thread-major image.
+    fast = [([0, 1, 2, 3], 1, [7, 7, 8, 7], [1.0, 2.0, 3.0, 4.0])]
+    shuffled = [([3, 0, 2, 1], 1, [7, 7, 8, 7], [4.0, 1.0, 3.0, 2.0])]
+    split = [([0, 1], 1, [7, 7], [1.0, 2.0]),
+             ([2, 3], 1, [8, 7], [3.0, 4.0])]
+    want = _walk(fast, 10)
+    assert want[7] == 4.0 and want[8] == 3.0
+    for rows in (fast, shuffled, split):
+        data = np.zeros(10)
+        _store_log(rows).commit(data)
+        assert np.array_equal(data, want), rows
+        addrs, vals, bounds = _store_log(rows).by_thread(4)
+        assert addrs.tolist() == [7, 7, 8, 7], rows
+        assert vals.tolist() == [1.0, 2.0, 3.0, 4.0], rows
+        assert bounds.tolist() == [0, 1, 2, 3, 4], rows
+
+
+def test_scatter_broadcasts_scalars_and_promotes_on_dtype_conflict():
+    regs, defined = {}, {}
+    scatter(regs, defined, "r", _a([1, 3]), np.array([5, 6]), 4)
+    assert regs["r"].tolist() == [0, 5, 0, 6]
+    assert defined["r"].tolist() == [False, True, False, True]
+    scatter(regs, defined, "r", _a([0]), 2.5, 4)
+    assert regs["r"].dtype == object
+    assert regs["r"].tolist() == [2.5, 5, 0, 6]
+    assert defined["r"].tolist() == [True, True, False, True]
 
 
 @pytest.mark.parametrize("engine_name", ["vgiw", "sgmf"])
