@@ -36,6 +36,7 @@ __all__ = [
     "Engine",
     "EngineRunResult",
     "UnknownEngineError",
+    "bind_params",
     "create_engine",
     "engine_names",
     "register_engine",
@@ -239,6 +240,20 @@ def create_engine(name: str, config: Optional[Any] = None):
         factory = getattr(import_module(module), attr)
         _REGISTRY[name] = factory
     return factory(config)
+
+
+def bind_params(kernel, params: Dict[str, Number]) -> Dict[str, Number]:
+    """A timing engine's launch parameters: ``kernel.params`` from
+    ``params``, a FLOAT parameter as a ``float`` and every other as an
+    ``int``."""
+    from repro.ir.types import DType
+
+    return {
+        name: (float(params[name])
+               if kernel.param_dtypes[name] is DType.FLOAT
+               else int(params[name]))
+        for name in kernel.params
+    }
 
 
 # ----------------------------------------------------------------------

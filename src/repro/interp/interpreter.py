@@ -21,10 +21,10 @@ from repro.ir.instr import EVAL, Op, TermKind, coerce_i64
 from repro.ir.kernel import Kernel
 from repro.ir.types import DType, Imm, Operand, Reg, TID_REG, is_param_reg, PARAM_PREFIX
 from repro.ir.vecops import (
-    MemLog,
     addr_batch,
     f2i_array,
     f64_batch,
+    run_waves,
     scatter,
     vec_eval,
 )
@@ -277,98 +277,75 @@ class Interpreter:
             return payload
         return wave
 
-    def _run_wave(self, n_threads: int) -> Optional[InterpResult]:
-        """Execute all threads as vectorized waves.
-
-        Threads sharing a basic block evaluate each instruction as one
-        :func:`repro.ir.vecops.vec_eval` batch.  Loads and stores go to
-        a :class:`~repro.ir.vecops.MemLog` ranked by tid: stores commit
-        in the scalar thread-major order, and a log that is not exact
-        aborts the wave (returns ``None``) so the sequential path, whose
-        results are the contract, reruns from untouched memory.  The
-        same bail-out covers undefined registers, invalid addresses and
-        visit-bound overruns: the scalar path raises the exact errors.
-        """
-        kernel = self.kernel
+    def _run_wave(self, n_threads: int) -> Optional[List[ThreadTrace]]:
+        """Execute all threads as vectorized waves
+        (:func:`repro.ir.vecops.run_waves`), each row one
+        :func:`repro.ir.vecops.vec_eval` batch; returns the traces.
+        ``None`` hands the kernel to the sequential path, whose results
+        are the contract, from untouched memory: an inexact log, an
+        undefined register, an invalid address or a visit-bound overrun
+        (the scalar path raises the exact errors)."""
         plan = self._plan
         data = self.memory.data
         size = data.shape[0]
-        max_visits = self.max_block_visits
         regs: Dict[str, np.ndarray] = {}
         defined: Dict[str, np.ndarray] = {}
-        visits = np.zeros(n_threads, np.int64)
         blocks_trace: List[List[str]] = [[] for _ in range(n_threads)]
         counts = np.zeros((n_threads, 3), np.int64)
-        log = MemLog()
-        seq = 0  # program position of each row, across waves
-        frontier: Dict[str, np.ndarray] = {
-            kernel.entry: np.arange(n_threads, dtype=np.int64)
-        }
-        while frontier:
-            block_name, wave = frontier.popitem()
+        fetch = self._wave_values
+
+        def step(block_name, wave):
             (rows, bi, bl, bs, tcode, cond,
              true_target, false_target) = plan[block_name]
-            visits[wave] += 1
-            if int(visits[wave].max()) > max_visits:
-                return None
             for t in wave.tolist():
                 blocks_trace[t].append(block_name)
             counts[wave, 0] += bi
             counts[wave, 1] += bl
             counts[wave, 2] += bs
             n = wave.shape[0]
+            mem_rows = []
             for row in rows:
-                seq += 1
                 tag = row[0]
                 if tag == 2:  # ALU / SFU
                     srcs, dst, dt, op = row[2], row[3], row[4], row[5]
                     args = []
                     for m, p in srcs:
-                        v = self._wave_values(regs, defined, wave, m, p)
+                        v = fetch(regs, defined, wave, m, p)
                         if v is None and m == 1:
                             return None
                         args.append(v)
                     vals = vec_eval(op, tuple(args), dt, n)
                     scatter(regs, defined, dst, wave, vals, n_threads)
-                elif tag == 0:  # LOAD
-                    am, ap = row[1]
-                    a = self._wave_values(regs, defined, wave, am, ap)
-                    if a is None and am == 1:
-                        return None
-                    addrs = addr_batch(a, n, size)
-                    if addrs is None:
-                        return None
-                    log.record(wave, seq, addrs)
+                    continue
+                am, ap = row[1]
+                a = fetch(regs, defined, wave, am, ap)
+                if a is None and am == 1:
+                    return None
+                addrs = addr_batch(a, n, size)
+                if addrs is None:
+                    return None
+                if tag == 0:  # LOAD
+                    mem_rows.append((addrs, None))
                     raw = data[addrs]
                     dt = row[3]
                     vals = (f2i_array(raw) if dt == 1
                             else raw if dt == 2 else raw != 0)
                     scatter(regs, defined, row[2], wave, vals, n_threads)
                 else:  # STORE
-                    am, ap = row[1]
-                    a = self._wave_values(regs, defined, wave, am, ap)
-                    if a is None and am == 1:
-                        return None
-                    addrs = addr_batch(a, n, size)
-                    if addrs is None:
-                        return None
                     vm, vp = row[2]
-                    v = self._wave_values(regs, defined, wave, vm, vp)
+                    v = fetch(regs, defined, wave, vm, vp)
                     if v is None and vm == 1:
                         return None
                     fvals = f64_batch(v, n)
                     if fvals is None:
                         return None
-                    log.record(wave, seq, addrs, fvals)
+                    mem_rows.append((addrs, fvals))
             if tcode == 0:
-                continue
+                return mem_rows, ()
             if tcode == 1:
-                nxt = frontier.get(true_target)
-                frontier[true_target] = (wave if nxt is None
-                                         else np.concatenate((nxt, wave)))
-                continue
+                return mem_rows, ((true_target, wave),)
             cm, cp = cond
-            cv = self._wave_values(regs, defined, wave, cm, cp)
+            cv = fetch(regs, defined, wave, cm, cp)
             if cv is None and cm == 1:
                 return None
             if isinstance(cv, np.ndarray):
@@ -380,26 +357,16 @@ class Interpreter:
                     taken = np.array([bool(x) for x in cv.tolist()])
             else:
                 taken = np.full(n, bool(cv))
-            for target, part in ((true_target, wave[taken]),
-                                 (false_target, wave[~taken])):
-                if part.shape[0]:
-                    nxt = frontier.get(target)
-                    frontier[target] = (part if nxt is None
-                                        else np.concatenate((nxt, part)))
-        if not log.exact():
+            return mem_rows, ((true_target, wave[taken]),
+                              (false_target, wave[~taken]))
+
+        log = run_waves(self.kernel.entry, n_threads,
+                        self.max_block_visits, step)
+        if log is None:
             return None
         log.commit(data)
-        traces = []
-        for tid in range(n_threads):
-            tr = ThreadTrace(tid, blocks_trace[tid])
-            tr.instructions = int(counts[tid, 0])
-            tr.loads = int(counts[tid, 1])
-            tr.stores = int(counts[tid, 2])
-            traces.append(tr)
-        result = InterpResult(kernel, n_threads, traces)
-        for t in traces:
-            result.block_visits.update(t.blocks)
-        return result
+        return [ThreadTrace(tid, blocks_trace[tid], *counts[tid].tolist())
+                for tid in range(n_threads)]
 
     def run(self, n_threads: int) -> InterpResult:
         """Execute ``n_threads`` threads (TIDs 0..n-1).
@@ -410,11 +377,9 @@ class Interpreter:
         for hazardous or erroneous kernels and the oracle the batch is
         tested against.
         """
-        if n_threads >= 4:
-            result = self._run_wave(n_threads)
-            if result is not None:
-                return result
-        traces = [self.run_thread(tid) for tid in range(n_threads)]
+        traces = self._run_wave(n_threads) if n_threads >= 4 else None
+        if traces is None:
+            traces = [self.run_thread(tid) for tid in range(n_threads)]
         result = InterpResult(self.kernel, n_threads, traces)
         for t in traces:
             result.block_visits.update(t.blocks)

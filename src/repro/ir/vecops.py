@@ -61,6 +61,7 @@ __all__ = [
     "f2i_array",
     "f64_batch",
     "hazard_key",
+    "run_waves",
     "scatter",
     "stores_after_loads",
     "to_int_operand",
@@ -363,6 +364,44 @@ class MemLog:
             return None
         ranks, addrs, vals = self._ordered()
         return addrs, vals, np.searchsorted(ranks, np.arange(n_ranks + 1))
+
+
+def run_waves(entry: str, n_threads: int, visit_limit: int,
+              step) -> Optional[MemLog]:
+    """Run ``n_threads`` threads from block ``entry`` in waves: the
+    threads waiting at one block run together.
+
+    ``step(block, wave)`` evaluates ``block`` for the tids ``wave`` and
+    returns ``(mem_rows, successors)`` — ``(addrs, float64 vals or None
+    for a load)`` per memory row in program order, and ``(target,
+    tids)`` pairs (arrivals join the end of a waiting wave) — or
+    ``None`` to decline.  Memory rows go to one :class:`MemLog` ranked
+    by tid and positioned by their count across waves.  Returns the log
+    for the caller to commit, or ``None``: a declined step, a thread
+    past ``visit_limit`` block visits, or an inexact log.
+    """
+    visits = np.zeros(n_threads, np.int64)
+    log = MemLog()
+    pos = 0
+    frontier = {entry: np.arange(n_threads, dtype=np.int64)}
+    while frontier:
+        block, wave = frontier.popitem()
+        visits[wave] += 1
+        if int(visits[wave].max()) > visit_limit:
+            return None
+        out = step(block, wave)
+        if out is None:
+            return None
+        mem_rows, successors = out
+        for addrs, vals in mem_rows:
+            pos += 1
+            log.record(wave, pos, addrs, vals)
+        for target, tids in successors:
+            if tids.shape[0]:
+                prev = frontier.get(target)
+                frontier[target] = (tids if prev is None
+                                    else np.concatenate((prev, tids)))
+    return log if log.exact() else None
 
 
 def scatter(regs: Dict[str, np.ndarray], defined: Dict[str, np.ndarray],

@@ -25,9 +25,11 @@ of simulator wall-clock (see ``benchmarks/bench_watchdog_overhead.py``).
 
 from __future__ import annotations
 
+import _weakrefset
 import contextlib
 import signal
 import threading
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -161,18 +163,20 @@ class ForwardProgressWatchdog:
 
     ``snapshot_fn(now)`` is only invoked when the watchdog actually
     fires, so building the snapshot may be arbitrarily expensive.
+    ``trace``, the run's enabled tracer or ``None``, feeds :meth:`snapshot`.
     """
 
     __slots__ = (
-        "config", "sim", "kernel", "armed",
+        "config", "sim", "kernel", "trace", "armed",
         "origin", "last_progress", "events_retired",
     )
 
     def __init__(self, config: Optional[WatchdogConfig], sim: str,
-                 kernel: str):
+                 kernel: str, trace=None):
         self.config = config or WatchdogConfig()
         self.sim = sim
         self.kernel = kernel
+        self.trace = trace
         self.armed = self.config.armed
         self.origin = 0.0
         self.last_progress = 0.0
@@ -213,11 +217,23 @@ class ForwardProgressWatchdog:
                 now, snapshot_fn,
             )
 
+    def snapshot(self, now: float, snapshot_fn) -> DiagnosticSnapshot:
+        """``snapshot_fn(now)`` plus hang forensics when a tracer is
+        set: the last 16 timeline events in ``detail["recent_trace"]``
+        show what the machine did just before it stopped, and a
+        ``watchdog/snapshot`` instant marks the moment."""
+        snap = snapshot_fn(now)
+        trace = self.trace
+        if trace is not None:
+            snap.detail["recent_trace"] = [e.brief() for e in trace.tail(16)]
+            trace.instant("snapshot", "watchdog", now, pid=self.sim)
+        return snap
+
     def _fire(self, reason: str, now: float,
               snapshot_fn) -> None:
         snapshot = None
         if snapshot_fn is not None:
-            snapshot = snapshot_fn(now)
+            snapshot = self.snapshot(now, snapshot_fn)
             snapshot.events_retired = self.events_retired
             snapshot.last_progress_cycle = self.last_progress
         message = f"{self.sim}: {reason}"
@@ -257,7 +273,9 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
     the alarm re-fires every :data:`REFIRE_S` until the guard exits:
     the interpreter swallows an exception raised inside a finalizer or
     weakref callback (a garbage collection can be running when the
-    alarm lands), and the timeout must not be lost with it.
+    alarm lands), and the timeout must not be lost with it.  In the
+    garbage collector's weakref callbacks the alarm does not raise at
+    all (the raise would only be printed); the re-fire delivers it.
 
     ``seconds`` of ``None`` or ``<= 0`` disables the guard.
     """
@@ -273,8 +291,11 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
 
     def _fire(signum, frame):
         signal.setitimer(signal.ITIMER_REAL, REFIRE_S)
-        if frame is not None and frame.f_code is _GUARD_CODE:
-            return  # arming or disarming: the finally disarms
+        if frame is not None:
+            if frame.f_code is _GUARD_CODE:
+                return  # arming or disarming: the finally disarms
+            if frame.f_code.co_filename in _WEAKREF_FILES:
+                return  # a weakref callback would swallow it: re-fire
         raise SimulationHangError(
             f"{sim}: wall-clock timeout after {seconds:g}s",
             sim=sim,
@@ -293,6 +314,10 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
 
 #: the guard's own generator code, whose frame the alarm must not unwind
 _GUARD_CODE = wall_clock_limit.__wrapped__.__code__
+#: source files of the weakref callbacks (``WeakSet._remove`` and kin)
+#: the garbage collector runs, where a raise would only be printed
+_WEAKREF_FILES = {_weakrefset.WeakSet.__init__.__code__.co_filename,
+                  weakref.WeakValueDictionary.__init__.__code__.co_filename}
 
 
 def snapshot_from_replicas(

@@ -20,10 +20,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.arch.config import SGMFConfig
-from repro.engine import EngineRunResult
+from repro.engine import EngineRunResult, bind_params
 from repro.ir.kernel import Kernel
-from repro.ir.vecops import MemLog, scatter
-from repro.ir.types import DType
+from repro.ir.vecops import run_waves, scatter
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
 from repro.memory.hierarchy import MemorySystem
@@ -152,14 +151,7 @@ class SGMFCore:
             )
         else:
             mapping = map_kernel(kernel, config.fabric)
-        params = {
-            name: (
-                float(params[name])
-                if kernel.param_dtypes[name] is DType.FLOAT
-                else int(params[name])
-            )
-            for name in kernel.params
-        }
+        params = bind_params(kernel, params)
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
             tracer=trace,
@@ -174,23 +166,15 @@ class SGMFCore:
         # replicas and equal blocks of this run.
         timing_binders: Dict[str, Callable] = {}
         depth = config.token_buffer_depth
-        wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name)
+        wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name, trace)
         wd.start(0.0)
         if faults is not None:
             faults.maybe_abort(f"sgmf/{kernel.name}", 0.0)
 
         def snapshot(now: float):
-            snap = snapshot_from_replicas(
+            return snapshot_from_replicas(
                 sim="sgmf", kernel=kernel.name, now=now, replicas=reps,
             )
-            if trace is not None:
-                # Hang forensics: the last N timeline events show what
-                # the machine did just before it stopped.
-                snap.detail["recent_trace"] = [
-                    ev.brief() for ev in trace.tail(16)
-                ]
-                trace.instant("snapshot", "watchdog", now, pid="sgmf")
-            return snap
 
         # Batched execution: one vectorized functional pass over all
         # threads, then per-thread timing walks with stores committed at
@@ -225,13 +209,7 @@ class SGMFCore:
         for i in range(n_threads):
             ridx = i % n_replicas
             rep = reps[ridx]
-            inject = rep.next_inject
-            if len(rep.window) >= depth:
-                bound = rep.window[len(rep.window) - depth]
-                if bound > inject:
-                    rep.inject_wait += bound - inject
-                    inject = bound
-            rep.inject_times.append(inject)
+            inject = rep.admit(depth)
             if batch is None:
                 visit = self._thread_visits(
                     rep, i, memory, memsys, regs, defined, n_threads,
@@ -249,8 +227,7 @@ class SGMFCore:
                 lo, hi = bounds[i], bounds[i + 1]
                 if hi > lo:
                     mdata[st_a[lo:hi]] = st_v[lo:hi]
-            rep.next_inject = inject + 1.0
-            rep.window.append(completion)
+            rep.retire(inject, completion)
             end_time = max(end_time, completion)
             if trace is not None:
                 trace.complete(
@@ -294,38 +271,19 @@ class SGMFCore:
         memory: MemoryImage,
         visit_limit: int,
     ):
-        """Evaluate every thread's whole-kernel walk as vectorized waves.
-
-        Threads sharing a basic block evaluate its rows as one
-        :func:`repro.vgiw.mtcgrf.eval_rows` batch; live values are wires
-        — full-length per-register arrays indexed by tid.  Each thread's
-        visits (address lists, batch slot, successor) are recorded for
-        the timing walks.  Returns ``None`` whenever the waves cannot
-        reproduce the thread-major sequential walk exactly — their
-        :class:`~repro.ir.vecops.MemLog`, ranked by tid, is not exact, a
-        wire is read before the thread wrote it, an address is invalid,
-        or a thread exceeds ``visit_limit`` — and the threads rerun one
-        by one from untouched state (no writes happen before then).
-
-        Otherwise returns ``(paths, MemLog.by_thread(n_threads))`` so
-        :meth:`run` commits each thread's stores at the exact thread
-        boundary of a thread-by-thread walk.
-        """
+        """Every thread's whole-kernel walk as
+        :func:`repro.ir.vecops.run_waves` waves, each block one
+        :func:`repro.vgiw.mtcgrf.eval_rows` batch over wires (per-register
+        arrays indexed by tid).  Returns each thread's visits (address
+        lists, batch slot, successor) for the timing walks and
+        ``MemLog.by_thread`` for :meth:`run` to commit at thread
+        boundaries, or ``None`` (nothing written)."""
         regs: Dict[str, np.ndarray] = {}
         defined: Dict[str, np.ndarray] = {}
-        visits = np.zeros(n_threads, np.int64)
         paths: List[List] = [[] for _ in range(n_threads)]
-        log = MemLog()
-        seq = 0  # program position of each memory row, across waves
-        frontier: Dict[str, np.ndarray] = {
-            kernel.entry: np.arange(n_threads, dtype=np.int64)
-        }
-        while frontier:
-            name, wave = frontier.popitem()
+
+        def step(name, wave):
             plan = plans[name]
-            visits[wave] += 1
-            if int(visits[wave].max()) > visit_limit:
-                return None
 
             def lv_load(row):
                 d = defined.get(row[5].out_reg)
@@ -341,31 +299,19 @@ class SGMFCore:
             if out is None:
                 return None
             mem_log, term = out
-            for _, addrs, fvals in mem_log:
-                seq += 1
-                log.record(wave, seq, addrs, fvals)
-
+            mem_rows = [(addrs, fvals) for _, addrs, fvals in mem_log]
             if isinstance(term, np.ndarray):
                 tt, ft = plan.true_target, plan.false_target
                 for j, (t, taken) in enumerate(
                         zip(wave.tolist(), term.tolist())):
                     paths[t].append((rec, j, tt if taken else ft))
-                parts = ((tt, wave[term]), (ft, wave[~term]))
-            else:
-                for j, t in enumerate(wave.tolist()):
-                    paths[t].append((rec, j, term))
-                parts = () if term is None else ((term, wave),)
-            for target, sub in parts:
-                if not sub.shape[0]:
-                    continue
-                prev = frontier.get(target)
-                frontier[target] = (
-                    sub if prev is None else np.concatenate([prev, sub])
-                )
+                return mem_rows, ((tt, wave[term]), (ft, wave[~term]))
+            for j, t in enumerate(wave.tolist()):
+                paths[t].append((rec, j, term))
+            return mem_rows, () if term is None else ((term, wave),)
 
-        if not log.exact():
-            return None
-        return paths, log.by_thread(n_threads)
+        log = run_waves(kernel.entry, n_threads, visit_limit, step)
+        return None if log is None else (paths, log.by_thread(n_threads))
 
     def _replay(self, rep: _ReplicaState, tid: int, path: List,
                 memsys: MemorySystem, timing_binders: Dict[str, Callable]):
@@ -460,7 +406,7 @@ class SGMFCore:
                 raise SimulationHangError(
                     f"SGMF thread {tid} exceeded {max_block_visits} "
                     f"block visits",
-                    snapshot=snapshot(entry_time),
+                    snapshot=wd.snapshot(entry_time, snapshot),
                     kernel=kernel.name,
                     block=current,
                     thread=tid,

@@ -32,10 +32,10 @@ from typing import Dict, List, Optional, Union
 
 from repro.arch.config import FermiConfig
 from repro.compiler.cfganalysis import immediate_post_dominators
-from repro.engine import EngineRunResult
+from repro.engine import EngineRunResult, bind_params
 from repro.ir.instr import Instr, Op, UnitClass, unit_class
 from repro.ir.kernel import Kernel
-from repro.ir.types import DType, Reg, is_reserved_reg
+from repro.ir.types import Reg, is_reserved_reg
 from repro.memory.cache import CacheStats
 from repro.memory.coalescer import coalesce_word_addresses
 from repro.memory.dram import DRAMStats
@@ -207,14 +207,7 @@ class FermiSM:
         config = self.config
         # Disabled-mode fast path: one local None-test per hook site.
         trace = tracer if (tracer is not None and tracer.enabled) else None
-        params = {
-            name: (
-                float(params[name])
-                if kernel.param_dtypes[name] is DType.FLOAT
-                else int(params[name])
-            )
-            for name in kernel.params
-        }
+        params = bind_params(kernel, params)
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
             tracer=trace,
@@ -237,7 +230,7 @@ class FermiSM:
             cached_pressure = None
         stats = SMStats()
         tables = self._build_tables(kernel, params)
-        wd = ForwardProgressWatchdog(watchdog, "fermi", kernel.name)
+        wd = ForwardProgressWatchdog(watchdog, "fermi", kernel.name, trace)
         wd.start(0.0)
         if faults is not None:
             faults.maybe_abort(f"fermi/{kernel.name}", 0.0)
@@ -306,13 +299,6 @@ class FermiSM:
                 detail["current_block"] = ctx.block
                 detail["current_instr_idx"] = ctx.idx
                 oldest = max(0.0, now - ctx.ready)
-            if trace is not None:
-                # Hang forensics: the last N timeline events show what
-                # the machine did just before it stopped.
-                detail["recent_trace"] = [
-                    ev.brief() for ev in trace.tail(16)
-                ]
-                trace.instant("snapshot", "watchdog", now, pid="fermi")
             return DiagnosticSnapshot(
                 sim="fermi",
                 kernel=kernel.name,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.arch.config import VGIWConfig
 from repro.compiler.pipeline import CompiledKernel, compile_kernel
-from repro.engine import EngineRunResult
+from repro.engine import EngineRunResult, bind_params
 from repro.ir.kernel import Kernel
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
@@ -179,14 +179,7 @@ class VGIWCore:
         else:
             compiled = compile_kernel(kernel, config.fabric)
         kernel_obj = compiled.kernel
-        params = {
-            name: (
-                float(params[name])
-                if kernel_obj.param_dtypes[name].value == "float"
-                else int(params[name])
-            )
-            for name in kernel_obj.params
-        }
+        params = bind_params(kernel_obj, params)
 
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
@@ -205,7 +198,8 @@ class VGIWCore:
             config, memsys, lvc, memory, params,
             faults=faults, fabric=compiled.fabric,
         )
-        wd = ForwardProgressWatchdog(watchdog, "vgiw", kernel_obj.name)
+        wd = ForwardProgressWatchdog(watchdog, "vgiw", kernel_obj.name,
+                                     trace)
         wd.start(0.0)
 
         n_blocks = compiled.n_blocks
@@ -236,15 +230,6 @@ class VGIWCore:
                 for bid in range(n_blocks)
                 if cvt.pending_count(bid)
             }
-            if trace is not None:
-                # Hang forensics: the last N timeline events show what
-                # the machine did just before it stopped.
-                snap.detail["recent_trace"] = [
-                    ev.brief() for ev in trace.tail(16)
-                ]
-                trace.instant(
-                    "snapshot", "watchdog", now, pid="vgiw", tile=tiles,
-                )
             return snap
 
         for tile_base in range(0, n_threads, tile_size):
@@ -265,7 +250,7 @@ class VGIWCore:
                     raise SimulationHangError(
                         f"kernel {kernel_obj.name}: runaway block scheduling "
                         f"(> {max_block_executions} block executions)",
-                        snapshot=snapshot(time),
+                        snapshot=wd.snapshot(time, snapshot),
                         kernel=kernel_obj.name,
                         block=compiled.schedule.name_of(block_id),
                         block_id=block_id,

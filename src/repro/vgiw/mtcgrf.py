@@ -612,6 +612,26 @@ class _ReplicaState:
         #: cycles injection stalled on a full token-buffer window
         self.inject_wait: float = 0.0
 
+    def admit(self, depth: int) -> float:
+        """The next thread's injection cycle: one after the last, or
+        later while the ``depth``-deep token-buffer window is full
+        (back-pressure until an older thread drains)."""
+        inject = self.next_inject
+        window = self.window
+        if len(window) >= depth:
+            bound = window[len(window) - depth]
+            if bound > inject:
+                self.inject_wait += bound - inject
+                inject = bound
+        self.inject_times.append(inject)
+        return inject
+
+    def retire(self, inject: float, completion: float) -> None:
+        """Close the window slot of the thread :meth:`admit` injected at
+        ``inject``."""
+        self.next_inject = inject + 1.0
+        self.window.append(completion)
+
     def issue(self, uid: int, ready: float) -> float:
         """Claim the unit's first free issue cycle at or after ``ready``.
 
@@ -890,15 +910,7 @@ class MTCGRFExecutor:
             ridx = (i // 64) % n_replicas
             rep = replicas[ridx]
             plan = plans[ridx]
-            inject = rep.next_inject
-            if len(rep.window) >= depth:
-                bound = rep.window[len(rep.window) - depth]
-                if bound > inject:
-                    # Token-buffer back-pressure: the virtual-channel
-                    # window is full until an older thread drains.
-                    rep.inject_wait += bound - inject
-                    inject = bound
-            rep.inject_times.append(inject)
+            inject = rep.admit(depth)
             if batch is None:
                 completion, next_block = self._thread_visit(
                     plan, rep, tid, inject
@@ -910,8 +922,7 @@ class MTCGRFExecutor:
                 next_block = nb[i] if isinstance(nb, list) else nb
             outcomes.append(ThreadOutcome(tid, next_block, completion, ridx))
             hop_total += plan.total_hops
-            rep.next_inject = inject + 1.0
-            rep.window.append(completion)
+            rep.retire(inject, completion)
             end_time = max(end_time, completion)
 
         if batch is not None:

@@ -418,7 +418,8 @@ def test_unknown_backend_still_hosterror():
 # ----------------------------------------------------------------------
 # Watchdog snapshots carry the recent trace window
 # ----------------------------------------------------------------------
-def test_hang_snapshot_attaches_recent_trace():
+@pytest.mark.parametrize("engine_name", ["fermi", "vgiw", "sgmf"])
+def test_hang_snapshot_attaches_recent_trace(engine_name):
     tracer = Tracer()
     k = saxpy_kernel()
     n = 256
@@ -428,12 +429,14 @@ def test_hang_snapshot_attaches_recent_trace():
     out = mem.alloc("out", n)
     wd = WatchdogConfig(max_cycles=10.0)  # absurdly tight: must fire
     with pytest.raises(SimulationHangError) as exc_info:
-        VGIWCore().run(k, mem, {"a": 2.0, "x": x, "y": y, "out": out,
-                                "n": n}, n, watchdog=wd, tracer=tracer)
+        create_engine(engine_name).run(
+            k, mem, {"a": 2.0, "x": x, "y": y, "out": out, "n": n}, n,
+            watchdog=wd, tracer=tracer)
     snap = exc_info.value.snapshot
-    assert snap is not None
+    assert snap is not None and snap.sim == engine_name
     recent = snap.detail.get("recent_trace")
     assert isinstance(recent, list) and recent
     assert all(isinstance(line, str) for line in recent)
     # The watchdog itself leaves a marker in the timeline.
-    assert tracer.categories().get("watchdog", 0) >= 1
+    marks = [ev for ev in tracer.events if ev.cat == "watchdog"]
+    assert [(ev.name, ev.pid) for ev in marks] == [("snapshot", engine_name)]

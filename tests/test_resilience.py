@@ -15,7 +15,11 @@ The tests here are the acceptance criteria of the resilience work:
 
 from __future__ import annotations
 
+import signal
+import sys
 import time
+import types
+from weakref import WeakSet
 
 import pytest
 
@@ -47,6 +51,7 @@ from repro.resilience import (
     WatchdogConfig,
     wall_clock_limit,
 )
+from repro.resilience import watchdog as watchdog_module
 from repro.resilience.errors import VerificationError as ResilienceVerificationError
 from repro.sgmf import SGMFCore, SGMFUnmappableError
 from repro.simt import FermiSM
@@ -453,6 +458,21 @@ def test_wall_clock_timeout_survives_a_swallowed_raise():
         with wall_clock_limit(0.005, sim="suite", kernel="k"):
             SlowFinalizer()
             time.sleep(1.0)
+
+
+def test_wall_clock_alarm_in_a_weakref_callback_waits_for_the_refire(
+        monkeypatch):
+    """An alarm landing in a ``WeakSet`` callback, where the raise would
+    only be printed, returns and re-arms; anywhere else it raises."""
+    monkeypatch.setattr(watchdog_module, "REFIRE_S", 60.0)
+    callback = types.SimpleNamespace(f_code=WeakSet()._remove.__code__)
+    with wall_clock_limit(60.0, sim="suite", kernel="k"):
+        fire = signal.getsignal(signal.SIGALRM)
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        fire(signal.SIGALRM, callback)
+        assert signal.getitimer(signal.ITIMER_REAL)[0] > 30.0
+        with pytest.raises(SimulationHangError, match="wall-clock timeout"):
+            fire(signal.SIGALRM, sys._getframe())
 
 
 def test_suite_without_faults_is_all_healthy():

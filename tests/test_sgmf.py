@@ -147,3 +147,29 @@ def test_replicas_capped_by_fabric():
             for uid in placed.unit_of.values():
                 assert uid not in used
                 used.add(uid)
+
+
+def test_functional_waves_answer_every_mappable_table2_kernel(monkeypatch):
+    """The whole-kernel wave pass, not the thread-major fallback, runs
+    every Table 2 kernel SGMF can map at ``tiny`` (17 of 21)."""
+    from repro.compiler.optimize import optimize_kernel
+    from repro.kernels.registry import all_names, make_workload
+
+    answered = {}
+    functional_waves = SGMFCore._functional_waves
+
+    def counting(self, kernel, *args):
+        batch = functional_waves(self, kernel, *args)
+        answered[name] = batch is not None
+        return batch
+
+    monkeypatch.setattr(SGMFCore, "_functional_waves", counting)
+    for name in all_names():
+        wl = make_workload(name, "tiny")
+        kernel = optimize_kernel(wl.kernel, params=wl.params, unroll=False)
+        try:
+            _run_both(kernel, wl.memory.clone(), wl.params, wl.n_threads)
+        except SGMFUnmappableError:
+            pass
+    assert len(answered) == 17
+    assert all(answered.values()), answered

@@ -32,6 +32,7 @@ from repro.ir.vecops import (
     f2i_array,
     f64_batch,
     hazard_key,
+    run_waves,
     scatter,
     stores_after_loads,
     vec_eval,
@@ -488,6 +489,47 @@ def test_scatter_broadcasts_scalars_and_promotes_on_dtype_conflict():
     assert regs["r"].dtype == object
     assert regs["r"].tolist() == [2.5, 5, 0, 6]
     assert defined["r"].tolist() == [True, True, False, True]
+
+
+def test_run_waves_frontier_bound_and_decline():
+    """``A`` sends even tids to ``B`` and odd ones to ``C``, which jumps
+    to ``B``; ``B`` stores each tid at address tid.  The frontier pops
+    the last block it learned of, and arrivals join the end of a
+    waiting wave, so ``B`` runs once, for the even threads then the
+    odd."""
+    waves = []
+
+    def step(block, wave):
+        waves.append((block, wave.tolist()))
+        if block == "A":
+            even = wave % 2 == 0
+            return [(wave, None)], (("B", wave[even]), ("C", wave[~even]))
+        if block == "C":
+            return [], (("B", wave),)
+        return [(wave, wave.astype(np.float64))], ()
+
+    log = run_waves("A", 4, 3, step)
+    assert waves == [("A", [0, 1, 2, 3]), ("C", [1, 3]),
+                     ("B", [0, 2, 1, 3])]
+    data = np.zeros(4)
+    log.commit(data)
+    assert data.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert run_waves("A", 4, 2, step) is None  # odd threads visit 3
+    # Each thread loading then storing its own word is exact; thread 0
+    # storing the word thread 1 loads later in thread-major order is not.
+    rows = {"A": [(np.array([0, 1]), None)],
+            "D": [(np.array([0, 1]), np.array([1.0, 2.0]))]}
+
+    def two_rows(block, wave):
+        return rows.get(block, []), (("D", wave),) if block == "A" else ()
+
+    assert run_waves("A", 2, 2, two_rows) is not None
+    rows["A"] = [(np.array([1, 1]), None)]
+    rows["D"] = [(np.array([1, 0]), np.array([1.0, 2.0]))]
+    assert run_waves("A", 2, 2, two_rows) is None
+    # A declining step, and a self-loop past the visit bound.
+    assert run_waves("A", 4, 3, lambda block, wave: None) is None
+    assert run_waves("A", 4, 3, lambda b, w: ([], (("A", w),))) is None
 
 
 @pytest.mark.parametrize("engine_name", ["vgiw", "sgmf"])
