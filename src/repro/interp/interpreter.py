@@ -1,9 +1,15 @@
 """Reference interpreter for the virtual kernel ISA.
 
-Executes a kernel thread-by-thread, sequentially, against a
-:class:`~repro.memory.image.MemoryImage`.  It is the golden functional
-model: every timing simulator's final memory image is asserted equal to
-the interpreter's in the test suite.
+Executes a kernel against a :class:`~repro.memory.image.MemoryImage`.
+It is the golden functional model: every timing simulator's final
+memory image is asserted equal to the interpreter's in the test suite.
+
+:meth:`Interpreter.run` evaluates the threads waiting at one block as a
+wave, each instruction row one :func:`repro.ir.vecops.eval_row` batch
+(the evaluator the Fermi warps share).  :meth:`Interpreter.run_thread`
+walks one thread through the scalar ``EVAL`` table; it is the fallback
+for waves that decline and the independent oracle both batch paths are
+tested against.
 
 The interpreter also records, per thread, the sequence of basic blocks
 visited.  The SGMF model and several analyses consume these traces.
@@ -17,16 +23,18 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.ir.instr import EVAL, Op, TermKind, coerce_i64
+from repro.ir.instr import TermKind, coerce_i64
 from repro.ir.kernel import Kernel
-from repro.ir.types import DType, Imm, Operand, Reg, TID_REG, is_param_reg, PARAM_PREFIX
+from repro.ir.types import DType
 from repro.ir.vecops import (
-    addr_batch,
-    f2i_array,
-    f64_batch,
+    SRC_CONST,
+    SRC_TID,
+    branch_taken,
+    eval_row,
+    prepare_instr,
+    prepare_operand,
     run_waves,
     scatter,
-    vec_eval,
 )
 from repro.memory.image import MemoryImage
 from repro.resilience.errors import SimulationError
@@ -124,72 +132,25 @@ class Interpreter:
         }
 
     def _compile_block(self, block):
-        """Flatten one basic block into interpreter rows.
-
-        Row layouts (sources are ``(mode, payload)`` pairs: 0 = const
-        value, 1 = register name, 2 = thread id; ``dt`` is 1 = int,
-        2 = float, 0 = bool)::
-
-            (0, asrc, dst, dt)           LOAD
-            (1, asrc, vsrc)              STORE
-            (2, fn, srcs, dst, dt, op)   everything else
-
-        The trailing ``op`` lets the vectorized wave executor dispatch
-        the same row through :func:`repro.ir.vecops.vec_eval`.
+        """Flatten one basic block into :func:`repro.ir.vecops.prepare_instr`
+        rows.
 
         Returns ``(rows, n_instrs, n_loads, n_stores, tcode, cond,
         true_target, false_target)`` with ``tcode`` 0 = RET, 1 = JMP,
-        2 = BR.
+        2 = BR and ``cond`` the branch condition's
+        :func:`repro.ir.vecops.prepare_operand` pair.
         """
-        params = self.params
-
-        def prep(operand):
-            if isinstance(operand, Imm):
-                return (0, operand.value)
-            if operand == TID_REG:
-                return (2, 0)
-            if is_param_reg(operand):
-                return (0, params[operand.name[len(PARAM_PREFIX):]])
-            return (1, operand.name)
-
-        rows = []
-        n_loads = n_stores = 0
-        for instr in block.instrs:
-            dt = (1 if instr.dtype is DType.INT
-                  else 2 if instr.dtype is DType.FLOAT else 0)
-            if instr.op is Op.LOAD:
-                rows.append((0, prep(instr.srcs[0]), instr.dst, dt))
-                n_loads += 1
-            elif instr.op is Op.STORE:
-                rows.append((1, prep(instr.srcs[0]), prep(instr.srcs[1])))
-                n_stores += 1
-            else:
-                rows.append((2, EVAL[instr.op],
-                             tuple(prep(s) for s in instr.srcs),
-                             instr.dst, dt, instr.op))
+        rows = tuple(prepare_instr(instr, self.params)
+                     for instr in block.instrs)
         term = block.terminator
         tcode = (0 if term.kind is TermKind.RET
                  else 1 if term.kind is TermKind.JMP else 2)
-        cond = prep(term.cond) if tcode == 2 else None
-        return (tuple(rows), len(block.instrs), n_loads, n_stores,
+        cond = prepare_operand(term.cond, self.params) if tcode == 2 else None
+        return (rows, len(rows), sum(r[0] == 0 for r in rows),
+                sum(r[0] == 1 for r in rows),
                 tcode, cond, term.true_target, term.false_target)
 
     # ------------------------------------------------------------------
-    def _fetch(self, regs: Dict[str, Number], tid: int, operand: Operand) -> Number:
-        if isinstance(operand, Imm):
-            return operand.value
-        if operand == TID_REG:
-            return tid
-        if is_param_reg(operand):
-            return self.params[operand.name[len(PARAM_PREFIX):]]
-        try:
-            return regs[operand.name]
-        except KeyError:
-            raise InterpreterError(
-                f"read of undefined register %{operand.name} "
-                f"in kernel {self.kernel.name}"
-            ) from None
-
     def run_thread(self, tid: int) -> ThreadTrace:
         """Execute one thread to completion; return its trace."""
         kernel = self.kernel
@@ -263,36 +224,20 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Vectorized wave execution
     # ------------------------------------------------------------------
-    @staticmethod
-    def _wave_values(regs, defined, wave, mode, payload):
-        """Fetch one operand for a wave: a register's thread slice, a
-        constant, or the tid array.  ``None`` means some thread reads an
-        undefined register (scalar fallback reproduces the error)."""
-        if mode == 1:
-            d = defined.get(payload)
-            if d is None or not d[wave].all():
-                return None
-            return regs[payload][wave]
-        if mode == 0:
-            return payload
-        return wave
-
     def _run_wave(self, n_threads: int) -> Optional[List[ThreadTrace]]:
         """Execute all threads as vectorized waves
         (:func:`repro.ir.vecops.run_waves`), each row one
-        :func:`repro.ir.vecops.vec_eval` batch; returns the traces.
+        :func:`repro.ir.vecops.eval_row` batch; returns the traces.
         ``None`` hands the kernel to the sequential path, whose results
         are the contract, from untouched memory: an inexact log, an
         undefined register, an invalid address or a visit-bound overrun
         (the scalar path raises the exact errors)."""
         plan = self._plan
         data = self.memory.data
-        size = data.shape[0]
         regs: Dict[str, np.ndarray] = {}
         defined: Dict[str, np.ndarray] = {}
         blocks_trace: List[List[str]] = [[] for _ in range(n_threads)]
         counts = np.zeros((n_threads, 3), np.int64)
-        fetch = self._wave_values
 
         def step(block_name, wave):
             (rows, bi, bl, bs, tcode, cond,
@@ -302,61 +247,35 @@ class Interpreter:
             counts[wave, 0] += bi
             counts[wave, 1] += bl
             counts[wave, 2] += bs
+
+            def fetch(mode, name):
+                if mode == SRC_TID:
+                    return wave
+                d = defined.get(name)
+                if d is None or not d[wave].all():
+                    return None
+                return regs[name][wave]
+
+            def write(dst, vals):
+                scatter(regs, defined, dst, wave, vals, n_threads)
+
             n = wave.shape[0]
             mem_rows = []
             for row in rows:
-                tag = row[0]
-                if tag == 2:  # ALU / SFU
-                    srcs, dst, dt, op = row[2], row[3], row[4], row[5]
-                    args = []
-                    for m, p in srcs:
-                        v = fetch(regs, defined, wave, m, p)
-                        if v is None and m == 1:
-                            return None
-                        args.append(v)
-                    vals = vec_eval(op, tuple(args), dt, n)
-                    scatter(regs, defined, dst, wave, vals, n_threads)
-                    continue
-                am, ap = row[1]
-                a = fetch(regs, defined, wave, am, ap)
-                if a is None and am == 1:
+                out = eval_row(row, fetch, write, data, n)
+                if out is None:
                     return None
-                addrs = addr_batch(a, n, size)
-                if addrs is None:
-                    return None
-                if tag == 0:  # LOAD
-                    mem_rows.append((addrs, None))
-                    raw = data[addrs]
-                    dt = row[3]
-                    vals = (f2i_array(raw) if dt == 1
-                            else raw if dt == 2 else raw != 0)
-                    scatter(regs, defined, row[2], wave, vals, n_threads)
-                else:  # STORE
-                    vm, vp = row[2]
-                    v = fetch(regs, defined, wave, vm, vp)
-                    if v is None and vm == 1:
-                        return None
-                    fvals = f64_batch(v, n)
-                    if fvals is None:
-                        return None
-                    mem_rows.append((addrs, fvals))
+                if out:
+                    mem_rows.append(out)
             if tcode == 0:
                 return mem_rows, ()
             if tcode == 1:
                 return mem_rows, ((true_target, wave),)
-            cm, cp = cond
-            cv = fetch(regs, defined, wave, cm, cp)
-            if cv is None and cm == 1:
+            m, p = cond
+            c = p if m == SRC_CONST else fetch(m, p)
+            if c is None:
                 return None
-            if isinstance(cv, np.ndarray):
-                if cv.dtype.kind == "b":
-                    taken = cv
-                elif cv.dtype.kind in "if":
-                    taken = cv != 0
-                else:
-                    taken = np.array([bool(x) for x in cv.tolist()])
-            else:
-                taken = np.full(n, bool(cv))
+            taken = branch_taken(c, n)
             return mem_rows, ((true_target, wave[taken]),
                               (false_target, wave[~taken]))
 

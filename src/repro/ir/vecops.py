@@ -8,7 +8,10 @@ threads at once, with results **bit-identical** to mapping the scalar
 through these kernels only; the reference interpreter uses them for its
 thread waves and keeps the scalar ``EVAL`` walk (``run_thread``) as the
 oracle the differential fuzzer and the tests compare against (see
-``docs/fuzzing.md``).
+``docs/fuzzing.md``).  One instruction row (:func:`prepare_instr`)
+evaluates through :func:`eval_row` in both the interpreter's waves and
+the Fermi warps, and :func:`branch_taken` is every batched engine's
+branch rule.
 
 The semantics being vectorized are the *pinned edge-case semantics*
 table in ``src/repro/ir/instr.py``, rendered as the normative reference
@@ -45,22 +48,28 @@ from repro.ir.instr import (
     EVAL,
     INT64_MAX,
     INT64_MIN,
+    Instr,
     Op,
     _TWO63_F,
     _fexp,
     _flog,
     coerce_i64,
 )
+from repro.ir.types import PARAM_PREFIX, TID_REG, DType, Imm, is_param_reg
 
 __all__ = [
     "MemLog",
     "VEVAL",
     "addr_batch",
     "as_value_array",
+    "branch_taken",
     "coerce_array",
+    "eval_row",
     "f2i_array",
     "f64_batch",
     "hazard_key",
+    "prepare_instr",
+    "prepare_operand",
     "run_waves",
     "scatter",
     "stores_after_loads",
@@ -425,6 +434,116 @@ def scatter(regs: Dict[str, np.ndarray], defined: Dict[str, np.ndarray],
         vals = np.array(vals.tolist(), dtype=object)
     arr[wave] = vals
     defined[dst][wave] = True
+
+
+# ----------------------------------------------------------------------
+# Instruction rows: the interpreter's waves and the Fermi warps
+# ----------------------------------------------------------------------
+#: Source modes of a prepared operand (:func:`prepare_operand`).
+SRC_CONST = 0   # payload is the value (an immediate or launch parameter)
+SRC_REG = 1     # payload is the register name
+SRC_TID = 2     # payload unused; the value is the thread id
+
+
+def prepare_operand(operand, params: Dict[str, object]) -> Tuple[int, object]:
+    """One source operand as a ``(mode, payload)`` pair: an immediate or
+    a launch parameter (looked up in ``params``, which launch-wide
+    uniformity lets fold) is ``(SRC_CONST, value)``, the thread id
+    ``(SRC_TID, 0)`` and any other register ``(SRC_REG, name)``."""
+    if isinstance(operand, Imm):
+        return (SRC_CONST, operand.value)
+    if operand == TID_REG:
+        return (SRC_TID, 0)
+    if is_param_reg(operand):
+        return (SRC_CONST, params[operand.name[len(PARAM_PREFIX):]])
+    return (SRC_REG, operand.name)
+
+
+def prepare_instr(instr: Instr, params: Dict[str, object]) -> tuple:
+    """Precompile ``instr`` into the flat row :func:`eval_row` and the
+    engines' scalar walks execute, built once per static instruction
+    per launch.  Row layouts::
+
+        (0, asrc, dst, dt)            LOAD
+        (1, asrc, vsrc)               STORE
+        (2, fn, srcs, dst, dt, op)    everything else
+
+    where each source is a :func:`prepare_operand` pair, ``dt`` selects
+    the result coercion (1 = int, 2 = float, 0 = bool), ``fn`` is the
+    scalar ``EVAL`` function and ``op`` the opcode :func:`vec_eval`
+    dispatches on.
+    """
+    dt = (1 if instr.dtype is DType.INT
+          else 2 if instr.dtype is DType.FLOAT else 0)
+    srcs = tuple(prepare_operand(s, params) for s in instr.srcs)
+    if instr.op is Op.LOAD:
+        return (0, srcs[0], instr.dst, dt)
+    if instr.op is Op.STORE:
+        return (1, srcs[0], srcs[1])
+    return (2, EVAL[instr.op], srcs, instr.dst, dt, instr.op)
+
+
+def eval_row(row: tuple, fetch, write, data: np.ndarray, n: int):
+    """Evaluate one :func:`prepare_instr` row over a batch of ``n``
+    threads (or lanes).
+
+    ``fetch(mode, payload)`` returns the batch of a register
+    (``SRC_REG``, ``None`` if some element has never been written) or
+    of the thread ids (``SRC_TID``); ``write(dst, values)`` takes a
+    result batch.  Both are the caller's, over its own register file.
+    Loads read the memory words ``data`` as they stand; stores are
+    returned, not written.
+
+    Returns ``()`` for an ALU row, ``(addrs, None)`` for a load and
+    ``(addrs, float64 values)`` for a store the caller commits.  Returns
+    ``None``, before any ``write``, when the batch cannot reproduce the
+    element-by-element walk: an undefined register, an address batch
+    :func:`addr_batch` rejects, or a store value ``float()`` rejects.
+    The caller then walks the row element by element, which raises the
+    exact errors in the exact order.
+    """
+    tag = row[0]
+    if tag == 2:  # ALU / SFU
+        args = []
+        for m, p in row[2]:
+            if m != SRC_CONST:
+                p = fetch(m, p)
+                if p is None:
+                    return None
+            args.append(p)
+        write(row[3], vec_eval(row[5], tuple(args), row[4], n))
+        return ()
+    m, p = row[1]
+    a = p if m == SRC_CONST else fetch(m, p)
+    if a is None:
+        return None
+    addrs = addr_batch(a, n, data.shape[0])
+    if addrs is None:
+        return None
+    if tag == 0:  # LOAD
+        raw = data[addrs]
+        dt = row[3]
+        write(row[2], f2i_array(raw) if dt == 1
+              else raw if dt == 2 else raw != 0)
+        return addrs, None
+    m, p = row[2]  # STORE
+    v = p if m == SRC_CONST else fetch(m, p)
+    if v is None:
+        return None
+    fvals = f64_batch(v, n)
+    if fvals is None:
+        return None
+    return addrs, fvals
+
+
+def branch_taken(c, n: int) -> np.ndarray:
+    """The branch rule: a bool array of ``bool(x)`` for each element of
+    the condition batch ``c`` (a constant broadcasts to ``n``), True
+    where the branch takes its true target.  NaN is true, -0.0 false."""
+    b = _as_bool(c)
+    if b is None:  # object dtype: mixed-type elements
+        return np.array([bool(x) for x in c.tolist()], bool)
+    return b if isinstance(b, np.ndarray) else np.full(n, b)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.engine import EngineRunResult, bind_params
 from repro.ir.instr import Instr, Op, UnitClass, unit_class
 from repro.ir.kernel import Kernel
 from repro.ir.types import Reg, is_reserved_reg
+from repro.ir.vecops import prepare_instr
 from repro.memory.cache import CacheStats
 from repro.memory.coalescer import coalesce_word_addresses
 from repro.memory.dram import DRAMStats
@@ -49,7 +50,7 @@ from repro.resilience.watchdog import (
     WatchdogConfig,
 )
 from repro.simt.simtstack import SIMTStack
-from repro.simt.warp import Warp, prepare_instr
+from repro.simt.warp import Warp
 
 Number = Union[int, float, bool]
 
@@ -444,22 +445,19 @@ class FermiSM:
         config: FermiConfig,
         cls_code: int,
         is_fpu: bool,
-        prep=None,
+        prep: tuple,
     ) -> float:
         """Execute one warp instruction on its pipeline.
 
         ``cls_code`` (0=ALU, 1=MEMORY, 2=SFU), ``is_fpu`` and ``prep``
-        (a :func:`repro.simt.warp.prepare_instr` row) come from the
+        (a :func:`repro.ir.vecops.prepare_instr` row) come from the
         per-block descriptor table built in :meth:`run` — they are
         per-instruction constants hoisted out of the issue loop.
         """
-        exec_one = (ctx.warp.exec_instr if prep is None
-                    else ctx.warp.exec_prepared)
-        what = instr if prep is None else prep
         if cls_code == 1:  # UnitClass.MEMORY
             stats.mem_instructions += 1
             stats.lane_mem_ops += active
-            mem_ops = exec_one(what, mask)
+            mem_ops = ctx.warp.exec_prepared(prep, mask)
             is_write = instr.op is Op.STORE
             segments = coalesce_word_addresses(
                 [m.word_addr for m in mem_ops], config.memory.l1_line_bytes
@@ -484,7 +482,7 @@ class FermiSM:
         if cls_code == 2:  # UnitClass.SPECIAL
             stats.sfu_instructions += 1
             stats.lane_sfu_ops += active
-            exec_one(what, mask)
+            ctx.warp.exec_prepared(prep, mask)
             start = max(issue, self._sfu_free)
             self._sfu_free = start + config.sfu_throughput_cycles
             done = start + config.sfu_latency
@@ -496,7 +494,7 @@ class FermiSM:
             stats.lane_fpu_ops += active
         else:
             stats.lane_alu_ops += active
-        exec_one(what, mask)
+        ctx.warp.exec_prepared(prep, mask)
         # The 32 CUDA cores execute one full warp instruction per cycle;
         # dual issue only helps when pairing ALU with LDST/SFU work.
         start = max(issue, self._alu_free)

@@ -56,6 +56,7 @@ from repro.ir.vecops import (
     MemLog,
     addr_batch,
     as_value_array,
+    branch_taken,
     f2i_array,
     f64_batch,
     vec_eval,
@@ -783,13 +784,7 @@ def eval_rows(plan: ExecPlan, tids: np.ndarray, memory: MemoryImage,
                 if kind is TermKind.JMP:
                     term = plan.true_target
                 elif kind is TermKind.BR:
-                    c = operand(row[4])
-                    if not isinstance(c, np.ndarray):
-                        term = plan.true_target if c else plan.false_target
-                    elif c.dtype.kind == "O":
-                        term = np.array([bool(x) for x in c.tolist()], bool)
-                    else:
-                        term = c != 0
+                    term = branch_taken(operand(row[4]), n)
             elif row[5] is not None:  # T_SJ passthrough
                 value[row[1]] = operand(row[5])
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

@@ -202,8 +202,14 @@ def test_run_matches_per_thread_oracle(monkeypatch):
     traces and block visits all agree on generated kernels, the fuzz
     corpus and the Table 2 kernels.  The wave path itself, not its
     fallback to ``run_thread``, answers every Table 2 kernel but
-    ``lud/lud_perimeter`` (its threads re-read their own stores)."""
+    ``lud/lud_perimeter`` (its threads re-read their own stores).
+
+    The Fermi warps evaluate the same instruction rows as the waves
+    (``repro.ir.vecops.eval_row``), so ``FermiSM.run``'s final memory
+    is checked against ``run_thread`` here too, not against the wave
+    path that shares its evaluator."""
     from repro.kernels.registry import all_names
+    from repro.simt import FermiSM
 
     answered = {}
     run_wave = Interpreter._run_wave
@@ -228,5 +234,9 @@ def test_run_matches_per_thread_oracle(monkeypatch):
         assert np.array_equal(mem.data, data, equal_nan=True), case.seed
         assert res.traces == traces, case.seed
         assert res.block_visits == want_visits, case.seed
+        fermi_mem = case.build_memory()
+        FermiSM().run(case.kernel, fermi_mem, case.params, case.n_threads)
+        assert np.array_equal(fermi_mem.data, data, equal_nan=True), \
+            case.seed
     fallbacks = [name for name in all_names() if not answered[name]]
     assert fallbacks == ["lud/lud_perimeter"]

@@ -20,18 +20,22 @@ import random
 import numpy as np
 import pytest
 
-from repro.ir import EVAL, Op
+from repro.ir import EVAL, Instr, Op
 from repro.ir.instr import INT64_MAX, INT64_MIN, coerce_i64, result_dtype
-from repro.ir.types import DType
+from repro.ir.types import DType, Imm, Reg
 from repro.ir.vecops import (
+    SRC_TID,
     MemLog,
     VEVAL,
     addr_batch,
     as_value_array,
+    branch_taken,
     coerce_array,
+    eval_row,
     f2i_array,
     f64_batch,
     hazard_key,
+    prepare_instr,
     run_waves,
     scatter,
     stores_after_loads,
@@ -530,6 +534,106 @@ def test_run_waves_frontier_bound_and_decline():
     # A declining step, and a self-loop past the visit bound.
     assert run_waves("A", 4, 3, lambda block, wave: None) is None
     assert run_waves("A", 4, 3, lambda b, w: ([], (("A", w),))) is None
+
+
+# ----------------------------------------------------------------------
+# The instruction-row evaluator (the interpreter's waves, the Fermi warps)
+# ----------------------------------------------------------------------
+class _RowHarness:
+    """A register file of whole batches behind ``eval_row``'s
+    ``fetch``/``write``; ``writes`` records every write."""
+
+    def __init__(self, regs, n):
+        self.regs, self.n, self.writes = dict(regs), n, []
+
+    def fetch(self, mode, name):
+        if mode == SRC_TID:
+            return np.arange(self.n, dtype=np.int64)
+        return self.regs.get(name)
+
+    def write(self, dst, vals):
+        self.writes.append(dst)
+        self.regs[dst] = vals
+
+    def run(self, instr, data, params=None):
+        return eval_row(prepare_instr(instr, params or {}), self.fetch,
+                        self.write, data, self.n)
+
+
+def test_eval_row_alu_load_and_store():
+    h = _RowHarness({"a": _a([1, 2, 3])}, 3)
+    data = np.arange(8.0)
+    add = Instr(Op.ADD, "x", (Reg("a"), Reg("arg.k")), DType.INT)
+    assert h.run(add, data, {"k": 10}) == ()
+    assert h.regs["x"].tolist() == [11, 12, 13]
+    addrs, vals = h.run(Instr(Op.LOAD, "v", (Reg("tid"),), DType.INT), data)
+    assert (addrs.tolist(), vals) == ([0, 1, 2], None)
+    assert h.regs["v"].tolist() == [0, 1, 2]
+    store = Instr(Op.STORE, None, (Reg("a"), Imm(7, DType.INT)), DType.INT)
+    addrs, vals = h.run(store, data)
+    assert addrs.tolist() == [1, 2, 3] and vals.tolist() == [7.0] * 3
+    assert data.tolist() == list(np.arange(8.0))  # the caller commits
+
+
+_UNDEF = Reg("undef")
+_DECLINES = {
+    "undefined_alu_source": Instr(Op.ADD, "x", (Reg("a"), _UNDEF), DType.INT),
+    "undefined_address": Instr(Op.LOAD, "x", (_UNDEF,), DType.FLOAT),
+    "undefined_store_value": Instr(Op.STORE, None, (Reg("a"), _UNDEF),
+                                   DType.FLOAT),
+    "nan_address": Instr(Op.LOAD, "x", (Reg("nan_addr"),), DType.FLOAT),
+    "nan_constant_address": Instr(Op.STORE, None,
+                                  (Imm(math.nan, DType.FLOAT), Reg("a")),
+                                  DType.FLOAT),
+    "out_of_range_address": Instr(Op.LOAD, "x", (Reg("far"),), DType.FLOAT),
+    "object_address": Instr(Op.STORE, None, (Reg("obj_addr"), Reg("a")),
+                            DType.FLOAT),
+    "unconvertible_store_value": Instr(Op.STORE, None,
+                                       (Reg("a"), Reg("huge")), DType.FLOAT),
+}
+
+
+@pytest.mark.parametrize("instr", list(_DECLINES.values()),
+                         ids=list(_DECLINES))
+def test_eval_row_declines_before_any_write(instr):
+    """A declined row is re-run element by element (Fermi's per-lane
+    walk), so ``eval_row`` must not have written a register or memory."""
+    h = _RowHarness({
+        "a": _a([1, 2, 3]),
+        "nan_addr": np.array([0.0, math.nan, 2.0]),
+        "far": _a([0, 1, 16]),
+        "obj_addr": np.array([0, 1.0, 2], dtype=object),
+        "huge": np.array([1, 10 ** 400, 2], dtype=object),
+    }, 3)
+    data = np.arange(16.0)
+    assert h.run(instr, data) is None
+    assert h.writes == []
+    assert data.tolist() == list(np.arange(16.0))
+
+
+_CONDITIONS = [
+    np.array([True, False, True]),
+    _a([0, 1, -1, INT64_MIN, INT64_MAX]),
+    np.array([0.0, -0.0, math.nan, math.inf, -1e-300, 2.5]),
+    np.array([0, 1.5, False, -0.0, math.nan, True, 7], dtype=object),
+    np.array([], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("c", _CONDITIONS,
+                         ids=["bool", "int", "float", "object", "empty"])
+def test_branch_taken_is_elementwise_bool(c):
+    got = branch_taken(c, c.shape[0])
+    assert got.dtype == bool
+    assert got.tolist() == [bool(x) for x in c.tolist()]
+
+
+@pytest.mark.parametrize("c", [0, 3, -1, 0.0, -0.0, math.nan, 2.5,
+                               True, False])
+def test_branch_taken_broadcasts_a_constant(c):
+    got = branch_taken(c, 4)
+    assert got.dtype == bool
+    assert got.tolist() == [bool(c)] * 4
 
 
 @pytest.mark.parametrize("engine_name", ["vgiw", "sgmf"])

@@ -1,5 +1,7 @@
 """Unit tests for warp-level functional execution (repro.simt.warp)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,44 @@ def test_mixed_type_lanes_keep_their_values():
     store = Instr(Op.STORE, None, (Reg("a"), Reg("v")), DType.FLOAT)
     warp.exec_instr(store, 0b1010)
     assert mem.read_block(0, 4).tolist() == [10.0, 2.5, 12.0, 7.0]
+
+
+# ----------------------------------------------------------------------
+# Branch conditions: every operand kind takes the per-lane bool() rule
+# ----------------------------------------------------------------------
+def _per_lane_targets(values, mask):
+    """The per-lane rule: ``bool(value)`` picks each lane's target, and
+    the dict lists targets in order of their lowest lane."""
+    targets = {}
+    for lane in Warp.lanes_of(mask):
+        target = "yes" if bool(values[lane]) else "no"
+        targets[target] = targets.get(target, 0) | (1 << lane)
+    return targets
+
+
+_BRANCH_CONDITIONS = [
+    ("tid", Reg("tid"), {}, list(range(8))),
+    ("imm_zero", Imm(0, DType.INT), {}, [0] * 8),
+    ("imm_float", Imm(-2.5, DType.FLOAT), {}, [-2.5] * 8),
+    ("imm_pred", Imm(True, DType.PRED), {}, [True] * 8),
+    ("param_zero", Reg("arg.flag"), {"flag": 0}, [0] * 8),
+    ("param_nan", Reg("arg.flag"), {"flag": math.nan}, [math.nan] * 8),
+    ("object_reg", Reg("c"), {},
+     [0, 1.5, False, 7, -0.0, True, math.nan, 0.0]),
+]
+
+
+@pytest.mark.parametrize("mask", [0xFF, 0b11110, 0b10100001])
+@pytest.mark.parametrize("cond,params,values",
+                         [c[1:] for c in _BRANCH_CONDITIONS],
+                         ids=[c[0] for c in _BRANCH_CONDITIONS])
+def test_terminator_branch_condition_kinds(cond, params, values, mask):
+    warp, _ = make_warp(params=params)
+    if cond == Reg("c"):
+        for lane, v in enumerate(values):
+            warp._write_lane("c", lane, v)
+        assert np.asarray(warp._vregs["c"]).dtype == object
+    targets = warp.exec_terminator(Terminator.br(cond, "yes", "no"), mask)
+    want = _per_lane_targets(values, mask)
+    assert targets == want
+    assert list(targets) == list(want)  # lowest active lane's target first
