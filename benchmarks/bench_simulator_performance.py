@@ -13,18 +13,25 @@ Two layers (``docs/performance.md`` is the narrative):
   carrying ``"vectorized": true`` — ≥ 2× over the last scalar-execution
   record); ``bench_golden_cycles_byte_identical`` re-checks the suite's
   cycle counts against ``benchmarks/golden_cycles_small.json`` so a
-  speedup can never silently change a reported number.
+  speedup can never silently change a reported number.  A second
+  golden, ``benchmarks/golden_cycles_medium.json``, pins the same 63
+  pairs at ``medium``; it takes minutes serial, so it is checked only
+  by a ``REPRO_SCALE=medium`` run of this file or by regenerating it
+  and diffing against the committed copy.
 
 Re-measure and print a fresh trajectory record with::
 
     PYTHONPATH=src python benchmarks/bench_simulator_performance.py \
         --remeasure --jobs 4
 
-Regenerate the golden cycle file (only legitimate when the timing
+Regenerate a golden cycle file (only legitimate when the timing
 model itself changed — see ``docs/benchmarking.md`` §3) with::
 
     PYTHONPATH=src python benchmarks/bench_simulator_performance.py \
-        --regen-golden
+        --regen-golden [--scale medium]
+
+A host-side change proves itself cycle-identical at a scale by
+regenerating that scale's file and showing ``git diff`` empty.
 """
 
 import json
@@ -38,7 +45,8 @@ from repro.vgiw import VGIWCore
 N_THREADS = 512
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-GOLDEN_PATH = os.path.join(_HERE, "golden_cycles_small.json")
+#: Scales with a committed golden cycle file.
+GOLDEN_SCALES = ("small", "medium")
 BASELINE_PATH = os.path.join(
     os.path.dirname(_HERE), "BENCH_simulator_performance.json"
 )
@@ -90,10 +98,15 @@ def load_trajectory():
         return json.load(fh)
 
 
-def check_golden(runs) -> int:
-    """Compare a ``small``-scale SuiteResult against the golden cycle
-    file; returns the number of (kernel, engine) pairs checked."""
-    with open(GOLDEN_PATH) as fh:
+def golden_path(scale: str = "small") -> str:
+    return os.path.join(_HERE, f"golden_cycles_{scale}.json")
+
+
+def check_golden(runs, scale: str = "small") -> int:
+    """Compare a SuiteResult at ``scale`` against that scale's golden
+    cycle file; returns the number of (kernel, engine) pairs checked."""
+    path = golden_path(scale)
+    with open(path) as fh:
         golden = json.load(fh)
     checked = 0
     mismatches = []
@@ -107,7 +120,7 @@ def check_golden(runs) -> int:
             if got_cycles != want:
                 mismatches.append((name, eng, got_cycles, want))
     assert not mismatches, (
-        "cycle counts diverged from benchmarks/golden_cycles_small.json "
+        f"cycle counts diverged from {os.path.relpath(path, _HERE)} "
         f"(host-side optimisations must be cycle-identical): {mismatches}"
     )
     return checked
@@ -165,13 +178,13 @@ def bench_golden_cycles_byte_identical(suite_runs, scale):
     """The current sweep reproduces the golden cycles bit-for-bit.
 
     Uses the session-wide suite fixture (no extra sweep).  Only
-    meaningful at the ``small`` scale the golden file was recorded at.
+    meaningful at a scale with a golden file (``GOLDEN_SCALES``).
     """
-    if scale != "small":
+    if scale not in GOLDEN_SCALES:
         import pytest
 
-        pytest.skip("golden cycle file is recorded at --scale small")
-    checked = check_golden(suite_runs)
+        pytest.skip(f"no golden cycle file is recorded at --scale {scale}")
+    checked = check_golden(suite_runs, scale)
     assert checked >= 60  # 21 kernels x 3 engines (unmappable SGMF = None)
 
 
@@ -218,26 +231,27 @@ def _remeasure(jobs: int) -> dict:
     return record
 
 
-def _regen_golden() -> int:
-    """Rewrite ``golden_cycles_small.json`` from a fresh sweep.
+def _regen_golden(scale: str) -> int:
+    """Rewrite ``golden_cycles_<scale>.json`` from a fresh sweep.
 
     Only legitimate when the timing model itself changed; the commit
     must say why the cycles moved (``docs/benchmarking.md`` §3)."""
     from repro.evalharness.runner import run_suite
 
-    runs = run_suite(None, scale="small")
+    runs = run_suite(None, scale=scale)
     golden = {}
     for name in sorted(runs):
         run = runs[name]
         engines = {}
         for eng in ("vgiw", "fermi", "sgmf"):
+            # An unmappable kernel's engine is pinned as null.
             res = getattr(run, eng, None)
-            if res is not None:
-                engines[eng] = res.cycles
+            engines[eng] = None if res is None else res.cycles
         golden[name] = engines
-    with open(GOLDEN_PATH, "w") as fh:
+    # No trailing newline: a regen at ``small`` reproduces the
+    # committed file byte for byte.
+    with open(golden_path(scale), "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
     return sum(len(v) for v in golden.values())
 
 
@@ -250,16 +264,20 @@ if __name__ == "__main__":
                          "print a trajectory record to append to "
                          "BENCH_simulator_performance.json")
     ap.add_argument("--regen-golden", action="store_true",
-                    help="rewrite benchmarks/golden_cycles_small.json "
+                    help="rewrite benchmarks/golden_cycles_<scale>.json "
                          "from a fresh sweep (timing-model changes "
                          "only; see docs/benchmarking.md)")
+    ap.add_argument("--scale", choices=GOLDEN_SCALES, default="small",
+                    help="scale of the golden file --regen-golden "
+                         "rewrites (default small)")
     ap.add_argument("--jobs", type=int, default=4)
     opts = ap.parse_args()
     if opts.remeasure:
         print(json.dumps(_remeasure(opts.jobs), indent=2))
     elif opts.regen_golden:
-        pairs = _regen_golden()
-        print(f"rewrote {GOLDEN_PATH} ({pairs} kernel x engine pairs)")
+        pairs = _regen_golden(opts.scale)
+        print(f"rewrote {golden_path(opts.scale)} "
+              f"({pairs} kernel x engine pairs)")
     else:
         ap.error("nothing to do (did you mean --remeasure, "
                  "--regen-golden, or "

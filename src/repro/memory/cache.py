@@ -21,6 +21,7 @@ level.  Same-line misses in flight are merged through the MSHRs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.memory.calendar import claim_slot
@@ -102,32 +103,12 @@ class Cache:
         # order backfill idle cycles instead of queueing behind
         # logically-later requests, at amortized O(1) per claim.
         self._bank_next: Dict[int, Dict[int, int]] = {}
-        # line address -> in-flight fill completion time (MSHR)
+        # line address -> in-flight fill completion time (MSHR), and a
+        # min-heap of its (completion, line) pairs for the prune
         self._mshr: Dict[int, float] = {}
+        self._mshr_heap: List[Tuple[float, int]] = []
 
     # ------------------------------------------------------------------
-    def _split(self, line_addr: int) -> Tuple[int, int, int]:
-        # XOR set-index hashing (standard in GPU caches): arrays laid out
-        # at power-of-two strides would otherwise collide in one set and
-        # thrash a low-associativity cache.
-        set_idx = (line_addr ^ (line_addr // self.n_sets)) % self.n_sets
-        tag = line_addr // self.n_sets
-        bank = line_addr % self.banks
-        return set_idx, tag, bank
-
-    def _bank_start(self, time: float, bank: int) -> float:
-        """Claim the first free cycle of ``bank`` at or after ``time``
-        (one access per bank per cycle)."""
-        ti = int(time)
-        t = ti if ti == time else ti + 1
-        nf = self._bank_next.get(bank)
-        if nf is None:
-            nf = self._bank_next[bank] = {}
-        start = claim_slot(nf, t)
-        if start > t:
-            self.stats.bank_wait_cycles += start - t
-        return float(start)
-
     def _lookup(self, set_idx: int, tag: int) -> Optional[List]:
         ways = self._sets.get(set_idx)
         if not ways:
@@ -136,11 +117,6 @@ class Cache:
             if entry[0] == tag:
                 return entry
         return None
-
-    def _touch(self, set_idx: int, entry: List) -> None:
-        ways = self._sets[set_idx]
-        ways.remove(entry)
-        ways.append(entry)
 
     def _fill(self, time: float, line_addr: int, set_idx: int, tag: int,
               dirty: bool) -> None:
@@ -171,15 +147,43 @@ class Cache:
         Writes complete at the L1 port (posted); reads complete when the
         data is available (after a fill on a miss).
         """
-        set_idx, tag, default_bank = self._split(line_addr)
-        start = self._bank_start(time, default_bank if bank is None else bank)
-        entry = self._lookup(set_idx, tag)
+        # XOR set-index hashing (standard in GPU caches): arrays laid out
+        # at power-of-two strides would otherwise collide in one set and
+        # thrash a low-associativity cache.
+        n_sets = self.n_sets
+        tag = line_addr // n_sets
+        set_idx = (line_addr ^ tag) % n_sets
+        if bank is None:
+            bank = line_addr % self.banks
+        # Claim the bank's first free cycle at or after ``time`` (one
+        # access per bank per cycle); most claims find it free, which
+        # needs no calendar walk.
+        ti = int(time)
+        t = ti if ti == time else ti + 1
+        nf = self._bank_next.get(bank)
+        if nf is None:
+            nf = self._bank_next[bank] = {}
+        if t in nf:
+            start = claim_slot(nf, t)
+            self.stats.bank_wait_cycles += start - t
+        else:
+            nf[t] = t + 1
+            start = t
+        start = float(start)
+
+        entry = None
+        ways = self._sets.get(set_idx)
+        if ways:
+            for e in ways:
+                if e[0] == tag:
+                    entry = e
+                    break
 
         if entry is not None:
-            self._touch(set_idx, entry)
-            # A "hit" on a line whose fill is still in flight must wait
-            # for the data to arrive (MSHR hit).
-            pending = self._mshr.get(line_addr)
+            if ways[-1] is not entry:
+                # Move to the MRU end (tags are unique within a set).
+                ways.remove(entry)
+                ways.append(entry)
             if is_write:
                 self.stats.write_hits += 1
                 if self.write_back:
@@ -189,6 +193,9 @@ class Cache:
                     self.next_level.access(start, line_addr, True)
             else:
                 self.stats.read_hits += 1
+                # A "hit" on a line whose fill is still in flight must
+                # wait for the data to arrive (MSHR hit).
+                pending = self._mshr.get(line_addr)
                 if pending is not None and pending > start:
                     self.stats.mshr_merges += 1
                     return pending
@@ -232,14 +239,28 @@ class Cache:
         else:
             ready = start + self.hit_latency
         ready += self.hit_latency
-        self._mshr[line_addr] = ready
-        if len(self._mshr) > 4 * self.banks:
-            # Lazy pruning of stale MSHR entries.
-            self._mshr = {a: t for a, t in self._mshr.items() if t > start}
+        mshr = self._mshr
+        mshr[line_addr] = ready
+        heap = self._mshr_heap
+        heappush(heap, (ready, line_addr))
+        if len(mshr) > 4 * self.banks:
+            # Lazy pruning of stale MSHR entries (fill done by ``start``):
+            # pop them off the heap, skipping pairs whose line was
+            # refilled since.
+            while heap and heap[0][0] <= start:
+                t, a = heappop(heap)
+                if mshr.get(a) == t:
+                    del mshr[a]
+        if len(heap) > 2 * len(mshr):
+            # Refilled lines leave stale pairs behind that a prune at an
+            # earlier ``start`` (or no prune at all) never pops: rebuild
+            # from the dict to keep the heap bounded.
+            heap[:] = [(t, a) for a, t in mshr.items()]
+            heapify(heap)
         self._fill(ready, line_addr, set_idx, tag, dirty=False)
         return ready
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:
-        set_idx, tag, _ = self._split(line_addr)
-        return self._lookup(set_idx, tag) is not None
+        tag = line_addr // self.n_sets
+        return self._lookup((line_addr ^ tag) % self.n_sets, tag) is not None

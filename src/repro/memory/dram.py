@@ -19,6 +19,7 @@ into the latency constants; paper Table 1 lists 0.924 GHz vs the
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -39,47 +40,50 @@ class DRAMStats:
 
 
 class _Bank:
-    """One DRAM bank: a sorted calendar of (start, end, row) accesses."""
+    """One DRAM bank: a calendar of (start, end, row) accesses.
 
-    __slots__ = ("intervals",)
+    ``schedule`` only inserts into a free gap, so with positive
+    latencies a bank's intervals are pairwise disjoint and sorted starts
+    imply sorted ends.  They are held as three parallel sorted lists,
+    and every probe is a binary search: O(log n) per access where a
+    scan of one interval list was O(n).
+    """
+
+    __slots__ = ("starts", "ends", "rows")
 
     def __init__(self):
-        self.intervals: List[Tuple[float, float, int]] = []
+        self.starts: List[float] = []
+        self.ends: List[float] = []
+        self.rows: List[int] = []
+
+    @property
+    def intervals(self) -> List[Tuple[float, float, int]]:
+        """The accesses as sorted (start, end, row) tuples (a copy)."""
+        return list(zip(self.starts, self.ends, self.rows))
 
     def schedule(self, t: float, row: int, hit_lat: int, miss_lat: int
                  ) -> Tuple[float, float, bool]:
         """Find the earliest slot at/after ``t``; returns
         (start, end, row_hit)."""
+        starts, ends = self.starts, self.ends
         candidate = t
-        idx = 0
-        intervals = self.intervals
         while True:
             # Row state at the candidate time = row of the latest access
-            # starting before it.
-            prev_row = -1
-            for s, e, r in intervals:
-                if s <= candidate:
-                    prev_row = r
-                else:
-                    break
+            # starting at or before it.
+            i = bisect_right(starts, candidate) - 1
+            prev_row = self.rows[i] if i >= 0 else -1
             latency = hit_lat if row == prev_row else miss_lat
             end = candidate + latency
-            conflict = None
-            for s, e, r in intervals:
-                if s < end and candidate < e:
-                    conflict = e
-                    break
-            if conflict is None:
-                self._insert(candidate, end, row)
+            # The first access ending after the candidate is the first
+            # that can overlap [candidate, end); if it does not, none does.
+            j = bisect_right(ends, candidate)
+            if j == len(ends) or starts[j] >= end:
+                k = bisect_left(starts, candidate)
+                starts.insert(k, candidate)
+                ends.insert(k, end)
+                self.rows.insert(k, row)
                 return candidate, end, latency == hit_lat
-            candidate = conflict
-
-    def _insert(self, start: float, end: float, row: int) -> None:
-        intervals = self.intervals
-        lo = 0
-        while lo < len(intervals) and intervals[lo][0] < start:
-            lo += 1
-        intervals.insert(lo, (start, end, row))
+            candidate = ends[j]
 
 
 class DRAM:

@@ -71,6 +71,7 @@ class MemorySystem:
             tracer=tracer,
         )
         self._l1_line_words = config.l1_line_bytes // WORD_BYTES
+        self._l1_access = self.l1.access
 
     # -- scalar (VGIW/SGMF LDST units) ---------------------------------
     def access_word(self, time: float, word_addr: int, is_write: bool) -> float:
@@ -84,7 +85,7 @@ class MemorySystem:
         word_addr = int(word_addr)
         line = word_addr // self._l1_line_words
         bank = word_addr % self.config.l1_banks
-        done = self.l1.access(time, line, is_write, bank=bank)
+        done = self._l1_access(time, line, is_write, bank)
         if self.faults is not None and self.faults.drop_response(
             "l1-word", word_addr, time
         ):
@@ -154,6 +155,7 @@ class LiveValueCache:
             write_validate=True,
             tracer=tracer,
         )
+        self._cache_access = self.cache.access
         self.line_bytes = line_bytes
         self.max_threads = max_threads
         #: word-granularity requests from the LVUs
@@ -192,13 +194,13 @@ class LiveValueCache:
                 return max(time, cur[1]) + 1.0
         word = lv_id * self.max_threads + tid
         bank = word % self.cache.banks
-        done = self.cache.access(time, line, is_write, bank=bank)
+        done = self._cache_access(time, line, is_write, bank)
         if port is not None:
             cur = self._ports.get(port)
             if cur is not None and cur[2] and cur[0] != line:
                 # Flush the previous dirty line buffer to its bank.
-                self.cache.access(time, cur[0], True,
-                                  bank=cur[0] % self.cache.banks)
+                self._cache_access(time, cur[0], True,
+                                   cur[0] % self.cache.banks)
             self._ports[port] = [line, done, is_write]
         return done
 

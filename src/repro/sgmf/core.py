@@ -15,7 +15,7 @@ model so the two architectures differ only where the designs differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -156,11 +156,15 @@ class SGMFCore:
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
             tracer=trace,
         )
-        stats = FabricStats()
-        waste_fires = 0
+        # Block visits and waste passes per plan, in first-seen order,
+        # folded into the run's FabricStats once at the end.
+        fires: Dict[ExecPlan, List[int]] = {}
 
         n_replicas = mapping.n_replicas
         reps = [_ReplicaState() for _ in range(n_replicas)]
+        # Each replica's entered timing walks by plan, entered on the
+        # replica's first visit of the plan.
+        walks: List[Dict[ExecPlan, Callable]] = [{} for _ in reps]
         plans, waste_units = self._build_plans(mapping, params, config)
         # Compiled timing-walk binders by source text, shared by the
         # replicas and equal blocks of this run.
@@ -216,13 +220,12 @@ class SGMFCore:
                     timing_binders, faults,
                 )
             else:
-                visit = self._replay(rep, i, paths[i], memsys,
+                visit = self._replay(rep, walks[ridx], i, paths[i], memsys,
                                      timing_binders)
-            completion, waste = self._walk_thread(
+            completion = self._walk_thread(
                 kernel, plans[ridx], waste_units[ridx], rep, i, inject,
-                visit, stats, wd, snapshot, max_block_visits,
+                visit, fires, wd, snapshot, max_block_visits,
             )
-            waste_fires += waste
             if stores is not None:
                 lo, hi = bounds[i], bounds[i + 1]
                 if hi > lo:
@@ -237,7 +240,19 @@ class SGMFCore:
             wd.progress(completion)
             wd.check(end_time, snapshot)
 
-        stats.threads = n_threads
+        # Every visit or waste pass fires each node of its plan once
+        # (one token each); only visits travel the routed hops.
+        stats = FabricStats(threads=n_threads)
+        ops = stats.ops
+        waste_fires = 0
+        for plan, (visits, wastes) in fires.items():
+            passes = visits + wastes
+            stats.node_fires += plan.n_nodes * passes
+            stats.tokens += plan.n_nodes * passes
+            stats.token_hops += plan.total_hops * visits
+            waste_fires += plan.n_nodes * wastes
+            for cls, count in plan.ops_counts.items():
+                ops[cls] += count * passes
         if metrics is not None:
             scope = metrics.scope("sgmf")
             record_shared_run_metrics(
@@ -313,19 +328,25 @@ class SGMFCore:
         log = run_waves(kernel.entry, n_threads, visit_limit, step)
         return None if log is None else (paths, log.by_thread(n_threads))
 
-    def _replay(self, rep: _ReplicaState, tid: int, path: List,
-                memsys: MemorySystem, timing_binders: Dict[str, Callable]):
+    def _replay(self, rep: _ReplicaState, walks: Dict[ExecPlan, Callable],
+                tid: int, path: List, memsys: MemorySystem,
+                timing_binders: Dict[str, Callable]):
         """The visit function of a batched thread: its recorded visits,
-        timing only."""
+        timing only.  ``walks`` holds ``rep``'s entered walks by plan;
+        a plan's walk is entered on the replica's first visit of it."""
         config = self.config
         mem_access = memsys.access_word
         steps = iter(path)
 
         def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
             rec, j, next_block = next(steps)
-            walk = timing_walk(plan, config, timing_binders, sgmf=True)
+            walk = walks.get(plan)
+            if walk is None:
+                walk = walks[plan] = timing_walk(
+                    plan, config, timing_binders, sgmf=True
+                )(rep)
             completion, term_done = walk(
-                rep, mem_access, tid, entry_time, j, rec, rr
+                mem_access, tid, entry_time, j, rec, rr
             )
             return completion, term_done, next_block
 
@@ -360,8 +381,8 @@ class SGMFCore:
             (completion, term_done), next_block = visit_sequentially(
                 plan, tid, memory, rec, [], lv_load, lv_store, faults,
                 config, timing_binders, True,
-                lambda walk, *cyc: walk(rep, mem_access, tid, entry_time,
-                                        0, rec, rr, *cyc),
+                lambda enter, *cyc: enter(rep)(mem_access, tid, entry_time,
+                                               0, rec, rr, *cyc),
             )
             return completion, term_done, next_block
 
@@ -376,13 +397,14 @@ class SGMFCore:
         tid: int,
         inject: float,
         visit,
-        stats: FabricStats,
+        fires: Dict[ExecPlan, List[int]],
         wd: ForwardProgressWatchdog,
         snapshot,
         max_block_visits: int,
-    ) -> Tuple[float, int]:
+    ) -> float:
         """Walk one thread through the whole-kernel graph; returns its
-        completion cycle and its wasted node fires.
+        completion cycle.  Each visit and each waste pass of a plan is
+        counted in ``fires[plan]`` (``[visits, waste passes]``).
 
         ``visit(plan, entry_time, regs_ready)`` runs one block visit and
         returns ``(completion, term_done, next_block)``: a batched
@@ -392,7 +414,6 @@ class SGMFCore:
         also pump one predicated token through every block they never
         visit (the waste pass at the end).
         """
-        ops = stats.ops
         rr: Dict[str, float] = {}
         visited = set()
         completion = inject
@@ -421,12 +442,11 @@ class SGMFCore:
             block_completion, term_done, current = visit(
                 plan, entry_time, rr
             )
-            n = plan.n_nodes
-            stats.node_fires += n
-            stats.tokens += n
-            stats.token_hops += plan.total_hops
-            for cls, count in plan.ops_counts.items():
-                ops[cls] += count
+            f = fires.get(plan)
+            if f is None:
+                fires[plan] = [1, 0]
+            else:
+                f[0] += 1
             if block_completion > completion:
                 completion = block_completion
             entry_time = term_done + 1.0
@@ -439,21 +459,19 @@ class SGMFCore:
         # cycles and understate the utilisation loss.
         issue = rep.issue
         waste_time = inject + 0.5 * (completion - inject)
-        waste = 0
         for name, plan in plans.items():
             if name in visited:
                 continue
-            n = plan.n_nodes
-            stats.node_fires += n
-            stats.tokens += n
-            waste += n
-            for cls, count in plan.ops_counts.items():
-                ops[cls] += count
+            f = fires.get(plan)
+            if f is None:
+                fires[plan] = [0, 1]
+            else:
+                f[1] += 1
             # Occupies an issue slot but performs no memory access.
             for uid in waste_units[name]:
                 issue(uid, waste_time)
 
-        return completion, waste
+        return completion
 
     def mapping_for(self, kernel: Kernel) -> SGMFMapping:
         """Expose the mapping (used by reports and tests)."""

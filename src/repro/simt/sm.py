@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.arch.config import FermiConfig
@@ -35,7 +35,7 @@ from repro.compiler.cfganalysis import immediate_post_dominators
 from repro.engine import EngineRunResult, bind_params
 from repro.ir.instr import Instr, Op, UnitClass, unit_class
 from repro.ir.kernel import Kernel
-from repro.ir.types import Reg, is_reserved_reg
+from repro.ir.types import Reg
 from repro.ir.vecops import prepare_instr
 from repro.memory.cache import CacheStats
 from repro.memory.coalescer import coalesce_word_addresses

@@ -304,7 +304,9 @@ def build_exec_plan(
 def _emit_issue(L, n: int) -> None:
     """Emit the unit-calendar claim (:meth:`_ReplicaState.issue`) for row
     ``n`` (unit ``u{n}``): the first free issue cycle at or after the
-    ready time ``r``, with the same ``unit_wait`` accounting."""
+    ready time ``r``, with the same ``unit_wait`` accounting.  ``nf{n}``
+    is the unit's calendar, bound once per replica by the walk's
+    ``enter(rep)`` (:func:`compile_timing`)."""
     L.append("    q = ceil(r)")
     L.append(f"    s = claim(nf{n}, q)")
     L.append("    if s != q:")
@@ -319,7 +321,7 @@ _timing_serial = itertools.count()
 def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                    binders: Dict[str, Callable], sgmf: bool = False,
                    record: bool = False, stop: Optional[int] = None):
-    """The straight-line timing walk for one plan.
+    """The straight-line timing walk for one plan, as ``enter(rep)``.
 
     The engines split each block visit into a functional pass
     (:func:`eval_rows`) and a per-thread timing walk; this compiles the
@@ -327,22 +329,28 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     are unrolled, latencies are constant-folded, ``done`` times live in
     locals, and the :meth:`_ReplicaState.issue` claim (one
     :func:`claim_slot` call), the SCU instance pools and the
-    reservation buffers are emitted in line with per-unit state hoisted
-    into locals.  Each row's unit ID
-    (``u{nid}``) and input hop counts (``h{nid}_{k}``) are named locals
-    bound as default arguments, so the replicas of a block (and equal
-    blocks) share one source text: ``binders`` (one dict per run) maps
-    it to the compiled binder, and each further plan of that shape
-    costs one call of it.  Cycle counts are pinned by the golden-cycle
-    gate and the differential fuzzer.
+    reservation buffers are emitted in line.  Each row's unit ID
+    (``u{nid}``) and input hop counts (``h{nid}_{k}``) are arguments of
+    a generated binder, so the replicas of a block (and equal blocks)
+    share one source text: ``binders`` (one dict per run) maps it to
+    the compiled binder, and each further plan of that shape costs one
+    call of it.  Cycle counts are pinned by the golden-cycle gate and
+    the differential fuzzer.
+
+    The result is ``enter(rep)``: it binds the walk to one replica's
+    state once — its unit calendars, its reservation buffers (created
+    on the replica's first entry, in unit-ID order, since hang
+    snapshots list them in insertion order) and its SCU pools — and
+    returns the per-thread walk with that state in closure cells.
 
     VGIW flavour (``sgmf=False``)::
 
-        fn(rep, mem_access, lvc_access, tid, inject, ti, alists) -> completion
+        enter(rep)(mem_access, lvc_access, tid, inject, ti, alists)
+            -> completion
 
     SGMF flavour (``sgmf=True`` — wired live values, no LVC)::
 
-        fn(rep, mem_access, tid, entry, ti, alists, rr)
+        enter(rep)(mem_access, tid, entry, ti, alists, rr)
             -> (completion, term_done)
 
     ``ti`` indexes this thread inside the batch; ``alists`` maps a
@@ -358,7 +366,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     """
     rows = plan.rows if stop is None else plan.rows[:stop]
     record = record or stop is not None
-    names = []  # bound locals, in binder-argument order
+    names = []  # bound arguments, in binder-argument order
     values = []
     issue_rows = []  # (nid, unit ID)
     mem_rows = []  # (unit ID, nid)
@@ -377,33 +385,37 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             if tag in (T_LOAD, T_STORE):
                 addr_rows.append(ri)
 
-    L = []
-    L.append("    un = rep.unit_next")
-    L.append("    uw = rep.unit_wait")
+    # The preamble of ``enter``: runs once per replica.
+    P = []
+    P.append("    un = rep.unit_next")
+    P.append("    uw = rep.unit_wait")
     for n, u in issue_rows:
         names.append(f"u{n}")
         values.append(u)
-        L.append(f"    nf{n} = un.get(u{n})")
-        L.append(f"    if nf{n} is None:")
-        L.append(f"        nf{n} = un[u{n}] = {{}}")
+        P.append(f"    nf{n} = un.get(u{n})")
+        P.append(f"    if nf{n} is None:")
+        P.append(f"        nf{n} = un[u{n}] = {{}}")
     if mem_rows:
-        # A replica's first walk of the block creates its reservation
+        # A replica's first entry of the block creates its reservation
         # buffers, in unit-ID order (hang snapshots list them in
-        # insertion order); later walks find them all.
+        # insertion order); later entries find them all.
         names.append("mu")
         values.append(tuple(sorted(u for u, _ in mem_rows)))
         first = mem_rows[0][1]
-        L.append("    lo = rep.ldst_outstanding")
-        L.append(f"    out{first} = lo.get(u{first})")
-        L.append(f"    if out{first} is None:")
-        L.append("        for m in mu:")
-        L.append("            lo.setdefault(m, [])")
-        L.append(f"        out{first} = lo[u{first}]")
+        P.append("    lo = rep.ldst_outstanding")
+        P.append(f"    out{first} = lo.get(u{first})")
+        P.append(f"    if out{first} is None:")
+        P.append("        for m in mu:")
+        P.append("            lo.setdefault(m, [])")
+        P.append(f"        out{first} = lo[u{first}]")
         for _, n in mem_rows[1:]:
-            L.append(f"    out{n} = lo[u{n}]")
+            P.append(f"    out{n} = lo[u{n}]")
     for n in scu_rows:
-        L.append(f"    pool{n} = rep.scu_pool.setdefault"
+        P.append(f"    pool{n} = rep.scu_pool.setdefault"
                  f"(u{n}, [0.0] * {scu_instances})")
+
+    # The walk's body: runs once per thread.
+    L = []
     for ri in addr_rows:
         L.append(f"    a_{ri} = alists[{ri}]")
 
@@ -495,18 +507,20 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append(f"        c = d{snk}")
         L.append(f"    return c, d{plan.term_nid}" if sgmf else "    return c")
     if sgmf:
-        head = "rep, mem_access, tid, entry, ti, alists, rr"
+        head = "mem_access, tid, entry, ti, alists, rr"
         L.insert(0, "    inject = entry")
     else:
-        head = "rep, mem_access, lvc_access, tid, inject, ti, alists"
+        head = "mem_access, lvc_access, tid, inject, ti, alists"
     if record:
         head += ", cyc"
-    bound = "".join(f", {n}={n}" for n in names)
     source = "\n".join(
         [f"def __bind({', '.join(names)}):",
-         f"  def __timing({head}{bound}):"]
-        + ["  " + line for line in L]
-        + ["  return __timing"]
+         "  def __enter(rep):"]
+        + P
+        + [f"    def __timing({head}):"]
+        + ["    " + line for line in L]
+        + ["    return __timing",
+           "  return __enter"]
     )
     bind = binders.get(source)
     if bind is None:
@@ -520,8 +534,9 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
 
 def timing_walk(plan: ExecPlan, config, binders: Dict[str, Callable],
                 sgmf: bool = False, record: bool = False):
-    """``plan``'s compiled timing walk (the recording flavour when
-    ``record``), compiled on first use and kept on the plan."""
+    """``plan``'s compiled ``enter(rep)`` (:func:`compile_timing`; the
+    recording flavour when ``record``), compiled on first use and kept
+    on the plan."""
     fn = plan.record_fn if record else plan.timing_fn
     if fn is None:
         fn = compile_timing(plan, config.ldst_reservation_entries,
@@ -539,9 +554,9 @@ def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
                        binders: Dict[str, Callable], sgmf: bool, call):
     """One thread's visit of one block in thread-major order: the
     functional rows at width 1 (:func:`eval_rows`, ``sequential``), then
-    the thread's timing walk, run by ``call(walk, *cyc)`` with the
-    engine's arguments.  Returns the walk's result and the successor
-    block.
+    the thread's timing walk, run by ``call(enter, *cyc)`` as
+    ``enter(rep)(…)`` with the engine's replica and arguments.  Returns
+    the walk's result and the successor block.
 
     With faults armed the recording walk stamps each queued log entry
     with its cycle.  When the functional pass raises, the rows the
@@ -640,7 +655,10 @@ class _ReplicaState:
         leaves the unit, and the switch replicates it to all consumers
         (the fanout bound is enforced statically by split insertion).
 
-        The timing walks emit the same claim inline (:func:`_emit_issue`).
+        SGMF's waste pass calls this; the compiled timing walks emit the
+        same claim inline (:func:`_emit_issue`) against the calendars
+        their ``enter(rep)`` bound from :attr:`unit_next`, so a unit's
+        calendar dict must never be replaced while a walk is entered.
         """
         t = math.ceil(ready)
         nf = self.unit_next.get(uid)
@@ -898,8 +916,9 @@ class MTCGRFExecutor:
             lvc_access = self.lvc.access
             alists = batch["addrs"]
             nb = batch["next"]
-            walks = [timing_walk(plan, self.config, self._timing_binders)
-                     for plan in plans]
+            # Each running replica enters its walk once per vector.
+            walks = [timing_walk(plan, self.config, self._timing_binders)(rep)
+                     for plan, rep in zip(plans, replicas)]
 
         for i, tid in enumerate(thread_ids):
             ridx = (i // 64) % n_replicas
@@ -912,7 +931,7 @@ class MTCGRFExecutor:
                 )
             else:
                 completion = walks[ridx](
-                    rep, mem_access, lvc_access, tid, inject, i, alists
+                    mem_access, lvc_access, tid, inject, i, alists
                 )
                 next_block = nb[i] if isinstance(nb, list) else nb
             outcomes.append(ThreadOutcome(tid, next_block, completion, ridx))
@@ -1063,6 +1082,6 @@ class MTCGRFExecutor:
         return visit_sequentially(
             plan, tid, self.memory, rec, stamps, lv_load, lv_store, faults,
             self.config, self._timing_binders, False,
-            lambda walk, *cyc: walk(rep, mem_access, lvc_access, tid,
-                                    inject, 0, rec, *cyc),
+            lambda enter, *cyc: enter(rep)(mem_access, lvc_access, tid,
+                                           inject, 0, rec, *cyc),
         )

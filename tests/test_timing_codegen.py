@@ -1,6 +1,7 @@
 """Bounds on the generated timing-walk code: only replicas that receive
 threads get a plan and a walk, replicas of one block shape share one
-``compile()``, and every compiled walk has its own code filename."""
+``compile()``, every compiled walk has its own code filename, and a
+walk is bound to its replica's state once, by ``enter(rep)``."""
 
 import collections
 
@@ -78,7 +79,18 @@ def test_replicas_of_one_block_share_one_compile(codegen):
     # One shape, one compile; each replica binds its own units and hops.
     assert [_block_of(f) for f in codegen["compiles"]].count(BODY) == 1
     assert len({p.timing_fn.__code__ for p in plans}) == 1
-    assert len({p.timing_fn.__defaults__ for p in plans}) == n_rep
+    # ``timing_fn`` is ``enter(rep)``; the walk it returns reads the
+    # replica's units and hops from closure cells.
+    walks = [p.timing_fn(mtcgrf._ReplicaState()) for p in plans]
+    assert len({w.__code__ for w in walks}) == 1
+    bound = set(plans[0].timing_fn.__code__.co_freevars)
+    assert any(name.startswith("h") for name in bound)
+    assert len({
+        tuple(cell.cell_contents
+              for name, cell in zip(w.__code__.co_freevars, w.__closure__)
+              if name in bound)
+        for w in walks
+    }) == n_rep
 
 
 def test_sgmf_replicas_share_one_compile_per_block(codegen):
