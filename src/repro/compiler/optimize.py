@@ -20,9 +20,9 @@ from collections import Counter
 from typing import Dict, Optional, Tuple, Union
 
 from repro.ir.block import BasicBlock
-from repro.ir.instr import EVAL, Instr, Op, result_dtype
+from repro.ir.instr import EVAL, Instr, Op, coerce_value
 from repro.ir.kernel import Kernel
-from repro.ir.types import DType, Imm, Reg, param_reg
+from repro.ir.types import TID_REG, DType, Imm, Reg, param_reg
 
 
 def _use_counts(kernel: Kernel) -> Counter:
@@ -133,23 +133,16 @@ def propagate_params(kernel: Kernel, params: Dict[str, Union[int, float]]
     specialising the IR on them before the per-launch compilation is
     faithful — and it exposes constant loop bounds to the unroller.
     """
+    dtypes = kernel.param_dtypes
     values = {
-        param_reg(p).name: (
-            float(params[p]) if kernel.param_dtypes[p] is DType.FLOAT
-            else int(params[p])
-        )
+        param_reg(p).name: Imm(coerce_value(params[p], dtypes[p]), dtypes[p])
         for p in kernel.params
         if p in params
     }
 
     def subst(operand):
-        if isinstance(operand, Reg) and operand.name in values:
-            dtype = (
-                DType.FLOAT
-                if isinstance(values[operand.name], float)
-                else DType.INT
-            )
-            return Imm(values[operand.name], dtype)
+        if isinstance(operand, Reg):
+            return values.get(operand.name, operand)
         return operand
 
     blocks: Dict[str, BasicBlock] = {}
@@ -186,13 +179,7 @@ def fold_constants(kernel: Kernel) -> Kernel:
                 and all(isinstance(s, Imm) for s in srcs)
             ):
                 raw = EVAL[instr.op](*(s.value for s in srcs))
-                if instr.dtype is DType.INT:
-                    raw = int(raw)
-                elif instr.dtype is DType.FLOAT:
-                    raw = float(raw)
-                else:
-                    raw = bool(raw)
-                folded = Imm(raw, instr.dtype)
+                folded = Imm(coerce_value(raw, instr.dtype), instr.dtype)
                 consts[instr.dst] = folded
                 instrs.append(Instr(Op.MOV, instr.dst, (folded,), instr.dtype))
                 continue
@@ -206,10 +193,10 @@ def fold_constants(kernel: Kernel) -> Kernel:
 def local_cse(kernel: Kernel) -> Kernel:
     """Block-local common-subexpression elimination.
 
-    Pure instructions with identical (opcode, operands) reuse the first
-    occurrence's result.  The table is value-based despite the non-SSA
-    IR: an entry dies as soon as any register it mentions (source or
-    result) is redefined.  Loads and stores are never merged — memory
+    Pure instructions with identical (opcode, operands, result type)
+    reuse the first occurrence's result.  The table is value-based
+    despite the non-SSA IR: an entry dies as soon as any register it
+    mentions (source or result) is redefined.  Loads and stores are never merged — memory
     disambiguation is the join nodes' job, not this pass's.
     """
     blocks: Dict[str, BasicBlock] = {}
@@ -219,7 +206,7 @@ def local_cse(kernel: Kernel) -> Kernel:
         for instr in block.instrs:
             key = None
             if instr.op not in (Op.LOAD, Op.STORE) and instr.dst is not None:
-                key = (instr.op, instr.srcs)
+                key = (instr.op, instr.srcs, instr.dtype)
                 prev = table.get(key)
                 if prev is not None:
                     instrs.append(
@@ -254,10 +241,30 @@ def local_cse(kernel: Kernel) -> Kernel:
     return _rebuild(kernel, blocks)
 
 
+def _reg_dtypes(kernel: Kernel) -> Dict[str, Optional[DType]]:
+    """Every register's type across ``kernel``: a parameter's declared
+    type, INT for ``%tid``, else the type of its definitions (``None``
+    where they disagree)."""
+    dtypes: Dict[str, Optional[DType]] = {
+        param_reg(p).name: dt for p, dt in kernel.param_dtypes.items()
+    }
+    dtypes[TID_REG.name] = DType.INT
+    for block in kernel.blocks.values():
+        for instr in block.instrs:
+            if instr.dst is None:
+                continue
+            if dtypes.setdefault(instr.dst, instr.dtype) is not instr.dtype:
+                dtypes[instr.dst] = None
+    return dtypes
+
+
 def copy_propagate(kernel: Kernel) -> Kernel:
     """Block-local copy propagation: forward ``dst = MOV src-reg`` into
     later uses while both registers stay unredefined (makes the MOVs
-    that CSE introduces dead, so DCE can drop them)."""
+    that CSE introduces dead, so DCE can drop them).  Only a MOV whose
+    source register always holds the MOV's own type is a copy; any
+    other MOV coerces its value."""
+    dtypes = _reg_dtypes(kernel)
     blocks: Dict[str, BasicBlock] = {}
     for name, block in kernel.blocks.items():
         copies: Dict[str, str] = {}
@@ -273,7 +280,8 @@ def copy_propagate(kernel: Kernel) -> Kernel:
                 copies = {
                     a: b for a, b in copies.items() if a != dst and b != dst
                 }
-                if instr.op is Op.MOV and isinstance(srcs[0], Reg):
+                if (instr.op is Op.MOV and isinstance(srcs[0], Reg)
+                        and dtypes.get(srcs[0].name) is instr.dtype):
                     copies[dst] = srcs[0].name
             instrs.append(Instr(instr.op, instr.dst, srcs, instr.dtype))
         term = block.terminator

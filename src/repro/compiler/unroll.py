@@ -24,11 +24,11 @@ exactly the behaviour the paper's evaluation depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.compiler.cfganalysis import natural_loops
 from repro.ir.block import BasicBlock
-from repro.ir.instr import Instr, Op, TermKind, Terminator
+from repro.ir.instr import Instr, Op, TermKind, Terminator, coerce_value
 from repro.ir.kernel import Kernel
 from repro.ir.types import Imm, Reg
 from repro.ir.validate import validate_kernel
@@ -184,7 +184,7 @@ def _apply(kernel: Kernel, plan: _UnrollPlan) -> Kernel:
     dtype = plan.dtype or DType.INT
 
     def seed(value):
-        v = int(value) if dtype is DType.INT else float(value)
+        v = coerce_value(value, dtype)
         return Instr(Op.MOV, plan.induction, (Imm(v, dtype),), dtype)
 
     # Each iteration starts from its own seeded constant; the body's own

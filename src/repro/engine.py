@@ -243,15 +243,13 @@ def create_engine(name: str, config: Optional[Any] = None):
 
 
 def bind_params(kernel, params: Dict[str, Number]) -> Dict[str, Number]:
-    """A timing engine's launch parameters: ``kernel.params`` from
-    ``params``, a FLOAT parameter as a ``float`` and every other as an
-    ``int``."""
-    from repro.ir.types import DType
+    """An engine's launch parameters: ``kernel.params`` from ``params``,
+    each coerced to its declared type by
+    :func:`repro.ir.instr.coerce_value`."""
+    from repro.ir.instr import coerce_value
 
     return {
-        name: (float(params[name])
-               if kernel.param_dtypes[name] is DType.FLOAT
-               else int(params[name]))
+        name: coerce_value(params[name], kernel.param_dtypes[name])
         for name in kernel.params
     }
 

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.engine import bind_params
 from repro.ir.instr import TermKind, coerce_i64
 from repro.ir.kernel import Kernel
-from repro.ir.types import DType
 from repro.ir.vecops import (
     SRC_CONST,
     SRC_TID,
@@ -86,14 +86,6 @@ class InterpResult:
         return sum(1 for b in self.traces[tid].blocks if b == block)
 
 
-def _coerce(value: Number, dtype: DType) -> Number:
-    if dtype is DType.INT:
-        return coerce_i64(value)
-    if dtype is DType.FLOAT:
-        return float(value)
-    return bool(value)
-
-
 class Interpreter:
     """Sequential reference executor.
 
@@ -116,10 +108,7 @@ class Interpreter:
             raise InterpreterError(f"missing parameter values: {missing}")
         self.kernel = kernel
         self.memory = memory
-        self.params = {
-            name: _coerce(params[name], kernel.param_dtypes[name])
-            for name in kernel.params
-        }
+        self.params = bind_params(kernel, params)
         self.max_block_visits = max_block_visits
         # Precompile each block into flat rows so the per-thread walk
         # never re-dispatches on operand kinds (immediates and launch

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.ir.types import DType, Operand
@@ -194,16 +194,20 @@ class Terminator:
 
     @staticmethod
     def jmp(target: str) -> "Terminator":
+        """An unconditional jump to ``target``."""
         return Terminator(TermKind.JMP, true_target=target)
 
     @staticmethod
     def br(cond: Operand, true_target: str, false_target: str) -> "Terminator":
+        """A branch to ``true_target`` when ``cond`` is true, else to
+        ``false_target``."""
         return Terminator(
             TermKind.BR, cond=cond, true_target=true_target, false_target=false_target
         )
 
     @staticmethod
     def ret() -> "Terminator":
+        """A kernel exit."""
         return Terminator(TermKind.RET)
 
     def targets(self) -> Tuple[str, ...]:
@@ -289,6 +293,18 @@ def coerce_i64(v) -> int:
     if isinstance(v, float):
         return _f2i(v)
     return _wrap_i64(int(v))
+
+
+def coerce_value(v, dtype: DType) -> Union[int, float, bool]:
+    """The value a register, memory load, folded constant or launch
+    parameter of type ``dtype`` holds for the raw value ``v``: INT by
+    :func:`coerce_i64`, FLOAT by ``float``, PRED by ``bool``.  Its batch
+    twin is :func:`repro.ir.vecops.coerce_array`."""
+    if dtype is DType.INT:
+        return coerce_i64(v)
+    if dtype is DType.FLOAT:
+        return float(v)
+    return bool(v)
 
 
 def _add(a, b) -> int:

@@ -54,10 +54,12 @@ from repro.ir.instr import (
     _fexp,
     _flog,
     coerce_i64,
+    coerce_value,
 )
 from repro.ir.types import PARAM_PREFIX, TID_REG, DType, Imm, is_param_reg
 
 __all__ = [
+    "DT_CODE",
     "MemLog",
     "VEVAL",
     "addr_batch",
@@ -75,7 +77,6 @@ __all__ = [
     "stores_after_loads",
     "to_int_operand",
     "vec_eval",
-    "vec_eval_raw",
 ]
 
 #: True when the platform's ``np.longdouble`` mantissa is wide enough
@@ -167,37 +168,31 @@ def as_value_array(values, n: int) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
+#: Register type and array dtype of each result-coercion code.
+_ROW_DTYPE = (DType.PRED, DType.INT, DType.FLOAT)
+_ROW_NP = (np.bool_, _I64, _F64)
+#: The result-coercion code of a prepared row for each register type:
+#: code ``c`` coerces like ``coerce_value(v, _ROW_DTYPE[c])``.
+DT_CODE: Dict[DType, int] = {dt: c for c, dt in enumerate(_ROW_DTYPE)}
+
+
 def coerce_array(a, dt: int, n: int) -> np.ndarray:
-    """Result coercion over a batch: ``dt`` is 1 = int (wrap ints, F2I
-    floats), 2 = float, 0 = bool — the batched twin of the scalar
-    ``int/float/bool`` row coercion."""
+    """Result coercion over a batch: ``dt`` is a :data:`DT_CODE` (1 =
+    int: wrap ints, F2I floats; 2 = float; 0 = bool) — the batch twin of
+    :func:`repro.ir.instr.coerce_value`, which it applies element-wise
+    to a constant (broadcast to ``n``) or an ``object`` batch."""
     if not isinstance(a, np.ndarray):
-        # Broadcast a constant result (e.g. MOV of an immediate).
-        if dt == 1:
-            return np.full(n, coerce_i64(a), _I64)
-        if dt == 2:
-            return np.full(n, float(a), _F64)
-        return np.full(n, bool(a), dtype=bool)
+        return np.full(n, coerce_value(a, _ROW_DTYPE[dt]), _ROW_NP[dt])
     k = a.dtype.kind
+    if k == "O":
+        dtype = _ROW_DTYPE[dt]
+        return np.array([coerce_value(v, dtype) for v in a.tolist()],
+                        _ROW_NP[dt])
     if dt == 1:
-        if k == "i":
-            return a
-        if k == "b":
-            return a.astype(_I64)
-        if k == "f":
-            return f2i_array(a)
-        return np.array([coerce_i64(v) for v in a], _I64)
+        return a if k == "i" else f2i_array(a) if k == "f" else a.astype(_I64)
     if dt == 2:
-        if k == "f":
-            return a
-        if k in "ib":
-            return a.astype(_F64)
-        return np.array([float(v) for v in a], _F64)
-    if k == "b":
-        return a
-    if k in "if":
-        return a != 0
-    return np.array([bool(v) for v in a], dtype=bool)
+        return a if k == "f" else a.astype(_F64)
+    return a if k == "b" else a != 0
 
 
 def addr_batch(a, n: int, size: int) -> Optional[np.ndarray]:
@@ -468,13 +463,12 @@ def prepare_instr(instr: Instr, params: Dict[str, object]) -> tuple:
         (1, asrc, vsrc)               STORE
         (2, fn, srcs, dst, dt, op)    everything else
 
-    where each source is a :func:`prepare_operand` pair, ``dt`` selects
-    the result coercion (1 = int, 2 = float, 0 = bool), ``fn`` is the
-    scalar ``EVAL`` function and ``op`` the opcode :func:`vec_eval`
+    where each source is a :func:`prepare_operand` pair, ``dt`` is the
+    result's :data:`DT_CODE` (the :func:`coerce_array` code), ``fn`` is
+    the scalar ``EVAL`` function and ``op`` the opcode :func:`vec_eval`
     dispatches on.
     """
-    dt = (1 if instr.dtype is DType.INT
-          else 2 if instr.dtype is DType.FLOAT else 0)
+    dt = DT_CODE[instr.dtype]
     srcs = tuple(prepare_operand(s, params) for s in instr.srcs)
     if instr.op is Op.LOAD:
         return (0, srcs[0], instr.dst, dt)
@@ -521,10 +515,7 @@ def eval_row(row: tuple, fetch, write, data: np.ndarray, n: int):
     if addrs is None:
         return None
     if tag == 0:  # LOAD
-        raw = data[addrs]
-        dt = row[3]
-        write(row[2], f2i_array(raw) if dt == 1
-              else raw if dt == 2 else raw != 0)
+        write(row[2], coerce_array(data[addrs], row[3], n))
         return addrs, None
     m, p = row[2]  # STORE
     v = p if m == SRC_CONST else fetch(m, p)
@@ -749,8 +740,6 @@ def _vselect(p, a, b, dt: int, n: int):
     # lanes that pick the other arm.
     ca = coerce_array(a, dt, n)
     cb = coerce_array(b, dt, n)
-    if ca.dtype.kind == "O" or cb.dtype.kind == "O":
-        return None
     if not isinstance(pb, np.ndarray):
         return ca if pb else cb
     return np.where(pb, ca, cb)
@@ -813,25 +802,20 @@ VEVAL[Op.FMA] = _vfma
 
 def _scalar_fallback(op: Op, args, dt: int, n: int) -> np.ndarray:
     fn = EVAL[op]
+    dtype = _ROW_DTYPE[dt]
     cols = [
         a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args
     ]
-    out = [fn(*vals) for vals in zip(*cols)]
-    if dt == 1:
-        out = [coerce_i64(v) for v in out]
-    elif dt == 2:
-        out = [float(v) for v in out]
-    else:
-        out = [bool(v) for v in out]
-    return as_value_array(out, n)
+    return as_value_array([coerce_value(fn(*vals), dtype)
+                           for vals in zip(*cols)], n)
 
 
 def vec_eval(op: Op, args: Tuple, dt: int, n: int) -> np.ndarray:
     """Evaluate ``op`` over a batch and apply the result coercion.
 
     ``args`` holds numpy arrays of length ``n`` (or Python scalar
-    constants to broadcast); ``dt`` selects the coercion (1 = int,
-    2 = float, 0 = bool).  The result is bit-identical to calling
+    constants to broadcast); ``dt`` is the result's :data:`DT_CODE`
+    (:func:`coerce_array`).  The result is bit-identical to calling
     ``EVAL[op]`` plus the scalar coercion element-wise — object-dtype
     operands (mixed-type lanes) transparently take that scalar path.
     """
@@ -839,58 +823,13 @@ def vec_eval(op: Op, args: Tuple, dt: int, n: int) -> np.ndarray:
         return coerce_array(args[0], dt, n)
     if op is Op.SELECT:
         out = _vselect(args[0], args[1], args[2], dt, n)
-        if out is None:
-            return _scalar_fallback(op, args, dt, n)
-        if not isinstance(out, np.ndarray) or out.shape == ():
-            out = np.full(n, out.item() if hasattr(out, "item") else out)
-        return out
+        return _scalar_fallback(op, args, dt, n) if out is None else out
     kern = VEVAL[op]
     raw = kern(*args)
     if raw is None:
         return _scalar_fallback(op, args, dt, n)
     if not isinstance(raw, np.ndarray) or raw.shape == ():
         # All-constant operands: broadcast the scalar result.
-        v = raw.item() if hasattr(raw, "item") else raw
-        return coerce_array(np.full(n, v), dt, n)
+        return coerce_array(raw.item() if hasattr(raw, "item") else raw,
+                            dt, n)
     return coerce_array(raw, dt, n)
-
-
-def _materialize(a, n: int) -> np.ndarray:
-    if isinstance(a, np.ndarray):
-        return a
-    return as_value_array([a] * n, n)
-
-
-def _scalar_fallback_raw(op: Op, args, n: int) -> np.ndarray:
-    fn = EVAL[op]
-    cols = [
-        a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args
-    ]
-    return as_value_array([fn(*vals) for vals in zip(*cols)], n)
-
-
-def vec_eval_raw(op: Op, args: Tuple, n: int) -> np.ndarray:
-    """Evaluate ``op`` over a batch with NO result coercion — the twin
-    of consumers that store ``EVAL``'s raw result (the MT-CGRF plan
-    interpreter's ``dt == 0`` rows).  MOV passes its operand through
-    unchanged and SELECT picks between same-dtype arms; mixed-dtype
-    arms and object batches take the scalar path element-wise.
-    """
-    if op is Op.MOV:
-        return _materialize(args[0], n)
-    if op is Op.SELECT:
-        pb = _as_bool(args[0])
-        a = _materialize(args[1], n)
-        b = _materialize(args[2], n)
-        if pb is None or a.dtype != b.dtype or a.dtype.kind == "O":
-            return _scalar_fallback_raw(op, args, n)
-        if not isinstance(pb, np.ndarray):
-            return a if pb else b
-        return np.where(pb, a, b)
-    raw = VEVAL[op](*args)
-    if raw is None:
-        return _scalar_fallback_raw(op, args, n)
-    if not isinstance(raw, np.ndarray) or raw.shape == ():
-        v = raw.item() if hasattr(raw, "item") else raw
-        return as_value_array([v] * n, n)
-    return raw

@@ -11,11 +11,8 @@ the Fermi path instead uses :mod:`repro.memory.coalescer` and calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.arch.config import MemoryConfig
 from repro.memory.cache import Cache, CacheStats
-from repro.memory.coalescer import line_address_of_word
 from repro.memory.dram import DRAM
 from repro.memory.image import WORD_BYTES
 
@@ -80,8 +77,9 @@ class MemorySystem:
         Banks are word-interleaved for scalar clients so that the 32
         banks serve 32 consecutive words of a line concurrently.
         """
-        # line_address_of_word, with the per-line word count hoisted —
-        # this is the hottest entry point of both dataflow simulators.
+        # repro.memory.coalescer.line_address_of_word, with the per-line
+        # word count hoisted — this is the hottest entry point of both
+        # dataflow simulators.
         word_addr = int(word_addr)
         line = word_addr // self._l1_line_words
         bank = word_addr % self.config.l1_banks

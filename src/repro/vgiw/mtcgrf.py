@@ -46,23 +46,21 @@ from repro.compiler.dfg import (
     NodeKind,
     NodeSrc,
     ParamSrc,
-    TidSrc,
 )
 from repro.compiler.pipeline import CompiledBlock
 import numpy as np
 
 from repro.ir.instr import Op, TermKind
 from repro.ir.vecops import (
+    DT_CODE,
     MemLog,
     addr_batch,
     as_value_array,
     branch_taken,
-    f2i_array,
+    coerce_array,
     f64_batch,
     vec_eval,
-    vec_eval_raw,
 )
-from repro.ir.types import DType
 from repro.memory.calendar import claim_slot
 from repro.memory.hierarchy import LiveValueCache, MemorySystem
 from repro.memory.image import MemoryImage
@@ -255,7 +253,7 @@ def build_exec_plan(
             rows.append((
                 T_LOAD, nid, uid, inputs,
                 resolve_src(node.srcs[0], params),
-                node.dtype is DType.INT,
+                DT_CODE[node.dtype],
             ))
         elif kind is NodeKind.STORE:
             rows.append((
@@ -278,14 +276,10 @@ def build_exec_plan(
         else:  # OP
             latency = op_latency_for(node.op, op_latency)
             tag = T_SCU if node.unit_kind is UnitKind.SPECIAL else T_OP
-            dt = (
-                1 if node.dtype is DType.INT
-                else 2 if node.dtype is DType.FLOAT else 0
-            )
             rows.append((
                 tag, nid, uid, inputs, latency,
-                tuple(resolve_src(s, params) for s in node.srcs), dt,
-                node.op,
+                tuple(resolve_src(s, params) for s in node.srcs),
+                DT_CODE[node.dtype], node.op,
             ))
     return ExecPlan(
         rows=rows,
@@ -759,10 +753,7 @@ def eval_rows(plan: ExecPlan, tids: np.ndarray, memory: MemoryImage,
                 value[row[1]] = tids
             elif tag == T_OP or tag == T_SCU:
                 args = tuple(operand(src) for src in row[5])
-                # Predicate results (dt 0) stay uncoerced, as EVAL
-                # leaves them.
-                v = (vec_eval_raw(row[7], args, n) if row[6] == 0
-                     else vec_eval(row[7], args, row[6], n))
+                v = vec_eval(row[7], args, row[6], n)
                 if faults is not None:
                     v = _fire_token_fault(faults, plan, row, int(tids[0]),
                                           v, stamps)
@@ -777,8 +768,7 @@ def eval_rows(plan: ExecPlan, tids: np.ndarray, memory: MemoryImage,
                 rec[ri] = addrs.tolist()
                 if tag == T_LOAD:
                     mem_log.append((ri, addrs, None))
-                    raw = data[addrs]
-                    value[row[1]] = f2i_array(raw) if row[5] else raw
+                    value[row[1]] = coerce_array(data[addrs], row[5], n)
                     continue
                 v = operand(row[5])
                 fvals = f64_batch(v, n)

@@ -6,7 +6,7 @@ bit-for-bit.  This module pins that agreement three ways:
 
 1. the table-driven cases from ``tests/test_instr_semantics.py``
    (including the pinned edge-case table) replayed through
-   ``vec_eval`` / ``vec_eval_raw`` on whole batches;
+   ``vec_eval`` on whole batches;
 2. randomized operand sweeps per opcode, elementwise-compared against
    mapping ``EVAL`` over the batch (NaN-aware, signed-zero-aware);
 3. whole-kernel parity: fuzz-generated kernels and engine launches end
@@ -21,9 +21,16 @@ import numpy as np
 import pytest
 
 from repro.ir import EVAL, Instr, Op
-from repro.ir.instr import INT64_MAX, INT64_MIN, coerce_i64, result_dtype
+from repro.ir.instr import (
+    INT64_MAX,
+    INT64_MIN,
+    coerce_i64,
+    coerce_value,
+    result_dtype,
+)
 from repro.ir.types import DType, Imm, Reg
 from repro.ir.vecops import (
+    DT_CODE,
     SRC_TID,
     MemLog,
     VEVAL,
@@ -40,7 +47,6 @@ from repro.ir.vecops import (
     scatter,
     stores_after_loads,
     vec_eval,
-    vec_eval_raw,
 )
 from tests.test_instr_semantics import CASES, EDGE_CASES
 
@@ -96,18 +102,6 @@ def test_vec_eval_matches_scalar_table(op, args, expected):
     assert isinstance(got, np.ndarray) and got.shape == (n,)
     for v in got.tolist():
         assert _same(v, want), (op, args, v, want)
-
-
-@pytest.mark.parametrize("op,args,expected", CASES + EDGE_CASES)
-def test_vec_eval_raw_matches_uncoerced_eval(op, args, expected):
-    n = 3
-    want = EVAL[op](*args)
-    got = vec_eval_raw(op, _batchify(args, n), n)
-    for v in np.asarray(got).tolist():
-        if isinstance(want, float) and math.isnan(want):
-            assert isinstance(v, float) and math.isnan(v)
-        else:
-            assert v == want, (op, args, v, want)
 
 
 def test_mixed_lane_batches_take_scalar_fallback():
@@ -186,6 +180,38 @@ def test_coerce_array_matches_scalar_coercions():
     i = np.array([0, 2, -1], dtype=np.int64)
     assert coerce_array(i, 0, 3).tolist() == [bool(v) for v in i.tolist()]
     assert coerce_array(i, 2, 3).dtype == np.float64
+
+
+_COERCE_POOL = [NAN, INF, -INF, -0.0, 0.0, 2.5, -3.9, float(1 << 63), 1e30,
+                -1e30, True, False, 0, 7, -7, INT64_MAX, INT64_MIN, 1 << 63,
+                (1 << 63) + 5, -(1 << 63) - 1, (1 << 64) + 3]
+
+
+@pytest.mark.parametrize("dtype", [DType.INT, DType.FLOAT, DType.PRED])
+def test_coerce_array_agrees_with_coerce_value(dtype):
+    """The batch coercion is the scalar rule element-wise: on typed
+    float, int64 and bool batches, on a mixed (object) batch holding
+    ints past int64, and on broadcast constants."""
+    dt = DT_CODE[dtype]
+    kind = {DType.INT: "i", DType.FLOAT: "f", DType.PRED: "b"}[dtype]
+    batches = [
+        [v for v in _COERCE_POOL if type(v) is t] for t in (float, bool)
+    ] + [
+        [v for v in _COERCE_POOL
+         if type(v) is int and INT64_MIN <= v <= INT64_MAX],
+        _COERCE_POOL,
+    ]
+    for batch in batches:
+        n = len(batch)
+        got = coerce_array(as_value_array(batch, n), dt, n)
+        assert got.dtype.kind == kind
+        for v, g in zip(batch, got.tolist()):
+            assert _same(g, coerce_value(v, dtype)), (v, g, dtype)
+    for v in _COERCE_POOL:
+        got = coerce_array(v, dt, 3)
+        assert got.dtype.kind == kind
+        for g in got.tolist():
+            assert _same(g, coerce_value(v, dtype)), (v, g, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +336,28 @@ def test_engine_batch_path_cycle_identical(engine_name):
     """One real workload per engine: the interpreter's memory, in the
     cycles of the sequential walk."""
     _check_workload("nn/euclid", engine_name)
+
+
+@pytest.mark.parametrize("engine_name", ["vgiw", "sgmf"])
+def test_pred_results_match_interpreter_thread_major(engine_name):
+    """PRED-typed results and loads hold ``bool(v)`` on the dataflow
+    engines' thread-major width-1 path too: an armed injector that never
+    fires forces that path."""
+    import os
+
+    from repro.engine import create_engine
+    from repro.fuzz import load_corpus_case
+    from repro.resilience.faults import FaultInjector, FaultSpec
+
+    case = load_corpus_case(os.path.join(
+        os.path.dirname(__file__), "corpus", "edge-pred-results.kir"))
+    mem = case.build_memory()
+    want = _interpreted(case.kernel, mem, case.params, case.n_threads)
+    faults = FaultInjector(FaultSpec("token_corrupt", rate=0.0))
+    create_engine(engine_name).run(case.kernel, mem, case.params,
+                                   case.n_threads, faults=faults)
+    assert not faults.log
+    assert np.array_equal(mem.data, want, equal_nan=True)
 
 
 # ----------------------------------------------------------------------
