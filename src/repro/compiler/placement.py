@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.config import FabricSpec, UnitKind
-from repro.compiler.dfg import BlockDFG, DFGNode
+from repro.compiler.dfg import BlockDFG
 from repro.resilience.errors import MappingError
 
 
@@ -231,31 +231,59 @@ def place_block(
     free: Dict[UnitKind, List[int]] = {
         k: list(v) for k, v in fabric.by_kind.items()
     }
+    wires = wiring(dfg)
     replicas = [
-        _place_one(dfg, fabric, free, improve_passes) for _ in range(n_replicas)
+        _place_one(dfg, wires, fabric, free, improve_passes)
+        for _ in range(n_replicas)
     ]
     return PlacedBlock(dfg=dfg, replicas=replicas)
 
 
+class Wiring(NamedTuple):
+    """What placement needs of a graph's shape, computed once per graph
+    and shared by all its replicas (:func:`wiring`)."""
+
+    #: ``(nid, unit kind)`` of every node that occupies a unit, in
+    #: topological order (the greedy pass's placement order)
+    units: List[Tuple[int, UnitKind]]
+    #: wire ends of each such node among those nodes: its inputs, then
+    #: its consumers, with multiplicity (an operand read twice is wired
+    #: twice)
+    neighbours: Dict[int, List[int]]
+    #: ``(src, dst, routed)`` per edge in node order; edges to or from
+    #: pseudo wires are not routed
+    edges: List[Tuple[int, int, bool]]
+
+
+def wiring(dfg: BlockDFG) -> Wiring:
+    """``dfg``'s :class:`Wiring`."""
+    nodes = dfg.nodes
+    consumers = dfg.consumers()
+    wired = {n.nid for n in nodes if not n.pseudo}
+    units = [(nid, nodes[nid].unit_kind) for nid in dfg.topo_order()
+             if nid in wired]
+    neighbours = {
+        nid: [m for m in nodes[nid].input_nodes() + consumers[nid]
+              if m in wired]
+        for nid, _ in units
+    }
+    edges = [(up, n.nid, up in wired and n.nid in wired)
+             for n in nodes for up in n.input_nodes()]
+    return Wiring(units, neighbours, edges)
+
+
 def _place_one(
     dfg: BlockDFG,
+    wires: Wiring,
     fabric: Fabric,
     free: Dict[UnitKind, List[int]],
     improve_passes: int,
 ) -> PlacedReplica:
     unit_of: Dict[int, int] = {}
     hop = fabric.hop
-    nodes = dfg.nodes
-    consumers = dfg.consumers()
-    # Wire ends of each node: its inputs, then its consumers, with
-    # multiplicity (an operand read twice is wired twice).
-    neighbours = {n.nid: n.input_nodes() + consumers[n.nid] for n in nodes}
+    neighbours = wires.neighbours
 
-    for nid in dfg.topo_order():
-        node = nodes[nid]
-        if node.pseudo:
-            continue  # wires occupy no physical unit
-        kind = node.unit_kind
+    for nid, kind in wires.units:
         pool = free[kind]
         if not pool:
             raise CapacityError(
@@ -276,14 +304,11 @@ def _place_one(
         unit_of[nid] = best
 
     # Local improvement: swap same-kind placements when it shortens wires.
-    placed = {nid: [m for m in neighbours[nid] if m in unit_of]
-              for nid in unit_of}
-
     def cost_of(nid: int) -> int:
         row = hop[unit_of[nid]]
-        return sum([row[unit_of[m]] for m in placed[nid]])
+        return sum([row[unit_of[m]] for m in neighbours[nid]])
 
-    kind_of = {nid: nodes[nid].unit_kind for nid in unit_of}
+    kind_of = dict(wires.units)
     for _ in range(improve_passes):
         improved = False
         nids = list(unit_of)
@@ -301,12 +326,9 @@ def _place_one(
         if not improved:
             break
 
-    edge_hops: Dict[Tuple[int, int], int] = {}
-    for node in nodes:
-        for up in node.input_nodes():
-            if up in unit_of and node.nid in unit_of:
-                hops = hop[unit_of[up]][unit_of[node.nid]]
-            else:
-                hops = 1  # edges to/from pseudo wires cost one switch hop
-            edge_hops[(up, node.nid)] = hops
+    # Edges to/from pseudo wires cost one switch hop.
+    edge_hops: Dict[Tuple[int, int], int] = {
+        (up, nid): hop[unit_of[up]][unit_of[nid]] if routed else 1
+        for up, nid, routed in wires.edges
+    }
     return PlacedReplica(unit_of=unit_of, edge_hops=edge_hops)

@@ -27,7 +27,12 @@ from typing import Dict, List
 from repro.arch.config import FabricSpec, UnitKind
 from repro.compiler.dfg import BlockDFG, NodeKind, build_block_dfg
 from repro.compiler.livevalues import allocate_live_values
-from repro.compiler.placement import Fabric, PlacedReplica, _place_one
+from repro.compiler.placement import (
+    Fabric,
+    PlacedReplica,
+    _place_one,
+    wiring,
+)
 from repro.compiler.schedule import BlockSchedule, schedule_blocks
 from repro.ir.kernel import Kernel
 from repro.resilience.errors import MappingError
@@ -116,11 +121,13 @@ def map_kernel(
     fabric = Fabric(spec)
     free = {k: list(v) for k, v in fabric.by_kind.items()}
     schedule = schedule_blocks(kernel)
+    wires = {name: wiring(dfgs[name]) for name in schedule.order}
     replicas: List[Dict[str, PlacedReplica]] = []
     for _ in range(n_replicas):
         placed: Dict[str, PlacedReplica] = {}
         for name in schedule.order:
-            placed[name] = _place_one(dfgs[name], fabric, free, improve_passes=0)
+            placed[name] = _place_one(dfgs[name], wires[name], fabric, free,
+                                      improve_passes=0)
         replicas.append(placed)
 
     return SGMFMapping(

@@ -295,16 +295,43 @@ def build_exec_plan(
     )
 
 
-def _emit_issue(L, n: int) -> None:
-    """Emit the unit-calendar claim (:meth:`_ReplicaState.issue`) for row
-    ``n`` (unit ``u{n}``): the first free issue cycle at or after the
-    ready time ``r``, with the same ``unit_wait`` accounting.  ``nf{n}``
-    is the unit's calendar, bound once per replica by the walk's
-    ``enter(rep)`` (:func:`compile_timing`)."""
-    L.append("    q = ceil(r)")
-    L.append(f"    s = claim(nf{n}, q)")
-    L.append("    if s != q:")
-    L.append(f"        uw[u{n}] = uw.get(u{n}, 0.0) + (s - q)")
+_ceil = math.ceil  # one global lookup in the hottest call
+
+
+def claim_issue(nf: Dict[int, int], ready: float, uw: Dict[int, float],
+                uid: int) -> int:
+    """Claim unit ``uid``'s first free issue cycle at or after ``ready``
+    in its calendar ``nf`` and return it.
+
+    Most claims find the cycle free and take it here; a taken cycle
+    goes to :func:`claim_slot`, and the queueing delay behind earlier
+    traffic on the unit is added to ``uw[uid]``, the per-unit stall
+    histogram the hang diagnostics report.  This is the one issue rule:
+    every issuing row of a generated timing walk calls it once (as
+    ``iss``, :func:`compile_timing`), and so does
+    :meth:`_ReplicaState.issue`.
+    """
+    q = _ceil(ready)
+    if q in nf:
+        s = claim_slot(nf, q)
+        uw[uid] = uw.get(uid, 0.0) + (s - q)
+        return s
+    nf[q] = q + 1
+    return q
+
+
+def wait_entry(out: List[float], ready: float, uw: Dict[int, float],
+               uid: int) -> float:
+    """Unit ``uid``'s reservation buffer ``out`` is full: the request
+    waits until its oldest entry answers.  Returns the new ready time;
+    the wait is added to ``uw[uid]`` like an issue stall.  Generated
+    walks call it (as ``rbw``) behind their ``len(out) >= entries``
+    test."""
+    old = heapq.heappop(out)
+    if old > ready:
+        uw[uid] = uw.get(uid, 0.0) + (old - ready)
+        return old
+    return ready
 
 
 #: serial number of each compiled timing walk: a unique code filename
@@ -320,16 +347,18 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     The engines split each block visit into a functional pass
     (:func:`eval_rows`) and a per-thread timing walk; this compiles the
     walk into one specialised Python function per block shape: rows
-    are unrolled, latencies are constant-folded, ``done`` times live in
-    locals, and the :meth:`_ReplicaState.issue` claim (one
-    :func:`claim_slot` call), the SCU instance pools and the
-    reservation buffers are emitted in line.  Each row's unit ID
-    (``u{nid}``) and input hop counts (``h{nid}_{k}``) are arguments of
-    a generated binder, so the replicas of a block (and equal blocks)
-    share one source text: ``binders`` (one dict per run) maps it to
-    the compiled binder, and each further plan of that shape costs one
-    call of it.  Cycle counts are pinned by the golden-cycle gate and
-    the differential fuzzer.
+    are unrolled, latencies are constant-folded and ``done`` times
+    live in locals.  Each issuing row is one call of
+    :func:`claim_issue` (``iss``); a full reservation buffer is one
+    call of :func:`wait_entry` (``rbw``); the SCU instance pools are
+    emitted in line.  An ALU, split/join or terminator row with at most
+    one input is one statement, ``d{n} = iss(...) + latency``.  Each
+    row's unit ID (``u{nid}``) and input hop counts (``h{nid}_{k}``)
+    are arguments of a generated binder, so the replicas of a block
+    (and equal blocks) share one source text: ``binders`` (one dict per
+    run) maps it to the compiled binder, and each further plan of that
+    shape costs one call of it.  Cycle counts are pinned by the
+    golden-cycle gate and the differential fuzzer.
 
     The result is ``enter(rep)``: it binds the walk to one replica's
     state once — its unit calendars, its reservation buffers (created
@@ -344,10 +373,11 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
 
     SGMF flavour (``sgmf=True`` — wired live values, no LVC)::
 
-        enter(rep)(mem_access, tid, entry, ti, alists, rr)
+        enter(rep)(mem_access, tid, inject, ti, alists, rr)
             -> (completion, term_done)
 
-    ``ti`` indexes this thread inside the batch; ``alists`` maps a
+    ``inject`` is the thread's injection (VGIW) or block entry (SGMF)
+    cycle; ``ti`` indexes this thread inside the batch; ``alists`` maps a
     memory row's index to its per-thread address list; ``rr`` is the
     SGMF thread's ``regs_ready`` wire-timing dict.
 
@@ -365,8 +395,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     issue_rows = []  # (nid, unit ID)
     mem_rows = []  # (unit ID, nid)
     scu_rows = []
-    addr_rows = []
-    for ri, row in enumerate(rows):
+    for row in rows:
         tag = row[0]
         if tag == T_INIT or (sgmf and tag in (T_LVLOAD, T_LVSTORE)):
             continue
@@ -376,33 +405,28 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             scu_rows.append(nid)
         elif tag in (T_LOAD, T_STORE, T_LVLOAD, T_LVSTORE):
             mem_rows.append((row[2], nid))
-            if tag in (T_LOAD, T_STORE):
-                addr_rows.append(ri)
 
     # The preamble of ``enter``: runs once per replica.
-    P = []
-    P.append("    un = rep.unit_next")
-    P.append("    uw = rep.unit_wait")
-    for n, u in issue_rows:
-        names.append(f"u{n}")
-        values.append(u)
-        P.append(f"    nf{n} = un.get(u{n})")
-        P.append(f"    if nf{n} is None:")
-        P.append(f"        nf{n} = un[u{n}] = {{}}")
+    P = ["    uw, un = rep.unit_wait, rep.unit_next"]
+    if issue_rows:
+        for n, u in issue_rows:
+            names.append(f"u{n}")
+            values.append(u)
+        nfs = ", ".join(f"nf{n}" for n, _ in issue_rows)
+        units = ", ".join(f"u{n}" for n, _ in issue_rows)
+        comma = "," if len(issue_rows) == 1 else ""
+        P.append(f"    {nfs}{comma} = [un.setdefault(u, {{}})"
+                 f" for u in ({units}{comma})]")
     if mem_rows:
         # A replica's first entry of the block creates its reservation
         # buffers, in unit-ID order (hang snapshots list them in
         # insertion order); later entries find them all.
         names.append("mu")
         values.append(tuple(sorted(u for u, _ in mem_rows)))
-        first = mem_rows[0][1]
         P.append("    lo = rep.ldst_outstanding")
-        P.append(f"    out{first} = lo.get(u{first})")
-        P.append(f"    if out{first} is None:")
-        P.append("        for m in mu:")
-        P.append("            lo.setdefault(m, [])")
-        P.append(f"        out{first} = lo[u{first}]")
-        for _, n in mem_rows[1:]:
+        P.append(f"    if u{mem_rows[0][1]} not in lo:")
+        P.append("        for m in mu: lo.setdefault(m, [])")
+        for _, n in mem_rows:
             P.append(f"    out{n} = lo[u{n}]")
     for n in scu_rows:
         P.append(f"    pool{n} = rep.scu_pool.setdefault"
@@ -410,86 +434,87 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
 
     # The walk's body: runs once per thread.
     L = []
-    for ri in addr_rows:
-        L.append(f"    a_{ri} = alists[{ri}]")
 
-    def emit_ready(row):
-        L.append("    r = inject")
+    def ready(row):
+        """The row's ready time, as an expression.  A row with inputs
+        starts at its first input's arrival, not at ``inject``: every
+        done time is at or after ``inject`` and every hop is at least
+        one cycle, so ``inject`` never wins the maximum."""
+        n = row[1]
+        exprs = []
         for k, (up, hop) in enumerate(row[3]):
-            names.append(f"h{row[1]}_{k}")
+            names.append(f"h{n}_{k}")
             values.append(float(hop))
-            L.append(f"    t = d{up} + h{row[1]}_{k}")
-            L.append("    if t > r:")
-            L.append("        r = t")
+            exprs.append(f"d{up} + h{n}_{k}")
+        if not exprs:
+            return "inject"
+        if len(exprs) == 1:
+            return exprs[0]
+        L.append(f"    r = {exprs[0]}")
+        for e in exprs[1:]:
+            L.append(f"    t = {e}")
+            L.append("    if t > r: r = t")
+        return "r"
 
-    def emit_mem_preamble(n):
-        L.append(f"    if len(out{n}) >= {entries}:")
-        L.append(f"        old = heappop(out{n})")
-        L.append("        if old > r:")
-        L.append(f"            uw[u{n}] = uw.get(u{n}, 0.0) + (old - r)")
-        L.append("            r = old")
+    def ready_var(row):
+        r = ready(row)
+        if r != "r":
+            L.append(f"    r = {r}")
+
+    def issue(n, r="r"):
+        return f"iss(nf{n}, {r}, uw, u{n})"
+
+    def mem_row(row, call):
+        n = row[1]
+        ready_var(row)
+        L.append(f"    if len(out{n}) >= {entries}:"
+                 f" r = rbw(out{n}, r, uw, u{n})")
+        L.append(f"    d{n} = {call}")
+        L.append(f"    heappush(out{n}, d{n})")
 
     for ri, row in enumerate(rows):
         tag = row[0]
         nid = row[1]
         if tag == T_INIT:
             L.append(f"    d{nid} = inject")
-        elif tag == T_OP or tag == T_SCU:
-            emit_ready(row)
+        elif tag == T_OP or tag == T_SCU or tag == T_SJ or tag == T_TERM:
+            lat = float(row[4]) if tag != T_TERM else 1.0
             if tag == T_SCU:
+                ready_var(row)
                 L.append(f"    e = heappop(pool{nid})")
-                L.append("    if e > r:")
-                L.append("        r = e")
-            _emit_issue(L, nid)
-            if tag == T_SCU:
-                L.append(f"    heappush(pool{nid}, s + {float(row[4])!r})")
-            L.append(f"    d{nid} = s + {float(row[4])!r}")
-            if record:
+                L.append("    if e > r: r = e")
+                r = "r"
+            else:
+                r = ready(row)
+            if record and (tag == T_OP or tag == T_SCU):
+                L.append(f"    s = {issue(nid, r)}")
+                L.append(f"    d{nid} = s + {lat!r}")
                 L.append(f"    cyc[{nid}] = float(s)")
+            else:
+                L.append(f"    d{nid} = {issue(nid, r)} + {lat!r}")
+            if tag == T_SCU:
+                L.append(f"    heappush(pool{nid}, d{nid})")
         elif tag in (T_LOAD, T_STORE):
-            emit_ready(row)
-            emit_mem_preamble(nid)
-            _emit_issue(L, nid)
             rw = "True" if tag == T_STORE else "False"
-            L.append(f"    c = mem_access(float(s), a_{ri}[ti], {rw})")
-            L.append(f"    heappush(out{nid}, c)")
-            L.append(f"    d{nid} = c")
+            mem_row(row, f"mem_access(float({issue(nid)}),"
+                         f" alists[{ri}][ti], {rw})")
         elif tag == T_LVLOAD:
             if sgmf:
                 # Wired live value: a one-cycle hop from the producer.
                 L.append(f"    t = rr[{row[5].out_reg!r}] + 1")
                 L.append(f"    d{nid} = inject if inject >= t else t")
             else:
-                emit_ready(row)
-                emit_mem_preamble(nid)
-                _emit_issue(L, nid)
-                L.append(f"    c = lvc_access(float(s), {row[4]}, tid,"
-                         f" False, port=u{nid})")
-                L.append(f"    heappush(out{nid}, c)")
-                L.append(f"    d{nid} = c")
+                mem_row(row, f"lvc_access(float({issue(nid)}), {row[4]},"
+                             f" tid, False, port=u{nid})")
                 if record:
-                    L.append(f"    cyc[{nid}] = c")
+                    L.append(f"    cyc[{nid}] = d{nid}")
         elif tag == T_LVSTORE:
             if sgmf:
-                emit_ready(row)
-                L.append(f"    d{nid} = r")
-                L.append(f"    rr[{row[6].out_reg!r}] = r")
+                L.append(f"    d{nid} = {ready(row)}")
+                L.append(f"    rr[{row[6].out_reg!r}] = d{nid}")
             else:
-                emit_ready(row)
-                emit_mem_preamble(nid)
-                _emit_issue(L, nid)
-                L.append(f"    c = lvc_access(float(s), {row[4]}, tid,"
-                         f" True, port=u{nid})")
-                L.append(f"    heappush(out{nid}, c)")
-                L.append(f"    d{nid} = c")
-        elif tag == T_SJ:
-            emit_ready(row)
-            _emit_issue(L, nid)
-            L.append(f"    d{nid} = s + {float(row[4])!r}")
-        else:  # T_TERM
-            emit_ready(row)
-            _emit_issue(L, nid)
-            L.append(f"    d{nid} = s + 1.0")
+                mem_row(row, f"lvc_access(float({issue(nid)}), {row[4]},"
+                             f" tid, True, port=u{nid})")
 
     if stop is not None:
         L.append("    return None")
@@ -497,12 +522,10 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         sinks = plan.sinks
         L.append(f"    c = d{sinks[0]}")
         for snk in sinks[1:]:
-            L.append(f"    if d{snk} > c:")
-            L.append(f"        c = d{snk}")
+            L.append(f"    if d{snk} > c: c = d{snk}")
         L.append(f"    return c, d{plan.term_nid}" if sgmf else "    return c")
     if sgmf:
-        head = "mem_access, tid, entry, ti, alists, rr"
-        L.insert(0, "    inject = entry")
+        head = "mem_access, tid, inject, ti, alists, rr"
     else:
         head = "mem_access, lvc_access, tid, inject, ti, alists"
     if record:
@@ -519,7 +542,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     bind = binders.get(source)
     if bind is None:
         ns = {"heappush": heapq.heappush, "heappop": heapq.heappop,
-              "ceil": math.ceil, "claim": claim_slot}
+              "iss": claim_issue, "rbw": wait_entry}
         filename = f"<timing:{plan.block_name}#{next(_timing_serial)}>"
         exec(compile(source, filename, "exec"), ns)
         bind = binders[source] = ns["__bind"]
@@ -643,27 +666,22 @@ class _ReplicaState:
         self.window.append(completion)
 
     def issue(self, uid: int, ready: float) -> float:
-        """Claim the unit's first free issue cycle at or after ``ready``.
+        """Claim the unit's first free issue cycle at or after ``ready``
+        (:func:`claim_issue`, the rule every generated walk calls).
 
         The issue port doubles as the output port: one result per cycle
         leaves the unit, and the switch replicates it to all consumers
         (the fanout bound is enforced statically by split insertion).
 
-        SGMF's waste pass calls this; the compiled timing walks emit the
-        same claim inline (:func:`_emit_issue`) against the calendars
-        their ``enter(rep)`` bound from :attr:`unit_next`, so a unit's
-        calendar dict must never be replaced while a walk is entered.
+        SGMF's waste pass calls this; the compiled timing walks call
+        :func:`claim_issue` on the calendars their ``enter(rep)`` bound
+        from :attr:`unit_next`, so a unit's calendar dict must never be
+        replaced while a walk is entered.
         """
-        t = math.ceil(ready)
         nf = self.unit_next.get(uid)
         if nf is None:
             nf = self.unit_next[uid] = {}
-        start = claim_slot(nf, t)
-        if start > t:
-            # Queueing delay behind earlier traffic on this unit — the
-            # per-unit stall histogram the hang diagnostics report.
-            self.unit_wait[uid] = self.unit_wait.get(uid, 0.0) + (start - t)
-        return float(start)
+        return float(claim_issue(nf, ready, self.unit_wait, uid))
 
 
 class Trail(dict):

@@ -3,7 +3,11 @@ threads get a plan and a walk, replicas of one block shape share one
 ``compile()``, every compiled walk has its own code filename, and a
 walk is bound to its replica's state once, by ``enter(rep)``."""
 
+import ast
 import collections
+import heapq
+import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import repro.vgiw.mtcgrf as mtcgrf
 from repro.compiler import compile_kernel
 from repro.kernels import saxpy_kernel
 from repro.memory import MemoryImage
+from repro.memory.calendar import claim_slot
 from repro.sgmf import SGMFCore
 from repro.vgiw import VGIWCore
 
@@ -113,3 +118,178 @@ def test_compiled_walks_have_distinct_filenames(codegen):
     plans = [p for p in codegen["plans"] if p.block_name == BODY]
     assert ({p.timing_fn.__code__.co_filename for p in plans}
             == set(body))
+
+
+# ----------------------------------------------------------------------
+# The emitted walk: one issue rule, one statement per simple row
+# ----------------------------------------------------------------------
+def _old_issue(nf, ready, uw, uid):
+    """The claim the walks emitted in line before :func:`claim_issue`:
+    ``claim_slot`` on the ceiling, the wait added when the slot moved."""
+    q = math.ceil(ready)
+    s = claim_slot(nf, q)
+    if s != q:
+        uw[uid] = uw.get(uid, 0.0) + (s - q)
+    return s
+
+
+def _old_wait(out, ready, uw, uid):
+    old = heapq.heappop(out)
+    if old > ready:
+        uw[uid] = uw.get(uid, 0.0) + (old - ready)
+        ready = old
+    return ready
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_claim_issue_matches_claim_slot_and_old_accounting(seed):
+    rng = random.Random(seed)
+    got_nf, want_nf = {}, {}
+    got_uw, want_uw = {}, {}
+    contended = free = 0
+    for _ in range(3000):
+        uid = rng.randrange(5)
+        # Crowded units are mostly contended, sparse ones mostly free;
+        # ready times are integral or not, as in the walks.
+        span = 40 if uid < 2 else 4000
+        ready = rng.uniform(0, span)
+        if rng.random() < 0.5:
+            ready = float(round(ready))
+        before = dict(want_uw)
+        want = _old_issue(want_nf.setdefault(uid, {}), ready, want_uw, uid)
+        got = mtcgrf.claim_issue(got_nf.setdefault(uid, {}), ready, got_uw,
+                                 uid)
+        assert got == want and type(got) is type(want)
+        if want_uw != before:
+            contended += 1
+        else:
+            free += 1
+        assert got_uw == want_uw
+    assert got_nf == want_nf
+    assert list(got_uw) == list(want_uw)  # insertion order too
+    assert contended > 300 and free > 300
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wait_entry_matches_old_accounting(seed):
+    rng = random.Random(seed)
+    got_out, want_out = [], []
+    got_uw, want_uw = {}, {}
+    for _ in range(1000):
+        c = rng.uniform(0, 500)
+        heapq.heappush(got_out, c)
+        heapq.heappush(want_out, c)
+        if len(want_out) >= 4:
+            ready = rng.uniform(0, 500)
+            assert (mtcgrf.wait_entry(got_out, ready, got_uw, 3)
+                    == _old_wait(want_out, ready, want_uw, 3))
+    assert got_out == want_out and got_uw == want_uw
+    assert got_uw[3] > 0
+
+
+def test_replica_issue_uses_the_walks_rule():
+    rep = mtcgrf._ReplicaState()
+    assert [rep.issue(7, 2.5) for _ in range(3)] == [3.0, 4.0, 5.0]
+    assert set(rep.unit_next[7]) == {3, 4, 5}
+    assert rep.unit_wait == {7: 3.0}
+
+
+def _walk_source(plan, sgmf=False):
+    binders = {}
+    mtcgrf.compile_timing(plan, 8, 2, binders, sgmf)
+    (source,) = binders
+    return source
+
+
+def _timing_body(source):
+    (bind,) = ast.parse(source).body
+    (enter,) = [f for f in bind.body if isinstance(f, ast.FunctionDef)]
+    (timing,) = [f for f in enter.body if isinstance(f, ast.FunctionDef)]
+    return timing.body
+
+
+def _row_statements(body, n):
+    """The walk statements of row ``n``: those naming its calendar, unit
+    or hops, or assigning its done time ``d{n}``."""
+    own = {f"nf{n}", f"u{n}"}
+
+    def mine(name):
+        return name in own or name.startswith(f"h{n}_")
+
+    return [s for s in body
+            if any(isinstance(x, ast.Name) and mine(x.id)
+                   for x in ast.walk(s))
+            or (isinstance(s, ast.Assign)
+                and ast.unparse(s.targets[0]) == f"d{n}")]
+
+
+def test_single_input_alu_row_is_one_statement(codegen):
+    mem, params = _saxpy(8)
+    VGIWCore().run(saxpy_kernel(), mem, params, 8)
+    (plan,) = [p for p in codegen["plans"] if p.block_name == BODY]
+    rows = [row for row in plan.rows
+            if row[0] == mtcgrf.T_OP and len(row[3]) == 1]
+    assert rows
+    body = _timing_body(_walk_source(plan))
+    for row in rows:
+        n = row[1]
+        ((up, _),) = row[3]
+        (stmt,) = _row_statements(body, n)
+        assert ast.unparse(stmt) == (
+            f"d{n} = iss(nf{n}, d{up} + h{n}_0, uw, u{n})"
+            f" + {float(row[4])!r}")
+
+
+@pytest.fixture(scope="module")
+def table2_plans():
+    """Every VGIW replica plan and SGMF plan of the 21 Table 2 kernels at
+    ``tiny``, optimised as the sweep optimises them: ``(sgmf, plan)``."""
+    from repro.arch.config import SGMFConfig, VGIWConfig
+    from repro.compiler.optimize import optimize_kernel
+    from repro.kernels.registry import all_names, make_workload
+    from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
+
+    vgiw_lat, sgmf_lat = VGIWConfig().op_latency, SGMFConfig().op_latency
+    names = all_names()
+    assert len(names) == 21
+    plans = []
+    for name in names:
+        w = make_workload(name, "tiny")
+        k = optimize_kernel(w.kernel, params=w.params)
+        for cb in compile_kernel(k).blocks.values():
+            for placed in cb.placement.replicas:
+                plans.append((False, mtcgrf.build_exec_plan(
+                    cb.dfg, placed.unit_of, placed.edge_hops, w.params,
+                    vgiw_lat)))
+        try:
+            mapping = map_kernel(optimize_kernel(w.kernel, params=w.params,
+                                                 unroll=False))
+        except SGMFUnmappableError:
+            continue
+        for placed in mapping.replicas:
+            for bname, dfg in mapping.dfgs.items():
+                pl = placed[bname]
+                plans.append((True, mtcgrf.build_exec_plan(
+                    dfg, pl.unit_of, pl.edge_hops, w.params, sgmf_lat,
+                    count_pseudo_ops=False)))
+    return plans
+
+
+def test_every_input_hop_is_at_least_one_cycle(table2_plans):
+    # The walks start a row with inputs at its first input's arrival,
+    # not at ``inject``: exact only because every hop is >= 1 cycle.
+    hops = [hop for _, plan in table2_plans for row in plan.rows
+            if row[0] != mtcgrf.T_INIT for _, hop in row[3]]
+    assert len(hops) > 1000
+    assert min(hops) >= 1
+
+
+#: Bound on the total walk source over ``table2_plans``: 1 067 850 chars
+#: when each issue became one helper call (2 386 053 before), plus 3 %
+WALK_SOURCE_CHARS = 1_100_000
+
+
+def test_emitted_walk_source_stays_small(table2_plans):
+    total = sum(len(_walk_source(plan, sgmf))
+                for sgmf, plan in table2_plans)
+    assert total <= WALK_SOURCE_CHARS
