@@ -52,6 +52,7 @@ from repro.compiler.placement import (
     Unit,
     max_replicas,
     place_block,
+    replica_deal,
 )
 from repro.compiler.schedule import BlockSchedule, schedule_blocks
 
@@ -107,6 +108,7 @@ __all__ = [
     "max_replicas",
     "natural_loops",
     "place_block",
+    "replica_deal",
     "reverse_post_order",
     "schedule_blocks",
     "split_block",

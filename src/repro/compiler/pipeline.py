@@ -6,7 +6,8 @@
 2. per-block dataflow-graph extraction (with split/join insertion),
 3. oversized-block partitioning until every block fits the fabric,
 4. block-ID scheduling (RPO; entry = 0; back edges to smaller IDs),
-5. replication and place & route of each block onto the MT-CGRF grid.
+5. replication and place & route of each block onto the MT-CGRF grid
+   (replica 0 now, the others when a launch first reaches them).
 
 The result, :class:`CompiledKernel`, is everything the VGIW core needs
 to execute: it is the analogue of the per-block configuration bitstreams
@@ -28,6 +29,7 @@ from repro.compiler.placement import (
     PlacedBlock,
     max_replicas,
     place_block,
+    shared_fabric,
 )
 from repro.compiler.schedule import BlockSchedule, schedule_blocks
 from repro.ir.kernel import Kernel
@@ -104,7 +106,7 @@ def compile_kernel(
         )
 
     schedule = schedule_blocks(kernel)
-    fabric = Fabric(spec)
+    fabric = shared_fabric(spec)
     blocks: Dict[str, CompiledBlock] = {}
     for name, dfg in dfgs.items():
         cap = replica_cap if replicate else 1

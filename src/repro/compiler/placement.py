@@ -13,9 +13,13 @@ We model its latency as ``ceil(manhattan / 2)`` hops, one cycle per hop
 
 Placement is greedy-by-topological-order with a cheapest-unit choice,
 followed by a local-improvement (pairwise swap) pass.  Multiple replicas
-of a block graph are placed one after another on the remaining free
-units (paper §3.1: the compiler includes multiple replicas of small
-blocks in one configuration).
+of a block graph share one configuration (paper §3.1: the compiler
+includes multiple replicas of small blocks).  How many fit is fixed at
+compile time; each replica is placed on first use, on the units the
+replicas before it left free, so any forcing order yields the placement
+of placing them all in order.  How many replicas a launch reaches is
+:func:`replica_deal`, the one thread-to-replica rule of both dataflow
+engines.
 """
 
 from __future__ import annotations
@@ -70,7 +74,11 @@ def _hop_table(xs: Tuple[int, ...],
 
 
 class Fabric:
-    """The physical grid: units, positions, and hop distances."""
+    """The physical grid: units, positions, and hop distances.
+
+    Compiles share one instance per geometry (:func:`shared_fabric`),
+    so nothing may mutate a fabric once built.
+    """
 
     def __init__(self, spec: FabricSpec):
         self.spec = spec
@@ -103,7 +111,8 @@ class Fabric:
         perimeter = [
             (x, y) for (x, y) in cells if x in (0, w - 1) or y in (0, h - 1)
         ]
-        interior = [c for c in cells if c not in perimeter]
+        on_perimeter = set(perimeter)
+        interior = [c for c in cells if c not in on_perimeter]
 
         counts = dict(spec.counts)
         n_ldst = counts.get(UnitKind.LDST, 0)
@@ -178,6 +187,20 @@ class Fabric:
         return self.hop[a][b]
 
 
+def shared_fabric(spec: FabricSpec) -> Fabric:
+    """The one :class:`Fabric` of ``spec``'s geometry.  ``FabricSpec``
+    holds a dict, so the cache is keyed on its contents."""
+    counts = tuple(sorted((k.value, n) for k, n in spec.counts.items()))
+    return _fabric_for(spec.width, spec.height, counts)
+
+
+@lru_cache(maxsize=8)
+def _fabric_for(width: int, height: int,
+                counts: Tuple[Tuple[str, int], ...]) -> Fabric:
+    return Fabric(FabricSpec(width, height,
+                             {UnitKind(k): n for k, n in counts}))
+
+
 @dataclass
 class PlacedReplica:
     """Placement of one replica: DFG node ID -> physical unit ID, plus
@@ -188,16 +211,68 @@ class PlacedReplica:
     edge_hops: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
-@dataclass
-class PlacedBlock:
-    """All replicas of a block placed on the fabric for one configuration."""
+class ReplicaPlacer:
+    """``n_replicas`` replicas of a list of graphs, placed on first use.
 
-    dfg: BlockDFG
-    replicas: List[PlacedReplica]
+    A replica places every graph in list order; replica *k* takes the
+    units replicas 0..*k*-1 left free, so :meth:`replica` places any
+    still-unplaced replicas below *k* first.  Replica 0 is placed at
+    construction, where capacity errors surface.  The free lists and
+    :class:`Wiring` kept for the next replica pickle with the placer,
+    and are dropped once the last replica is placed.
+    """
+
+    def __init__(self, dfgs: Sequence[BlockDFG], fabric: Fabric,
+                 n_replicas: int, improve_passes: int):
+        self.n_replicas = n_replicas
+        #: replica -> placement of each graph, in graph order
+        self.placed: List[List[PlacedReplica]] = []
+        #: what placing the next replica needs; ``None`` once all are
+        self._pending = (
+            [(dfg, wiring(dfg)) for dfg in dfgs],
+            fabric,
+            {k: list(v) for k, v in fabric.by_kind.items()},
+            improve_passes,
+        )
+        self.replica(0)
+
+    def replica(self, k: int) -> List[PlacedReplica]:
+        """Replica ``k``'s placement of each graph."""
+        placed = self.placed
+        if not 0 <= k < self.n_replicas:
+            raise IndexError(f"replica {k} of {self.n_replicas}")
+        if k >= len(placed):
+            graphs, fabric, free, passes = self._pending
+            while len(placed) <= k:
+                placed.append([_place_one(dfg, wires, fabric, free, passes)
+                               for dfg, wires in graphs])
+            if len(placed) == self.n_replicas:
+                self._pending = None
+        return placed[k]
+
+
+class PlacedBlock:
+    """All replicas of a block placed on the fabric for one
+    configuration, each on first use (:class:`ReplicaPlacer`)."""
+
+    def __init__(self, dfg: BlockDFG, fabric: Fabric, n_replicas: int,
+                 improve_passes: int = 1):
+        self.dfg = dfg
+        self._placer = ReplicaPlacer([dfg], fabric, n_replicas,
+                                     improve_passes)
 
     @property
     def n_replicas(self) -> int:
-        return len(self.replicas)
+        return self._placer.n_replicas
+
+    def replica(self, k: int) -> PlacedReplica:
+        """Replica ``k``, placed now if it has not been yet."""
+        return self._placer.replica(k)[0]
+
+    @property
+    def replicas(self) -> List[PlacedReplica]:
+        """Every replica, placing all that have not been yet."""
+        return [self.replica(k) for k in range(self.n_replicas)]
 
     def total_wire_cost(self) -> int:
         return sum(
@@ -216,27 +291,36 @@ def max_replicas(dfg: BlockDFG, spec: FabricSpec, cap: int = 8) -> int:
     return fit
 
 
+def replica_deal(n_threads: int, n_replicas: int,
+                 packet: int) -> Tuple[int, List[int]]:
+    """Which replica each of ``n_threads`` thread slots runs on.
+
+    Threads are dealt round-robin in runs of ``packet``: VGIW's BBS
+    hands the replicas' initiator CVUs whole 64-thread batch packets
+    (paper §3.2), SGMF deals thread by thread (``packet=1``).  Returns
+    how many replicas receive a thread (the prefix ``0 .. n_running -
+    1``, at least one) and each slot's replica.
+    """
+    n_running = max(1, min(n_replicas, -(-n_threads // packet)))
+    if n_running == 1:
+        return 1, [0] * n_threads
+    return n_running, [(i // packet) % n_replicas for i in range(n_threads)]
+
+
 def place_block(
     dfg: BlockDFG,
     fabric: Fabric,
     n_replicas: int,
     improve_passes: int = 1,
 ) -> PlacedBlock:
-    """Place ``n_replicas`` copies of ``dfg`` onto the fabric."""
+    """``n_replicas`` copies of ``dfg`` on the fabric, replica 0 placed
+    now and the others on first use."""
     if n_replicas < 1:
         raise CapacityError(
             f"block {dfg.block_name} needs units beyond fabric capacity: "
             f"{ {k.value: v for k, v in dfg.unit_demand().items() if v} }"
         )
-    free: Dict[UnitKind, List[int]] = {
-        k: list(v) for k, v in fabric.by_kind.items()
-    }
-    wires = wiring(dfg)
-    replicas = [
-        _place_one(dfg, wires, fabric, free, improve_passes)
-        for _ in range(n_replicas)
-    ]
-    return PlacedBlock(dfg=dfg, replicas=replicas)
+    return PlacedBlock(dfg, fabric, n_replicas, improve_passes)
 
 
 class Wiring(NamedTuple):

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.arch.config import SGMFConfig
+from repro.compiler.placement import replica_deal
 from repro.engine import EngineRunResult, bind_params
 from repro.ir.kernel import Kernel
 from repro.ir.vecops import run_waves, scatter
@@ -89,16 +90,17 @@ class SGMFCore:
     # ------------------------------------------------------------------
     @staticmethod
     def _build_plans(mapping: SGMFMapping, params: Dict[str, Number],
-                     config: SGMFConfig):
-        """Precompile every block once per replica: the per-thread walk
-        then dispatches on flat tuples instead of re-inspecting DFG
-        nodes (cycle-identical; see docs/performance.md).  Pseudo
-        nodes (wired live values, non-entry initiators) are excluded
-        from the energy accounting, matching the SGMF convention."""
+                     config: SGMFConfig, n_running: int):
+        """Precompile every block once per running replica (the first
+        ``n_running``): the per-thread walk then dispatches on flat
+        tuples instead of re-inspecting DFG nodes (cycle-identical; see
+        docs/performance.md).  Pseudo nodes (wired live values,
+        non-entry initiators) are excluded from the energy accounting,
+        matching the SGMF convention."""
         plans: List[Dict[str, ExecPlan]] = []
         waste_units: List[Dict[str, List[int]]] = []
-        for ridx in range(mapping.n_replicas):
-            placed = mapping.replicas[ridx]
+        for ridx in range(n_running):
+            placed = mapping.replica(ridx)
             plan_map: Dict[str, ExecPlan] = {}
             wu_map: Dict[str, List[int]] = {}
             for name, dfg in mapping.dfgs.items():
@@ -165,7 +167,11 @@ class SGMFCore:
         # Each replica's entered timing walks by plan, entered on the
         # replica's first visit of the plan.
         walks: List[Dict[ExecPlan, Callable]] = [{} for _ in reps]
-        plans, waste_units = self._build_plans(mapping, params, config)
+        # Threads are dealt round-robin, so only the first
+        # min(n_replicas, n_threads) replicas are placed and planned.
+        n_running, slots = replica_deal(n_threads, n_replicas, 1)
+        plans, waste_units = self._build_plans(mapping, params, config,
+                                               n_running)
         # Compiled timing-walk binders by source text, shared by the
         # replicas and equal blocks of this run.
         timing_binders: Dict[str, Callable] = {}
@@ -210,8 +216,7 @@ class SGMFCore:
             mdata = memory.data
 
         end_time = 0.0
-        for i in range(n_threads):
-            ridx = i % n_replicas
+        for i, ridx in enumerate(slots):
             rep = reps[ridx]
             inject = rep.admit(depth)
             if batch is None:

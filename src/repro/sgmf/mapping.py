@@ -16,22 +16,22 @@ kernel entry has a thread initiator.  Consequently (paper §1–§2):
 
 This module builds the per-block subgraphs in "wire" mode (live-value
 and non-entry initiator nodes become pseudo wires occupying no units),
-checks capacity, and places as many replicas of the merged graph as fit.
+checks capacity, and fits as many replicas of the merged graph as the
+fabric holds, each placed on first use (:class:`ReplicaPlacer`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.arch.config import FabricSpec, UnitKind
 from repro.compiler.dfg import BlockDFG, NodeKind, build_block_dfg
 from repro.compiler.livevalues import allocate_live_values
 from repro.compiler.placement import (
-    Fabric,
     PlacedReplica,
-    _place_one,
-    wiring,
+    ReplicaPlacer,
+    shared_fabric,
 )
 from repro.compiler.schedule import BlockSchedule, schedule_blocks
 from repro.ir.kernel import Kernel
@@ -51,14 +51,24 @@ class SGMFMapping:
     kernel: Kernel
     schedule: BlockSchedule
     dfgs: Dict[str, BlockDFG]
-    #: replica -> block name -> placement
-    replicas: List[Dict[str, PlacedReplica]]
     demand: Dict[UnitKind, int]
+    #: places each replica's blocks in ``schedule.order``
+    placer: ReplicaPlacer = field(repr=False)
 
     @property
     def n_replicas(self) -> int:
-        """Number of whole-kernel graph replicas placed on the fabric."""
-        return len(self.replicas)
+        """Number of whole-kernel graph replicas the fabric holds."""
+        return self.placer.n_replicas
+
+    def replica(self, k: int) -> Dict[str, PlacedReplica]:
+        """Replica ``k``: block name -> placement, placed now if it has
+        not been yet."""
+        return dict(zip(self.schedule.order, self.placer.replica(k)))
+
+    @property
+    def replicas(self) -> List[Dict[str, PlacedReplica]]:
+        """Every replica, placing all that have not been yet."""
+        return [self.replica(k) for k in range(self.n_replicas)]
 
 
 def build_sgmf_dfgs(kernel: Kernel) -> Dict[str, BlockDFG]:
@@ -118,22 +128,13 @@ def map_kernel(
             f"demand vs capacity {over}"
         )
 
-    fabric = Fabric(spec)
-    free = {k: list(v) for k, v in fabric.by_kind.items()}
     schedule = schedule_blocks(kernel)
-    wires = {name: wiring(dfgs[name]) for name in schedule.order}
-    replicas: List[Dict[str, PlacedReplica]] = []
-    for _ in range(n_replicas):
-        placed: Dict[str, PlacedReplica] = {}
-        for name in schedule.order:
-            placed[name] = _place_one(dfgs[name], wires[name], fabric, free,
-                                      improve_passes=0)
-        replicas.append(placed)
-
+    placer = ReplicaPlacer([dfgs[name] for name in schedule.order],
+                           shared_fabric(spec), n_replicas, improve_passes=0)
     return SGMFMapping(
         kernel=kernel,
         schedule=schedule,
         dfgs=dfgs,
-        replicas=replicas,
         demand=demand,
+        placer=placer,
     )

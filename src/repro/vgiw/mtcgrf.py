@@ -48,6 +48,7 @@ from repro.compiler.dfg import (
     ParamSrc,
 )
 from repro.compiler.pipeline import CompiledBlock
+from repro.compiler.placement import replica_deal
 import numpy as np
 
 from repro.ir.instr import Op, TermKind
@@ -70,6 +71,7 @@ from repro.resilience.watchdog import (
     DiagnosticSnapshot,
     snapshot_from_replicas,
 )
+from repro.vgiw.bbs import BATCH_BITS
 
 Number = Union[int, float, bool]
 
@@ -902,11 +904,12 @@ class MTCGRFExecutor:
         outcomes: List[ThreadOutcome] = []
         end_time = start_time
         depth = self.config.token_buffer_depth
-        # The BBS hands out whole 64-thread batch packets to the
-        # replicas' initiator CVUs (paper section 3.2), so replicas see
-        # runs of consecutive thread IDs, not an interleave, and only
-        # the first ceil(n / 64) replicas receive any thread.
-        n_running = max(1, min(n_replicas, -(-len(thread_ids) // 64)))
+        # The BBS hands out whole batch packets to the replicas'
+        # initiator CVUs (paper section 3.2), so replicas see runs of
+        # consecutive thread IDs, and only the running prefix is
+        # placed and planned.
+        n_running, slots = replica_deal(len(thread_ids), n_replicas,
+                                        BATCH_BITS)
         plans = [self._plan_for(cb, ridx) for ridx in range(n_running)]
         hop_total = 0
 
@@ -928,8 +931,7 @@ class MTCGRFExecutor:
             walks = [timing_walk(plan, self.config, self._timing_binders)(rep)
                      for plan, rep in zip(plans, replicas)]
 
-        for i, tid in enumerate(thread_ids):
-            ridx = (i // 64) % n_replicas
+        for i, (tid, ridx) in enumerate(zip(thread_ids, slots)):
             rep = replicas[ridx]
             plan = plans[ridx]
             inject = rep.admit(depth)
@@ -969,7 +971,7 @@ class MTCGRFExecutor:
         key = (cb.name, ridx)
         plan = self._plans.get(key)
         if plan is None:
-            placed = cb.placement.replicas[ridx]
+            placed = cb.placement.replica(ridx)
             plan = build_exec_plan(
                 cb.dfg, placed.unit_of, placed.edge_hops, self.params,
                 self.config.op_latency,

@@ -273,3 +273,204 @@ def test_placements_are_pinned():
                             _placement_lines(f"sgmf {bname} {r}", placed))
             digest.update("\n".join(lines).encode())
     assert digest.hexdigest() == PLACEMENT_SHA256
+
+
+def _equivalence_cases():
+    """Every Table 2 kernel at ``tiny`` and the pinned corpus cases."""
+    from repro.fuzz import load_corpus_case
+    from repro.kernels.registry import all_names, make_workload
+
+    cases = [(name, make_workload(name, "tiny").kernel)
+             for name in all_names()]
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    for name in PINNED_CORPUS:
+        case = load_corpus_case(os.path.join(corpus, f"{name}.kir"))
+        cases.append((case.name, case.kernel))
+    return cases
+
+
+def _eager(dfgs, spec, n_replicas, improve_passes):
+    """Every replica placed in order on fresh free lists: the placement
+    a first-use placer must reproduce whatever order it is forced in."""
+    from repro.compiler.placement import _place_one, wiring
+
+    fabric = Fabric(spec)
+    free = {k: list(v) for k, v in fabric.by_kind.items()}
+    wires = [wiring(dfg) for dfg in dfgs]
+    return [[_place_one(dfg, w, fabric, free, improve_passes)
+             for dfg, w in zip(dfgs, wires)] for _ in range(n_replicas)]
+
+
+def _lines(replicas):
+    return [(sorted(p.unit_of.items()), sorted(p.edge_hops.items()))
+            for p in replicas]
+
+
+def _force_out_of_order(n, replica):
+    """Force the last replica, then replica 0, then the rest."""
+    replica(n - 1)
+    replica(0)
+    return [replica(k) for k in range(n)]
+
+
+def _check_vgiw(ck, spec):
+    for cb in ck.blocks.values():
+        n = cb.n_replicas
+        got = _force_out_of_order(n, cb.placement.replica)
+        want = [r[0] for r in _eager([cb.dfg], spec, n, 1)]
+        assert _lines(got) == _lines(want), cb.name
+        # Every replica placed: the first-use state is released.
+        assert cb.placement._placer._pending is None
+
+
+def _check_sgmf(mapping, spec):
+    n = mapping.n_replicas
+    got = _force_out_of_order(n, mapping.replica)
+    order = mapping.schedule.order
+    want = _eager([mapping.dfgs[b] for b in order], spec, n, 0)
+    for g, w in zip(got, want):
+        assert list(g) == list(order)
+        assert _lines(g.values()) == _lines(w)
+    assert mapping.placer._pending is None
+
+
+@pytest.mark.parametrize("pickled", [False, True], ids=["live", "pickled"])
+def test_first_use_placement_matches_eager_placement(pickled):
+    """Replicas forced out of order, live or after a pickle round trip
+    with only replica 0 placed (the ``--cache-dir`` disk tier), land
+    where placing every replica in order puts them."""
+    from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
+
+    spec = FabricSpec()
+    lazy_blocks = 0
+    for name, kernel in _equivalence_cases():
+        ck = compile_kernel(kernel)
+        for cb in ck.blocks.values():
+            assert len(cb.placement._placer.placed) == 1
+            lazy_blocks += cb.n_replicas > 1
+        if pickled:
+            ck = pickle.loads(pickle.dumps(ck))
+        _check_vgiw(ck, spec)
+        try:
+            mapping = map_kernel(kernel)
+        except SGMFUnmappableError:
+            continue
+        assert len(mapping.placer.placed) == 1
+        if pickled:
+            mapping = pickle.loads(pickle.dumps(mapping))
+        _check_sgmf(mapping, spec)
+    assert lazy_blocks > 50
+
+
+def test_replica_index_out_of_range():
+    ck = compile_kernel(saxpy_kernel())
+    placement = ck.blocks["entry"].placement
+    for k in (-1, placement.n_replicas):
+        with pytest.raises(IndexError):
+            placement.replica(k)
+
+
+def test_compiles_share_one_fabric_per_geometry():
+    from repro.compiler.placement import shared_fabric
+    from repro.sgmf.mapping import map_kernel
+
+    spec = FabricSpec()
+    reordered = FabricSpec(counts=dict(reversed(list(spec.counts.items()))))
+    fabric = compile_kernel(saxpy_kernel()).fabric
+    assert compile_kernel(fig1_kernel(), spec=reordered).fabric is fabric
+    assert map_kernel(saxpy_kernel()).placer._pending[1] is fabric
+    assert shared_fabric(spec).units == Fabric(spec).units
+    small = FabricSpec(width=4, height=4, counts={
+        UnitKind.COMPUTE: 4, UnitKind.SPECIAL: 1, UnitKind.LDST: 4,
+        UnitKind.LVU: 3, UnitKind.SJU: 2, UnitKind.CVU: 2})
+    assert shared_fabric(small) is not fabric
+    assert shared_fabric(small).units == Fabric(small).units
+
+
+def test_replica_deal():
+    from repro.compiler.placement import replica_deal
+
+    assert replica_deal(0, 8, 64) == (1, [])
+    assert replica_deal(64, 8, 64) == (1, [0] * 64)
+    n, slots = replica_deal(130, 2, 64)
+    assert n == 2 and slots == [0] * 64 + [1] * 64 + [0] * 2
+    assert replica_deal(3, 8, 1) == (3, [0, 1, 2])
+    assert replica_deal(10, 4, 1) == (4, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1])
+    assert replica_deal(5, 1, 1) == (1, [0] * 5)
+
+
+@pytest.fixture
+def place_calls(monkeypatch):
+    """Counts ``_place_one`` calls, the placement of one graph of one
+    replica."""
+    import repro.compiler.placement as placement
+
+    calls = []
+    real = placement._place_one
+
+    def counted(dfg, *args, **kwargs):
+        calls.append(dfg.block_name)
+        return real(dfg, *args, **kwargs)
+
+    monkeypatch.setattr(placement, "_place_one", counted)
+    return calls
+
+
+def _saxpy_launch(n):
+    import numpy as np
+
+    mem = MemoryImage(4 * n + 64)
+    bx = mem.alloc_array("x", np.arange(float(n)))
+    by = mem.alloc_array("y", np.ones(n))
+    bo = mem.alloc("out", n)
+    return mem, {"a": 2.0, "x": bx, "y": by, "out": bo, "n": n}
+
+
+@pytest.mark.parametrize("n_threads, extra", [(1, 0), (64, 0), (65, 3)])
+def test_vgiw_places_only_replicas_that_run(place_calls, n_threads, extra):
+    """One 64-thread batch packet reaches replica 0 only; a 65th thread
+    reaches replica 1 of each of saxpy's three blocks."""
+    from repro.vgiw import VGIWCore
+
+    ck = compile_kernel(saxpy_kernel())
+    assert len(place_calls) == len(ck.blocks) == 3
+    assert all(cb.n_replicas >= 2 for cb in ck.blocks.values())
+    mem, params = _saxpy_launch(n_threads)
+    VGIWCore().run(ck, mem, params, n_threads)
+    assert len(place_calls) == 3 + extra
+    assert sorted(place_calls[3:]) == sorted(ck.blocks)[:extra]
+
+
+def test_sgmf_plans_only_replicas_that_run(place_calls, monkeypatch):
+    """Three threads dealt round-robin over eight replicas place and
+    plan three."""
+    from repro.sgmf import SGMFCore
+
+    kb = KernelBuilder("deal", params=["out"])
+    kb.store(kb.param("out") + kb.tid(), kb.i2f(kb.tid() * 2))
+    kernel = kb.build()
+    built = []
+    real = SGMFCore._build_plans
+
+    def counted(*args):
+        plans, waste = real(*args)
+        built.append(len(plans))
+        return plans, waste
+
+    monkeypatch.setattr(SGMFCore, "_build_plans", staticmethod(counted))
+    mem = MemoryImage(64)
+    out = mem.alloc("out", 3)
+    result = SGMFCore().run(kernel, mem, {"out": out}, 3)
+    assert result.n_replicas == 8
+    assert built == [3]
+    assert len(place_calls) == 3
+    assert list(mem.read_region("out")) == [0.0, 2.0, 4.0]
+
+
+def test_fuzz_chunk_places_only_what_runs(place_calls):
+    """A fuzz chunk's launches have 1-12 threads, so they reach few
+    replicas: 215 placements where placing every replica took 911."""
+    from repro.fuzz import CampaignConfig, run_campaign
+
+    run_campaign(CampaignConfig(seed=1000, count=20, jobs=1, reduce=False))
+    assert 0 < len(place_calls) <= 250
