@@ -15,6 +15,7 @@ model so the two architectures differ only where the designs differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.vgiw.mtcgrf import (
     Trail,
     _ReplicaState,
     build_exec_plan,
+    claim_issue,
     eval_rows,
     timing_walk,
     visit_sequentially,
@@ -172,9 +174,9 @@ class SGMFCore:
         n_running, slots = replica_deal(n_threads, n_replicas, 1)
         plans, waste_units = self._build_plans(mapping, params, config,
                                                n_running)
-        # Compiled timing-walk binders by source text, shared by the
+        # Compiled timing-walk code by source text, shared by the
         # replicas and equal blocks of this run.
-        timing_binders: Dict[str, Callable] = {}
+        timing_codes: Dict[str, CodeType] = {}
         depth = config.token_buffer_depth
         wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name, trace)
         wd.start(0.0)
@@ -222,11 +224,11 @@ class SGMFCore:
             if batch is None:
                 visit = self._thread_visits(
                     rep, i, memory, memsys, regs, defined, n_threads,
-                    timing_binders, faults,
+                    timing_codes, faults,
                 )
             else:
                 visit = self._replay(rep, walks[ridx], i, paths[i], memsys,
-                                     timing_binders)
+                                     timing_codes)
             completion = self._walk_thread(
                 kernel, plans[ridx], waste_units[ridx], rep, i, inject,
                 visit, fires, wd, snapshot, max_block_visits,
@@ -335,7 +337,7 @@ class SGMFCore:
 
     def _replay(self, rep: _ReplicaState, walks: Dict[ExecPlan, Callable],
                 tid: int, path: List, memsys: MemorySystem,
-                timing_binders: Dict[str, Callable]):
+                timing_codes: Dict[str, CodeType]):
         """The visit function of a batched thread: its recorded visits,
         timing only.  ``walks`` holds ``rep``'s entered walks by plan;
         a plan's walk is entered on the replica's first visit of it."""
@@ -348,7 +350,7 @@ class SGMFCore:
             walk = walks.get(plan)
             if walk is None:
                 walk = walks[plan] = timing_walk(
-                    plan, config, timing_binders, sgmf=True
+                    plan, config, timing_codes, sgmf=True
                 )(rep)
             completion, term_done = walk(
                 mem_access, tid, entry_time, j, rec, rr
@@ -361,7 +363,7 @@ class SGMFCore:
                        memory: MemoryImage, memsys: MemorySystem,
                        regs: Dict[str, np.ndarray],
                        defined: Dict[str, np.ndarray], n_threads: int,
-                       timing_binders: Dict[str, Callable],
+                       timing_codes: Dict[str, CodeType],
                        faults: Optional[FaultInjector]):
         """The visit function of a thread-major thread: each visit runs
         :func:`repro.vgiw.mtcgrf.visit_sequentially`, with the wires
@@ -385,7 +387,7 @@ class SGMFCore:
             rec = Trail()
             (completion, term_done), next_block = visit_sequentially(
                 plan, tid, memory, rec, [], lv_load, lv_store, faults,
-                config, timing_binders, True,
+                config, timing_codes, True,
                 lambda enter, *cyc: enter(rep)(mem_access, tid, entry_time,
                                                0, rec, rr, *cyc),
             )
@@ -462,7 +464,7 @@ class SGMFCore:
         # for unit slots around the thread's mid-execution — charging
         # them at injection time would let them backfill long-idle
         # cycles and understate the utilisation loss.
-        issue = rep.issue
+        un, uw = rep.unit_next, rep.unit_wait
         waste_time = inject + 0.5 * (completion - inject)
         for name, plan in plans.items():
             if name in visited:
@@ -474,7 +476,10 @@ class SGMFCore:
                 f[1] += 1
             # Occupies an issue slot but performs no memory access.
             for uid in waste_units[name]:
-                issue(uid, waste_time)
+                nf = un.get(uid)
+                if nf is None:
+                    nf = un[uid] = {}
+                claim_issue(nf, waste_time, uw, uid)
 
         return completion
 

@@ -37,7 +37,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from types import CodeType, FunctionType
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.arch.config import UnitKind, VGIWConfig, op_latency_for
 from repro.compiler.dfg import (
@@ -298,6 +299,7 @@ def build_exec_plan(
 
 
 _ceil = math.ceil  # one global lookup in the hottest call
+_heappush = heapq.heappush
 
 
 def claim_issue(nf: Dict[int, int], ready: float, uw: Dict[int, float],
@@ -310,8 +312,13 @@ def claim_issue(nf: Dict[int, int], ready: float, uw: Dict[int, float],
     traffic on the unit is added to ``uw[uid]``, the per-unit stall
     histogram the hang diagnostics report.  This is the one issue rule:
     every issuing row of a generated timing walk calls it once (as
-    ``iss``, :func:`compile_timing`), and so does
-    :meth:`_ReplicaState.issue`.
+    ``iss``, :func:`compile_timing`) or runs it in line (the memory
+    rows, :func:`word_row` and :func:`live_row`), and SGMF's waste pass
+    calls it for each predicated token.
+
+    The issue port doubles as the output port: one result per cycle
+    leaves the unit, and the switch replicates it to all consumers (the
+    fanout bound is enforced statically by split insertion).
     """
     q = _ceil(ready)
     if q in nf:
@@ -326,9 +333,9 @@ def wait_entry(out: List[float], ready: float, uw: Dict[int, float],
                uid: int) -> float:
     """Unit ``uid``'s reservation buffer ``out`` is full: the request
     waits until its oldest entry answers.  Returns the new ready time;
-    the wait is added to ``uw[uid]`` like an issue stall.  Generated
-    walks call it (as ``rbw``) behind their ``len(out) >= entries``
-    test."""
+    the wait is added to ``uw[uid]`` like an issue stall.  The memory
+    rows (:func:`word_row`, :func:`live_row`) call it behind their
+    ``len(out) >= entries`` test."""
     old = heapq.heappop(out)
     if old > ready:
         uw[uid] = uw.get(uid, 0.0) + (old - ready)
@@ -336,37 +343,116 @@ def wait_entry(out: List[float], ready: float, uw: Dict[int, float],
     return ready
 
 
+def word_row(out: List[float], ready: float, uw: Dict[int, float], uid: int,
+             nf: Dict[int, int], entries: int, access, addr: int,
+             is_write: bool) -> float:
+    """One LOAD or STORE row of a timing walk (``wrd``): wait for a
+    reservation-buffer entry of unit ``uid`` (:func:`wait_entry`),
+    claim its issue cycle (:func:`claim_issue`, with its free-slot fast
+    path in line), access word ``addr`` through ``access`` and hold the
+    entry until the answer.  Returns the answer's cycle."""
+    if len(out) >= entries:
+        ready = wait_entry(out, ready, uw, uid)
+    q = _ceil(ready)
+    if q in nf:
+        s = claim_slot(nf, q)
+        uw[uid] = uw.get(uid, 0.0) + (s - q)
+    else:
+        nf[q] = q + 1
+        s = q
+    done = access(float(s), addr, is_write)
+    _heappush(out, done)
+    return done
+
+
+def live_row(out: List[float], ready: float, uw: Dict[int, float], uid: int,
+             nf: Dict[int, int], entries: int, access, lv_id: int, tid: int,
+             is_write: bool) -> float:
+    """One VGIW live-value load or store row (``lvr``): as
+    :func:`word_row`, the access being the LVC request for ``(lv_id,
+    tid)`` on port ``uid``."""
+    if len(out) >= entries:
+        ready = wait_entry(out, ready, uw, uid)
+    q = _ceil(ready)
+    if q in nf:
+        s = claim_slot(nf, q)
+        uw[uid] = uw.get(uid, 0.0) + (s - q)
+    else:
+        nf[q] = q + 1
+        s = q
+    done = access(float(s), lv_id, tid, is_write, uid)
+    _heappush(out, done)
+    return done
+
+
+#: the globals of every compiled timing walk
+_WALK_GLOBALS = {"heappush": heapq.heappush, "heappop": heapq.heappop,
+                 "iss": claim_issue, "wrd": word_row, "lvr": live_row}
+
 #: serial number of each compiled timing walk: a unique code filename
 #: per ``compile()``, so profilers keep one entry per code object
 _timing_serial = itertools.count()
 
 
+def _walk_enter(code: CodeType, issue_units: Tuple[int, ...],
+                mem_units: Tuple[int, ...], scu_units: Tuple[int, ...],
+                scu_instances: int, consts: tuple):
+    """``enter(rep)`` for one plan: the walk ``code`` with ``rep``'s
+    state, then the plan's ``consts`` (unit IDs, hop counts), bound as
+    its argument defaults.  The state is looked up in this order:
+    the unit calendars in row order, the reservation buffers (a
+    replica's first entry creates them in unit-ID order, since hang
+    snapshots list them in insertion order; later entries find them
+    all), then the SCU pools."""
+    created = sorted(mem_units)
+
+    def enter(rep):
+        un = rep.unit_next
+        state = [rep.unit_wait]
+        state += [un.setdefault(u, {}) for u in issue_units]
+        if mem_units:
+            lo = rep.ldst_outstanding
+            if mem_units[0] not in lo:
+                for u in created:
+                    lo.setdefault(u, [])
+            state += [lo[u] for u in mem_units]
+        pools = rep.scu_pool
+        state += [pools.setdefault(u, [0.0] * scu_instances)
+                  for u in scu_units]
+        return FunctionType(code, _WALK_GLOBALS, "__timing",
+                            tuple(state) + consts)
+
+    return enter
+
+
 def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
-                   binders: Dict[str, Callable], sgmf: bool = False,
+                   codes: Dict[str, CodeType], sgmf: bool = False,
                    record: bool = False, stop: Optional[int] = None):
     """The straight-line timing walk for one plan, as ``enter(rep)``.
 
     The engines split each block visit into a functional pass
     (:func:`eval_rows`) and a per-thread timing walk; this compiles the
-    walk into one specialised Python function per block shape: rows
-    are unrolled, latencies are constant-folded and ``done`` times
-    live in locals.  Each issuing row is one call of
-    :func:`claim_issue` (``iss``); a full reservation buffer is one
-    call of :func:`wait_entry` (``rbw``); the SCU instance pools are
-    emitted in line.  An ALU, split/join or terminator row with at most
-    one input is one statement, ``d{n} = iss(...) + latency``.  Each
-    row's unit ID (``u{nid}``) and input hop counts (``h{nid}_{k}``)
-    are arguments of a generated binder, so the replicas of a block
-    (and equal blocks) share one source text: ``binders`` (one dict per
-    run) maps it to the compiled binder, and each further plan of that
-    shape costs one call of it.  Cycle counts are pinned by the
+    walk into one flat specialised Python function per block shape:
+    rows are unrolled, latencies are constant-folded and ``done`` times
+    live in locals.  An ALU, split/join or terminator row with at most
+    one input is one statement, ``d{n} = iss(...) + latency``, a call
+    of :func:`claim_issue`; the SCU instance pools are emitted in line.
+    A memory row is one call of :func:`word_row` (``wrd``) or, for a
+    VGIW live value, :func:`live_row` (``lvr``).  Everything the walk
+    reads besides its call arguments is an argument with a default:
+    the replica's state (``uw``, the calendars ``nf{nid}``, the
+    reservation buffers ``out{nid}``, the SCU pools ``pool{nid}``),
+    then each row's unit ID (``u{nid}``) and input hop counts
+    (``h{nid}_{k}``).  The replicas of a block (and equal blocks)
+    therefore share one source text: ``codes`` (one dict per run) maps
+    it to the compiled code object, and each further plan of that shape
+    costs no ``compile()``.  Cycle counts are pinned by the
     golden-cycle gate and the differential fuzzer.
 
-    The result is ``enter(rep)``: it binds the walk to one replica's
-    state once — its unit calendars, its reservation buffers (created
-    on the replica's first entry, in unit-ID order, since hang
-    snapshots list them in insertion order) and its SCU pools — and
-    returns the per-thread walk with that state in closure cells.
+    The result is ``enter(rep)`` (:func:`_walk_enter`): it looks up one
+    replica's state once and returns the per-thread walk, a function of
+    the shared code with that state and the plan's constants as its
+    defaults, all read as fast locals.
 
     VGIW flavour (``sgmf=False``)::
 
@@ -392,10 +478,8 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     """
     rows = plan.rows if stop is None else plan.rows[:stop]
     record = record or stop is not None
-    names = []  # bound arguments, in binder-argument order
-    values = []
     issue_rows = []  # (nid, unit ID)
-    mem_rows = []  # (unit ID, nid)
+    mem_rows = []  # (nid, unit ID)
     scu_rows = []
     for row in rows:
         tag = row[0]
@@ -404,35 +488,15 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         nid = row[1]
         issue_rows.append((nid, row[2]))
         if tag == T_SCU:
-            scu_rows.append(nid)
+            scu_rows.append((nid, row[2]))
         elif tag in (T_LOAD, T_STORE, T_LVLOAD, T_LVSTORE):
-            mem_rows.append((row[2], nid))
-
-    # The preamble of ``enter``: runs once per replica.
-    P = ["    uw, un = rep.unit_wait, rep.unit_next"]
-    if issue_rows:
-        for n, u in issue_rows:
-            names.append(f"u{n}")
-            values.append(u)
-        nfs = ", ".join(f"nf{n}" for n, _ in issue_rows)
-        units = ", ".join(f"u{n}" for n, _ in issue_rows)
-        comma = "," if len(issue_rows) == 1 else ""
-        P.append(f"    {nfs}{comma} = [un.setdefault(u, {{}})"
-                 f" for u in ({units}{comma})]")
-    if mem_rows:
-        # A replica's first entry of the block creates its reservation
-        # buffers, in unit-ID order (hang snapshots list them in
-        # insertion order); later entries find them all.
-        names.append("mu")
-        values.append(tuple(sorted(u for u, _ in mem_rows)))
-        P.append("    lo = rep.ldst_outstanding")
-        P.append(f"    if u{mem_rows[0][1]} not in lo:")
-        P.append("        for m in mu: lo.setdefault(m, [])")
-        for _, n in mem_rows:
-            P.append(f"    out{n} = lo[u{n}]")
-    for n in scu_rows:
-        P.append(f"    pool{n} = rep.scu_pool.setdefault"
-                 f"(u{n}, [0.0] * {scu_instances})")
+            mem_rows.append((nid, row[2]))
+    # Bound names in default order: replica state, then constants.
+    names = (["uw"] + [f"nf{n}" for n, _ in issue_rows]
+             + [f"out{n}" for n, _ in mem_rows]
+             + [f"pool{n}" for n, _ in scu_rows]
+             + [f"u{n}" for n, _ in issue_rows])
+    consts = [u for _, u in issue_rows]
 
     # The walk's body: runs once per thread.
     L = []
@@ -446,7 +510,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         exprs = []
         for k, (up, hop) in enumerate(row[3]):
             names.append(f"h{n}_{k}")
-            values.append(float(hop))
+            consts.append(float(hop))
             exprs.append(f"d{up} + h{n}_{k}")
         if not exprs:
             return "inject"
@@ -458,21 +522,12 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append("    if t > r: r = t")
         return "r"
 
-    def ready_var(row):
-        r = ready(row)
-        if r != "r":
-            L.append(f"    r = {r}")
-
-    def issue(n, r="r"):
+    def issue(n, r):
         return f"iss(nf{n}, {r}, uw, u{n})"
 
-    def mem_row(row, call):
-        n = row[1]
-        ready_var(row)
-        L.append(f"    if len(out{n}) >= {entries}:"
-                 f" r = rbw(out{n}, r, uw, u{n})")
-        L.append(f"    d{n} = {call}")
-        L.append(f"    heappush(out{n}, d{n})")
+    def mem_row(n, r, helper, access):
+        return (f"    d{n} = {helper}(out{n}, {r}, uw, u{n}, nf{n},"
+                f" {entries}, {access})")
 
     for ri, row in enumerate(rows):
         tag = row[0]
@@ -481,13 +536,13 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append(f"    d{nid} = inject")
         elif tag == T_OP or tag == T_SCU or tag == T_SJ or tag == T_TERM:
             lat = float(row[4]) if tag != T_TERM else 1.0
+            r = ready(row)
             if tag == T_SCU:
-                ready_var(row)
+                if r != "r":
+                    L.append(f"    r = {r}")
                 L.append(f"    e = heappop(pool{nid})")
                 L.append("    if e > r: r = e")
                 r = "r"
-            else:
-                r = ready(row)
             if record and (tag == T_OP or tag == T_SCU):
                 L.append(f"    s = {issue(nid, r)}")
                 L.append(f"    d{nid} = s + {lat!r}")
@@ -498,16 +553,16 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    heappush(pool{nid}, d{nid})")
         elif tag in (T_LOAD, T_STORE):
             rw = "True" if tag == T_STORE else "False"
-            mem_row(row, f"mem_access(float({issue(nid)}),"
-                         f" alists[{ri}][ti], {rw})")
+            L.append(mem_row(nid, ready(row), "wrd",
+                             f"mem_access, alists[{ri}][ti], {rw}"))
         elif tag == T_LVLOAD:
             if sgmf:
                 # Wired live value: a one-cycle hop from the producer.
                 L.append(f"    t = rr[{row[5].out_reg!r}] + 1")
                 L.append(f"    d{nid} = inject if inject >= t else t")
             else:
-                mem_row(row, f"lvc_access(float({issue(nid)}), {row[4]},"
-                             f" tid, False, port=u{nid})")
+                L.append(mem_row(nid, ready(row), "lvr",
+                                 f"lvc_access, {row[4]}, tid, False"))
                 if record:
                     L.append(f"    cyc[{nid}] = d{nid}")
         elif tag == T_LVSTORE:
@@ -515,8 +570,8 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    d{nid} = {ready(row)}")
                 L.append(f"    rr[{row[6].out_reg!r}] = d{nid}")
             else:
-                mem_row(row, f"lvc_access(float({issue(nid)}), {row[4]},"
-                             f" tid, True, port=u{nid})")
+                L.append(mem_row(nid, ready(row), "lvr",
+                                 f"lvc_access, {row[4]}, tid, True"))
 
     if stop is not None:
         L.append("    return None")
@@ -527,39 +582,37 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append(f"    if d{snk} > c: c = d{snk}")
         L.append(f"    return c, d{plan.term_nid}" if sgmf else "    return c")
     if sgmf:
-        head = "mem_access, tid, inject, ti, alists, rr"
+        head = ["mem_access", "tid", "inject", "ti", "alists", "rr"]
     else:
-        head = "mem_access, lvc_access, tid, inject, ti, alists"
+        head = ["mem_access", "lvc_access", "tid", "inject", "ti", "alists"]
     if record:
-        head += ", cyc"
-    source = "\n".join(
-        [f"def __bind({', '.join(names)}):",
-         "  def __enter(rep):"]
-        + P
-        + [f"    def __timing({head}):"]
-        + ["    " + line for line in L]
-        + ["    return __timing",
-           "  return __enter"]
-    )
-    bind = binders.get(source)
-    if bind is None:
-        ns = {"heappush": heapq.heappush, "heappop": heapq.heappop,
-              "iss": claim_issue, "rbw": wait_entry}
+        head.append("cyc")
+    source = "\n".join([f"def __timing({', '.join(head + names)}):"] + L)
+    code = codes.get(source)
+    if code is None:
+        ns = {}
         filename = f"<timing:{plan.block_name}#{next(_timing_serial)}>"
-        exec(compile(source, filename, "exec"), ns)
-        bind = binders[source] = ns["__bind"]
-    return bind(*values)
+        exec(compile(source, filename, "exec"), _WALK_GLOBALS, ns)
+        code = codes[source] = ns["__timing"].__code__
+    return _walk_enter(code, tuple(u for _, u in issue_rows),
+                       tuple(u for _, u in mem_rows),
+                       tuple(u for _, u in scu_rows), scu_instances,
+                       tuple(consts))
 
 
-def timing_walk(plan: ExecPlan, config, binders: Dict[str, Callable],
+def timing_walk(plan: ExecPlan, config, codes: Dict[str, CodeType],
                 sgmf: bool = False, record: bool = False):
-    """``plan``'s compiled ``enter(rep)`` (:func:`compile_timing`; the
-    recording flavour when ``record``), compiled on first use and kept
-    on the plan."""
+    """``plan``'s ``enter(rep)`` (:func:`compile_timing`; the recording
+    flavour when ``record``), built on first use and kept on the plan.
+    Its walk code comes from ``codes``, the run's code objects by source
+    text, so the plan compiles nothing when a replica or an equal block
+    compiled the same shape; each ``enter(rep)`` call returns the flat
+    walk with ``rep``'s state and the plan's constants bound as its
+    argument defaults."""
     fn = plan.record_fn if record else plan.timing_fn
     if fn is None:
         fn = compile_timing(plan, config.ldst_reservation_entries,
-                            config.scu_instances, binders, sgmf, record)
+                            config.scu_instances, codes, sgmf, record)
         if record:
             plan.record_fn = fn
         else:
@@ -570,7 +623,7 @@ def timing_walk(plan: ExecPlan, config, binders: Dict[str, Callable],
 def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
                        rec: Trail, stamps, lv_load, lv_store,
                        faults: Optional[FaultInjector], config,
-                       binders: Dict[str, Callable], sgmf: bool, call):
+                       codes: Dict[str, CodeType], sgmf: bool, call):
     """One thread's visit of one block in thread-major order: the
     functional rows at width 1 (:func:`eval_rows`, ``sequential``), then
     the thread's timing walk, run by ``call(enter, *cyc)`` as
@@ -588,15 +641,15 @@ def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
                             lv_load, lv_store, True, faults, stamps)
     except Exception:
         call(compile_timing(plan, config.ldst_reservation_entries,
-                            config.scu_instances, binders, sgmf,
+                            config.scu_instances, codes, sgmf,
                             stop=rec.stop), cyc)
         for entry, nid in stamps:
             entry.cycle = cyc[nid]
         raise
     if faults is None:
-        out = call(timing_walk(plan, config, binders, sgmf))
+        out = call(timing_walk(plan, config, codes, sgmf))
     else:
-        out = call(timing_walk(plan, config, binders, sgmf, True), cyc)
+        out = call(timing_walk(plan, config, codes, sgmf, True), cyc)
         for entry, nid in stamps:
             entry.cycle = cyc[nid]
     if isinstance(term, np.ndarray):
@@ -631,6 +684,10 @@ class _ReplicaState:
     late-processed thread's early tokens must be able to claim idle
     unit cycles that logically preceded already-recorded traffic —
     exactly what tagged-token hardware does.
+
+    A compiled timing walk holds the calendars, reservation buffers and
+    SCU pools its ``enter(rep)`` looked up (:func:`compile_timing`), so
+    none of them may be replaced while a walk is entered.
     """
 
     def __init__(self):
@@ -666,24 +723,6 @@ class _ReplicaState:
         ``inject``."""
         self.next_inject = inject + 1.0
         self.window.append(completion)
-
-    def issue(self, uid: int, ready: float) -> float:
-        """Claim the unit's first free issue cycle at or after ``ready``
-        (:func:`claim_issue`, the rule every generated walk calls).
-
-        The issue port doubles as the output port: one result per cycle
-        leaves the unit, and the switch replicates it to all consumers
-        (the fanout bound is enforced statically by split insertion).
-
-        SGMF's waste pass calls this; the compiled timing walks call
-        :func:`claim_issue` on the calendars their ``enter(rep)`` bound
-        from :attr:`unit_next`, so a unit's calendar dict must never be
-        replaced while a walk is entered.
-        """
-        nf = self.unit_next.get(uid)
-        if nf is None:
-            nf = self.unit_next[uid] = {}
-        return float(claim_issue(nf, ready, self.unit_wait, uid))
 
 
 class Trail(dict):
@@ -846,9 +885,9 @@ class MTCGRFExecutor:
         #: execution plans by (block, replica), built the first time a
         #: replica receives threads
         self._plans: Dict[Tuple[str, int], ExecPlan] = {}
-        #: compiled timing-walk binders by source text (one per block
+        #: compiled timing-walk code by source text (one per block
         #: shape; see :func:`compile_timing`)
-        self._timing_binders: Dict[str, Callable] = {}
+        self._timing_codes: Dict[str, CodeType] = {}
         #: functional live-value matrix: (lv_id, tid) -> value
         self.lv_values: Dict[Tuple[int, int], Number] = {}
         #: watchdog diagnostics: the block/replicas being streamed now
@@ -928,7 +967,7 @@ class MTCGRFExecutor:
             alists = batch["addrs"]
             nb = batch["next"]
             # Each running replica enters its walk once per vector.
-            walks = [timing_walk(plan, self.config, self._timing_binders)(rep)
+            walks = [timing_walk(plan, self.config, self._timing_codes)(rep)
                      for plan, rep in zip(plans, replicas)]
 
         for i, (tid, ridx) in enumerate(zip(thread_ids, slots)):
@@ -1091,7 +1130,7 @@ class MTCGRFExecutor:
         lvc_access = self.lvc.access
         return visit_sequentially(
             plan, tid, self.memory, rec, stamps, lv_load, lv_store, faults,
-            self.config, self._timing_binders, False,
+            self.config, self._timing_codes, False,
             lambda enter, *cyc: enter(rep)(mem_access, lvc_access, tid,
                                            inject, 0, rec, *cyc),
         )

@@ -1,7 +1,11 @@
 """Bounds on the generated timing-walk code: only replicas that receive
 threads get a plan and a walk, replicas of one block shape share one
-``compile()``, every compiled walk has its own code filename, and a
-walk is bound to its replica's state once, by ``enter(rep)``."""
+``compile()`` and one code object, every compiled walk has its own code
+filename, and ``enter(rep)`` binds a walk to its replica's state once,
+as argument defaults of one flat function, looking the state up in the
+order hang snapshots list it.  The emitted source is bounded per row
+(one statement per simple ALU row, one helper call per memory row) and
+in total."""
 
 import ast
 import collections
@@ -83,17 +87,26 @@ def test_replicas_of_one_block_share_one_compile(codegen):
     assert len(plans) == n_rep
     # One shape, one compile; each replica binds its own units and hops.
     assert [_block_of(f) for f in codegen["compiles"]].count(BODY) == 1
-    assert len({p.timing_fn.__code__ for p in plans}) == 1
-    # ``timing_fn`` is ``enter(rep)``; the walk it returns reads the
-    # replica's units and hops from closure cells.
+    # ``timing_fn`` is ``enter(rep)``; the walk it returns is one flat
+    # function that reads the replica's state, units and hops from its
+    # argument defaults.
     walks = [p.timing_fn(mtcgrf._ReplicaState()) for p in plans]
-    assert len({w.__code__ for w in walks}) == 1
-    bound = set(plans[0].timing_fn.__code__.co_freevars)
+    code = walks[0].__code__
+    for w in walks:
+        assert w.__code__ is code
+        assert w.__closure__ is None
+        assert w.__globals__ is walks[0].__globals__
+        assert w.__name__ == "__timing"
+        assert w.__kwdefaults__ is None
+    assert not code.co_freevars
+    assert not any(isinstance(c, type(code)) for c in code.co_consts)
+    params = code.co_varnames[:code.co_argcount]
+    bound = params[-len(walks[0].__defaults__):]
+    assert bound[0] == "uw"
     assert any(name.startswith("h") for name in bound)
     assert len({
-        tuple(cell.cell_contents
-              for name, cell in zip(w.__code__.co_freevars, w.__closure__)
-              if name in bound)
+        tuple(v for name, v in zip(bound, w.__defaults__)
+              if name.startswith(("u", "h")) and name != "uw")
         for w in walks
     }) == n_rep
 
@@ -112,12 +125,12 @@ def test_compiled_walks_have_distinct_filenames(codegen):
         mem, params = _saxpy(8)
         VGIWCore().run(saxpy_kernel(), mem, params, 8)
     body = [f for f in codegen["compiles"] if _block_of(f) == BODY]
-    assert len(body) == 2  # the binder dict lives for one run
+    assert len(body) == 2  # the code dict lives for one run
     assert len(set(body)) == 2
     assert all(f.startswith("<timing:") for f in body)
     plans = [p for p in codegen["plans"] if p.block_name == BODY]
-    assert ({p.timing_fn.__code__.co_filename for p in plans}
-            == set(body))
+    assert ({p.timing_fn(mtcgrf._ReplicaState()).__code__.co_filename
+             for p in plans} == set(body))
 
 
 # ----------------------------------------------------------------------
@@ -188,23 +201,49 @@ def test_wait_entry_matches_old_accounting(seed):
 
 
 def test_replica_issue_uses_the_walks_rule():
+    # Two threads visit only the entry block; each then pumps one
+    # predicated token through every unit of the blocks it never
+    # reached, at its mid-flight cycle, in plan order.
+    from types import SimpleNamespace
+
+    plans = {"entry": object(), "a": object(), "b": object()}
+    waste = {"entry": [1, 2], "a": [7, 3, 7], "b": [3, 9, 9]}
+    kernel = SimpleNamespace(entry="entry", name="k")
     rep = mtcgrf._ReplicaState()
-    assert [rep.issue(7, 2.5) for _ in range(3)] == [3.0, 4.0, 5.0]
-    assert set(rep.unit_next[7]) == {3, 4, 5}
-    assert rep.unit_wait == {7: 3.0}
+    fires = {}
+    for inject, done in ((4.0, 20.0), (5.0, 12.5)):
+        def visit(plan, entry_time, rr, done=done):
+            return done, done - 1.0, None
+
+        assert SGMFCore()._walk_thread(kernel, plans, waste, rep, 0,
+                                       inject, visit, fires, None, None,
+                                       10) == done
+    want_nf, want_uw = {}, {}
+    for waste_time in (12.0, 8.75):
+        for uid in (7, 3, 7, 3, 9, 9):
+            mtcgrf.claim_issue(want_nf.setdefault(uid, {}), waste_time,
+                               want_uw, uid)
+    assert rep.unit_next == want_nf
+    assert list(rep.unit_next) == [7, 3, 9]  # insertion order too
+    assert rep.unit_wait == want_uw
+    assert list(rep.unit_wait) == list(want_uw)
+    assert rep.unit_wait == {7: 2.0, 3: 2.0, 9: 2.0}
+    assert fires == {plans["entry"]: [2, 0], plans["a"]: [0, 2],
+                     plans["b"]: [0, 2]}
 
 
 def _walk_source(plan, sgmf=False):
-    binders = {}
-    mtcgrf.compile_timing(plan, 8, 2, binders, sgmf)
-    (source,) = binders
+    codes = {}
+    mtcgrf.compile_timing(plan, 8, 2, codes, sgmf)
+    (source,) = codes
     return source
 
 
 def _timing_body(source):
-    (bind,) = ast.parse(source).body
-    (enter,) = [f for f in bind.body if isinstance(f, ast.FunctionDef)]
-    (timing,) = [f for f in enter.body if isinstance(f, ast.FunctionDef)]
+    (timing,) = ast.parse(source).body
+    assert isinstance(timing, ast.FunctionDef)
+    assert not any(isinstance(x, (ast.FunctionDef, ast.Lambda))
+                   for x in ast.walk(timing) if x is not timing)
     return timing.body
 
 
@@ -284,12 +323,88 @@ def test_every_input_hop_is_at_least_one_cycle(table2_plans):
     assert min(hops) >= 1
 
 
-#: Bound on the total walk source over ``table2_plans``: 1 067 850 chars
-#: when each issue became one helper call (2 386 053 before), plus 3 %
-WALK_SOURCE_CHARS = 1_100_000
+#: Bound on the total walk source over ``table2_plans``: 583 673 chars
+#: since each walk is one flat function and each memory row one helper
+#: call (1 067 850 before; 2 386 053 before each issue became one helper
+#: call), plus 3 %
+WALK_SOURCE_CHARS = 601_000
 
 
 def test_emitted_walk_source_stays_small(table2_plans):
     total = sum(len(_walk_source(plan, sgmf))
                 for sgmf, plan in table2_plans)
     assert total <= WALK_SOURCE_CHARS
+
+
+
+def _issue_units(plan, sgmf=False):
+    return [row[2] for row in plan.rows
+            if row[0] != mtcgrf.T_INIT
+            and not (sgmf and row[0] in (mtcgrf.T_LVLOAD, mtcgrf.T_LVSTORE))]
+
+
+def _mem_units(plan, sgmf=False):
+    tags = (mtcgrf.T_LOAD, mtcgrf.T_STORE) + (
+        () if sgmf else (mtcgrf.T_LVLOAD, mtcgrf.T_LVSTORE))
+    return [row[2] for row in plan.rows if row[0] in tags]
+
+
+def test_first_enter_creates_state_in_snapshot_order(table2_plans):
+    # A replica's first entry looks its calendars up in row order and
+    # creates its reservation buffers in unit-ID order, then its SCU
+    # pools in row order: hang snapshots list them in insertion order.
+    telling = 0
+    for sgmf, plan in table2_plans:
+        issue, mem = _issue_units(plan, sgmf), _mem_units(plan, sgmf)
+        scu = [row[2] for row in plan.rows if row[0] == mtcgrf.T_SCU]
+        rep = mtcgrf._ReplicaState()
+        enter = mtcgrf.compile_timing(plan, 8, 2, {}, sgmf)
+        walk = enter(rep)
+        assert list(rep.unit_next) == list(dict.fromkeys(issue))
+        assert list(rep.ldst_outstanding) == sorted(set(mem))
+        assert list(rep.scu_pool) == list(dict.fromkeys(scu))
+        assert all(pool == [0.0, 0.0] for pool in rep.scu_pool.values())
+        # The walk holds the replica's containers themselves.
+        held = {id(x) for x in walk.__defaults__}
+        assert id(rep.unit_wait) in held
+        assert all(id(nf) in held for nf in rep.unit_next.values())
+        assert all(id(out) in held for out in rep.ldst_outstanding.values())
+        # A later entry creates nothing and rebinds the same objects.
+        before = (list(rep.unit_next), list(rep.ldst_outstanding),
+                  list(rep.scu_pool))
+        again = enter(rep)
+        assert before == (list(rep.unit_next), list(rep.ldst_outstanding),
+                          list(rep.scu_pool))
+        assert all(a is b for a, b in zip(walk.__defaults__,
+                                          again.__defaults__))
+        if len(set(mem)) > 1 and sorted(set(mem)) != list(
+                dict.fromkeys(mem)):
+            telling += 1
+    # Plans whose memory rows are not in unit-ID order tell the two
+    # orders apart.
+    assert telling > 20
+
+
+#: Bound on the walk source one in-process fuzz chunk (seed 1000, 20
+#: cases) compiles: 102 220 chars in 114 compiles since each walk is
+#: one flat function and each memory row one helper call (172 102 in
+#: the same compiles before)
+FUZZ_CHUNK_WALK_CHARS = 110_000
+
+
+def test_fuzz_chunk_walk_source_stays_small(monkeypatch):
+    from repro.fuzz.campaign import CampaignConfig, run_campaign
+
+    sources = []
+    real_compile = compile
+
+    def recording_compile(source, filename, mode):
+        sources.append(source)
+        return real_compile(source, filename, mode)
+
+    monkeypatch.setattr(mtcgrf, "compile", recording_compile, raising=False)
+    result = run_campaign(CampaignConfig(seed=1000, count=20, jobs=1,
+                                         reduce=False))
+    assert len(result.reports) == 20
+    assert len(sources) > 100
+    assert sum(map(len, sources)) <= FUZZ_CHUNK_WALK_CHARS
