@@ -45,6 +45,7 @@ class CacheStats:
 
     @property
     def accesses(self) -> int:
+        """Read and write requests, hits and misses."""
         return (
             self.read_hits + self.read_misses
             + self.write_hits + self.write_misses
@@ -52,10 +53,12 @@ class CacheStats:
 
     @property
     def misses(self) -> int:
+        """Read and write misses."""
         return self.read_misses + self.write_misses
 
     @property
     def hit_rate(self) -> float:
+        """Hits per request (0.0 before the first request)."""
         total = self.accesses
         return 1.0 - self.misses / total if total else 0.0
 
@@ -171,37 +174,42 @@ class Cache:
             start = t
         start = float(start)
 
-        entry = None
+        # A hit touches only the set: the MRU way first (consecutive
+        # words of one line), then a scan.
         ways = self._sets.get(set_idx)
-        if ways:
-            for e in ways:
-                if e[0] == tag:
-                    entry = e
+        if not ways:
+            return self._miss(start, line_addr, set_idx, tag, is_write)
+        entry = ways[-1]
+        if entry[0] != tag:
+            for entry in ways:
+                if entry[0] == tag:
+                    # Move to the MRU end (tags are unique within a set).
+                    ways.remove(entry)
+                    ways.append(entry)
                     break
-
-        if entry is not None:
-            if ways[-1] is not entry:
-                # Move to the MRU end (tags are unique within a set).
-                ways.remove(entry)
-                ways.append(entry)
-            if is_write:
-                self.stats.write_hits += 1
-                if self.write_back:
-                    entry[1] = True
-                elif self.next_level is not None:
-                    # Write-through: propagate, completion stays local.
-                    self.next_level.access(start, line_addr, True)
             else:
-                self.stats.read_hits += 1
-                # A "hit" on a line whose fill is still in flight must
-                # wait for the data to arrive (MSHR hit).
-                pending = self._mshr.get(line_addr)
-                if pending is not None and pending > start:
-                    self.stats.mshr_merges += 1
-                    return pending
+                return self._miss(start, line_addr, set_idx, tag, is_write)
+        if is_write:
+            self.stats.write_hits += 1
+            if self.write_back:
+                entry[1] = True
+            elif self.next_level is not None:
+                # Write-through: propagate, completion stays local.
+                self.next_level.access(start, line_addr, True)
             return start + self.hit_latency
+        self.stats.read_hits += 1
+        # A "hit" on a line whose fill is still in flight must wait for
+        # the data to arrive (MSHR hit).
+        pending = self._mshr.get(line_addr)
+        if pending is not None and pending > start:
+            self.stats.mshr_merges += 1
+            return pending
+        return start + self.hit_latency
 
-        # Miss paths -----------------------------------------------------
+    def _miss(self, start: float, line_addr: int, set_idx: int, tag: int,
+              is_write: bool) -> float:
+        """The miss paths of :meth:`access`, once the bank is claimed at
+        ``start``."""
         if self.tracer is not None:
             self.tracer.instant(
                 "miss", self._trace_cat, start, pid="mem", tid=self.name,
@@ -262,5 +270,6 @@ class Cache:
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:
+        """Whether ``line_addr`` is resident (no LRU or stats change)."""
         tag = line_addr // self.n_sets
         return self._lookup((line_addr ^ tag) % self.n_sets, tag) is not None

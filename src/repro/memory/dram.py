@@ -36,6 +36,7 @@ class DRAMStats:
 
     @property
     def accesses(self) -> int:
+        """Line reads and writes served."""
         return self.reads + self.writes
 
 

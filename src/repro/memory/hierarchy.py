@@ -4,9 +4,12 @@
 GDDR5 DRAM (paper §3.6 / Table 1).  The VGIW core additionally owns a
 ``LiveValueCache`` instance backed by the same L2 (paper §3.4).
 
-Word-granularity entry points convert word addresses to line addresses;
-the Fermi path instead uses :mod:`repro.memory.coalescer` and calls
-``access_line`` once per coalesced segment.
+The dataflow engines' LDST units reach the L1 one word at a time: their
+timing walks' memory-row helper (:func:`repro.vgiw.mtcgrf.word_row`)
+maps each word to its line and word-interleaved bank and calls the L1's
+:meth:`~repro.memory.cache.Cache.access` itself.  The Fermi path instead
+uses :mod:`repro.memory.coalescer` and calls ``access_line`` once per
+coalesced segment.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ class MemorySystem:
     """L1 + L2 + DRAM with configurable L1 write policy.
 
     ``faults`` (a :class:`repro.resilience.faults.FaultInjector`) hooks
-    the scalar and coalesced access paths: a ``mem_drop`` fault makes a
-    response complete ``drop_stall_cycles`` in the future — the timing
+    the scalar (``l1-word``, in the dataflow engines' word-row helper)
+    and coalesced (``l1-line``) access paths: a ``mem_drop`` fault makes
+    a response complete ``drop_stall_cycles`` in the future — the timing
     shape of a response that never returns, which the forward-progress
     watchdog then catches as a hang.
     """
@@ -67,28 +71,6 @@ class MemorySystem:
             write_validate=l1_write_back,
             tracer=tracer,
         )
-        self._l1_line_words = config.l1_line_bytes // WORD_BYTES
-        self._l1_access = self.l1.access
-
-    # -- scalar (VGIW/SGMF LDST units) ---------------------------------
-    def access_word(self, time: float, word_addr: int, is_write: bool) -> float:
-        """One scalar word access through the L1.
-
-        Banks are word-interleaved for scalar clients so that the 32
-        banks serve 32 consecutive words of a line concurrently.
-        """
-        # repro.memory.coalescer.line_address_of_word, with the per-line
-        # word count hoisted — this is the hottest entry point of both
-        # dataflow simulators.
-        word_addr = int(word_addr)
-        line = word_addr // self._l1_line_words
-        bank = word_addr % self.config.l1_banks
-        done = self._l1_access(time, line, is_write, bank)
-        if self.faults is not None and self.faults.drop_response(
-            "l1-word", word_addr, time
-        ):
-            return done + self.faults.drop_stall_cycles
-        return done
 
     # -- coalesced (Fermi LDST pipeline) --------------------------------
     def access_line(self, time: float, line_addr: int, is_write: bool) -> float:
@@ -102,10 +84,12 @@ class MemorySystem:
 
     @property
     def l1_stats(self) -> CacheStats:
+        """The L1's counters."""
         return self.l1.stats
 
     @property
     def l2_stats(self) -> CacheStats:
+        """The L2's counters (L1 and LVC misses and write-backs)."""
         return self.l2.stats
 
 
@@ -155,6 +139,7 @@ class LiveValueCache:
         )
         self._cache_access = self.cache.access
         self.line_bytes = line_bytes
+        self._banks = banks
         self.max_threads = max_threads
         #: word-granularity requests from the LVUs
         self.reads = 0
@@ -163,10 +148,6 @@ class LiveValueCache:
         self.buffered = 0
         #: LVU port -> [current line, line ready time, dirty]
         self._ports: dict = {}
-
-    def _line_addr(self, lv_id: int, tid: int) -> int:
-        word = lv_id * self.max_threads + tid
-        return self.ADDRESS_SPACE_BASE + word * WORD_BYTES // self.line_bytes
 
     def access(self, time: float, lv_id: int, tid: int, is_write: bool,
                port=None) -> float:
@@ -182,23 +163,22 @@ class LiveValueCache:
             self.writes += 1
         else:
             self.reads += 1
-        line = self._line_addr(lv_id, tid)
+        word = lv_id * self.max_threads + tid
+        line = self.ADDRESS_SPACE_BASE + word * WORD_BYTES // self.line_bytes
         if port is not None:
             cur = self._ports.get(port)
             if cur is not None and cur[0] == line:
                 self.buffered += 1
                 if is_write:
                     cur[2] = True
-                return max(time, cur[1]) + 1.0
-        word = lv_id * self.max_threads + tid
-        bank = word % self.cache.banks
-        done = self._cache_access(time, line, is_write, bank)
+                ready = cur[1]
+                return (time if time > ready else ready) + 1.0
+        done = self._cache_access(time, line, is_write, word % self._banks)
         if port is not None:
             cur = self._ports.get(port)
             if cur is not None and cur[2] and cur[0] != line:
                 # Flush the previous dirty line buffer to its bank.
-                self._cache_access(time, cur[0], True,
-                                   cur[0] % self.cache.banks)
+                self._cache_access(time, cur[0], True, cur[0] % self._banks)
             self._ports[port] = [line, done, is_write]
         return done
 
@@ -214,4 +194,5 @@ class LiveValueCache:
 
     @property
     def stats(self) -> CacheStats:
+        """The LVC banks' counters (line-buffer hits excluded)."""
         return self.cache.stats

@@ -83,18 +83,22 @@ class MemoryImage:
         return addr
 
     def read(self, addr: int) -> float:
+        """The word at ``addr`` (bounds-checked)."""
         return float(self.data[self._check(addr)])
 
     def write(self, addr: int, value: Number) -> None:
+        """Store ``value`` as a double at ``addr`` (bounds-checked)."""
         self.data[self._check(addr)] = float(value)
 
     def read_block(self, base: int, n: int) -> np.ndarray:
+        """A copy of the ``n`` words from ``base`` (bounds-checked)."""
         self._check(base)
         if n:
             self._check(base + n - 1)
         return self.data[base : base + n].copy()
 
     def write_block(self, base: int, values: Sequence[Number]) -> None:
+        """Store ``values`` from ``base`` on, as doubles (bounds-checked)."""
         values = np.asarray(values, dtype=np.float64)
         self._check(base)
         if len(values):
@@ -102,6 +106,7 @@ class MemoryImage:
         self.data[base : base + len(values)] = values
 
     def read_region(self, name: str) -> np.ndarray:
+        """A copy of the named region's words."""
         r = self._regions[name]
         return self.data[r.start : r.stop].copy()
 

@@ -14,6 +14,7 @@ model so the two architectures differ only where the designs differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Union
@@ -48,6 +49,7 @@ from repro.vgiw.mtcgrf import (
     eval_rows,
     timing_walk,
     visit_sequentially,
+    word_row,
 )
 
 Number = Union[int, float, bool]
@@ -160,6 +162,8 @@ class SGMFCore:
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
             tracer=trace,
         )
+        # The walks' LOAD/STORE row helper, bound to this run's hierarchy.
+        wrd = word_row(memsys)
         # Block visits and waste passes per plan, in first-seen order,
         # folded into the run's FabricStats once at the end.
         fires: Dict[ExecPlan, List[int]] = {}
@@ -223,11 +227,11 @@ class SGMFCore:
             inject = rep.admit(depth)
             if batch is None:
                 visit = self._thread_visits(
-                    rep, i, memory, memsys, regs, defined, n_threads,
+                    rep, i, memory, wrd, regs, defined, n_threads,
                     timing_codes, faults,
                 )
             else:
-                visit = self._replay(rep, walks[ridx], i, paths[i], memsys,
+                visit = self._replay(rep, walks[ridx], i, paths[i], wrd,
                                      timing_codes)
             completion = self._walk_thread(
                 kernel, plans[ridx], waste_units[ridx], rep, i, inject,
@@ -336,13 +340,14 @@ class SGMFCore:
         return None if log is None else (paths, log.by_thread(n_threads))
 
     def _replay(self, rep: _ReplicaState, walks: Dict[ExecPlan, Callable],
-                tid: int, path: List, memsys: MemorySystem,
+                tid: int, path: List, wrd: Callable,
                 timing_codes: Dict[str, CodeType]):
         """The visit function of a batched thread: its recorded visits,
-        timing only.  ``walks`` holds ``rep``'s entered walks by plan;
-        a plan's walk is entered on the replica's first visit of it."""
+        timing only, memory rows through the run's ``wrd``
+        (:func:`repro.vgiw.mtcgrf.word_row`).  ``walks`` holds ``rep``'s
+        entered walks by plan; a plan's walk is entered on the
+        replica's first visit of it."""
         config = self.config
-        mem_access = memsys.access_word
         steps = iter(path)
 
         def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
@@ -352,15 +357,13 @@ class SGMFCore:
                 walk = walks[plan] = timing_walk(
                     plan, config, timing_codes, sgmf=True
                 )(rep)
-            completion, term_done = walk(
-                mem_access, tid, entry_time, j, rec, rr
-            )
+            completion, term_done = walk(wrd, tid, entry_time, j, rec, rr)
             return completion, term_done, next_block
 
         return visit
 
     def _thread_visits(self, rep: _ReplicaState, tid: int,
-                       memory: MemoryImage, memsys: MemorySystem,
+                       memory: MemoryImage, wrd: Callable,
                        regs: Dict[str, np.ndarray],
                        defined: Dict[str, np.ndarray], n_threads: int,
                        timing_codes: Dict[str, CodeType],
@@ -370,7 +373,6 @@ class SGMFCore:
         kept in the per-register thread arrays (a wire the thread never
         wrote raises the ``KeyError`` of a per-thread register map)."""
         config = self.config
-        mem_access = memsys.access_word
         wave = np.array([tid], np.int64)
 
         def lv_load(row):
@@ -388,8 +390,8 @@ class SGMFCore:
             (completion, term_done), next_block = visit_sequentially(
                 plan, tid, memory, rec, [], lv_load, lv_store, faults,
                 config, timing_codes, True,
-                lambda enter, *cyc: enter(rep)(mem_access, tid, entry_time,
-                                               0, rec, rr, *cyc),
+                lambda enter, *cyc: enter(rep)(wrd, tid, entry_time, 0, rec,
+                                               rr, *cyc),
             )
             return completion, term_done, next_block
 
@@ -464,8 +466,10 @@ class SGMFCore:
         # for unit slots around the thread's mid-execution — charging
         # them at injection time would let them backfill long-idle
         # cycles and understate the utilisation loss.
+        # One issue cycle per thread: a free one is taken in line, a
+        # taken one goes to ``claim_issue`` (the walks' rule).
         un, uw = rep.unit_next, rep.unit_wait
-        waste_time = inject + 0.5 * (completion - inject)
+        q = math.ceil(inject + 0.5 * (completion - inject))
         for name, plan in plans.items():
             if name in visited:
                 continue
@@ -479,7 +483,10 @@ class SGMFCore:
                 nf = un.get(uid)
                 if nf is None:
                     nf = un[uid] = {}
-                claim_issue(nf, waste_time, uw, uid)
+                if q in nf:
+                    claim_issue(nf, q, uw, uid)
+                else:
+                    nf[q] = q + 1
 
         return completion
 

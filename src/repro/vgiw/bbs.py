@@ -51,7 +51,9 @@ def terminator_batches(outcomes, word_bits: int = BATCH_BITS,
 
     The CVU keeps ``open_per_target`` batch registers per destination
     block (paper §3.5: two, to tolerate out-of-order completion).
-    Threads arrive in completion order; a thread whose ID falls outside
+    Threads arrive in completion order, ties in thread-ID order (the
+    native order of :class:`~repro.vgiw.mtcgrf.ThreadOutcome`); a
+    thread whose ID falls outside
     every open batch of its target flushes the oldest (possibly partial)
     batch to the BBS.  Returns ``[(target, base, bitmap), ...]`` in
     emission order — one CVT write each.
@@ -59,7 +61,7 @@ def terminator_batches(outcomes, word_bits: int = BATCH_BITS,
     packets: List[Tuple[str, int, int]] = []
     # target -> ordered list of [base, bitmap] (front = oldest)
     open_batches: dict = {}
-    for oc in sorted(outcomes, key=lambda o: (o.completion, o.tid)):
+    for oc in sorted(outcomes):
         if oc.next_block is None:
             continue
         local = oc.tid - tid_offset

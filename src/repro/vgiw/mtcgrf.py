@@ -38,7 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.arch.config import UnitKind, VGIWConfig, op_latency_for
 from repro.compiler.dfg import (
@@ -65,7 +65,7 @@ from repro.ir.vecops import (
 )
 from repro.memory.calendar import claim_slot
 from repro.memory.hierarchy import LiveValueCache, MemorySystem
-from repro.memory.image import MemoryImage
+from repro.memory.image import WORD_BYTES, MemoryImage
 from repro.resilience.errors import SimulationError
 from repro.resilience.faults import FaultInjector
 from repro.resilience.watchdog import (
@@ -129,13 +129,16 @@ class FabricStats:
         return out
 
 
-@dataclass
-class ThreadOutcome:
-    """Result of streaming one thread through a block."""
+class ThreadOutcome(NamedTuple):
+    """Result of streaming one thread through a block.
 
+    Fields run in the terminator CVU's arrival order, so outcomes sort
+    natively by completion, then thread ID (unique within a block
+    visit, so the sort never compares successors)."""
+
+    completion: float
     tid: int
     next_block: Optional[str]
-    completion: float
     replica: int = 0  # which replica's terminator CVU produced this
 
 
@@ -300,6 +303,7 @@ def build_exec_plan(
 
 _ceil = math.ceil  # one global lookup in the hottest call
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 def claim_issue(nf: Dict[int, int], ready: float, uw: Dict[int, float],
@@ -329,65 +333,89 @@ def claim_issue(nf: Dict[int, int], ready: float, uw: Dict[int, float],
     return q
 
 
-def wait_entry(out: List[float], ready: float, uw: Dict[int, float],
-               uid: int) -> float:
-    """Unit ``uid``'s reservation buffer ``out`` is full: the request
-    waits until its oldest entry answers.  Returns the new ready time;
-    the wait is added to ``uw[uid]`` like an issue stall.  The memory
-    rows (:func:`word_row`, :func:`live_row`) call it behind their
-    ``len(out) >= entries`` test."""
-    old = heapq.heappop(out)
-    if old > ready:
-        uw[uid] = uw.get(uid, 0.0) + (old - ready)
-        return old
-    return ready
+def word_row(memsys: MemorySystem):
+    """The LOAD/STORE row helper of one run's timing walks (``wrd``),
+    bound to ``memsys``.
+
+    ``wrd(out, ready, uw, uid, nf, entries, addr, is_write)`` times one
+    scalar access of word ``addr`` by LDST unit ``uid`` and returns the
+    answer's cycle.  When the unit's reservation buffer ``out`` holds
+    ``entries`` requests, the request first waits for the oldest to
+    answer (the wait is added to ``uw[uid]`` like an issue stall).  It
+    then claims its issue cycle in the calendar ``nf``
+    (:func:`claim_issue`, with the free-slot fast path in line), maps
+    the word to its L1 line and word-interleaved bank (the 32 banks
+    serve 32 consecutive words of a line concurrently, paper §3.6),
+    accesses the L1 and holds the entry until the answer.  With faults
+    armed, the ``l1-word`` ``mem_drop`` hook runs after the access.
+    An L1 hit costs two Python frames: this one and
+    :meth:`~repro.memory.cache.Cache.access`.
+    """
+    l1_access = memsys.l1.access
+    line_words = memsys.l1.line_bytes // WORD_BYTES
+    banks = memsys.l1.banks
+    faults = memsys.faults
+
+    def wrd(out, ready, uw, uid, nf, entries, addr, is_write):
+        # The reservation-buffer wait and the issue claim: the same
+        # lines open ``lvr`` (:func:`live_row`).
+        if len(out) >= entries:
+            old = _heappop(out)
+            if old > ready:
+                uw[uid] = uw.get(uid, 0.0) + (old - ready)
+                ready = old
+        q = _ceil(ready)
+        if q in nf:
+            s = claim_slot(nf, q)
+            uw[uid] = uw.get(uid, 0.0) + (s - q)
+        else:
+            nf[q] = q + 1
+            s = q
+        t = float(s)
+        done = l1_access(t, addr // line_words, is_write, addr % banks)
+        if faults is not None and faults.drop_response("l1-word", addr, t):
+            done += faults.drop_stall_cycles
+        _heappush(out, done)
+        return done
+
+    return wrd
 
 
-def word_row(out: List[float], ready: float, uw: Dict[int, float], uid: int,
-             nf: Dict[int, int], entries: int, access, addr: int,
-             is_write: bool) -> float:
-    """One LOAD or STORE row of a timing walk (``wrd``): wait for a
-    reservation-buffer entry of unit ``uid`` (:func:`wait_entry`),
-    claim its issue cycle (:func:`claim_issue`, with its free-slot fast
-    path in line), access word ``addr`` through ``access`` and hold the
-    entry until the answer.  Returns the answer's cycle."""
-    if len(out) >= entries:
-        ready = wait_entry(out, ready, uw, uid)
-    q = _ceil(ready)
-    if q in nf:
-        s = claim_slot(nf, q)
-        uw[uid] = uw.get(uid, 0.0) + (s - q)
-    else:
-        nf[q] = q + 1
-        s = q
-    done = access(float(s), addr, is_write)
-    _heappush(out, done)
-    return done
+def live_row(lvc: LiveValueCache):
+    """The VGIW live-value load and store row helper of one run's timing
+    walks (``lvr``), bound to ``lvc``.
 
+    ``lvr(out, ready, uw, uid, nf, entries, lv_id, tid, is_write)`` is
+    :func:`word_row`'s rule with the access being the LVC request for
+    ``(lv_id, tid)`` on port ``uid``
+    (:meth:`~repro.memory.hierarchy.LiveValueCache.access`).  A
+    line-buffer hit costs two Python frames: this one and the LVC's.
+    """
+    lvc_access = lvc.access
 
-def live_row(out: List[float], ready: float, uw: Dict[int, float], uid: int,
-             nf: Dict[int, int], entries: int, access, lv_id: int, tid: int,
-             is_write: bool) -> float:
-    """One VGIW live-value load or store row (``lvr``): as
-    :func:`word_row`, the access being the LVC request for ``(lv_id,
-    tid)`` on port ``uid``."""
-    if len(out) >= entries:
-        ready = wait_entry(out, ready, uw, uid)
-    q = _ceil(ready)
-    if q in nf:
-        s = claim_slot(nf, q)
-        uw[uid] = uw.get(uid, 0.0) + (s - q)
-    else:
-        nf[q] = q + 1
-        s = q
-    done = access(float(s), lv_id, tid, is_write, uid)
-    _heappush(out, done)
-    return done
+    def lvr(out, ready, uw, uid, nf, entries, lv_id, tid, is_write):
+        if len(out) >= entries:
+            old = _heappop(out)
+            if old > ready:
+                uw[uid] = uw.get(uid, 0.0) + (old - ready)
+                ready = old
+        q = _ceil(ready)
+        if q in nf:
+            s = claim_slot(nf, q)
+            uw[uid] = uw.get(uid, 0.0) + (s - q)
+        else:
+            nf[q] = q + 1
+            s = q
+        done = lvc_access(float(s), lv_id, tid, is_write, uid)
+        _heappush(out, done)
+        return done
+
+    return lvr
 
 
 #: the globals of every compiled timing walk
 _WALK_GLOBALS = {"heappush": heapq.heappush, "heappop": heapq.heappop,
-                 "iss": claim_issue, "wrd": word_row, "lvr": live_row}
+                 "iss": claim_issue}
 
 #: serial number of each compiled timing walk: a unique code filename
 #: per ``compile()``, so profilers keep one entry per code object
@@ -437,9 +465,12 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     live in locals.  An ALU, split/join or terminator row with at most
     one input is one statement, ``d{n} = iss(...) + latency``, a call
     of :func:`claim_issue`; the SCU instance pools are emitted in line.
-    A memory row is one call of :func:`word_row` (``wrd``) or, for a
-    VGIW live value, :func:`live_row` (``lvr``).  Everything the walk
-    reads besides its call arguments is an argument with a default:
+    A memory row is one call of the run's row helper, a call argument:
+    ``wrd`` (:func:`word_row`, bound to the memory system) or, for a
+    VGIW live value, ``lvr`` (:func:`live_row`, bound to the LVC), so an
+    L1 hit or a line-buffer hit costs the row two Python frames, the
+    helper's and the cache's.  Everything the walk reads besides its
+    call arguments is an argument with a default:
     the replica's state (``uw``, the calendars ``nf{nid}``, the
     reservation buffers ``out{nid}``, the SCU pools ``pool{nid}``),
     then each row's unit ID (``u{nid}``) and input hop counts
@@ -456,12 +487,11 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
 
     VGIW flavour (``sgmf=False``)::
 
-        enter(rep)(mem_access, lvc_access, tid, inject, ti, alists)
-            -> completion
+        enter(rep)(wrd, lvr, tid, inject, ti, alists) -> completion
 
     SGMF flavour (``sgmf=True`` — wired live values, no LVC)::
 
-        enter(rep)(mem_access, tid, inject, ti, alists, rr)
+        enter(rep)(wrd, tid, inject, ti, alists, rr)
             -> (completion, term_done)
 
     ``inject`` is the thread's injection (VGIW) or block entry (SGMF)
@@ -554,7 +584,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
         elif tag in (T_LOAD, T_STORE):
             rw = "True" if tag == T_STORE else "False"
             L.append(mem_row(nid, ready(row), "wrd",
-                             f"mem_access, alists[{ri}][ti], {rw}"))
+                             f"alists[{ri}][ti], {rw}"))
         elif tag == T_LVLOAD:
             if sgmf:
                 # Wired live value: a one-cycle hop from the producer.
@@ -562,7 +592,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    d{nid} = inject if inject >= t else t")
             else:
                 L.append(mem_row(nid, ready(row), "lvr",
-                                 f"lvc_access, {row[4]}, tid, False"))
+                                 f"{row[4]}, tid, False"))
                 if record:
                     L.append(f"    cyc[{nid}] = d{nid}")
         elif tag == T_LVSTORE:
@@ -571,7 +601,7 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
                 L.append(f"    rr[{row[6].out_reg!r}] = d{nid}")
             else:
                 L.append(mem_row(nid, ready(row), "lvr",
-                                 f"lvc_access, {row[4]}, tid, True"))
+                                 f"{row[4]}, tid, True"))
 
     if stop is not None:
         L.append("    return None")
@@ -582,9 +612,9 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
             L.append(f"    if d{snk} > c: c = d{snk}")
         L.append(f"    return c, d{plan.term_nid}" if sgmf else "    return c")
     if sgmf:
-        head = ["mem_access", "tid", "inject", "ti", "alists", "rr"]
+        head = ["wrd", "tid", "inject", "ti", "alists", "rr"]
     else:
-        head = ["mem_access", "lvc_access", "tid", "inject", "ti", "alists"]
+        head = ["wrd", "lvr", "tid", "inject", "ti", "alists"]
     if record:
         head.append("cyc")
     source = "\n".join([f"def __timing({', '.join(head + names)}):"] + L)
@@ -888,6 +918,9 @@ class MTCGRFExecutor:
         #: compiled timing-walk code by source text (one per block
         #: shape; see :func:`compile_timing`)
         self._timing_codes: Dict[str, CodeType] = {}
+        #: the walks' memory-row helpers, bound to this run's hierarchy
+        self._wrd = word_row(memsys)
+        self._lvr = live_row(lvc)
         #: functional live-value matrix: (lv_id, tid) -> value
         self.lv_values: Dict[Tuple[int, int], Number] = {}
         #: watchdog diagnostics: the block/replicas being streamed now
@@ -961,32 +994,42 @@ class MTCGRFExecutor:
         batch = None
         if self.faults is None:
             batch = self._functional_batch(plans[0], thread_ids)
+        n_thr = len(thread_ids)
         if batch is not None:
-            mem_access = self.memsys.access_word
-            lvc_access = self.lvc.access
+            wrd, lvr = self._wrd, self._lvr
             alists = batch["addrs"]
             nb = batch["next"]
+            if not isinstance(nb, list):
+                nb = [nb] * n_thr
             # Each running replica enters its walk once per vector.
             walks = [timing_walk(plan, self.config, self._timing_codes)(rep)
                      for plan, rep in zip(plans, replicas)]
 
-        for i, (tid, ridx) in enumerate(zip(thread_ids, slots)):
+        # One replica per packet: its state, plan and walk are looked up
+        # once per packet, its hops added once.
+        for lo in range(0, n_thr, BATCH_BITS):
+            hi = min(lo + BATCH_BITS, n_thr)
+            ridx = slots[lo]
             rep = replicas[ridx]
             plan = plans[ridx]
-            inject = rep.admit(depth)
-            if batch is None:
-                completion, next_block = self._thread_visit(
-                    plan, rep, tid, inject
-                )
-            else:
-                completion = walks[ridx](
-                    mem_access, lvc_access, tid, inject, i, alists
-                )
-                next_block = nb[i] if isinstance(nb, list) else nb
-            outcomes.append(ThreadOutcome(tid, next_block, completion, ridx))
-            hop_total += plan.total_hops
-            rep.retire(inject, completion)
-            end_time = max(end_time, completion)
+            admit, retire = rep.admit, rep.retire
+            walk = None if batch is None else walks[ridx]
+            for i in range(lo, hi):
+                tid = thread_ids[i]
+                inject = admit(depth)
+                if walk is None:
+                    completion, next_block = self._thread_visit(
+                        plan, rep, tid, inject
+                    )
+                else:
+                    completion = walk(wrd, lvr, tid, inject, i, alists)
+                    next_block = nb[i]
+                outcomes.append(
+                    ThreadOutcome(completion, tid, next_block, ridx))
+                retire(inject, completion)
+                if completion > end_time:
+                    end_time = completion
+            hop_total += plan.total_hops * (hi - lo)
 
         if batch is not None:
             self._commit_batch(batch, thread_ids)
@@ -994,7 +1037,6 @@ class MTCGRFExecutor:
         # Per-thread event counts are static per block, so the stats
         # are accumulated batch-wise (O(1) per vector, not O(nodes) per
         # thread).  The totals are identical to per-node counting.
-        n_thr = len(thread_ids)
         stats = self.stats
         stats.threads += n_thr
         stats.node_fires += plans[0].n_nodes * n_thr
@@ -1126,11 +1168,10 @@ class MTCGRFExecutor:
                 v.tolist()[0] if isinstance(v, np.ndarray) else v
             )
 
-        mem_access = self.memsys.access_word
-        lvc_access = self.lvc.access
+        wrd, lvr = self._wrd, self._lvr
         return visit_sequentially(
             plan, tid, self.memory, rec, stamps, lv_load, lv_store, faults,
             self.config, self._timing_codes, False,
-            lambda enter, *cyc: enter(rep)(mem_access, lvc_access, tid,
-                                           inject, 0, rec, *cyc),
+            lambda enter, *cyc: enter(rep)(wrd, lvr, tid, inject, 0, rec,
+                                           *cyc),
         )

@@ -127,9 +127,15 @@ def test_dram_channels_run_in_parallel():
 
 
 def test_memory_system_word_access():
+    # The dataflow engines' LDST rows reach the L1 a word at a time,
+    # through their timing walks' row helper.
+    from repro.vgiw.mtcgrf import word_row
+
     ms = MemorySystem(MemoryConfig(), l1_write_back=True)
-    t1 = ms.access_word(0.0, 0, False)
-    t2 = ms.access_word(t1, 1, False)  # same 128B line -> L1 hit
+    wrd = word_row(ms)
+    out, nf, uw = [], {}, {}
+    t1 = wrd(out, 0.0, uw, 0, nf, 8, 0, False)
+    t2 = wrd(out, t1, uw, 0, nf, 8, 1, False)  # same 128B line -> L1 hit
     assert ms.l1_stats.read_hits == 1
     assert t2 - t1 == ms.config.l1_hit_latency
 
@@ -156,10 +162,10 @@ def test_lvc_counts_accesses_and_uses_l2():
     assert lvc.reads == 1
     # Neighbouring threads share an LVC line: the read hits.
     assert lvc.stats.read_hits == 1
-    # Distinct live values map to distinct lines.
-    a = lvc._line_addr(0, 0)
-    b = lvc._line_addr(1, 0)
-    assert a != b
+    # Distinct live values map to distinct lines: the first read of
+    # another live value misses.
+    lvc.access(t2, lv_id=1, tid=0, is_write=False)
+    assert lvc.stats.read_misses == 1
 
 
 def test_cache_geometry_validation():

@@ -72,3 +72,13 @@ def test_no_thread_lost_under_any_interleaving():
     got = _unpack(packets)
     want = sorted(("x" if t % 3 else "y", t) for t in tids)
     assert got == want
+
+
+def test_equal_completions_emit_in_thread_order():
+    # Outcomes sort natively by (completion, tid): three threads that
+    # complete together in three words arrive in ascending ID order, so
+    # the third arrival flushes word 0, not word 128.
+    outcomes = [_oc(130, "n", 1.0), _oc(65, "n", 1.0), _oc(0, "n", 1.0)]
+    assert terminator_batches(outcomes) == [
+        ("n", 0, 1 << 0), ("n", 64, 1 << 1), ("n", 128, 1 << 2),
+    ]

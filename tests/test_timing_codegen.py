@@ -12,6 +12,7 @@ import collections
 import heapq
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -183,21 +184,94 @@ def test_claim_issue_matches_claim_slot_and_old_accounting(seed):
     assert contended > 300 and free > 300
 
 
+def _row_helpers():
+    """Both memory-row helpers, bound to a fresh hierarchy with an LVC."""
+    from repro.arch import MemoryConfig
+    from repro.memory import LiveValueCache, MemorySystem
+
+    ms = MemorySystem(MemoryConfig(), l1_write_back=True)
+    lvc = LiveValueCache(size_bytes=64 * 1024, line_bytes=64, ways=4,
+                         banks=16, hit_latency=4, l2=ms.l2)
+    return ms, lvc, mtcgrf.word_row(ms), mtcgrf.live_row(lvc)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_wait_entry_matches_old_accounting(seed):
+    # Both memory-row helpers wait for the oldest reservation-buffer
+    # entry when the buffer is full, then claim the issue cycle, as the
+    # walks once did in line, before their access.
     rng = random.Random(seed)
-    got_out, want_out = [], []
-    got_uw, want_uw = {}, {}
+    got_ms, got_lvc, wrd, lvr = _row_helpers()
+    want_ms, want_lvc, _, _ = _row_helpers()
+    l1 = want_ms.l1
+    line_words = l1.line_bytes // 4
+    got = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}  # out, nf, uw
+    want = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}
+    waited = 0
     for _ in range(1000):
-        c = rng.uniform(0, 500)
-        heapq.heappush(got_out, c)
-        heapq.heappush(want_out, c)
-        if len(want_out) >= 4:
-            ready = rng.uniform(0, 500)
-            assert (mtcgrf.wait_entry(got_out, ready, got_uw, 3)
-                    == _old_wait(want_out, ready, want_uw, 3))
-    assert got_out == want_out and got_uw == want_uw
-    assert got_uw[3] > 0
+        kind = rng.choice(("wrd", "lvr"))
+        ready = rng.uniform(0, 500)
+        if rng.random() < 0.5:
+            ready = float(round(ready))
+        is_write = rng.random() < 0.3
+        addr, tid = rng.randrange(4096), rng.randrange(256)
+        out, nf, uw = got[kind]
+        if kind == "wrd":
+            g = wrd(out, ready, uw, 3, nf, 4, addr, is_write)
+        else:
+            g = lvr(out, ready, uw, 3, nf, 4, addr % 8, tid, is_write)
+        out, nf, uw = want[kind]
+        if len(out) >= 4:
+            waited += out[0] > ready
+            ready = _old_wait(out, ready, uw, 3)
+        s = float(_old_issue(nf, ready, uw, 3))
+        if kind == "wrd":
+            w = l1.access(s, addr // line_words, is_write, addr % l1.banks)
+        else:
+            w = want_lvc.access(s, addr % 8, tid, is_write, 3)
+        heapq.heappush(out, w)
+        assert g == w
+    assert got == want
+    assert waited > 100
+    assert got_ms.l1.stats == want_ms.l1.stats
+    assert got_lvc.stats == want_lvc.stats
+    assert got_lvc.buffered == want_lvc.buffered > 0
+
+
+def _python_calls(fn, *args):
+    """``fn(*args)`` and the code objects of the Python frames it ran."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_memory_row_hits_cost_two_frames():
+    # An L1 hit of a LOAD row, and a line-buffer hit of a live-value
+    # row, each behind a full reservation buffer: the row helper and
+    # the cache, nothing else.
+    from repro.memory import Cache, LiveValueCache
+
+    ms, lvc, wrd, lvr = _row_helpers()
+    out, nf, uw = [], {}, {}
+    t = wrd(out, 0.0, uw, 5, nf, 1, 0, False)  # miss, fills the line
+    t, calls = _python_calls(wrd, out, t, uw, 5, nf, 1, 1, False)
+    assert ms.l1_stats.read_hits == 1
+    assert calls == [wrd.__code__, Cache.access.__code__]
+
+    out, nf = [], {}
+    t = lvr(out, 0.0, uw, 7, nf, 1, 0, 0, True)
+    t, calls = _python_calls(lvr, out, t, uw, 7, nf, 1, 0, 1, False)
+    assert lvc.buffered == 1
+    assert calls == [lvr.__code__, LiveValueCache.access.__code__]
 
 
 def test_replica_issue_uses_the_walks_rule():
@@ -277,6 +351,27 @@ def test_single_input_alu_row_is_one_statement(codegen):
         assert ast.unparse(stmt) == (
             f"d{n} = iss(nf{n}, d{up} + h{n}_0, uw, u{n})"
             f" + {float(row[4])!r}")
+
+
+def test_memory_row_is_one_helper_call(codegen):
+    # A LOAD or STORE row passes the helper its state, its ready time
+    # and its address; the helper is bound to the run's hierarchy.
+    mem, params = _saxpy(8)
+    VGIWCore().run(saxpy_kernel(), mem, params, 8)
+    (plan,) = [p for p in codegen["plans"] if p.block_name == BODY]
+    rows = [(ri, row) for ri, row in enumerate(plan.rows)
+            if row[0] in (mtcgrf.T_LOAD, mtcgrf.T_STORE)]
+    assert len(rows) == 3
+    body = _timing_body(_walk_source(plan))
+    for ri, row in rows:
+        n = row[1]
+        # A row with two inputs starts at ``r``, their later arrival.
+        ready = f"d{row[3][0][0]} + h{n}_0" if len(row[3]) == 1 else "r"
+        (stmt,) = [s for s in _row_statements(body, n)
+                   if ast.unparse(s).startswith(f"d{n} = ")]
+        assert ast.unparse(stmt) == (
+            f"d{n} = wrd(out{n}, {ready}, uw, u{n}, nf{n}, 8,"
+            f" alists[{ri}][ti], {row[0] == mtcgrf.T_STORE})")
 
 
 @pytest.fixture(scope="module")
