@@ -24,6 +24,8 @@ from typing import Dict
 class UnitKind(enum.Enum):
     """Physical functional-unit kinds of the MT-CGRF grid (paper §3.5)."""
 
+    __hash__ = object.__hash__  # singleton members: identity, in C
+
     COMPUTE = "compute"  # merged FPU-ALU
     SPECIAL = "special"  # special compute unit (non-pipelined op pool)
     LDST = "ldst"        # load/store unit (grid perimeter)

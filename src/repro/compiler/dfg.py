@@ -32,6 +32,8 @@ from repro.resilience.errors import CompileError
 
 
 class NodeKind(enum.Enum):
+    __hash__ = object.__hash__  # singleton members: identity, in C
+
     INIT = "init"      # thread initiator CVU
     TERM = "term"      # thread terminator CVU
     OP = "op"          # compute or special op

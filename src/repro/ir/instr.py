@@ -26,6 +26,8 @@ from repro.ir.types import DType, Operand
 class UnitClass(enum.Enum):
     """Functional-unit class that executes an opcode."""
 
+    __hash__ = object.__hash__  # singleton members: identity, in C
+
     COMPUTE = "compute"
     SPECIAL = "special"
     MEMORY = "memory"
@@ -33,6 +35,8 @@ class UnitClass(enum.Enum):
 
 class Op(enum.Enum):
     """Opcodes of the virtual ISA."""
+
+    __hash__ = object.__hash__  # singleton members: identity, in C
 
     # Integer arithmetic / logic (ALU side of the merged unit).
     ADD = "add"
@@ -170,6 +174,8 @@ class Instr:
 
 class TermKind(enum.Enum):
     """Kinds of basic-block terminators."""
+
+    __hash__ = object.__hash__  # singleton members: identity, in C
 
     JMP = "jmp"
     BR = "br"

@@ -30,6 +30,8 @@ from typing import Union
 class DType(enum.Enum):
     """Data type of a value in the virtual ISA."""
 
+    __hash__ = object.__hash__  # singleton members: identity, in C
+
     INT = "int"
     FLOAT = "float"
     PRED = "pred"

@@ -145,6 +145,15 @@ class SGMFCore:
         returned result.  ``compile_cache`` memoises the whole-kernel
         mapping per kernel × fabric config (``SGMFUnmappableError``
         included — the capacity proof is derived once per sweep).
+
+        Batched threads (no faults armed, a functional pass that
+        reproduces the thread-major walk) are replayed by one loop here
+        over each thread's recorded ``(rec, slot, successor)`` visits:
+        per visit one call, the replica's walk of the block (entered on
+        the replica's first visit); per thread the admission, the waste
+        pass (:meth:`_waste_pass`) and the retirement.  The watchdog is
+        consulted only when armed.  Other threads walk thread-major
+        through :meth:`_walk_thread`.
         """
         config = self.config
         # Disabled-mode fast path: one local None-test per hook site.
@@ -170,9 +179,9 @@ class SGMFCore:
 
         n_replicas = mapping.n_replicas
         reps = [_ReplicaState() for _ in range(n_replicas)]
-        # Each replica's entered timing walks by plan, entered on the
-        # replica's first visit of the plan.
-        walks: List[Dict[ExecPlan, Callable]] = [{} for _ in reps]
+        # Each replica's entered timing walk and ``fires`` entry by
+        # block, entered on the replica's first visit of the block.
+        walks: List[Dict[str, tuple]] = [{} for _ in reps]
         # Threads are dealt round-robin, so only the first
         # min(n_replicas, n_threads) replicas are placed and planned.
         n_running, slots = replica_deal(n_threads, n_replicas, 1)
@@ -193,8 +202,9 @@ class SGMFCore:
             )
 
         # Batched execution: one vectorized functional pass over all
-        # threads, then per-thread timing walks with stores committed at
-        # each thread boundary (so a hang leaves the memory state of a
+        # threads, then per-thread timing replays with the stores
+        # committed once after them, up to the last finished thread if
+        # the replay raises (so a hang leaves the memory state of a
         # thread-by-thread walk behind).  ``None`` (and armed faults,
         # whose hooks fire in sequential order) means thread-major order.
         batch = None
@@ -217,39 +227,77 @@ class SGMFCore:
             defined: Dict[str, np.ndarray] = {}
         else:
             paths, stores = batch
-        if stores is not None:
-            st_a, st_v, bounds = stores
-            mdata = memory.data
 
+        armed = wd.armed
+        entry = kernel.entry
         end_time = 0.0
-        for i, ridx in enumerate(slots):
-            rep = reps[ridx]
-            inject = rep.admit(depth)
-            if batch is None:
-                visit = self._thread_visits(
-                    rep, i, memory, wrd, regs, defined, n_threads,
-                    timing_codes, faults,
-                )
-            else:
-                visit = self._replay(rep, walks[ridx], i, paths[i], wrd,
-                                     timing_codes)
-            completion = self._walk_thread(
-                kernel, plans[ridx], waste_units[ridx], rep, i, inject,
-                visit, fires, wd, snapshot, max_block_visits,
-            )
+        finished = 0  # threads whose timing is done
+        try:
+            for i, ridx in enumerate(slots):
+                rep = reps[ridx]
+                inject = rep.admit(depth)
+                if batch is None:
+                    completion = self._walk_thread(
+                        kernel, plans[ridx], waste_units[ridx], rep, i,
+                        inject,
+                        self._thread_visits(
+                            rep, i, memory, wrd, regs, defined, n_threads,
+                            timing_codes, faults,
+                        ),
+                        fires, wd, snapshot, max_block_visits,
+                    )
+                else:
+                    # The recorded visits, timing only.  The functional
+                    # pass stopped every path within max_block_visits.
+                    bound = walks[ridx]
+                    rr: Dict[str, float] = {}
+                    visited = set()
+                    completion = entry_time = inject
+                    current = entry
+                    visits = 0
+                    for rec, j, successor in paths[i]:
+                        if armed:
+                            visits += 1
+                            if not visits % 256:
+                                wd.check(entry_time, snapshot)
+                        b = bound.get(current)
+                        if b is None:
+                            plan = plans[ridx][current]
+                            f = fires.get(plan)
+                            if f is None:
+                                f = fires[plan] = [0, 0]
+                            b = bound[current] = (timing_walk(
+                                plan, config, timing_codes, sgmf=True
+                            )(rep), f)
+                        walk, f = b
+                        f[0] += 1
+                        visited.add(current)
+                        done, term_done = walk(wrd, i, entry_time, j, rec,
+                                               rr)
+                        if done > completion:
+                            completion = done
+                        entry_time = term_done + 1.0
+                        current = successor
+                    self._waste_pass(plans[ridx], waste_units[ridx], rep,
+                                     visited, inject, completion, fires)
+                rep.retire(inject, completion)
+                finished = i + 1
+                if completion > end_time:
+                    end_time = completion
+                if trace is not None:
+                    trace.complete(
+                        "thread", "sgmf.thread", inject, completion - inject,
+                        pid="sgmf", tid=ridx, thread=i, replica=ridx,
+                    )
+                if armed:
+                    wd.progress(completion)
+                    wd.check(end_time, snapshot)
+        finally:
             if stores is not None:
-                lo, hi = bounds[i], bounds[i + 1]
-                if hi > lo:
-                    mdata[st_a[lo:hi]] = st_v[lo:hi]
-            rep.retire(inject, completion)
-            end_time = max(end_time, completion)
-            if trace is not None:
-                trace.complete(
-                    "thread", "sgmf.thread", inject, completion - inject,
-                    pid="sgmf", tid=ridx, thread=i, replica=ridx,
-                )
-            wd.progress(completion)
-            wd.check(end_time, snapshot)
+                st_a, st_v, bounds = stores
+                hi = bounds[finished]
+                if hi:
+                    memory.data[st_a[:hi]] = st_v[:hi]
 
         # Every visit or waste pass fires each node of its plan once
         # (one token each); only visits travel the routed hops.
@@ -339,29 +387,6 @@ class SGMFCore:
         log = run_waves(kernel.entry, n_threads, visit_limit, step)
         return None if log is None else (paths, log.by_thread(n_threads))
 
-    def _replay(self, rep: _ReplicaState, walks: Dict[ExecPlan, Callable],
-                tid: int, path: List, wrd: Callable,
-                timing_codes: Dict[str, CodeType]):
-        """The visit function of a batched thread: its recorded visits,
-        timing only, memory rows through the run's ``wrd``
-        (:func:`repro.vgiw.mtcgrf.word_row`).  ``walks`` holds ``rep``'s
-        entered walks by plan; a plan's walk is entered on the
-        replica's first visit of it."""
-        config = self.config
-        steps = iter(path)
-
-        def visit(plan: ExecPlan, entry_time: float, rr: Dict[str, float]):
-            rec, j, next_block = next(steps)
-            walk = walks.get(plan)
-            if walk is None:
-                walk = walks[plan] = timing_walk(
-                    plan, config, timing_codes, sgmf=True
-                )(rep)
-            completion, term_done = walk(wrd, tid, entry_time, j, rec, rr)
-            return completion, term_done, next_block
-
-        return visit
-
     def _thread_visits(self, rep: _ReplicaState, tid: int,
                        memory: MemoryImage, wrd: Callable,
                        regs: Dict[str, np.ndarray],
@@ -416,12 +441,12 @@ class SGMFCore:
         counted in ``fires[plan]`` (``[visits, waste passes]``).
 
         ``visit(plan, entry_time, regs_ready)`` runs one block visit and
-        returns ``(completion, term_done, next_block)``: a batched
-        thread's recorded visit (:meth:`_replay`) or a thread-major one
-        (:meth:`_thread_visits`).  Live values are SGMF wires: no LVC
-        unit issue, a fixed one-cycle hop on the load side.  Threads
-        also pump one predicated token through every block they never
-        visit (the waste pass at the end).
+        returns ``(completion, term_done, next_block)``
+        (:meth:`_thread_visits`).  A batched thread's recorded visits
+        are replayed by :meth:`run`'s own loop instead.  Live values are
+        SGMF wires: no LVC unit issue, a fixed one-cycle hop on the load
+        side.  Threads also pump one predicated token through every
+        block they never visit (:meth:`_waste_pass`, at the end).
         """
         rr: Dict[str, float] = {}
         visited = set()
@@ -460,14 +485,26 @@ class SGMFCore:
                 completion = block_completion
             entry_time = term_done + 1.0
 
-        # Predicated pass-through: one useless token through every node
-        # of every block this thread never reached (paper Figure 1c).
-        # The tokens flow while the thread is in flight, so they compete
-        # for unit slots around the thread's mid-execution — charging
-        # them at injection time would let them backfill long-idle
-        # cycles and understate the utilisation loss.
-        # One issue cycle per thread: a free one is taken in line, a
-        # taken one goes to ``claim_issue`` (the walks' rule).
+        self._waste_pass(plans, waste_units, rep, visited, inject,
+                         completion, fires)
+        return completion
+
+    @staticmethod
+    def _waste_pass(plans: Dict[str, ExecPlan],
+                    waste_units: Dict[str, List[int]], rep: _ReplicaState,
+                    visited, inject: float, completion: float,
+                    fires: Dict[ExecPlan, List[int]]) -> None:
+        """Predicated pass-through: one useless token through every node
+        of every block a thread never reached (paper Figure 1c), counted
+        in ``fires[plan][1]``.
+
+        The tokens flow while the thread is in flight, so they compete
+        for unit slots around the thread's mid-execution — charging
+        them at injection time would let them backfill long-idle cycles
+        and understate the utilisation loss.  One issue cycle per
+        thread: a free one is taken in line, a taken one goes to
+        ``claim_issue`` (the walks' rule).
+        """
         un, uw = rep.unit_next, rep.unit_wait
         q = math.ceil(inject + 0.5 * (completion - inject))
         for name, plan in plans.items():
@@ -487,8 +524,6 @@ class SGMFCore:
                     claim_issue(nf, q, uw, uid)
                 else:
                     nf[q] = q + 1
-
-        return completion
 
     def mapping_for(self, kernel: Kernel) -> SGMFMapping:
         """Expose the mapping (used by reports and tests)."""

@@ -2,13 +2,12 @@
 
 from repro.simt.simtstack import EXIT, SIMTStack, SIMTStackError, StackEntry
 from repro.simt.sm import FermiRunResult, FermiSM, SMStats
-from repro.simt.warp import LaneMemOp, Warp
+from repro.simt.warp import Warp
 
 __all__ = [
     "EXIT",
     "FermiRunResult",
     "FermiSM",
-    "LaneMemOp",
     "SIMTStack",
     "SIMTStackError",
     "SMStats",

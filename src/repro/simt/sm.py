@@ -457,10 +457,10 @@ class FermiSM:
         if cls_code == 1:  # UnitClass.MEMORY
             stats.mem_instructions += 1
             stats.lane_mem_ops += active
-            mem_ops = ctx.warp.exec_prepared(prep, mask)
             is_write = instr.op is Op.STORE
             segments = coalesce_word_addresses(
-                [m.word_addr for m in mem_ops], config.memory.l1_line_bytes
+                ctx.warp.exec_prepared(prep, mask),
+                config.memory.l1_line_bytes,
             )
             completion = issue
             start = issue

@@ -18,7 +18,6 @@ error messages and error ordering stay those of a lane-by-lane walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -72,14 +71,6 @@ def _lanes_index(mask: int) -> np.ndarray:
         if len(_LANES_IDX_CACHE) < _LANES_CACHE_CAP:
             _LANES_IDX_CACHE[mask] = idx
     return idx
-
-
-@dataclass
-class LaneMemOp:
-    """One lane's memory operation (for the coalescer)."""
-
-    lane: int
-    word_addr: int
 
 
 class Warp:
@@ -173,18 +164,20 @@ class Warp:
             lane += 1
 
     # ------------------------------------------------------------------
-    def exec_instr(self, instr: Instr, mask: int) -> List[LaneMemOp]:
+    def exec_instr(self, instr: Instr, mask: int) -> List[int]:
         """Execute one instruction on all lanes in ``mask``.
 
-        Returns the lane memory operations (empty for non-memory ops) so
-        the SM can coalesce and time them.
+        Returns the active lanes' word addresses in ascending lane order
+        (empty for non-memory ops) so the SM can coalesce and time them.
         """
         return self.exec_prepared(prepare_instr(instr, self.params), mask)
 
-    def exec_prepared(self, prep, mask: int) -> List[LaneMemOp]:
+    def exec_prepared(self, prep, mask: int) -> List[int]:
         """Execute one :func:`repro.ir.vecops.prepare_instr` row on all
         lanes in ``mask``: one :func:`repro.ir.vecops.eval_row` batch,
-        or the per-lane walk for a row it declines."""
+        or the per-lane walk for a row it declines.  Returns the active
+        lanes' word addresses in lane order, one list built from the
+        batch's address array (no per-lane object), or ``[]``."""
         full = mask == self._full_mask
         self._idx = idx = None if full else _lanes_index(mask)
         data = self.memory.data
@@ -199,12 +192,11 @@ class Warp:
             # Fancy assignment resolves duplicate addresses
             # last-lane-wins, matching the ascending-lane store order.
             data[addrs] = fvals
-        return [LaneMemOp(lane, addr) for lane, addr
-                in zip(_lanes_tuple(mask), addrs.tolist())]
+        return addrs.tolist()
 
-    def _exec_prepared_scalar(self, prep, mask: int) -> List[LaneMemOp]:
+    def _exec_prepared_scalar(self, prep, mask: int) -> List[int]:
         """Per-lane reference walk (exact scalar semantics and errors)."""
-        mem_ops: List[LaneMemOp] = []
+        mem_addrs: List[int] = []
         regs = self._vregs
         base = self.base_tid
         tag = prep[0]
@@ -231,7 +223,7 @@ class Warp:
                 self._write_lane(dst, lane,
                                  coerce_i64(v) if dt == 1
                                  else float(v) if dt == 2 else bool(v))
-                mem_ops.append(LaneMemOp(lane, addr))
+                mem_addrs.append(addr)
         else:  # STORE
             _, (am, ap), (vm, vp) = prep
             mem_write = self.memory.write
@@ -241,8 +233,8 @@ class Warp:
                 mem_write(addr,
                           _lane_value(regs[vp], lane) if vm == SRC_REG
                           else vp if vm == SRC_CONST else base + lane)
-                mem_ops.append(LaneMemOp(lane, addr))
-        return mem_ops
+                mem_addrs.append(addr)
+        return mem_addrs
 
     def exec_terminator(self, term: Terminator, mask: int) -> Dict[str, int]:
         """Resolve the block terminator for the lanes in ``mask`` (a BR by

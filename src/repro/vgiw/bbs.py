@@ -16,19 +16,15 @@ cycles for the 108-unit prototype (paper §3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 BATCH_BITS = 64
 
 
-def iter_batch_tids(base: int, bitmap: int) -> Iterator[int]:
-    """Thread IDs encoded by a ⟨base, bitmap⟩ batch, ascending."""
-    i = 0
-    while bitmap:
-        if bitmap & 1:
-            yield base + i
-        bitmap >>= 1
-        i += 1
+def iter_batch_tids(base: int, bitmap: int) -> List[int]:
+    """Thread IDs encoded by a ⟨base, bitmap⟩ batch, ascending, as a
+    list built in one comprehension (no per-thread generator resume)."""
+    return [base + i for i in range(bitmap.bit_length()) if bitmap >> i & 1]
 
 
 def make_batches(tids: Iterable[int], word_bits: int = BATCH_BITS) -> List[Tuple[int, int]]:

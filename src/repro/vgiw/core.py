@@ -275,14 +275,12 @@ class VGIWCore:
                 tids: List[int] = []
                 for base, bitmap in cvt.pop_batches(block_id):
                     bbs.batches_sent += 1
-                    tids.extend(
-                        tile_base + t for t in iter_batch_tids(base, bitmap)
-                    )
+                    tids += iter_batch_tids(tile_base + base, bitmap)
                 bbs.threads_streamed += len(tids)
                 bbs.blocks_executed += 1
 
                 outcomes, end_time = executor.execute_block(cb, tids, time)
-                retired = sum(1 for oc in outcomes if oc.next_block is None)
+                retired = [oc.next_block for oc in outcomes].count(None)
                 if trace is not None:
                     trace.complete(
                         f"block:{cb.name}", "vgiw.block", time,

@@ -1006,7 +1006,9 @@ class MTCGRFExecutor:
                      for plan, rep in zip(plans, replicas)]
 
         # One replica per packet: its state, plan and walk are looked up
-        # once per packet, its hops added once.
+        # once per packet, its hops added once.  Outcomes are made by
+        # ``tuple.__new__`` (no Python-level ``__new__`` frame).
+        new_tuple = tuple.__new__
         for lo in range(0, n_thr, BATCH_BITS):
             hi = min(lo + BATCH_BITS, n_thr)
             ridx = slots[lo]
@@ -1024,8 +1026,8 @@ class MTCGRFExecutor:
                 else:
                     completion = walk(wrd, lvr, tid, inject, i, alists)
                     next_block = nb[i]
-                outcomes.append(
-                    ThreadOutcome(completion, tid, next_block, ridx))
+                outcomes.append(new_tuple(
+                    ThreadOutcome, (completion, tid, next_block, ridx)))
                 retire(inject, completion)
                 if completion > end_time:
                     end_time = completion

@@ -5,7 +5,10 @@ filename, and ``enter(rep)`` binds a walk to its replica's state once,
 as argument defaults of one flat function, looking the state up in the
 order hang snapshots list it.  The emitted source is bounded per row
 (one statement per simple ALU row, one helper call per memory row) and
-in total."""
+in total.  The loops that drive the walks make only modelling calls: a
+batched SGMF visit is one walk call, a VGIW packet thread calls admit,
+its walk and retire, and a Fermi warp memory instruction makes no
+per-lane call."""
 
 import ast
 import collections
@@ -272,6 +275,94 @@ def test_memory_row_hits_cost_two_frames():
     t, calls = _python_calls(lvr, out, t, uw, 7, nf, 1, 0, 1, False)
     assert lvc.buffered == 1
     assert calls == [lvr.__code__, LiveValueCache.access.__code__]
+
+
+def _calls_from(caller, fn, *args):
+    """Counts of the Python calls made directly by frames of the code
+    object ``caller`` while ``fn(*args)`` runs, by callee code object
+    (every compiled timing walk counted under ``"walk"``)."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back.f_code is caller:
+            code = frame.f_code
+            counts["walk" if code.co_filename.startswith("<timing:")
+                   else code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def _saxpy_calls(caller, core, n):
+    mem, params = _saxpy(n)
+    return _calls_from(caller, core.run, saxpy_kernel(), mem, params, n)
+
+
+def test_batched_sgmf_visit_is_one_walk_call():
+    # Each thread adds its admission, waste pass and retirement, and
+    # each of its three block visits exactly one call: its walk (the
+    # walk's row helpers are its own callees).
+    run = SGMFCore.run.__code__
+    small = _saxpy_calls(run, SGMFCore(), 64)
+    large = _saxpy_calls(run, SGMFCore(), 200)
+    assert large - small == collections.Counter({
+        "walk": 3 * 136,
+        mtcgrf._ReplicaState.admit.__code__: 136,
+        mtcgrf._ReplicaState.retire.__code__: 136,
+        SGMFCore._waste_pass.__code__: 136,
+    })
+    assert small["walk"] == 3 * 64
+
+
+def test_vgiw_packet_thread_calls_admit_walk_retire():
+    # Per thread of a block vector the packet loop calls its replica's
+    # admit, its walk and retire, and nothing else (no outcome frame).
+    block = mtcgrf.MTCGRFExecutor.execute_block.__code__
+    small = _saxpy_calls(block, VGIWCore(), 64)
+    large = _saxpy_calls(block, VGIWCore(), 200)
+    assert large - small == collections.Counter({
+        "walk": 3 * 136,
+        mtcgrf._ReplicaState.admit.__code__: 3 * 136,
+        mtcgrf._ReplicaState.retire.__code__: 3 * 136,
+    })
+
+
+def test_fermi_memory_instruction_makes_no_per_lane_call():
+    # A warp LOAD's Python calls do not depend on its active lanes, and
+    # the SM coalesces straight from the warp's addresses.
+    from repro.arch.config import FermiConfig
+    from repro.ir import DType, Instr, Op, Reg
+    from repro.memory import CacheStats
+    from repro.memory.coalescer import coalesce_word_addresses
+    from repro.memory.hierarchy import MemorySystem
+    from repro.simt import FermiSM, Warp
+
+    mem = MemoryImage(64)
+    warp = Warp(0, 0, 32, 32, {}, mem)
+    load = Instr(Op.LOAD, "v", (Reg("tid"),), DType.FLOAT)
+    seen = {}
+    for mask in (0xFF, 0xFFFF, 0xFF, 0xFFFF):  # the second pair is warm
+        addrs, calls = _python_calls(warp.exec_instr, load, mask)
+        assert addrs == list(range(mask.bit_length()))
+        seen[mask] = calls
+    assert seen[0xFF] == seen[0xFFFF]
+
+    dispatch = FermiSM._dispatch.__code__
+    calls = _saxpy_calls(dispatch, FermiSM(), 64)
+    assert set(calls) <= {
+        Warp.exec_prepared.__code__,
+        coalesce_word_addresses.__code__,
+        # per coalesced segment
+        FermiConfig.ldst_throughput_cycles.fget.__code__,
+        CacheStats.misses.fget.__code__,
+        MemorySystem.access_line.__code__,
+        FermiSM._miss_penalty.__code__,
+    }
+    assert calls[coalesce_word_addresses.__code__] == 6  # 3 per warp
 
 
 def test_replica_issue_uses_the_walks_rule():
