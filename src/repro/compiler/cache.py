@@ -10,9 +10,10 @@ memoisable — this module is that memo.
 
 :class:`CompileCache` is the ``compile`` namespace of
 :class:`repro.store.Store`, which owns the keys, the bounded LRU memory
-tier, the atomic disk tier (``cache_dir=``), the tolerant loader and
-the counters.  Keys are **content hashes** over the computation's
-category, the kernel's canonical textual IR
+tier and the counters.  The namespace is memory-only and process-local:
+compiling the whole Table 2 suite takes well under a second, so a disk
+tier would save next to nothing.  Keys are **content hashes** over the
+computation's category, the kernel's canonical textual IR
 (:func:`repro.ir.text.kernel_to_text`), and the architecture config and
 options rendered canonically by :func:`repro.store.option_key` — two
 equal fabric specs key equally whatever their dict insertion order, and
@@ -66,14 +67,18 @@ def kernel_fingerprint(kernel) -> str:
 class CompileCache(Store):
     """Content-addressed memo for pure kernel-level computations.
 
-    ``CompileCache(cache_dir=None, max_entries=None)``: see
-    :class:`repro.store.Store` for the tiers and counters.
+    ``CompileCache(*, max_entries=None)``: the memory tier of
+    :class:`repro.store.Store` only, so it counts no disk traffic.
     """
 
     NAMESPACE = "compile"
     MAX_ENTRIES = 512
     METRIC_SCOPE = "compile"
     METRIC_PREFIX = "cache."
+    COUNTERS = ("hits", "misses", "stores", "evictions")
+
+    def __init__(self, *, max_entries: Optional[int] = None):
+        super().__init__(max_entries=max_entries)
 
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """The cached value for ``key``, building (and storing) it on a
@@ -145,7 +150,7 @@ def cached_optimize_kernel(kernel, params=None, unroll: bool = True,
 
 
 class _Unmappable:
-    """Pickle-friendly cached stand-in for ``SGMFUnmappableError``."""
+    """Cached stand-in for ``SGMFUnmappableError``."""
 
     __slots__ = ("message",)
 

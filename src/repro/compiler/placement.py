@@ -87,23 +87,9 @@ class Fabric:
         self.by_kind: Dict[UnitKind, List[int]] = {k: [] for k in UnitKind}
         for u in self.units:
             self.by_kind[u.kind].append(u.uid)
-        self._index_hops()
-
-    def _index_hops(self) -> None:
         #: interconnect latency in cycles, ``hop[a][b]`` (symmetric)
         self.hop = _hop_table(tuple(u.x for u in self.units),
                               tuple(u.y for u in self.units))
-
-    # The hop table is derived from the units: pickles (compile-cache
-    # disk entries) leave it out and share the rebuilt one on load.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("hop", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._index_hops()
 
     def _build(self, spec: FabricSpec) -> None:
         w, h = spec.width, spec.height
@@ -218,8 +204,8 @@ class ReplicaPlacer:
     units replicas 0..*k*-1 left free, so :meth:`replica` places any
     still-unplaced replicas below *k* first.  Replica 0 is placed at
     construction, where capacity errors surface.  The free lists and
-    :class:`Wiring` kept for the next replica pickle with the placer,
-    and are dropped once the last replica is placed.
+    :class:`Wiring` kept for the next replica are dropped once the last
+    replica is placed.
     """
 
     def __init__(self, dfgs: Sequence[BlockDFG], fabric: Fabric,

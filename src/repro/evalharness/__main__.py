@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.evalharness [--scale tiny|small|medium]
                                 [--kernels name,name,...]
-                                [--jobs N] [--cache-dir DIR]
+                                [--jobs N]
                                 [--result-cache DIR]
                                 [--validate-cache-fraction F]
                                 [--out FILE] [--json FILE]
@@ -22,11 +22,10 @@ watchdog in every simulator.  See ``docs/resilience.md``.
 
 ``--jobs N`` fans the kernels out to ``N`` worker processes; the report
 is byte-identical to a serial sweep (results are reassembled in input
-order).  ``--cache-dir DIR`` adds a persistent compile-cache tier so
-repeat sweeps skip place & route entirely.  ``--result-cache DIR`` goes
-one tier up: whole runs are memoised by content key (kernel IR hash,
-options fingerprint, input digest), so an unchanged re-sweep replays
-stored results instead of simulating — still byte-identical.  It is
+order).  ``--result-cache DIR`` memoises whole runs by content key
+(kernel IR hash, options fingerprint, input digest), so an unchanged
+re-sweep replays stored results instead of simulating — still
+byte-identical.  It is
 also how a killed sweep resumes: re-run the same command against the
 same ``--result-cache DIR`` and every kernel that finished before the
 crash is replayed, the rest executed.
@@ -92,10 +91,6 @@ def main(argv=None) -> int:
                         help="run kernels in N worker processes "
                              "(default 1 = serial); reports are "
                              "byte-identical to a serial sweep")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent compile-cache directory (repeat "
-                             "sweeps skip place & route; safe under "
-                             "--jobs)")
     parser.add_argument("--result-cache", default=None, metavar="DIR",
                         help="content-addressed result-cache directory: "
                              "re-runs of an unchanged kernel/options/input "
@@ -167,7 +162,7 @@ def main(argv=None) -> int:
     options = RunOptions(scale=args.scale, isolate=not args.no_isolate,
                          watchdog=watchdog, inject=inject,
                          metrics=metrics, jobs=args.jobs,
-                         cache_dir=args.cache_dir, trace_path=args.trace,
+                         trace_path=args.trace,
                          result_cache_dir=args.result_cache,
                          validate_cache_fraction=args.validate_cache_fraction,
                          timeout=args.timeout)

@@ -312,11 +312,9 @@ def metrics_table(metrics: Metrics) -> ExperimentTable:
     if "compile" in metrics.scope_names():
         hits = metrics.value("compile/cache.hits")
         misses = metrics.value("compile/cache.misses")
-        disk = metrics.value("compile/cache.disk_hits")
         t.notes.append(
             f"compile cache: {hits} hits / {misses} misses "
-            f"({disk} from the --cache-dir disk tier; "
-            "docs/performance.md)"
+            "(docs/performance.md)"
         )
     return t
 

@@ -31,7 +31,7 @@ resilience                ``watchdog``, ``retry``, ``isolate``,
                           ``inject`` (per-kernel suite campaigns),
                           ``timeout`` (host-seconds wall-clock budget)
 observability             ``tracer``, ``metrics``, ``trace_path``
-compilation               ``cache``, ``cache_dir``
+compilation               ``cache``
 result caching            ``result_cache``, ``result_cache_dir``,
                           ``validate_cache_fraction``,
                           ``validate_cache_seed``
@@ -86,7 +86,6 @@ class RunOptions:
     trace_path: Optional[str] = None
     # -- compilation ---------------------------------------------------
     cache: Optional[Any] = None
-    cache_dir: Optional[str] = None
     # -- result caching ------------------------------------------------
     result_cache: Optional[Any] = None
     result_cache_dir: Optional[str] = None
@@ -114,8 +113,8 @@ class RunOptions:
         execution semantics: same scale, verification, optimisation,
         architecture configs, watchdog/retry/fault campaign, and
         timeout.  Reporting/persistence knobs that cannot change a
-        result (``trace_path``, ``jobs``, ``cache_dir``,
-        ``result_cache_dir``, validation sampling) are excluded, as
+        result (``trace_path``, ``jobs``, ``result_cache_dir``,
+        validation sampling) are excluded, as
         are the live-object fields.
         :mod:`repro.serve` batches requests whose kernel and
         fingerprint match, and the result cache keys entries on it —
@@ -127,7 +126,7 @@ class RunOptions:
         default ``inject=None`` request the same execution.
         """
         skip = set(self.LIVE_FIELDS) | {
-            "trace_path", "jobs", "cache_dir", "result_cache_dir",
+            "trace_path", "jobs", "result_cache_dir",
             "validate_cache_fraction", "validate_cache_seed",
         }
         parts = []

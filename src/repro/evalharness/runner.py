@@ -174,18 +174,14 @@ def run_kernel(
     :class:`repro.compiler.CompileCache`) memoises the per-kernel pure
     computations — the optimisation pipeline, VGIW place & route, the
     SGMF whole-kernel mapping, the Fermi CFG analyses — across runs
-    (``run_suite`` threads one through the whole sweep; with no
-    ``cache`` but a ``cache_dir`` a fresh disk-backed cache is built
-    here).  ``timeout`` bounds the run in host wall-clock seconds.
-    Suite-only fields (``retry``,
-    ``isolate``, ``inject``, ``jobs``, ``trace_path``) are ignored
-    here.  Everything defaults to off, so the measurement path is
+    (``run_suite`` threads one through the whole sweep).  ``timeout``
+    bounds the run in host wall-clock seconds.  Suite-only fields
+    (``retry``, ``isolate``, ``inject``, ``jobs``, ``trace_path``) are
+    ignored here.  Everything defaults to off, so the measurement path is
     unchanged.
     """
     o = _resolve_options(scale, options)
     cache = o.cache
-    if cache is None and o.cache_dir is not None:
-        cache = CompileCache(o.cache_dir)
     rcache = _resolve_result_cache(o)
     # Beyond the shared bypass policy, a caller-supplied tracer/metrics
     # registry expects to receive this run's events, so it is not
@@ -210,9 +206,9 @@ def run_kernel(
 
 
 def _resolve_result_cache(o: RunOptions) -> Optional[ResultCache]:
-    """The run's :class:`ResultCache`, mirroring the compile-cache
-    resolution: an explicit ``result_cache`` wins, else a fresh
-    disk-backed one is built from ``result_cache_dir``, else none."""
+    """The run's :class:`ResultCache`: an explicit ``result_cache``
+    wins, else a fresh disk-backed one is built from
+    ``result_cache_dir``, else none."""
     if o.result_cache is not None:
         return o.result_cache
     if o.result_cache_dir is not None:
@@ -537,12 +533,11 @@ def run_suite(
         one worker never disturbs the others — and the service
         additionally survives worker *death* (see
         :func:`_run_on_service`).
-    cache / cache_dir:
+    cache:
         Compile memoisation (see :mod:`repro.compiler.cache`).  By
         default a fresh in-memory :class:`CompileCache` is created for
-        the sweep; pass ``cache=`` to reuse one across sweeps or
-        ``cache_dir=`` to add the persistent on-disk tier (shared by
-        ``--jobs`` workers).  Hit/miss counters land in ``metrics``
+        the sweep; pass ``cache=`` to reuse one across sweeps.
+        Hit/miss counters land in ``metrics``
         under the ``compile/`` scope.
     result_cache / result_cache_dir:
         Whole-run memoisation (``--result-cache DIR``; see
@@ -584,7 +579,7 @@ def run_suite(
     tracer, metrics = o.tracer, o.metrics
     cache = o.cache
     if cache is None:
-        cache = CompileCache(o.cache_dir)
+        cache = CompileCache()
     rcache = _resolve_result_cache(o)
 
     if o.jobs > 1:

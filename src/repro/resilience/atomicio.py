@@ -2,7 +2,7 @@
 
 Two subsystems must never leave a torn file behind a crash: the
 content-addressed store's disk tier (:mod:`repro.store`, under the
-compile and result caches — a torn entry would at best cost a rebuild,
+result cache — a torn entry would at best cost a rebuild,
 and a killed sweep resumes by replaying these files), and the
 Chrome-trace export (a truncated JSON file looks empty to Perfetto,
 which reads as "the run produced no events").

@@ -9,7 +9,7 @@ Usage::
                           [--mode closed|open]
                           [--concurrency N] [--rate R]
                           [--queue-limit N] [--deadline SECONDS]
-                          [--timeout SECONDS] [--cache-dir DIR]
+                          [--timeout SECONDS]
                           [--result-cache DIR]
                           [--validate-cache-fraction F]
                           [--trace FILE] [--report FILE]
@@ -86,9 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per execution attempt")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent compile-cache tier shared by "
-                             "the workers")
     parser.add_argument("--result-cache", default=None, metavar="DIR",
                         help="content-addressed result-cache directory: "
                              "repeat submissions are answered at "
@@ -132,9 +129,7 @@ def main(argv=None) -> int:
                       deadline_s=args.deadline)
     service = ExecutionService(
         workers=args.workers, policy=args.policy,
-        queue_limit=args.queue_limit,
-        cache_dir=args.cache_dir, tracer=tracer,
-        metrics=metrics,
+        queue_limit=args.queue_limit, tracer=tracer, metrics=metrics,
         result_cache_dir=args.result_cache,
         validate_cache_fraction=args.validate_cache_fraction)
     with service:

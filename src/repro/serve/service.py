@@ -82,21 +82,13 @@ __all__ = ["ExecutionService"]
 # ----------------------------------------------------------------------
 # The pool worker (module top level: picklable under every start method)
 # ----------------------------------------------------------------------
-#: Per-worker-process warm compile caches, keyed by cache_dir.  This is
-#: the "persistent worker" in persistent worker pool: the process (and
-#: this cache) survives across batches, so repeat kernels skip the
-#: whole compile pipeline.  Each cache's memory tier is a bounded LRU
+#: This worker process's warm compile cache.  This is the "persistent
+#: worker" in persistent worker pool: the process (and this cache)
+#: survives across batches, so repeat kernels skip the whole compile
+#: pipeline.  Its memory tier is a bounded LRU
 #: (``CompileCache.MAX_ENTRIES``), so a long-lived worker cannot grow
 #: without limit.
-_WARM_CACHES: Dict[str, CompileCache] = {}
-
-
-def _warm_cache(cache_dir: Optional[str]) -> CompileCache:
-    key = cache_dir or ""
-    cache = _WARM_CACHES.get(key)
-    if cache is None:
-        cache = _WARM_CACHES[key] = CompileCache(cache_dir)
-    return cache
+_WARM_CACHE = CompileCache()
 
 
 def _maybe_kill_for_test(name: str) -> None:
@@ -139,7 +131,7 @@ def _serve_worker(payload):
     """
     (batch_id, kernel, opts, budget_s) = payload
     _maybe_kill_for_test(kernel)
-    cache = _warm_cache(opts.cache_dir)
+    cache = _WARM_CACHE
     before = cache.stats()
 
     # Compile phase, timed separately: build the workload and warm the
@@ -196,9 +188,6 @@ class ExecutionService:
     crash_budget:
         How many worker crashes one request may survive (requeues)
         before degrading with :class:`WorkerCrashError`.
-    cache_dir:
-        Optional persistent compile-cache tier shared by the workers
-        (atomic disk writes — concurrent workers are safe).
     result_cache / result_cache_dir:
         Arm the content-addressed result cache
         (:class:`repro.evalharness.ResultCache`): a request whose
@@ -243,7 +232,6 @@ class ExecutionService:
 
     def __init__(self, workers: int = 2, policy: str = "fifo",
                  queue_limit: int = 64, crash_budget: int = 2,
-                 cache_dir: Optional[str] = None,
                  result_cache: Optional[ResultCache] = None,
                  result_cache_dir: Optional[str] = None,
                  validate_cache_fraction: float = 0.0,
@@ -254,7 +242,6 @@ class ExecutionService:
         self.scheduler = BatchScheduler(policy=policy,
                                         queue_limit=queue_limit)
         self.crash_budget = max(1, int(crash_budget))
-        self.cache_dir = cache_dir
         self.result_cache = result_cache
         if self.result_cache is None and result_cache_dir is not None:
             self.result_cache = ResultCache(result_cache_dir)
@@ -377,8 +364,6 @@ class ExecutionService:
         options = request.options
         opts = options.replace(
             retry=options.retry or RetryPolicy(),
-            cache_dir=(self.cache_dir if options.cache_dir is None
-                       else options.cache_dir),
             tracer=None if options.tracer is None else Tracer(),
             metrics=None if options.metrics is None else Metrics(),
         )

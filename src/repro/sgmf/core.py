@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import CodeType
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -187,9 +186,6 @@ class SGMFCore:
         n_running, slots = replica_deal(n_threads, n_replicas, 1)
         plans, waste_units = self._build_plans(mapping, params, config,
                                                n_running)
-        # Compiled timing-walk code by source text, shared by the
-        # replicas and equal blocks of this run.
-        timing_codes: Dict[str, CodeType] = {}
         depth = config.token_buffer_depth
         wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name, trace)
         wd.start(0.0)
@@ -242,7 +238,7 @@ class SGMFCore:
                         inject,
                         self._thread_visits(
                             rep, i, memory, wrd, regs, defined, n_threads,
-                            timing_codes, faults,
+                            faults,
                         ),
                         fires, wd, snapshot, max_block_visits,
                     )
@@ -267,8 +263,7 @@ class SGMFCore:
                             if f is None:
                                 f = fires[plan] = [0, 0]
                             b = bound[current] = (timing_walk(
-                                plan, config, timing_codes, sgmf=True
-                            )(rep), f)
+                                plan, config, sgmf=True)(rep), f)
                         walk, f = b
                         f[0] += 1
                         visited.add(current)
@@ -391,7 +386,6 @@ class SGMFCore:
                        memory: MemoryImage, wrd: Callable,
                        regs: Dict[str, np.ndarray],
                        defined: Dict[str, np.ndarray], n_threads: int,
-                       timing_codes: Dict[str, CodeType],
                        faults: Optional[FaultInjector]):
         """The visit function of a thread-major thread: each visit runs
         :func:`repro.vgiw.mtcgrf.visit_sequentially`, with the wires
@@ -414,7 +408,7 @@ class SGMFCore:
             rec = Trail()
             (completion, term_done), next_block = visit_sequentially(
                 plan, tid, memory, rec, [], lv_load, lv_store, faults,
-                config, timing_codes, True,
+                config, True,
                 lambda enter, *cyc: enter(rep)(wrd, tid, entry_time, 0, rec,
                                                rr, *cyc),
             )

@@ -464,12 +464,14 @@ class FermiSM:
             )
             completion = issue
             start = issue
+            throughput = config.ldst_throughput_cycles
+            l1_stats = memsys.l1.stats
             for seg in segments:
                 start = max(start, self._ldst_free)
-                self._ldst_free = start + config.ldst_throughput_cycles
-                misses_before = memsys.l1.stats.misses
+                self._ldst_free = start + throughput
+                misses_before = l1_stats.misses
                 done = memsys.access_line(start, seg, is_write)
-                if memsys.l1.stats.misses > misses_before:
+                if l1_stats.misses > misses_before:
                     done += self._miss_penalty(start, done, config)
                 completion = max(completion, done)
                 stats.mem_transactions += 1

@@ -19,8 +19,9 @@ nowhere else:
 * **a bounded LRU memory tier** — at most ``max_entries`` values
   (per-namespace default :attr:`Store.MAX_ENTRIES`); the least recently
   used value is evicted and counted in ``evictions``.
-* **an atomic disk tier** (optional, ``cache_dir=``) — one pickle per
-  entry at ``<cache_dir>/<key><SUFFIX>``, written through
+* **an atomic disk tier** (optional, ``cache_dir=``; the result cache
+  uses it, the compile cache is memory-only) — one pickle per entry at
+  ``<cache_dir>/<key><SUFFIX>``, written through
   :func:`repro.resilience.atomicio.atomic_pickle`, so concurrent
   ``--jobs`` workers and serve pools may share a directory and a crash
   never leaves a torn file under the final name.

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -421,6 +421,32 @@ _WALK_GLOBALS = {"heappush": heapq.heappush, "heappop": heapq.heappop,
 #: per ``compile()``, so profilers keep one entry per code object
 _timing_serial = itertools.count()
 
+#: bound on :func:`walk_code`'s memo.  One fuzz round (three 20-case
+#: chunks) compiles about 675 distinct walk sources at about 1.9 KB per
+#: code object, so the bound holds about 1 MB.
+WALK_CODE_ENTRIES = 512
+
+#: compiled walk code by source text, least recently used first
+_walk_codes: "OrderedDict[str, CodeType]" = OrderedDict()
+
+
+def walk_code(source: str, block_name: str) -> CodeType:
+    """The code object of the walk ``source``, from the process-wide
+    memo (:data:`WALK_CODE_ENTRIES` sources, least recently used
+    evicted).  A miss compiles it under a filename naming
+    ``block_name``, the first block of that shape, and a serial."""
+    code = _walk_codes.get(source)
+    if code is None:
+        ns = {}
+        filename = f"<timing:{block_name}#{next(_timing_serial)}>"
+        exec(compile(source, filename, "exec"), _WALK_GLOBALS, ns)
+        code = _walk_codes[source] = ns["__timing"].__code__
+        if len(_walk_codes) > WALK_CODE_ENTRIES:
+            _walk_codes.popitem(last=False)
+    else:
+        _walk_codes.move_to_end(source)
+    return code
+
 
 def _walk_enter(code: CodeType, issue_units: Tuple[int, ...],
                 mem_units: Tuple[int, ...], scu_units: Tuple[int, ...],
@@ -454,8 +480,8 @@ def _walk_enter(code: CodeType, issue_units: Tuple[int, ...],
 
 
 def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
-                   codes: Dict[str, CodeType], sgmf: bool = False,
-                   record: bool = False, stop: Optional[int] = None):
+                   sgmf: bool = False, record: bool = False,
+                   stop: Optional[int] = None):
     """The straight-line timing walk for one plan, as ``enter(rep)``.
 
     The engines split each block visit into a functional pass
@@ -474,9 +500,9 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     the replica's state (``uw``, the calendars ``nf{nid}``, the
     reservation buffers ``out{nid}``, the SCU pools ``pool{nid}``),
     then each row's unit ID (``u{nid}``) and input hop counts
-    (``h{nid}_{k}``).  The replicas of a block (and equal blocks)
-    therefore share one source text: ``codes`` (one dict per run) maps
-    it to the compiled code object, and each further plan of that shape
+    (``h{nid}_{k}``).  The replicas of a block (and equal blocks, in
+    any run) therefore share one source text: :func:`walk_code` maps it
+    to the compiled code object, and each further plan of that shape
     costs no ``compile()``.  Cycle counts are pinned by the
     golden-cycle gate and the differential fuzzer.
 
@@ -618,31 +644,25 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     if record:
         head.append("cyc")
     source = "\n".join([f"def __timing({', '.join(head + names)}):"] + L)
-    code = codes.get(source)
-    if code is None:
-        ns = {}
-        filename = f"<timing:{plan.block_name}#{next(_timing_serial)}>"
-        exec(compile(source, filename, "exec"), _WALK_GLOBALS, ns)
-        code = codes[source] = ns["__timing"].__code__
-    return _walk_enter(code, tuple(u for _, u in issue_rows),
+    return _walk_enter(walk_code(source, plan.block_name),
+                       tuple(u for _, u in issue_rows),
                        tuple(u for _, u in mem_rows),
                        tuple(u for _, u in scu_rows), scu_instances,
                        tuple(consts))
 
 
-def timing_walk(plan: ExecPlan, config, codes: Dict[str, CodeType],
-                sgmf: bool = False, record: bool = False):
+def timing_walk(plan: ExecPlan, config, sgmf: bool = False,
+                record: bool = False):
     """``plan``'s ``enter(rep)`` (:func:`compile_timing`; the recording
     flavour when ``record``), built on first use and kept on the plan.
-    Its walk code comes from ``codes``, the run's code objects by source
-    text, so the plan compiles nothing when a replica or an equal block
-    compiled the same shape; each ``enter(rep)`` call returns the flat
-    walk with ``rep``'s state and the plan's constants bound as its
-    argument defaults."""
+    Its walk code comes from :func:`walk_code`, so the plan compiles
+    nothing when a replica or an equal block compiled the same shape;
+    each ``enter(rep)`` call returns the flat walk with ``rep``'s state
+    and the plan's constants bound as its argument defaults."""
     fn = plan.record_fn if record else plan.timing_fn
     if fn is None:
         fn = compile_timing(plan, config.ldst_reservation_entries,
-                            config.scu_instances, codes, sgmf, record)
+                            config.scu_instances, sgmf, record)
         if record:
             plan.record_fn = fn
         else:
@@ -653,7 +673,7 @@ def timing_walk(plan: ExecPlan, config, codes: Dict[str, CodeType],
 def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
                        rec: Trail, stamps, lv_load, lv_store,
                        faults: Optional[FaultInjector], config,
-                       codes: Dict[str, CodeType], sgmf: bool, call):
+                       sgmf: bool, call):
     """One thread's visit of one block in thread-major order: the
     functional rows at width 1 (:func:`eval_rows`, ``sequential``), then
     the thread's timing walk, run by ``call(enter, *cyc)`` as
@@ -671,15 +691,14 @@ def visit_sequentially(plan: ExecPlan, tid: int, memory: MemoryImage,
                             lv_load, lv_store, True, faults, stamps)
     except Exception:
         call(compile_timing(plan, config.ldst_reservation_entries,
-                            config.scu_instances, codes, sgmf,
-                            stop=rec.stop), cyc)
+                            config.scu_instances, sgmf, stop=rec.stop), cyc)
         for entry, nid in stamps:
             entry.cycle = cyc[nid]
         raise
     if faults is None:
-        out = call(timing_walk(plan, config, codes, sgmf))
+        out = call(timing_walk(plan, config, sgmf))
     else:
-        out = call(timing_walk(plan, config, codes, sgmf, True), cyc)
+        out = call(timing_walk(plan, config, sgmf, True), cyc)
         for entry, nid in stamps:
             entry.cycle = cyc[nid]
     if isinstance(term, np.ndarray):
@@ -915,9 +934,6 @@ class MTCGRFExecutor:
         #: execution plans by (block, replica), built the first time a
         #: replica receives threads
         self._plans: Dict[Tuple[str, int], ExecPlan] = {}
-        #: compiled timing-walk code by source text (one per block
-        #: shape; see :func:`compile_timing`)
-        self._timing_codes: Dict[str, CodeType] = {}
         #: the walks' memory-row helpers, bound to this run's hierarchy
         self._wrd = word_row(memsys)
         self._lvr = live_row(lvc)
@@ -1002,7 +1018,7 @@ class MTCGRFExecutor:
             if not isinstance(nb, list):
                 nb = [nb] * n_thr
             # Each running replica enters its walk once per vector.
-            walks = [timing_walk(plan, self.config, self._timing_codes)(rep)
+            walks = [timing_walk(plan, self.config)(rep)
                      for plan, rep in zip(plans, replicas)]
 
         # One replica per packet: its state, plan and walk are looked up
@@ -1173,7 +1189,7 @@ class MTCGRFExecutor:
         wrd, lvr = self._wrd, self._lvr
         return visit_sequentially(
             plan, tid, self.memory, rec, stamps, lv_load, lv_store, faults,
-            self.config, self._timing_codes, False,
+            self.config, False,
             lambda enter, *cyc: enter(rep)(wrd, lvr, tid, inject, 0, rec,
                                            *cyc),
         )

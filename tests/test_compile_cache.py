@@ -1,11 +1,11 @@
-"""Compile-cache correctness: content keys, disk tier, fall-backs.
+"""Compile-cache correctness: content keys, the memory-only tier.
 
 The cache's contract (``repro/compiler/cache.py``, ``docs/performance.md``):
 keys are content hashes over the IR text and the canonically rendered
 config and options, so any change to the kernel or the architecture
-invalidates while equal configs always share an entry.  The loader's
-fall-backs (corrupt, skewed, unpicklable entries) are tested once for
-both cache namespaces in ``tests/test_store.py``.
+invalidates while equal configs always share an entry.  The store's
+disk tier belongs to the result cache alone and is tested in
+``tests/test_store.py``.
 """
 
 import pytest
@@ -138,20 +138,17 @@ def test_unmappable_result_is_cached():
 
 
 # ----------------------------------------------------------------------
-# Disk tier
+# Memory only
 # ----------------------------------------------------------------------
-def test_disk_tier_round_trip(tmp_path):
-    k = make_kernel()
-    first = CompileCache(str(tmp_path))
-    compiled = cached_compile_kernel(k, cache=first)
-    assert first.disk_writes >= 1
-
-    fresh = CompileCache(str(tmp_path))  # new process, same directory
-    again = cached_compile_kernel(make_kernel(), cache=fresh)
-    assert fresh.disk_hits == 1 and fresh.misses == 0
-    assert again.kernel.name == compiled.kernel.name
-    assert sorted(again.blocks) == sorted(compiled.blocks)
-    assert again.n_blocks == compiled.n_blocks
+def test_compile_cache_takes_no_directory(tmp_path):
+    with pytest.raises(TypeError):
+        CompileCache(str(tmp_path))
+    with pytest.raises(TypeError):
+        CompileCache(cache_dir=str(tmp_path))
+    cache = CompileCache(max_entries=4)
+    assert cache.cache_dir is None and cache.max_entries == 4
+    assert set(cache.stats()) == {"hits", "misses", "stores", "evictions",
+                                  "entries"}
 
 
 # ----------------------------------------------------------------------

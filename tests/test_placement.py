@@ -4,7 +4,6 @@ and oversized-block partitioning."""
 import hashlib
 import math
 import os
-import pickle
 
 import pytest
 
@@ -208,14 +207,6 @@ def test_hop_table_is_half_manhattan_rounded_up():
                 assert fabric.hops(a.uid, b.uid) == want
 
 
-def test_fabric_pickle_round_trip_keeps_hop_table():
-    fabric = Fabric(FabricSpec())
-    clone = pickle.loads(pickle.dumps(fabric))
-    assert "hop" not in fabric.__getstate__()
-    assert clone.hop == fabric.hop
-    assert clone.units == fabric.units
-
-
 #: SHA-256 of every placement below, recorded before the hop table and
 #: neighbour-list scoring replaced per-pair ``Fabric.hops`` calls: the
 #: rewrite must place every node on the same unit.
@@ -334,11 +325,9 @@ def _check_sgmf(mapping, spec):
     assert mapping.placer._pending is None
 
 
-@pytest.mark.parametrize("pickled", [False, True], ids=["live", "pickled"])
-def test_first_use_placement_matches_eager_placement(pickled):
-    """Replicas forced out of order, live or after a pickle round trip
-    with only replica 0 placed (the ``--cache-dir`` disk tier), land
-    where placing every replica in order puts them."""
+def test_first_use_placement_matches_eager_placement():
+    """Replicas forced out of order land where placing every replica in
+    order puts them."""
     from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
 
     spec = FabricSpec()
@@ -348,16 +337,12 @@ def test_first_use_placement_matches_eager_placement(pickled):
         for cb in ck.blocks.values():
             assert len(cb.placement._placer.placed) == 1
             lazy_blocks += cb.n_replicas > 1
-        if pickled:
-            ck = pickle.loads(pickle.dumps(ck))
         _check_vgiw(ck, spec)
         try:
             mapping = map_kernel(kernel)
         except SGMFUnmappableError:
             continue
         assert len(mapping.placer.placed) == 1
-        if pickled:
-            mapping = pickle.loads(pickle.dumps(mapping))
         _check_sgmf(mapping, spec)
     assert lazy_blocks > 50
 

@@ -16,6 +16,7 @@ The contracts under test (``docs/serving.md`` / ``docs/api.md``):
   on digest divergence (typed degraded response on the serve path).
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -84,15 +85,26 @@ def test_fingerprint_stable_across_processes():
 
 
 def test_fingerprint_ignores_reporting_knobs(tmp_path):
-    """Jobs/cache-dir/trace knobs change *how* a sweep runs, not
+    """Jobs/result-cache/trace knobs change *how* a sweep runs, not
     *what* it computes — they must not shift the identity key."""
     base = RunOptions(scale="tiny")
-    dressed = base.replace(jobs=4, cache_dir=str(tmp_path / "cc"),
-                           result_cache_dir=str(tmp_path / "rc"),
+    dressed = base.replace(jobs=4, result_cache_dir=str(tmp_path / "rc"),
                            validate_cache_fraction=0.5,
                            trace_path=str(tmp_path / "t.json"))
     assert base.fingerprint() == dressed.fingerprint()
     assert base.fingerprint() != base.replace(verify=False).fingerprint()
+
+
+def test_identity_keys_are_pinned_across_versions():
+    """Literal keys recorded before ``RunOptions`` lost its compile-cache
+    directory field: adding or removing an option field that does not
+    change a result must not move the batching key or any stored
+    result-cache entry."""
+    fingerprint = RunOptions(scale="tiny").fingerprint()
+    assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
+        "84c8addda113c09fa62a476eafb8e86c4f1cd7c0054fc0e7be06023cd8f7066e")
+    assert ResultCache.key_for("nn/euclid", RunOptions(scale="tiny")) == (
+        "e0b6948b58478caef0202f9b209956ea6452cf1bf067086a5d56f6fb8ac6e385")
 
 
 def test_fingerprint_canonicalizes_mapping_order():

@@ -63,7 +63,7 @@ def test_fingerprint_tracks_semantics_only():
     assert base.fingerprint() != base.replace(scale="small").fingerprint()
     assert base.fingerprint() != base.replace(verify=False).fingerprint()
     # Reporting / persistence / live knobs never perturb the key.
-    same = base.replace(jobs=4, trace_path="t.json", cache_dir="/tmp/cc",
+    same = base.replace(jobs=4, trace_path="t.json",
                         result_cache_dir="/tmp/rc", metrics=Metrics())
     assert base.fingerprint() == same.fingerprint()
 

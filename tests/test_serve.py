@@ -231,9 +231,10 @@ def test_long_lived_worker_compile_cache_stays_bounded(monkeypatch):
     """More distinct (kernel, vgiw_config) points than the compile
     namespace's cap, pushed through one warm worker: its memory tier
     stays at or below the cap and the evictions are counted.  The pool
-    forks after the cap is lowered, so the worker inherits it."""
-    monkeypatch.setattr(CompileCache, "MAX_ENTRIES", 4)
-    monkeypatch.setattr(service_mod, "_WARM_CACHES", {})
+    forks after the warm cache is swapped for a 4-entry one, so the
+    worker inherits it."""
+    monkeypatch.setattr(service_mod, "_WARM_CACHE",
+                        CompileCache(max_entries=4))
     counts = dict(FabricSpec().counts)
     counts[UnitKind.COMPUTE] -= 1
     counts[UnitKind.SPECIAL] += 1

@@ -1,8 +1,10 @@
 """The content-addressed store (``repro.store``) under both namespaces.
 
 The compile cache and the result cache are namespaces on one
-:class:`repro.store.Store`, so their persistence contract is tested
-once, parametrized over both (``docs/api.md``):
+:class:`repro.store.Store`, so their shared contract is tested once,
+parametrized over both (``docs/api.md``); the disk tier, which only
+the result cache uses (the compile cache is memory-only), is tested
+through the result cache:
 
 * an entry written by one store instance is read back by a fresh one
   (a new process, same directory) as a self-describing ``StoreEntry``;
@@ -44,11 +46,17 @@ def _put(cache, key, run):
     return cache.put(key, run)
 
 
+@pytest.fixture(params=[ResultCache], ids=["resultcache"])
+def disk_namespace(request):
+    """The namespaces with a disk tier."""
+    return request.param
+
+
 @pytest.fixture
-def stored(namespace, tmp_path, tiny_run):
+def stored(disk_namespace, tmp_path, tiny_run):
     """``(key, path)`` of one entry written to ``tmp_path``."""
-    cache = namespace(str(tmp_path))
-    key = namespace.make_key("entry")
+    cache = disk_namespace(str(tmp_path))
+    key = disk_namespace.make_key("entry")
     _put(cache, key, tiny_run)
     path = cache.path_for(key)
     assert cache.disk_writes == 1 and os.path.exists(path)
@@ -62,22 +70,22 @@ def _rewrite(path, **changes):
         pickle.dump(dataclasses.replace(entry, **changes), fh)
 
 
-def test_disk_entry_round_trips(namespace, stored, tmp_path):
+def test_disk_entry_round_trips(disk_namespace, stored, tmp_path):
     key, path = stored
-    fresh = namespace(str(tmp_path))  # new process, same directory
+    fresh = disk_namespace(str(tmp_path))  # new process, same directory
     assert fresh.get(key) is not None
     assert fresh.disk_hits == 1 and fresh.misses == 0
     with open(path, "rb") as fh:
         entry = pickle.load(fh)
     assert isinstance(entry, StoreEntry)
-    assert (entry.namespace, entry.key) == (namespace.NAMESPACE, key)
+    assert (entry.namespace, entry.key) == (disk_namespace.NAMESPACE, key)
 
 
 @pytest.mark.parametrize("damage", [
     "corrupt", "truncated", "version_skewed", "foreign_namespace",
     "mis_keyed",
 ])
-def test_damaged_entry_is_a_counted_miss(namespace, stored, tmp_path,
+def test_damaged_entry_is_a_counted_miss(disk_namespace, stored, tmp_path,
                                          tiny_run, damage):
     key, path = stored
     if damage == "corrupt":
@@ -89,25 +97,26 @@ def test_damaged_entry_is_a_counted_miss(namespace, stored, tmp_path,
         with open(path, "wb") as fh:
             fh.write(data[: len(data) // 2])
     elif damage == "version_skewed":
-        _rewrite(path, version=namespace.VERSION + 1)
+        _rewrite(path, version=disk_namespace.VERSION + 1)
     elif damage == "foreign_namespace":
         _rewrite(path, namespace="elsewhere")
     else:
-        _rewrite(path, key=namespace.make_key("another entry"))
+        _rewrite(path, key=disk_namespace.make_key("another entry"))
 
-    fresh = namespace(str(tmp_path))
+    fresh = disk_namespace(str(tmp_path))
     assert fresh.get(key) is None
     assert fresh.disk_errors == 1
     assert fresh.misses == 1 and fresh.disk_hits == 0
     assert not os.path.exists(path)  # the poisoned file was removed
     # ...and the rebuilt value is written back, readable again.
     _put(fresh, key, tiny_run)
-    assert namespace(str(tmp_path)).get(key) is not None
+    assert disk_namespace(str(tmp_path)).get(key) is not None
 
 
-def test_unpicklable_value_stays_in_memory(namespace, tmp_path, tiny_run):
-    cache = namespace(str(tmp_path))
-    key = namespace.make_key("unpicklable")
+def test_unpicklable_value_stays_in_memory(disk_namespace, tmp_path,
+                                           tiny_run):
+    cache = disk_namespace(str(tmp_path))
+    key = disk_namespace.make_key("unpicklable")
     value = dataclasses.replace(tiny_run, trace=lambda: None)
     _put(cache, key, value)
     assert cache.disk_errors == 1 and cache.disk_writes == 0

@@ -1,9 +1,10 @@
 """Bounds on the generated timing-walk code: only replicas that receive
 threads get a plan and a walk, replicas of one block shape share one
-``compile()`` and one code object, every compiled walk has its own code
-filename, and ``enter(rep)`` binds a walk to its replica's state once,
-as argument defaults of one flat function, looking the state up in the
-order hang snapshots list it.  The emitted source is bounded per row
+``compile()`` and one code object (from a bounded memo that outlives
+each run), every compiled walk has its own code filename, and
+``enter(rep)`` binds a walk to its replica's state once, as argument
+defaults of one flat function, looking the state up in the order hang
+snapshots list it.  The emitted source is bounded per row
 (one statement per simple ALU row, one helper call per memory row) and
 in total.  The loops that drive the walks make only modelling calls: a
 batched SGMF visit is one walk call, a VGIW packet thread calls admit,
@@ -31,8 +32,12 @@ from repro.vgiw import VGIWCore
 BODY = "then.1"  # saxpy's replicated body block
 
 
-def _saxpy(n):
-    mem = MemoryImage(4 * n + 8)
+def _saxpy(n, pad=0):
+    """saxpy's memory and parameters; ``pad`` words ahead of the arrays
+    move them off line boundaries."""
+    mem = MemoryImage(4 * n + 8 + pad)
+    if pad:
+        mem.alloc("pad", pad)
     params = {
         "a": 2.0,
         "x": mem.alloc_array("x", np.arange(n, dtype=float)),
@@ -45,8 +50,10 @@ def _saxpy(n):
 
 @pytest.fixture
 def codegen(monkeypatch):
-    """Record every plan built and every timing walk compiled."""
+    """Record every plan built and every timing walk compiled, starting
+    from an empty walk-code memo."""
     seen = {"plans": [], "compiles": []}
+    monkeypatch.setattr(mtcgrf, "_walk_codes", collections.OrderedDict())
     build, real_compile = mtcgrf.build_exec_plan, compile
 
     def recording_build(dfg, *args, **kwargs):
@@ -125,11 +132,16 @@ def test_sgmf_replicas_share_one_compile_per_block(codegen):
 
 
 def test_compiled_walks_have_distinct_filenames(codegen):
-    for _ in range(2):
+    def run():
         mem, params = _saxpy(8)
         VGIWCore().run(saxpy_kernel(), mem, params, 8)
-    body = [f for f in codegen["compiles"] if _block_of(f) == BODY]
-    assert len(body) == 2  # the code dict lives for one run
+        return [f for f in codegen["compiles"] if _block_of(f) == BODY]
+
+    run()
+    assert len(run()) == 1  # the second run finds the first run's code
+    mtcgrf._walk_codes.clear()
+    body = run()
+    assert len(body) == 2
     assert len(set(body)) == 2
     assert all(f.startswith("<timing:") for f in body)
     plans = [p for p in codegen["plans"] if p.block_name == BODY]
@@ -352,17 +364,22 @@ def test_fermi_memory_instruction_makes_no_per_lane_call():
     assert seen[0xFF] == seen[0xFFFF]
 
     dispatch = FermiSM._dispatch.__code__
-    calls = _saxpy_calls(dispatch, FermiSM(), 64)
+    mem, params = _saxpy(64, pad=3)  # two segments per warp access
+    calls = _calls_from(dispatch, FermiSM().run, saxpy_kernel(), mem,
+                        params, 64)
     assert set(calls) <= {
         Warp.exec_prepared.__code__,
         coalesce_word_addresses.__code__,
-        # per coalesced segment
         FermiConfig.ldst_throughput_cycles.fget.__code__,
+        # per coalesced segment
         CacheStats.misses.fget.__code__,
         MemorySystem.access_line.__code__,
         FermiSM._miss_penalty.__code__,
     }
     assert calls[coalesce_word_addresses.__code__] == 6  # 3 per warp
+    assert calls[MemorySystem.access_line.__code__] == 12
+    # The pipe's throughput is read once per memory instruction.
+    assert calls[FermiConfig.ldst_throughput_cycles.fget.__code__] == 6
 
 
 def test_replica_issue_uses_the_walks_rule():
@@ -398,10 +415,23 @@ def test_replica_issue_uses_the_walks_rule():
 
 
 def _walk_source(plan, sgmf=False):
-    codes = {}
-    mtcgrf.compile_timing(plan, 8, 2, codes, sgmf)
-    (source,) = codes
-    return source
+    """The source ``compile_timing`` emits for ``plan``: the memo's most
+    recently used entry afterwards, whether it compiled or hit."""
+    mtcgrf.compile_timing(plan, 8, 2, sgmf)
+    return next(reversed(mtcgrf._walk_codes))
+
+
+def test_walk_code_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(mtcgrf, "_walk_codes", collections.OrderedDict())
+    monkeypatch.setattr(mtcgrf, "WALK_CODE_ENTRIES", 2)
+    sources = [f"def __timing(x):\n    return x + {k}" for k in range(3)]
+    a = mtcgrf.walk_code(sources[0], "a")
+    b = mtcgrf.walk_code(sources[1], "b")
+    assert mtcgrf.walk_code(sources[0], "other") is a  # a hit, refreshed
+    assert a.co_filename.startswith("<timing:a#")
+    mtcgrf.walk_code(sources[2], "c")  # evicts b, the least recent
+    assert list(mtcgrf._walk_codes) == [sources[0], sources[2]]
+    assert mtcgrf.walk_code(sources[1], "b") is not b
 
 
 def _timing_body(source):
@@ -544,7 +574,7 @@ def test_first_enter_creates_state_in_snapshot_order(table2_plans):
         issue, mem = _issue_units(plan, sgmf), _mem_units(plan, sgmf)
         scu = [row[2] for row in plan.rows if row[0] == mtcgrf.T_SCU]
         rep = mtcgrf._ReplicaState()
-        enter = mtcgrf.compile_timing(plan, 8, 2, {}, sgmf)
+        enter = mtcgrf.compile_timing(plan, 8, 2, sgmf)
         walk = enter(rep)
         assert list(rep.unit_next) == list(dict.fromkeys(issue))
         assert list(rep.ldst_outstanding) == sorted(set(mem))
@@ -572,15 +602,18 @@ def test_first_enter_creates_state_in_snapshot_order(table2_plans):
 
 
 #: Bound on the walk source one in-process fuzz chunk (seed 1000, 20
-#: cases) compiles: 102 220 chars in 114 compiles since each walk is
-#: one flat function and each memory row one helper call (172 102 in
-#: the same compiles before)
-FUZZ_CHUNK_WALK_CHARS = 110_000
+#: cases) compiles from an empty walk-code memo: 93 304 chars in 102
+#: compiles since the memo outlives each engine run (102 220 in 114
+#: compiles with one code dict per run, 172 102 in those compiles
+#: before each walk was one flat function with one helper call per
+#: memory row), plus 7 %
+FUZZ_CHUNK_WALK_CHARS = 100_000
 
 
 def test_fuzz_chunk_walk_source_stays_small(monkeypatch):
     from repro.fuzz.campaign import CampaignConfig, run_campaign
 
+    monkeypatch.setattr(mtcgrf, "_walk_codes", collections.OrderedDict())
     sources = []
     real_compile = compile
 
