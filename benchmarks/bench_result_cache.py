@@ -25,7 +25,7 @@ import json
 import os
 import tempfile
 
-from repro.evalharness import RunOptions
+from repro.evalharness import ResultCache, RunOptions
 from repro.serve import ExecutionService, LoadGen
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -58,7 +58,7 @@ def _stream_pair(scale: str, n_requests: int, concurrency: int):
                   concurrency=concurrency)
     with tempfile.TemporaryDirectory() as cache_dir:
         with ExecutionService(workers=WORKERS,
-                              result_cache_dir=cache_dir) as svc:
+                              result_cache=ResultCache(cache_dir)) as svc:
             cold = gen.run(svc)
             warm = gen.run(svc)
             stats = svc.stats()

@@ -203,7 +203,10 @@ class ReplicaPlacer:
     A replica places every graph in list order; replica *k* takes the
     units replicas 0..*k*-1 left free, so :meth:`replica` places any
     still-unplaced replicas below *k* first.  Replica 0 is placed at
-    construction, where capacity errors surface.  The free lists and
+    construction, where capacity errors surface.  A replica is placed
+    into copies of the free lists and committed with them in one
+    assignment, so an exception part-way (a wall-clock timeout's
+    included) leaves the placer as it was.  The free lists and
     :class:`Wiring` kept for the next replica are dropped once the last
     replica is placed.
     """
@@ -212,29 +215,30 @@ class ReplicaPlacer:
                  n_replicas: int, improve_passes: int):
         self.n_replicas = n_replicas
         #: replica -> placement of each graph, in graph order
-        self.placed: List[List[PlacedReplica]] = []
+        self.placed: Tuple[List[PlacedReplica], ...] = ()
         #: what placing the next replica needs; ``None`` once all are
         self._pending = (
             [(dfg, wiring(dfg)) for dfg in dfgs],
             fabric,
-            {k: list(v) for k, v in fabric.by_kind.items()},
+            fabric.by_kind,
             improve_passes,
         )
         self.replica(0)
 
     def replica(self, k: int) -> List[PlacedReplica]:
         """Replica ``k``'s placement of each graph."""
-        placed = self.placed
         if not 0 <= k < self.n_replicas:
             raise IndexError(f"replica {k} of {self.n_replicas}")
-        if k >= len(placed):
+        while len(self.placed) <= k:
             graphs, fabric, free, passes = self._pending
-            while len(placed) <= k:
-                placed.append([_place_one(dfg, wires, fabric, free, passes)
-                               for dfg, wires in graphs])
-            if len(placed) == self.n_replicas:
-                self._pending = None
-        return placed[k]
+            free = {kind: list(units) for kind, units in free.items()}
+            placed = self.placed + (
+                [_place_one(dfg, wires, fabric, free, passes)
+                 for dfg, wires in graphs],)
+            self.placed, self._pending = placed, (
+                None if len(placed) == self.n_replicas
+                else (graphs, fabric, free, passes))
+        return self.placed[k]
 
 
 class PlacedBlock:

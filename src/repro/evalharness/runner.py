@@ -45,8 +45,9 @@ layers protect against the process-level ones (``docs/resilience.md``
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -115,6 +116,9 @@ class KernelRun:
     #: tracer / metrics registry; see repro.obs)
     trace: Optional[Tracer] = None
     metrics: Optional[Metrics] = None
+    #: host seconds this run spent building the workload and optimising
+    #: its kernels (neither serialized nor digested)
+    compile_s: float = field(default=0.0, compare=False)
 
     @property
     def speedup_vs_fermi(self) -> float:
@@ -223,6 +227,7 @@ def _execute_kernel(name: str, o: RunOptions,
     Takes a fully-resolved :class:`RunOptions` (no adapter, no
     wall-clock guard — ``_run_one`` and ``repro.serve`` arm their own,
     per attempt)."""
+    t0 = time.monotonic()
     workload = make_workload(name, o.scale)
     tracer, metrics = o.tracer, o.metrics
     if o.optimize:
@@ -237,6 +242,7 @@ def _execute_kernel(name: str, o: RunOptions,
         )
     else:
         kernel = sgmf_kernel = workload.kernel
+    compile_s = time.monotonic() - t0
 
     golden = None
     if o.verify:
@@ -295,6 +301,7 @@ def _execute_kernel(name: str, o: RunOptions,
         sgmf_energy=sgmf_bd,
         trace=tracer,
         metrics=metrics,
+        compile_s=compile_s,
     )
 
 

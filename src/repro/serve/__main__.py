@@ -41,6 +41,7 @@ import json
 import sys
 
 from repro.evalharness.options import RunOptions
+from repro.evalharness.resultcache import ResultCache
 from repro.kernels.registry import all_names
 from repro.obs import Metrics, Tracer
 from repro.serve.loadgen import LoadGen
@@ -130,7 +131,8 @@ def main(argv=None) -> int:
     service = ExecutionService(
         workers=args.workers, policy=args.policy,
         queue_limit=args.queue_limit, tracer=tracer, metrics=metrics,
-        result_cache_dir=args.result_cache,
+        result_cache=(None if args.result_cache is None
+                      else ResultCache(args.result_cache)),
         validate_cache_fraction=args.validate_cache_fraction)
     with service:
         report = loadgen.run(service)

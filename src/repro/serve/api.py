@@ -118,8 +118,10 @@ class RunResponse:
         it was shed without executing.
 
     The timing split (all host seconds) is ``queue_s`` (submission →
-    dispatch), ``compile_s`` (workload build + compile-cache warm
-    inside the worker), ``execute_s`` (the measurement run proper) and
+    dispatch), ``compile_s`` (the workload build and optimisation of
+    the worker's one pass, :attr:`KernelRun.compile_s`), ``execute_s``
+    (the rest of the worker's time; a degraded response has no
+    finished run, so all of its worker time is ``execute_s``) and
     ``total_s`` (submission → response).  ``batch_id`` / ``batch_size``
     identify the coalesced execution that served this request
     (``batch_size > 1`` means the result was computed once and fanned

@@ -29,13 +29,15 @@ Policies
     overload, which is what ``deadline_s`` shedding is for.
 
 Thread safety: every public method takes the internal lock; the service
-calls :meth:`offer` from client threads and :meth:`next_batch` /
-:meth:`requeue` from its dispatcher thread.
+calls :meth:`offer` from client threads and :meth:`pop_expired` /
+:meth:`next_batch` / :meth:`requeue` from its dispatcher thread, which
+never blocks in here: it sleeps on its own wake-up event.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -101,7 +103,6 @@ class BatchScheduler:
         self.queue_limit = queue_limit
         self._queue: List[QueueEntry] = []  # admission order
         self._lock = threading.Lock()
-        self._nonempty = threading.Condition(self._lock)
         self._estimates: Dict[BatchKey, float] = {}
         self._seq = 0
         self._batch_counter = 0
@@ -112,14 +113,13 @@ class BatchScheduler:
     def offer(self, entry: QueueEntry) -> bool:
         """Admit ``entry``; ``False`` when the queue is full (the
         service turns that into a typed ``"rejected"`` response)."""
-        with self._nonempty:
+        with self._lock:
             if len(self._queue) >= self.queue_limit:
                 return False
             self._seq += 1
             entry.seq = self._seq
             self._queue.append(entry)
             self.peak_depth = max(self.peak_depth, len(self._queue))
-            self._nonempty.notify()
             return True
 
     def requeue(self, entries: List[QueueEntry]) -> None:
@@ -128,49 +128,32 @@ class BatchScheduler:
         cannot itself be shed."""
         if not entries:
             return
-        with self._nonempty:
+        with self._lock:
             self._queue[0:0] = entries
             self.peak_depth = max(self.peak_depth, len(self._queue))
-            self._nonempty.notify()
 
     def depth(self) -> int:
         with self._lock:
             return len(self._queue)
 
-    # -- lazy deadline shedding -----------------------------------------
-    def pop_expired(self, now: float) -> List[QueueEntry]:
-        """Remove and return every queued entry whose deadline has
-        expired.
+    # -- deadline shedding ----------------------------------------------
+    def pop_expired(
+            self, now: float) -> Tuple[List[QueueEntry], Optional[float]]:
+        """Remove every queued entry whose deadline has expired.
 
-        The dispatcher calls this at the top of every loop iteration,
-        so under a saturated pool an expired request is shed (and its
-        ``"deadline"`` response lands) within one dispatcher beat of
-        expiry instead of sitting in the queue until its compatibility
-        group happens to be pulled."""
+        Returns ``(expired, soonest)``: the removed entries, and the
+        earliest absolute monotonic deadline still queued (``None``
+        when no queued entry has one).  The dispatcher sheds on every
+        wake and sleeps no later than ``soonest``, so an expired
+        request never consumes dispatch capacity and its
+        ``"deadline"`` response lands as it expires."""
         with self._lock:
             expired = [e for e in self._queue if e.expired(now)]
             if expired:
                 self._queue = [e for e in self._queue if not e.expired(now)]
-            return expired
-
-    def take_if_expired(self, request_id: int, now: float):
-        """Lazy shed at the waiter: ``(entry, deadline_mono)``.
-
-        If the request is still queued and its deadline has expired,
-        the entry is removed and returned (the service finishes it as
-        ``"deadline"`` immediately — the caller is observing it *now*).
-        Otherwise returns ``(None, deadline)`` where ``deadline`` is
-        the queued entry's absolute monotonic expiry (``None`` when the
-        request is deadline-free, already dispatched, or finished) so
-        the waiter can bound its sleep and re-check on time."""
-        with self._lock:
-            for i, entry in enumerate(self._queue):
-                if entry.ticket.request_id == request_id:
-                    if entry.expired(now):
-                        del self._queue[i]
-                        return entry, None
-                    return None, entry.deadline_mono
-            return None, None
+            soonest = min((e.deadline_mono for e in self._queue
+                           if e.deadline_mono is not None), default=None)
+            return expired, soonest
 
     # -- learning (SJF) -------------------------------------------------
     def observe(self, key: BatchKey, execute_s: float) -> None:
@@ -186,38 +169,38 @@ class BatchScheduler:
             )
 
     # -- dispatch -------------------------------------------------------
-    def _pick_key(self) -> BatchKey:
-        """The key to dispatch next (lock held, queue non-empty)."""
+    def _pick_key(self, ready: List[QueueEntry]) -> BatchKey:
+        """The key to dispatch next among ``ready`` (lock held,
+        non-empty, in admission order)."""
         if self.policy == "fifo":
-            return self._queue[0].key
+            return ready[0].key
         # sjf: smallest estimated execution time; arrival order breaks
         # ties (and orders the never-seen keys among themselves).
         first_seq: Dict[BatchKey, int] = {}
-        for entry in self._queue:
+        for entry in ready:
             first_seq.setdefault(entry.key, entry.seq)
         return min(
             first_seq,
             key=lambda k: (self._estimates.get(k, 0.0), first_seq[k]),
         )
 
-    def next_batch(self, timeout: Optional[float] = None) -> Optional[Batch]:
-        """Pop the next batch, waiting up to ``timeout`` seconds for the
-        queue to become non-empty; ``None`` on timeout."""
-        with self._nonempty:
-            if not self._queue:
-                self._nonempty.wait(timeout)
-            if not self._queue:
+    def next_batch(self) -> Optional[Batch]:
+        """Pop the next batch; ``None`` when nothing is ready.
+
+        An expired entry is never dispatched: it stays queued for
+        :meth:`pop_expired` to shed.  The clock is read under the lock,
+        so this holds for an entry admitted after the last shed too."""
+        with self._lock:
+            now = time.monotonic()
+            ready = [e for e in self._queue if not e.expired(now)]
+            if not ready:
                 return None
-            key = self._pick_key()
-            members = [e for e in self._queue if e.key == key]
-            self._queue = [e for e in self._queue if e.key != key]
+            key = self._pick_key(ready)
+            members = [e for e in ready if e.key == key]
+            self._queue = [e for e in self._queue
+                           if e.key != key or e.expired(now)]
             self._batch_counter += 1
             return Batch(self._batch_counter, key, members)
-
-    def wake(self) -> None:
-        """Wake a dispatcher blocked in :meth:`next_batch` (shutdown)."""
-        with self._nonempty:
-            self._nonempty.notify_all()
 
     def __repr__(self) -> str:
         return (f"BatchScheduler(policy={self.policy!r}, "

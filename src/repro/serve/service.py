@@ -31,6 +31,13 @@ runs on this service, so it is the one crash-tolerant pool:
   by its remaining budget through
   :func:`~repro.resilience.wall_clock_limit`).
 
+One dispatcher thread decides every queued request's fate.  It sleeps
+on one wake-up event — set by :meth:`ExecutionService.submit`, by each
+pool future as it finishes and by :meth:`ExecutionService.stop` — for
+at most the time to the earliest queued deadline.  Each wake collects
+the finished batches, sheds every expired queued request, then
+dispatches.
+
 Observability: the service records every event once — counters,
 queue-depth gauges, batch-size and latency histograms — into the
 ``serve/`` scope of one :class:`repro.obs.Metrics` registry, and
@@ -47,15 +54,15 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional
 
-from repro.compiler.cache import CompileCache, cached_optimize_kernel
+from repro.compiler.cache import CompileCache
 from repro.evalharness.options import RunOptions
 from repro.evalharness.resultcache import ResultCache
 from repro.evalharness.runner import KILL_ENV, _run_one
-from repro.kernels.registry import all_names, make_workload
+from repro.kernels.registry import all_names
 from repro.obs import Metrics, Tracer
 from repro.resilience import (
     KernelFailure,
@@ -124,47 +131,32 @@ def _serve_worker(payload):
     Returns ``(batch_id, run, failure, compile_s, execute_s, digest,
     summary, cache_delta, cache_entries)`` — ``run``/``failure`` exactly
     as :func:`~repro.evalharness.runner._run_one` reports them,
-    ``cache_delta`` the compile-cache counter *increments* this batch
-    caused, counted as a serial run counts them (the parent folds them
-    into its aggregate), and ``cache_entries`` the ``(pid, entries)``
-    size of this worker's bounded compile cache.
+    ``compile_s`` the finished run's workload build and optimisation
+    (:attr:`KernelRun.compile_s`), ``execute_s`` the rest of the
+    worker's time (all of it when no run finished), ``cache_delta`` the
+    compile-cache counter increments this batch caused (the parent
+    folds them into its aggregate), and ``cache_entries`` the ``(pid,
+    entries)`` size of this worker's bounded compile cache.
     """
     (batch_id, kernel, opts, budget_s) = payload
     _maybe_kill_for_test(kernel)
     cache = _WARM_CACHE
     before = cache.stats()
 
-    # Compile phase, timed separately: build the workload and warm the
-    # optimisation pipeline through the cache (the execution below then
-    # hits it, so execute_s measures simulation, not compilation).
-    t0 = time.monotonic()
-    workload = make_workload(kernel, opts.scale)
-    if opts.optimize:
-        cached_optimize_kernel(workload.kernel, params=workload.params,
-                               cache=cache)
-        cached_optimize_kernel(workload.kernel, params=workload.params,
-                               unroll=False, cache=cache)
-    compile_s = time.monotonic() - t0
-    warm = cache.stats()
-
     timeout = opts.timeout
     if budget_s is not None:
         timeout = budget_s if timeout is None else min(timeout, budget_s)
 
-    t1 = time.monotonic()
+    t0 = time.monotonic()
     run, failure = _run_one(kernel, opts.replace(timeout=timeout), cache)
-    execute_s = time.monotonic() - t1
+    compile_s = 0.0 if run is None else run.compile_s
+    execute_s = time.monotonic() - t0 - compile_s
 
     digest = None if run is None else result_digest(run)
     summary = {} if run is None else run_summary(run)
     after = cache.stats()
     cache_delta = {k: after[k] - before.get(k, 0)
                    for k in after if k != "entries"}
-    # The run repeats each pre-warm lookup as a hit; a serial run makes
-    # that lookup once, so count it once.
-    warm_lookups = (warm["hits"] + warm["misses"]
-                    - before["hits"] - before["misses"])
-    cache_delta["hits"] -= min(warm_lookups, after["hits"] - warm["hits"])
     return (batch_id, run, failure, compile_s, execute_s, digest,
             summary, cache_delta, (os.getpid(), after["entries"]))
 
@@ -188,15 +180,15 @@ class ExecutionService:
     crash_budget:
         How many worker crashes one request may survive (requeues)
         before degrading with :class:`WorkerCrashError`.
-    result_cache / result_cache_dir:
+    result_cache:
         Arm the content-addressed result cache
-        (:class:`repro.evalharness.ResultCache`): a request whose
-        content key — kernel IR hash, options fingerprint, input
-        digest — was answered before is completed *at admission* with
-        status ``"cached"``, never touching the queue or the worker
-        pool; every batch completion populates the cache.  Pass a live
-        :class:`ResultCache` to share one across services, or
-        ``result_cache_dir`` for a fresh disk-backed one.
+        (:class:`repro.evalharness.ResultCache`; pass
+        ``ResultCache(directory)`` for a disk-backed one, or share one
+        live cache across services): a request whose content key —
+        kernel IR hash, options fingerprint, input digest — was
+        answered before is completed *at admission* with status
+        ``"cached"``, never touching the queue or the worker pool;
+        every batch completion populates the cache.
     validate_cache_fraction / validate_cache_seed:
         Trust-but-verify sampling: the selected (seeded,
         deterministic) fraction of cache hits is *not* short-circuited
@@ -233,7 +225,6 @@ class ExecutionService:
     def __init__(self, workers: int = 2, policy: str = "fifo",
                  queue_limit: int = 64, crash_budget: int = 2,
                  result_cache: Optional[ResultCache] = None,
-                 result_cache_dir: Optional[str] = None,
                  validate_cache_fraction: float = 0.0,
                  validate_cache_seed: int = 0,
                  retention_limit: int = 1024, tracer=None,
@@ -243,8 +234,6 @@ class ExecutionService:
                                         queue_limit=queue_limit)
         self.crash_budget = max(1, int(crash_budget))
         self.result_cache = result_cache
-        if self.result_cache is None and result_cache_dir is not None:
-            self.result_cache = ResultCache(result_cache_dir)
         self.validate_cache_fraction = float(validate_cache_fraction)
         self.validate_cache_seed = int(validate_cache_seed)
         self.retention_limit = max(1, int(retention_limit))
@@ -264,6 +253,9 @@ class ExecutionService:
 
         self._running = False
         self._stopping = threading.Event()
+        #: the dispatcher's one wake-up: set by submit, by each pool
+        #: future as it finishes, and by stop
+        self._wake = threading.Event()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._t0_mono = 0.0
@@ -297,7 +289,7 @@ class ExecutionService:
             return
         if not drain:
             while True:
-                batch = self.scheduler.next_batch(timeout=0)
+                batch = self.scheduler.next_batch()
                 if batch is None:
                     break
                 for entry in batch.entries:
@@ -308,7 +300,7 @@ class ExecutionService:
                         error="service is stopping",
                         error_type="ServiceStopped"))
         self._stopping.set()
-        self.scheduler.wake()
+        self._wake.set()
         if self._dispatcher is not None:
             self._dispatcher.join()
         if self._pool is not None:
@@ -413,6 +405,7 @@ class ExecutionService:
             return reject(
                 f"queue full (limit {self.scheduler.queue_limit})",
                 "QueueFullError")
+        self._wake.set()
         self._scope.gauge("queue_depth", self.scheduler.depth())
         return ticket
 
@@ -424,10 +417,9 @@ class ExecutionService:
         Pickup evicts the response from the retention map — each ticket
         is waited at most once (a second ``wait`` raises ``KeyError``,
         as does a ticket whose un-picked-up response aged past
-        ``retention_limit``).  If the request is still queued with an
-        expired ``deadline_s``, it is shed *here*: the caller observing
-        the ticket is exactly when the ``"deadline"`` status must fire,
-        not whenever the dispatcher would next have pulled its batch.
+        ``retention_limit``).  Waiting changes nothing else: the
+        dispatcher sheds an expired queued request whether or not
+        anyone waits on it.
         """
         rid = ticket.request_id
         with self._lock:
@@ -436,28 +428,11 @@ class ExecutionService:
             raise KeyError(
                 f"unknown ticket {rid} (never submitted, already "
                 f"picked up, or evicted past the retention limit)")
-        budget_end = (None if timeout is None
-                      else time.monotonic() + timeout)
-        while True:
-            now = time.monotonic()
-            expired, queued_deadline = \
-                self.scheduler.take_if_expired(rid, now)
-            if expired is not None:
-                self._finish_deadline(expired, now, batch_id=None)
-            wait_s = (None if budget_end is None
-                      else max(0.0, budget_end - now))
-            if queued_deadline is not None:
-                # Sleep only to the request's own expiry, so the lazy
-                # shed above re-runs right when it becomes due.
-                until = max(0.0, queued_deadline - now) + 0.005
-                wait_s = until if wait_s is None else min(wait_s, until)
-            if event.wait(wait_s):
-                with self._lock:
-                    response = self._responses.pop(rid, None)
-                    self._events.pop(rid, None)
-                return response
-            if budget_end is not None and time.monotonic() >= budget_end:
-                return None
+        if not event.wait(timeout):
+            return None
+        with self._lock:
+            self._events.pop(rid, None)
+            return self._responses.pop(rid, None)
 
     def result(self, ticket: Ticket) -> Optional[RunResponse]:
         """Non-consuming peek: the response if it landed and has not
@@ -467,32 +442,15 @@ class ExecutionService:
 
     # -- dispatcher -----------------------------------------------------
     def _dispatch_loop(self) -> None:
+        """Each wake: collect finished batches, shed expired queued
+        requests, dispatch; then sleep until the next wake-up or the
+        earliest queued deadline."""
         in_flight: Dict[Any, Batch] = {}
+        wake = self._wake
         while True:
-            # Lazy deadline sweep: shed *every* expired queued request
-            # each beat, not just the ones whose batch is pulled — an
-            # expired request must never consume dispatch capacity.
-            now = time.monotonic()
-            for entry in self.scheduler.pop_expired(now):
-                self._finish_deadline(entry, now, batch_id=None)
-            while len(in_flight) < self.workers:
-                timeout = 0.0 if in_flight or self._stopping.is_set() \
-                    else 0.1
-                batch = self.scheduler.next_batch(timeout=timeout)
-                if batch is None:
-                    break
-                self._shed_expired(batch)
-                if not batch.entries:
-                    continue
-                self._dispatch(in_flight, batch)
-            if not in_flight:
-                if self._stopping.is_set() and self.scheduler.depth() == 0:
-                    return
-                continue
-            done, _ = wait(list(in_flight), timeout=0.25,
-                           return_when=FIRST_COMPLETED)
+            wake.clear()
             crashed: List[Batch] = []
-            for future in done:
+            for future in [f for f in in_flight if f.done()]:
                 batch = in_flight.pop(future)
                 try:
                     payload = future.result()
@@ -509,8 +467,23 @@ class ExecutionService:
                 in_flight.clear()
                 self._recover(crashed)
 
-    def _finish_deadline(self, entry: QueueEntry, now: float,
-                         batch_id: Optional[int]) -> None:
+            now = time.monotonic()
+            expired, soonest = self.scheduler.pop_expired(now)
+            for entry in expired:
+                self._finish_deadline(entry, now)
+
+            while len(in_flight) < self.workers:
+                batch = self.scheduler.next_batch()
+                if batch is None:
+                    break
+                self._dispatch(in_flight, batch)
+            if (not in_flight and self._stopping.is_set()
+                    and self.scheduler.depth() == 0):
+                return
+            wake.wait(None if soonest is None
+                      else max(0.0, soonest - time.monotonic()))
+
+    def _finish_deadline(self, entry: QueueEntry, now: float) -> None:
         """Complete one still-queued entry as ``"deadline"``."""
         waited = now - entry.enqueued_mono
         self._finish(entry, RunResponse(
@@ -520,18 +493,7 @@ class ExecutionService:
             error=(f"deadline of {entry.request.deadline_s:.3f}s "
                    f"expired after {waited:.3f}s in queue"),
             error_type="DeadlineExceeded",
-            queue_s=waited, total_s=waited,
-            batch_id=batch_id))
-
-    def _shed_expired(self, batch: Batch) -> None:
-        now = time.monotonic()
-        kept: List[QueueEntry] = []
-        for entry in batch.entries:
-            if entry.expired(now):
-                self._finish_deadline(entry, now, batch.batch_id)
-            else:
-                kept.append(entry)
-        batch.entries = kept
+            queue_s=waited, total_s=waited))
 
     def _dispatch(self, in_flight: Dict[Any, Batch], batch: Batch) -> None:
         batch.dispatch_mono = time.monotonic()
@@ -541,6 +503,7 @@ class ExecutionService:
         opts: RunOptions = batch.entries[0].opts
         future = self._pool.submit(
             _serve_worker, (batch.batch_id, batch.kernel, opts, budget_s))
+        future.add_done_callback(lambda _: self._wake.set())
         in_flight[future] = batch
         with self._lock:
             self._scope.observe("batch_size", len(batch.entries))

@@ -466,12 +466,14 @@ class FermiSM:
             start = issue
             throughput = config.ldst_throughput_cycles
             l1_stats = memsys.l1.stats
+            # A segment moves only its own access kind's miss counter.
+            misses = "write_misses" if is_write else "read_misses"
             for seg in segments:
                 start = max(start, self._ldst_free)
                 self._ldst_free = start + throughput
-                misses_before = l1_stats.misses
+                misses_before = getattr(l1_stats, misses)
                 done = memsys.access_line(start, seg, is_write)
-                if l1_stats.misses > misses_before:
+                if getattr(l1_stats, misses) > misses_before:
                     done += self._miss_penalty(start, done, config)
                 completion = max(completion, done)
                 stats.mem_transactions += 1

@@ -355,6 +355,48 @@ def test_replica_index_out_of_range():
             placement.replica(k)
 
 
+def test_interrupted_first_use_placement_leaves_no_trace(monkeypatch):
+    """A replica whose placement is interrupted part-way (a wall-clock
+    timeout raises anywhere) takes no units: every replica, that one
+    included, lands where an uninterrupted placer puts it."""
+    import repro.compiler.placement as placement_mod
+    from repro.kernels.registry import make_workload
+
+    class Interrupted(Exception):
+        pass
+
+    class FreeList(list):
+        """A free list whose third unit claim, counted over all kinds,
+        raises instead."""
+
+        claims = 0
+
+        def remove(self, uid):
+            FreeList.claims += 1
+            if FreeList.claims == 3:
+                raise Interrupted
+            super().remove(uid)
+
+    place_one = placement_mod._place_one
+
+    def interrupting(dfg, wires, fabric, free, passes):
+        for kind in free:
+            free[kind] = FreeList(free[kind])
+        return place_one(dfg, wires, fabric, free, passes)
+
+    kernel = make_workload("nn/euclid", "tiny").kernel
+    dfg = compile_kernel(kernel).blocks["entry"].dfg
+    fabric = Fabric(FabricSpec())
+    block = place_block(dfg, fabric, 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(placement_mod, "_place_one", interrupting)
+        with pytest.raises(Interrupted):
+            block.replica(1)
+    assert FreeList.claims == 3
+    assert _lines(block.replicas) == _lines(
+        place_block(dfg, fabric, 8).replicas)
+
+
 def test_compiles_share_one_fabric_per_geometry():
     from repro.compiler.placement import shared_fabric
     from repro.sgmf.mapping import map_kernel

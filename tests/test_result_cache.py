@@ -249,7 +249,7 @@ def test_validation_clean_pass_counts(tmp_path):
 # ----------------------------------------------------------------------
 def test_serve_warm_stream_is_cached_with_equal_digests(tmp_path):
     with ExecutionService(workers=1,
-                          result_cache_dir=str(tmp_path)) as svc:
+                          result_cache=ResultCache(str(tmp_path))) as svc:
         cold = [svc.wait(svc.submit(SubmitRequest(k, TINY)), timeout=120)
                 for k in KERNELS]
         warm = [svc.wait(svc.submit(SubmitRequest(k, TINY)), timeout=120)
@@ -266,11 +266,11 @@ def test_serve_warm_stream_is_cached_with_equal_digests(tmp_path):
 
 def test_serve_hits_cross_service_through_disk_tier(tmp_path):
     with ExecutionService(workers=1,
-                          result_cache_dir=str(tmp_path)) as svc:
+                          result_cache=ResultCache(str(tmp_path))) as svc:
         cold = svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)),
                         timeout=120)
     with ExecutionService(workers=1,
-                          result_cache_dir=str(tmp_path)) as svc2:
+                          result_cache=ResultCache(str(tmp_path))) as svc2:
         warm = svc2.wait(svc2.submit(SubmitRequest("nn/euclid", TINY)),
                          timeout=120)
         stats = svc2.stats()
@@ -281,10 +281,11 @@ def test_serve_hits_cross_service_through_disk_tier(tmp_path):
 
 def test_serve_validation_divergence_is_typed_degraded(tmp_path):
     with ExecutionService(workers=1,
-                          result_cache_dir=str(tmp_path)) as svc:
+                          result_cache=ResultCache(str(tmp_path))) as svc:
         svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)), timeout=120)
     _poison_digest(tmp_path)
-    with ExecutionService(workers=1, result_cache_dir=str(tmp_path),
+    with ExecutionService(workers=1,
+                          result_cache=ResultCache(str(tmp_path)),
                           validate_cache_fraction=1.0) as svc:
         resp = svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)),
                         timeout=120)

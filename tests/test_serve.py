@@ -20,7 +20,7 @@ import pytest
 import repro.serve.service as service_mod
 from repro.arch import FabricSpec, UnitKind, VGIWConfig
 from repro.compiler import CompileCache
-from repro.evalharness import RunOptions, run_kernel, run_suite
+from repro.evalharness import ResultCache, RunOptions, run_kernel, run_suite
 from repro.evalharness.runner import KILL_ENV
 from repro.obs import Metrics, Tracer
 from repro.resilience import FaultSpec
@@ -145,7 +145,7 @@ def test_fault_campaign_is_honoured_and_never_cached(tmp_path):
     """Regression: the worker used to drop ``inject``, answer ``"ok"``,
     and store that fault-free result under the campaign's key."""
     with ExecutionService(workers=1,
-                          result_cache_dir=str(tmp_path)) as svc:
+                          result_cache=ResultCache(str(tmp_path))) as svc:
         first = svc.wait(svc.submit(SubmitRequest("nn/euclid",
                                                   EUCLID_ABORT)),
                          timeout=120)
@@ -282,7 +282,7 @@ def test_sjf_dispatches_learned_short_kernel_first():
     sched.observe(("fast", "f"), 0.1)
     assert sched.offer(entry(("slow", "f")))
     assert sched.offer(entry(("fast", "f")))
-    batch = sched.next_batch(timeout=0)
+    batch = sched.next_batch()
     assert batch.key == ("fast", "f")
 
 
@@ -390,7 +390,7 @@ def test_rejected_requests_feed_no_latency_series():
 
 
 # ----------------------------------------------------------------------
-# Bounded retention + lazy deadline shedding
+# Bounded retention + deadline shedding
 # ----------------------------------------------------------------------
 def test_wait_consumes_response_and_result_peeks():
     """``wait`` picks the response up exactly once; ``result`` is a
@@ -426,20 +426,115 @@ def test_unclaimed_responses_evict_past_retention_limit():
 
 
 def test_dispatcher_sheds_expired_request_without_a_waiter():
-    """Deadline shedding is lazy but *self-propelled*: an expired
-    queued request lands its ``"deadline"`` response within a
-    dispatcher beat even when nobody is waiting on the ticket."""
+    """Nobody waits on the ticket, yet an expired queued request lands
+    its ``"deadline"`` response as the deadline passes: the dispatcher
+    sleeps no later than the earliest queued deadline."""
     import time
 
     with ExecutionService(workers=1) as svc:
-        blocker = svc.submit(SubmitRequest("nn/euclid",
-                                           RunOptions(scale="small")))
+        blocker = svc.submit(SubmitRequest("hotspot/hotspot_kernel",
+                                           RunOptions(scale="medium")))
         doomed = svc.submit(SubmitRequest("gaussian/Fan1", TINY,
                                           deadline_s=0.05))
         deadline = time.monotonic() + 10
         resp = None
         while resp is None and time.monotonic() < deadline:
-            time.sleep(0.05)
+            time.sleep(0.01)
             resp = svc.result(doomed)  # peek — never wait
         assert resp is not None and resp.status == "deadline"
-        svc.wait(blocker, timeout=120)
+        assert resp.total_s - 0.05 < 0.1
+        blocked = svc.wait(blocker, timeout=120)
+    assert blocked.status == "ok"
+    assert blocked.total_s > 0.5  # the request really waited behind it
+
+
+def test_pop_expired_returns_expired_entries_and_soonest_deadline():
+    from repro.serve.scheduler import QueueEntry
+
+    sched = BatchScheduler(queue_limit=8)
+    entries = [QueueEntry(request=None, ticket=None, key=("k", "f"),
+                          opts=None, enqueued_mono=0.0, deadline_mono=d,
+                          crash_budget=1)
+               for d in (5.0, None, 1.0, 3.0, 2.0)]
+    for entry in entries:
+        assert sched.offer(entry)
+    expired, soonest = sched.pop_expired(2.5)
+    assert expired == [entries[2], entries[4]]
+    assert soonest == 3.0
+    assert sched.depth() == 3
+    assert sched.pop_expired(10.0) == ([entries[0], entries[3]], None)
+    assert sched.next_batch().entries == [entries[1]]
+
+
+def test_next_batch_leaves_expired_entries_for_the_shed():
+    import time
+
+    from repro.serve.scheduler import QueueEntry
+
+    sched = BatchScheduler(queue_limit=8)
+    stale, live = (QueueEntry(request=None, ticket=None, key=("k", "f"),
+                              opts=None, enqueued_mono=0.0,
+                              deadline_mono=d, crash_budget=1)
+                   for d in (0.0, None))
+    assert sched.offer(stale) and sched.offer(live)
+    assert sched.next_batch().entries == [live]
+    assert sched.next_batch() is None
+    assert sched.pop_expired(time.monotonic()) == ([stale], None)
+
+
+def test_requests_expired_at_admission_never_reach_a_worker():
+    """Clients racing the dispatcher with ``deadline_s=0`` requests: a
+    request admitted after the dispatcher's shed is still never
+    dispatched, so no batch runs and every request is shed."""
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ExecutionService(workers=1, queue_limit=1024) as svc:
+            def client():
+                for _ in range(200):
+                    svc.wait(svc.submit(SubmitRequest(
+                        "nn/euclid", TINY, deadline_s=0.0)), timeout=60)
+
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stats = svc.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats["requests"]["deadline"] == 800
+    assert stats["batches"]["count"] == 0
+
+
+def test_serve_worker_builds_the_workload_once(monkeypatch):
+    """A batch runs one pass: the workload is built once, and the
+    timing split is that pass's build-and-optimise prefix
+    (``compile_s``) and the rest of it (``execute_s``)."""
+    import dataclasses
+
+    from repro.kernels import registry
+    from repro.resilience import RetryPolicy
+
+    entry = registry._BY_NAME["nn/euclid"]
+    builds = []
+
+    def factory(scale):
+        builds.append(scale)
+        return entry.factory(scale)
+
+    monkeypatch.setitem(registry._BY_NAME, "nn/euclid",
+                        dataclasses.replace(entry, factory=factory))
+    monkeypatch.setattr(service_mod, "_WARM_CACHE", CompileCache())
+    opts = TINY.replace(retry=RetryPolicy())
+    (_, run, failure, compile_s, execute_s, digest, _, cache_delta,
+     _) = service_mod._serve_worker((1, "nn/euclid", opts, None))
+    assert failure is None
+    assert builds == ["tiny"]
+    assert compile_s == run.compile_s > 0
+    assert execute_s > 0
+    assert digest == result_digest(run_kernel("nn/euclid", options=TINY))
+    assert cache_delta["hits"] == 0 and cache_delta["misses"] > 0

@@ -372,7 +372,6 @@ def test_fermi_memory_instruction_makes_no_per_lane_call():
         coalesce_word_addresses.__code__,
         FermiConfig.ldst_throughput_cycles.fget.__code__,
         # per coalesced segment
-        CacheStats.misses.fget.__code__,
         MemorySystem.access_line.__code__,
         FermiSM._miss_penalty.__code__,
     }
@@ -380,6 +379,9 @@ def test_fermi_memory_instruction_makes_no_per_lane_call():
     assert calls[MemorySystem.access_line.__code__] == 12
     # The pipe's throughput is read once per memory instruction.
     assert calls[FermiConfig.ldst_throughput_cycles.fget.__code__] == 6
+    # A miss is seen on the access kind's own counter, never through
+    # the summed ``misses`` property.
+    assert calls[CacheStats.misses.fget.__code__] == 0
 
 
 def test_replica_issue_uses_the_walks_rule():
