@@ -55,6 +55,7 @@ import time
 
 from repro.evalharness.options import RunOptions
 from repro.evalharness.report import generate_report
+from repro.evalharness.resultcache import ResultCache
 from repro.evalharness.runner import run_suite, trace_file_for
 from repro.evalharness.serialize import runs_to_json
 from repro.kernels.registry import all_names
@@ -163,7 +164,8 @@ def main(argv=None) -> int:
                          watchdog=watchdog, inject=inject,
                          metrics=metrics, jobs=args.jobs,
                          trace_path=args.trace,
-                         result_cache_dir=args.result_cache,
+                         result_cache=(None if args.result_cache is None
+                                       else ResultCache(args.result_cache)),
                          validate_cache_fraction=args.validate_cache_fraction,
                          timeout=args.timeout)
 

@@ -32,9 +32,7 @@ resilience                ``watchdog``, ``retry``, ``isolate``,
                           ``timeout`` (host-seconds wall-clock budget)
 observability             ``tracer``, ``metrics``, ``trace_path``
 compilation               ``cache``
-result caching            ``result_cache``, ``result_cache_dir``,
-                          ``validate_cache_fraction``,
-                          ``validate_cache_seed``
+result caching            ``result_cache``, ``validate_cache_fraction``
 parallelism               ``jobs``
 ========================  ==============================================
 
@@ -88,9 +86,7 @@ class RunOptions:
     cache: Optional[Any] = None
     # -- result caching ------------------------------------------------
     result_cache: Optional[Any] = None
-    result_cache_dir: Optional[str] = None
     validate_cache_fraction: float = 0.0
-    validate_cache_seed: int = 0
     # -- parallelism ---------------------------------------------------
     jobs: int = 1
 
@@ -113,9 +109,8 @@ class RunOptions:
         execution semantics: same scale, verification, optimisation,
         architecture configs, watchdog/retry/fault campaign, and
         timeout.  Reporting/persistence knobs that cannot change a
-        result (``trace_path``, ``jobs``, ``result_cache_dir``,
-        validation sampling) are excluded, as
-        are the live-object fields.
+        result (``trace_path``, ``jobs``, validation sampling) are
+        excluded, as are the live-object fields.
         :mod:`repro.serve` batches requests whose kernel and
         fingerprint match, and the result cache keys entries on it —
         both require the key to be identical *across processes*, so
@@ -126,9 +121,7 @@ class RunOptions:
         default ``inject=None`` request the same execution.
         """
         skip = set(self.LIVE_FIELDS) | {
-            "trace_path", "jobs", "result_cache_dir",
-            "validate_cache_fraction", "validate_cache_seed",
-        }
+            "trace_path", "jobs", "validate_cache_fraction"}
         parts = []
         for f in fields(self):
             if f.name in skip:

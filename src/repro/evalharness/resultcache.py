@@ -11,8 +11,8 @@ everything that determines the result and hold the finished
 
 It is also how a killed sweep resumes: every healthy run is stored the
 moment it finishes, so re-running the sweep against the same
-``result_cache_dir`` replays the finished kernels and executes only
-the rest.
+directory (``result_cache=ResultCache(dir)``) replays the finished
+kernels and executes only the rest.
 
 Key anatomy
 -----------
@@ -26,8 +26,8 @@ components:
 2. **options fingerprint** — :meth:`RunOptions.fingerprint`, the
    canonical content key over the semantic option fields (scale,
    verify/optimize, arch configs, watchdog/retry, timeout).  Reporting
-   knobs (jobs, trace paths, cache dirs) are excluded, so a resumed or
-   parallel sweep hits the same entries;
+   knobs (jobs, trace paths, validation sampling) and the live caches
+   are excluded, so a resumed or parallel sweep hits the same entries;
 3. **input digest** — the workload's initial memory image bytes, its
    parameter bindings and the launch size.  Workload construction is
    seeded and deterministic, but hashing the actual input keeps the
@@ -47,9 +47,10 @@ correctness.
 Trust, but verify
 -----------------
 
-``validate_cache_fraction`` arms the seeded validation mode: a
-deterministic per-key draw (:meth:`ResultCache.should_validate`)
-selects that fraction of hits for re-execution, and
+``RunOptions.validate_cache_fraction`` arms the seeded validation mode,
+per run (or per serve request): a deterministic per-key draw
+(:meth:`ResultCache.should_validate`) selects that fraction of hits
+for re-execution, and
 :meth:`ResultCache.validate` compares the fresh run's
 :func:`~repro.serve.result_digest` against the cached entry's.  A
 mismatch raises :class:`~repro.resilience.ResultCacheDivergenceError`
@@ -58,7 +59,8 @@ what the loader can detect or execution is not deterministic over the
 key, and every cached answer is suspect.
 
 The harness and :mod:`repro.serve` share one path for all of it:
-:meth:`ResultCache.bypasses` decides what may be cached,
+:meth:`ResultCache.lookup` decides whether a run bypasses the cache,
+hits it, or hits it and must be re-checked,
 :meth:`ResultCache.validate` counts validations and divergences, and
 :meth:`ResultCache.record_metrics` exports the counters through
 :class:`repro.obs.Metrics` under the ``resultcache`` scope.
@@ -151,19 +153,6 @@ class ResultCache(Store):
     METRIC_SCOPE = "resultcache"
     COUNTERS = Store.COUNTERS + ("validations", "divergences")
 
-    @staticmethod
-    def bypasses(name: str, options: Any) -> bool:
-        """True when running ``name`` under ``options`` must neither be
-        answered from nor stored in the cache.
-
-        A fault campaign on the kernel (``options.inject``) or a fault
-        injector (``options.faults``) makes the execution deliberately
-        not a pure function of the key.  The
-        one policy ``run_kernel``, the sweep and ``repro.serve`` share.
-        """
-        return (options.faults is not None
-                or name in (options.inject or {}))
-
     @classmethod
     def key_for(cls, name: str, options: Any) -> str:
         """The content key for ``(kernel name, options)``.
@@ -186,21 +175,42 @@ class ResultCache(Store):
         return super().put(key, ResultCacheEntry(
             kernel=kernel, digest=run_digest(run), run=run))
 
-    # -- validation ----------------------------------------------------
-    def should_validate(self, key: str, fraction: float,
-                        seed: int = 0) -> bool:
-        """Deterministic seeded draw: is this hit in the validated
-        sample?
+    def lookup(self, name: str, options: Any
+               ) -> Tuple[Optional[str], Optional[ResultCacheEntry], bool]:
+        """How a run of ``name`` under ``options`` consults the cache:
+        ``(key, entry, recheck)``.
 
-        The draw hashes ``(seed, key)``, so the *same* hits validate on
-        every replay of a stream (reproducible overhead), and different
-        seeds sample different subsets.
+        The one cacheability rule ``run_kernel``, the sweep and
+        ``repro.serve`` share: a fault campaign on the kernel
+        (``options.inject``) or a fault injector (``options.faults``)
+        makes the execution deliberately not a pure function of the
+        key, so such a run bypasses the cache (``key`` is ``None``).
+        Otherwise ``entry`` is the hit, or ``None``, and ``recheck`` is
+        the seeded draw (:meth:`should_validate` at
+        ``options.validate_cache_fraction``) that sends a hit back
+        through execution and :meth:`validate`.  A miss is the
+        caller's to execute and :meth:`put`.
+        """
+        if options.faults is not None or name in (options.inject or {}):
+            return None, None, False
+        key = self.key_for(name, options)
+        entry = self.get(key)
+        return key, entry, entry is not None and self.should_validate(
+            key, options.validate_cache_fraction)
+
+    # -- validation ----------------------------------------------------
+    def should_validate(self, key: str, fraction: float) -> bool:
+        """Deterministic draw: is this hit in the validated sample?
+
+        The draw hashes the key, so the *same* hits validate on every
+        replay of a stream (reproducible overhead).
         """
         if fraction <= 0.0:
             return False
         if fraction >= 1.0:
             return True
-        h = hashlib.sha256(f"validate|{seed}|{key}".encode()).digest()
+        # "0" was the draw's seed; it stays so the same hits sample.
+        h = hashlib.sha256(f"validate|0|{key}".encode()).digest()
         draw = int.from_bytes(h[:8], "big") / float(1 << 64)
         return draw < fraction
 

@@ -28,10 +28,10 @@ Fault isolation protects against *in-process* failures; three further
 layers protect against the process-level ones (``docs/resilience.md``
 §7):
 
-* ``result_cache_dir=DIR`` stores every healthy per-kernel run the
-  moment it lands (:mod:`repro.evalharness.resultcache`); re-running a
-  killed sweep against the same directory replays the finished kernels
-  and reassembles a byte-identical report.
+* ``result_cache=ResultCache(DIR)`` stores every healthy per-kernel
+  run the moment it lands (:mod:`repro.evalharness.resultcache`);
+  re-running a killed sweep against the same directory replays the
+  finished kernels and reassembles a byte-identical report.
 * ``jobs > 1`` runs the sweep on :class:`repro.serve.ExecutionService`,
   whose pool survives worker death (SIGKILL, OOM, segfault): it
   respawns the pool, requeues the kernels that were in flight under a
@@ -185,39 +185,25 @@ def run_kernel(
     unchanged.
     """
     o = _resolve_options(scale, options)
-    cache = o.cache
-    rcache = _resolve_result_cache(o)
-    # Beyond the shared bypass policy, a caller-supplied tracer/metrics
-    # registry expects to receive this run's events, so it is not
-    # answered from the cache either.
-    if (rcache is None or o.tracer is not None or o.metrics is not None
-            or ResultCache.bypasses(name, o)):
-        with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-            return _execute_kernel(name, o, cache)
-    key = ResultCache.key_for(name, o)
-    entry = rcache.get(key)
-    if entry is not None:
-        if rcache.should_validate(key, o.validate_cache_fraction,
-                                  o.validate_cache_seed):
-            with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-                fresh = _execute_kernel(name, o, cache)
-            rcache.validate(key, entry, fresh)
-        return entry.run
+    rcache = o.result_cache
+    key = entry = None
+    # A caller-supplied tracer/metrics registry expects to receive this
+    # run's events, so such a run is not answered from the cache.
+    if rcache is not None and o.tracer is None and o.metrics is None:
+        # ``retry`` is keyed; materialise it as the sweep and the
+        # service do so all three share entries (it is unused here).
+        key, entry, recheck = rcache.lookup(
+            name, o.replace(retry=o.retry or RetryPolicy()))
+        if entry is not None and not recheck:
+            return entry.run
     with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-        run = _execute_kernel(name, o, cache)
-    rcache.put(key, name, run)
+        run = _execute_kernel(name, o, o.cache)
+    if entry is not None:
+        rcache.validate(key, entry, run)
+        return entry.run
+    if key is not None:
+        rcache.put(key, name, run)
     return run
-
-
-def _resolve_result_cache(o: RunOptions) -> Optional[ResultCache]:
-    """The run's :class:`ResultCache`: an explicit ``result_cache``
-    wins, else a fresh disk-backed one is built from
-    ``result_cache_dir``, else none."""
-    if o.result_cache is not None:
-        return o.result_cache
-    if o.result_cache_dir is not None:
-        return ResultCache(o.result_cache_dir)
-    return None
 
 
 def _execute_kernel(name: str, o: RunOptions,
@@ -372,28 +358,25 @@ def _run_one(
     and the :mod:`repro.serve` worker (which runs ``--jobs`` sweeps) so
     the paths cannot drift.
 
-    ``rcache`` arms the result-cache short circuit: a hit returns the
-    stored run (its attached per-kernel tracer/metrics replay the
-    observability) without executing; a successful miss is stored.
-    Runs :meth:`ResultCache.bypasses` names skip the cache.  Only
-    healthy runs are cached: degraded rows always re-execute.  A
-    sampled fraction of hits (``opts.validate_cache_fraction``) is
-    re-executed and compared against the cached digest; divergence
-    raises :class:`~repro.resilience.ResultCacheDivergenceError` *out
-    of* the retry machinery — it must abort the sweep, not degrade a
-    row.
+    ``rcache`` arms the result-cache short circuit
+    (:meth:`ResultCache.lookup`): a hit returns the stored run (its
+    attached per-kernel tracer/metrics replay the observability)
+    without executing; a successful miss is stored.  Only healthy runs
+    are cached: degraded rows always re-execute.  A hit the lookup
+    draws for a recheck is re-executed and compared against the cached
+    digest; divergence raises
+    :class:`~repro.resilience.ResultCacheDivergenceError` *out of* the
+    retry machinery — it must abort the sweep, not degrade a row.
     """
-    if rcache is not None and not ResultCache.bypasses(name, opts):
-        key = ResultCache.key_for(name, opts)
-        entry = rcache.get(key)
-        if entry is not None:
-            if rcache.should_validate(key, opts.validate_cache_fraction,
-                                      opts.validate_cache_seed):
-                fresh_run, _ = _run_one(name, opts, cache)
-                rcache.validate(key, entry, fresh_run)
+    if rcache is not None:
+        key, entry, recheck = rcache.lookup(name, opts)
+        if entry is not None and not recheck:
             return entry.run, None
         run, failure = _run_one(name, opts, cache)
-        if failure is None:
+        if entry is not None:
+            rcache.validate(key, entry, run)
+            return entry.run, None
+        if key is not None and failure is None:
             rcache.put(key, name, run)
         return run, failure
 
@@ -468,8 +451,6 @@ def _run_on_service(names: List[str], o: RunOptions, cache: CompileCache,
         workers=o.jobs, queue_limit=max(1, len(names)),
         crash_budget=o.retry.max_attempts if o.isolate else 1,
         result_cache=rcache,
-        validate_cache_fraction=o.validate_cache_fraction,
-        validate_cache_seed=o.validate_cache_seed,
     ).start()
     outcomes = {}
     try:
@@ -546,8 +527,9 @@ def run_suite(
         the sweep; pass ``cache=`` to reuse one across sweeps.
         Hit/miss counters land in ``metrics``
         under the ``compile/`` scope.
-    result_cache / result_cache_dir:
-        Whole-run memoisation (``--result-cache DIR``; see
+    result_cache:
+        Whole-run memoisation: a :class:`ResultCache`
+        (``--result-cache DIR`` passes ``ResultCache(DIR)``; see
         :mod:`repro.evalharness.resultcache`).  A kernel whose content
         key — kernel IR hash, options fingerprint, input digest — was
         seen before returns the stored :class:`KernelRun` without
@@ -557,11 +539,11 @@ def run_suite(
         are stored.  Counters land in ``metrics`` under the
         ``resultcache/`` scope.  This is also crash resume:
         every healthy run is stored the moment it finishes, so
-        re-running a killed sweep against the same ``result_cache_dir``
-        replays the finished kernels and executes only the rest.
+        re-running a killed sweep against the same directory replays
+        the finished kernels and executes only the rest.
         Degraded rows and fault-campaign kernels re-execute; they are deterministic, so the report and fault
         logs come out byte-identical.
-    validate_cache_fraction / validate_cache_seed:
+    validate_cache_fraction:
         Seeded trust-but-verify sampling for cache hits
         (``--validate-cache-fraction``): the selected fraction is
         re-executed and compared against the cached digest; any
@@ -587,7 +569,7 @@ def run_suite(
     cache = o.cache
     if cache is None:
         cache = CompileCache()
-    rcache = _resolve_result_cache(o)
+    rcache = o.result_cache
 
     if o.jobs > 1:
         outcomes = _run_on_service(names, o, cache, rcache)

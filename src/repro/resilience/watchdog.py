@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import _weakrefset
 import contextlib
+import importlib._bootstrap
 import signal
 import threading
 import weakref
@@ -294,7 +295,9 @@ def wall_clock_limit(seconds: Optional[float], sim: str, kernel: str):
         if frame is not None:
             if frame.f_code is _GUARD_CODE:
                 return  # arming or disarming: the finally disarms
-            if frame.f_code.co_filename in _WEAKREF_FILES:
+            code = frame.f_code
+            if (code.co_filename in _WEAKREF_FILES
+                    or (code.co_filename, code.co_name) == _MODULE_LOCK_CB):
                 return  # a weakref callback would swallow it: re-fire
         raise SimulationHangError(
             f"{sim}: wall-clock timeout after {seconds:g}s",
@@ -318,6 +321,11 @@ _GUARD_CODE = wall_clock_limit.__wrapped__.__code__
 #: the garbage collector runs, where a raise would only be printed
 _WEAKREF_FILES = {_weakrefset.WeakSet.__init__.__code__.co_filename,
                   weakref.WeakValueDictionary.__init__.__code__.co_filename}
+#: ``(file, name)`` of importlib's module-lock weakref callback; only
+#: that function: elsewhere in the bootstrap (a blocked lock ``acquire``)
+#: every re-fire would land in the same frame and never deliver
+_MODULE_LOCK_CB = (importlib._bootstrap._get_module_lock.__code__.co_filename,
+                   "cb")
 
 
 def snapshot_from_replicas(

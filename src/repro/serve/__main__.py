@@ -123,7 +123,9 @@ def main(argv=None) -> int:
 
     tracer = Tracer() if args.trace else None
     metrics = Metrics()
-    options = RunOptions(scale=args.scale, timeout=args.timeout)
+    options = RunOptions(
+        scale=args.scale, timeout=args.timeout,
+        validate_cache_fraction=args.validate_cache_fraction)
     loadgen = LoadGen(kernels, args.requests, options=options,
                       seed=args.seed, mode=args.mode,
                       concurrency=args.concurrency, rate=args.rate,
@@ -132,8 +134,7 @@ def main(argv=None) -> int:
         workers=args.workers, policy=args.policy,
         queue_limit=args.queue_limit, tracer=tracer, metrics=metrics,
         result_cache=(None if args.result_cache is None
-                      else ResultCache(args.result_cache)),
-        validate_cache_fraction=args.validate_cache_fraction)
+                      else ResultCache(args.result_cache)))
     with service:
         report = loadgen.run(service)
 

@@ -188,16 +188,15 @@ class ExecutionService:
         kernel IR hash, options fingerprint, input digest — was
         answered before is completed *at admission* with status
         ``"cached"``, never touching the queue or the worker pool;
-        every batch completion populates the cache.
-    validate_cache_fraction / validate_cache_seed:
-        Trust-but-verify sampling: the selected (seeded,
-        deterministic) fraction of cache hits is *not* short-circuited
-        — it executes normally and the fresh digest is compared
-        against the cached one.  A match counts as a validation; a
-        mismatch degrades the response with
-        ``ResultCacheDivergenceError`` and bumps the ``divergences``
-        counter (the service's typed-response contract holds even for
-        this hard failure).
+        every batch completion populates the cache.  Trust-but-verify
+        sampling is per request: the hits a request's
+        ``RunOptions.validate_cache_fraction`` selects (seeded,
+        deterministic) are *not* short-circuited — they execute
+        normally and the fresh digest is compared against the cached
+        one.  A match counts as a validation; a mismatch degrades the
+        response with ``ResultCacheDivergenceError`` and bumps the
+        ``divergences`` counter (the service's typed-response contract
+        holds even for this hard failure).
     retention_limit:
         Bound on responses held for pickup.  :meth:`wait` *consumes*
         its response; a response never picked up is evicted LRU-first
@@ -225,8 +224,6 @@ class ExecutionService:
     def __init__(self, workers: int = 2, policy: str = "fifo",
                  queue_limit: int = 64, crash_budget: int = 2,
                  result_cache: Optional[ResultCache] = None,
-                 validate_cache_fraction: float = 0.0,
-                 validate_cache_seed: int = 0,
                  retention_limit: int = 1024, tracer=None,
                  metrics=None):
         self.workers = max(1, int(workers))
@@ -234,8 +231,6 @@ class ExecutionService:
                                         queue_limit=queue_limit)
         self.crash_budget = max(1, int(crash_budget))
         self.result_cache = result_cache
-        self.validate_cache_fraction = float(validate_cache_fraction)
-        self.validate_cache_seed = int(validate_cache_seed)
         self.retention_limit = max(1, int(retention_limit))
         self.tracer = tracer
         self.metrics = Metrics() if metrics is None else metrics
@@ -366,30 +361,22 @@ class ExecutionService:
             # typed-response contract instead of raising at the caller.
             return reject(str(exc), "OptionKeyError")
 
-        cache_key: Optional[str] = None
-        cached = None
+        cache_key = cached = None
         admit_mono = time.monotonic()
-        if (self.result_cache is not None
-                and not ResultCache.bypasses(request.kernel, opts)):
-            cache_key = ResultCache.key_for(request.kernel, opts)
-            hit = self.result_cache.get(cache_key)
-            if hit is not None:
-                if self.result_cache.should_validate(
-                        cache_key, self.validate_cache_fraction,
-                        self.validate_cache_seed):
-                    # Trust-but-verify: this hit executes normally; the
-                    # fresh run is checked against it when its batch
-                    # completes.
-                    cached = hit
-                else:
-                    run = hit.run
-                    self._finish(None, RunResponse(
-                        request_id=rid, kernel=request.kernel,
-                        status="cached", client=request.client,
-                        digest=hit.digest, summary=run_summary(run),
-                        run=run if request.want_run else None,
-                        total_s=time.monotonic() - admit_mono))
-                    return ticket
+        if self.result_cache is not None:
+            cache_key, cached, recheck = self.result_cache.lookup(
+                request.kernel, opts)
+            if cached is not None and not recheck:
+                run = cached.run
+                self._finish(None, RunResponse(
+                    request_id=rid, kernel=request.kernel,
+                    status="cached", client=request.client,
+                    digest=cached.digest, summary=run_summary(run),
+                    run=run if request.want_run else None,
+                    total_s=time.monotonic() - admit_mono))
+                return ticket
+            # A rechecked hit executes normally; the fresh run is
+            # validated against it when its batch completes.
         now = time.monotonic()
         entry = QueueEntry(
             request=request, ticket=ticket,

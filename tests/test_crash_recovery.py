@@ -75,7 +75,7 @@ TINY = RunOptions(scale=SCALE)
 
 def _with_store(store_dir):
     """Sweep options writing finished runs to ``store_dir``."""
-    return TINY.replace(result_cache_dir=store_dir)
+    return TINY.replace(result_cache=ResultCache(store_dir))
 
 
 def _entries(store_dir):

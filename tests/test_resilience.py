@@ -475,6 +475,42 @@ def test_wall_clock_alarm_in_a_weakref_callback_waits_for_the_refire(
             fire(signal.SIGALRM, sys._getframe())
 
 
+def test_wall_clock_alarm_in_importlibs_module_lock_callback_refires():
+    """importlib's module-lock weakref callback (``_get_module_lock``'s
+    ``cb``) lives in ``<frozen importlib._bootstrap>``; an alarm landing
+    there returns, and the re-fire delivers the timeout."""
+    helper: dict = {}
+    exec(compile("def cb(fire):\n"
+                 "    fire(signal.SIGALRM, sys._getframe())\n",
+                 "<frozen importlib._bootstrap>", "exec"),
+         {"signal": signal, "sys": sys}, helper)
+    returned = []
+    with pytest.raises(SimulationHangError, match="wall-clock timeout"):
+        with wall_clock_limit(30.0, sim="suite", kernel="k"):
+            helper["cb"](signal.getsignal(signal.SIGALRM))
+            returned.append(time.monotonic())
+            time.sleep(1.0)
+    assert returned, "the alarm raised inside the module-lock callback"
+    assert time.monotonic() - returned[0] < 1.0
+
+
+def test_wall_clock_alarm_elsewhere_in_importlibs_bootstrap_raises():
+    """Only the module-lock callback is exempt: an alarm landing in any
+    other ``<frozen importlib._bootstrap>`` frame (a lock ``acquire``
+    blocked on another thread's import, say) raises there."""
+    helper: dict = {}
+    exec(compile("def acquire(fire):\n"
+                 "    fire(signal.SIGALRM, sys._getframe())\n",
+                 "<frozen importlib._bootstrap>", "exec"),
+         {"signal": signal, "sys": sys}, helper)
+    returned = []
+    with pytest.raises(SimulationHangError, match="wall-clock timeout"):
+        with wall_clock_limit(30.0, sim="suite", kernel="k"):
+            helper["acquire"](signal.getsignal(signal.SIGALRM))
+            returned.append(time.monotonic())
+    assert not returned, "the alarm returned inside a bootstrap frame"
+
+
 def test_suite_without_faults_is_all_healthy():
     runs = run_suite(["nn/euclid"], options=RunOptions(
         scale="tiny", watchdog=WatchdogConfig(max_cycles=1e9)))

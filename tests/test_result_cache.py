@@ -88,7 +88,8 @@ def test_fingerprint_ignores_reporting_knobs(tmp_path):
     """Jobs/result-cache/trace knobs change *how* a sweep runs, not
     *what* it computes — they must not shift the identity key."""
     base = RunOptions(scale="tiny")
-    dressed = base.replace(jobs=4, result_cache_dir=str(tmp_path / "rc"),
+    dressed = base.replace(jobs=4,
+                           result_cache=ResultCache(str(tmp_path / "rc")),
                            validate_cache_fraction=0.5,
                            trace_path=str(tmp_path / "t.json"))
     assert base.fingerprint() == dressed.fingerprint()
@@ -125,7 +126,7 @@ def test_fingerprint_keys_empty_mapping_as_none():
 
 def test_cli_warmed_store_is_hit_by_api_sweep(tmp_path):
     """A store the CLI writes answers ``run_suite`` with
-    ``RunOptions(result_cache_dir=...)``: a miss would store a second
+    ``RunOptions(result_cache=ResultCache(dir))``: a miss would store a second
     entry under another key."""
     from repro.evalharness.__main__ import main
 
@@ -136,7 +137,7 @@ def test_cli_warmed_store_is_hit_by_api_sweep(tmp_path):
     assert len(written) == 1
     before = os.stat(written[0]).st_mtime_ns
     runs = run_suite(["nn/euclid"], options=RunOptions(
-        scale="tiny", result_cache_dir=str(tmp_path)))
+        scale="tiny", result_cache=ResultCache(str(tmp_path))))
     assert "nn/euclid" in runs
     assert _entry_files(tmp_path) == written
     assert os.stat(written[0]).st_mtime_ns == before
@@ -153,9 +154,14 @@ def test_option_key_rejects_default_repr_objects():
 # Harness path: hits replay stored runs, byte-identically
 # ----------------------------------------------------------------------
 def test_run_kernel_hit_replays_identical_result(tmp_path):
-    opts = TINY.replace(result_cache_dir=str(tmp_path))
-    cold = run_kernel("nn/euclid", options=opts)
-    warm = run_kernel("nn/euclid", options=opts)
+    """The warm call gets a fresh store, so its hit is read back from
+    disk rather than handed the cold run's object from memory."""
+    cold = run_kernel("nn/euclid", options=TINY.replace(
+        result_cache=ResultCache(str(tmp_path))))
+    rcache = ResultCache(str(tmp_path))
+    warm = run_kernel("nn/euclid", options=TINY.replace(result_cache=rcache))
+    assert rcache.stats()["hits"] == 1 and rcache.stats()["misses"] == 0
+    assert warm is not cold
     assert result_digest(cold) == result_digest(warm)
     files = [f for f in os.listdir(tmp_path) if f.endswith(".result.pkl")]
     assert len(files) == 1
@@ -163,12 +169,19 @@ def test_run_kernel_hit_replays_identical_result(tmp_path):
 
 def test_suite_warm_reports_byte_identical_across_jobs(tmp_path):
     """Cold sweep populates the cache; warm sweeps — serial *and*
-    ``--jobs`` — replay it into byte-identical reports."""
-    opts = TINY.replace(result_cache_dir=str(tmp_path))
-    cold = generate_report(run_suite(KERNELS, options=opts), scale="tiny")
-    warm = generate_report(run_suite(KERNELS, options=opts), scale="tiny")
-    jobs = generate_report(run_suite(KERNELS, options=opts.replace(jobs=2)),
-                           scale="tiny")
+    ``--jobs`` — replay it into byte-identical reports.  Each sweep
+    gets a fresh store, so the warm ones replay entries from disk."""
+    def sweep(jobs):
+        rcache = ResultCache(str(tmp_path))
+        runs = run_suite(KERNELS, options=TINY.replace(
+            result_cache=rcache, jobs=jobs))
+        return generate_report(runs, scale="tiny"), rcache.stats()
+
+    cold, _ = sweep(1)
+    warm, warm_stats = sweep(1)
+    jobs, jobs_stats = sweep(2)
+    assert warm_stats["hits"] == len(KERNELS) and warm_stats["misses"] == 0
+    assert jobs_stats["hits"] == len(KERNELS) and jobs_stats["misses"] == 0
     assert warm == cold
     assert jobs == cold
 
@@ -191,17 +204,93 @@ def _entry_files(tmp_path):
 # ----------------------------------------------------------------------
 # Validation: seeded sampling, hard failure on divergence
 # ----------------------------------------------------------------------
+#: which of ``key-0`` ... ``key-199`` ``should_validate(k, 0.25)`` draws,
+#: recorded before the draw's seed knob was retired
+SAMPLED_AT_QUARTER = [
+    4, 5, 8, 15, 18, 19, 25, 31, 35, 41, 46, 47, 48, 49, 52, 57, 60, 61,
+    63, 66, 68, 71, 75, 80, 84, 86, 91, 94, 96, 100, 102, 107, 109, 113,
+    116, 118, 119, 122, 131, 137, 164, 166, 169, 171, 180, 185, 188, 189,
+    190, 194, 195, 198, 199,
+]
+
+
 def test_should_validate_is_deterministic_and_seeded():
     rcache = ResultCache()
     keys = [f"key-{i}" for i in range(200)]
-    draw = [rcache.should_validate(k, 0.25, seed=7) for k in keys]
-    again = [rcache.should_validate(k, 0.25, seed=7) for k in keys]
-    other = [rcache.should_validate(k, 0.25, seed=8) for k in keys]
-    assert draw == again
-    assert draw != other
-    assert 0 < sum(draw) < len(keys)
+    draw = [rcache.should_validate(k, 0.25) for k in keys]
+    assert draw == [rcache.should_validate(k, 0.25) for k in keys]
+    assert [i for i, hit in enumerate(draw) if hit] == SAMPLED_AT_QUARTER
     assert all(rcache.should_validate(k, 1.0) for k in keys[:5])
     assert not any(rcache.should_validate(k, 0.0) for k in keys[:5])
+
+
+def test_retired_cache_knobs_are_gone(tmp_path):
+    with pytest.raises(TypeError):
+        RunOptions(result_cache_dir=str(tmp_path))
+    with pytest.raises(TypeError):
+        RunOptions(validate_cache_seed=1)
+    with pytest.raises(TypeError):
+        ExecutionService(validate_cache_fraction=1.0)
+    with pytest.raises(TypeError):
+        ExecutionService(validate_cache_seed=1)
+    with pytest.raises(TypeError):
+        ResultCache().should_validate("key-0", 0.5, seed=1)
+
+
+class _RecordingCache(ResultCache):
+    """Names the kernels whose hits were sent back for validation."""
+
+    def __init__(self, cache_dir):
+        super().__init__(cache_dir)
+        self.validated = []
+
+    def validate(self, key, entry, fresh_run):
+        self.validated.append(entry.kernel)
+        super().validate(key, entry, fresh_run)
+
+
+SAMPLE_KERNELS = ["nn/euclid", "bfs/Kernel", "gaussian/Fan1",
+                  "kmeans/invert_mapping"]
+
+
+def test_every_path_validates_the_same_hits(tmp_path):
+    """One lookup decides the sample: at a fraction of 0.5 over a warm
+    store, ``run_kernel``, serial and ``--jobs`` sweeps and the service
+    re-check exactly the hits the per-key draw selects.  Every path
+    keys a run with default options the same way (the sweep and the
+    service materialise ``retry``, and so does ``run_kernel``), so each
+    one hits every entry the sweep stored."""
+    store = str(tmp_path)
+    run_suite(SAMPLE_KERNELS, options=TINY.replace(
+        result_cache=ResultCache(store)))
+    assert len(_entry_files(tmp_path)) == len(SAMPLE_KERNELS)
+    opts = TINY.replace(validate_cache_fraction=0.5)
+    swept = TINY.replace(retry=RetryPolicy())
+    drawn = sorted(k for k in SAMPLE_KERNELS if ResultCache().should_validate(
+        ResultCache.key_for(k, swept), 0.5))
+    assert 0 < len(drawn) < len(SAMPLE_KERNELS)
+
+    rcache = _RecordingCache(store)
+    for name in SAMPLE_KERNELS:
+        run_kernel(name, options=opts.replace(result_cache=rcache))
+    assert rcache.misses == 0
+    assert sorted(rcache.validated) == drawn
+
+    for jobs in (1, 2):
+        rcache = _RecordingCache(store)
+        runs = run_suite(SAMPLE_KERNELS, options=opts.replace(
+            result_cache=rcache, jobs=jobs))
+        assert runs.ok and rcache.misses == 0
+        assert sorted(rcache.validated) == drawn
+
+    rcache = _RecordingCache(store)
+    with ExecutionService(workers=1, result_cache=rcache) as svc:
+        responses = [svc.wait(svc.submit(SubmitRequest(k, opts)),
+                              timeout=120) for k in SAMPLE_KERNELS]
+    assert [r.status == "ok" for r in responses] == [
+        k in drawn for k in SAMPLE_KERNELS]
+    assert rcache.misses == 0 and sorted(rcache.validated) == drawn
+    assert rcache.divergences == 0
 
 
 def _poison_digest(tmp_path):
@@ -214,27 +303,29 @@ def _poison_digest(tmp_path):
 
 
 def test_validation_divergence_hard_fails_harness(tmp_path):
-    opts = TINY.replace(result_cache_dir=str(tmp_path),
-                        validate_cache_fraction=1.0)
-    run_kernel("nn/euclid", options=opts)
+    opts = TINY.replace(validate_cache_fraction=1.0)
+    run_kernel("nn/euclid", options=opts.replace(
+        result_cache=ResultCache(str(tmp_path))))
     _poison_digest(tmp_path)
     with pytest.raises(ResultCacheDivergenceError, match="diverges"):
-        run_kernel("nn/euclid", options=opts)
+        run_kernel("nn/euclid", options=opts.replace(
+            result_cache=ResultCache(str(tmp_path))))
 
 
 def test_validation_divergence_hard_fails_suite_even_isolated(tmp_path):
     """Divergence is never a degraded row — it impeaches every cached
     answer, so even an isolating sweep must abort."""
-    opts = TINY.replace(result_cache_dir=str(tmp_path),
-                        validate_cache_fraction=1.0, isolate=True)
-    run_suite(["nn/euclid"], options=opts)
+    opts = TINY.replace(validate_cache_fraction=1.0, isolate=True)
+    run_suite(["nn/euclid"], options=opts.replace(
+        result_cache=ResultCache(str(tmp_path))))
     _poison_digest(tmp_path)
     with pytest.raises(ResultCacheDivergenceError):
-        run_suite(["nn/euclid"], options=opts)
+        run_suite(["nn/euclid"], options=opts.replace(
+            result_cache=ResultCache(str(tmp_path))))
 
 
 def test_validation_clean_pass_counts(tmp_path):
-    opts = TINY.replace(result_cache_dir=str(tmp_path),
+    opts = TINY.replace(result_cache=ResultCache(str(tmp_path)),
                         validate_cache_fraction=1.0)
     want = result_digest(run_kernel("nn/euclid", options=opts))
     rcache = ResultCache(cache_dir=str(tmp_path))
@@ -285,15 +376,31 @@ def test_serve_validation_divergence_is_typed_degraded(tmp_path):
         svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)), timeout=120)
     _poison_digest(tmp_path)
     with ExecutionService(workers=1,
-                          result_cache=ResultCache(str(tmp_path)),
-                          validate_cache_fraction=1.0) as svc:
-        resp = svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)),
-                        timeout=120)
+                          result_cache=ResultCache(str(tmp_path))) as svc:
+        resp = svc.wait(svc.submit(SubmitRequest(
+            "nn/euclid", TINY.replace(validate_cache_fraction=1.0))),
+            timeout=120)
         stats = svc.stats()
     assert resp.status == "degraded"
     assert resp.error_type == "ResultCacheDivergenceError"
     assert "diverges" in resp.error
     assert stats["result_cache"]["divergences"] == 1
+
+
+def test_serve_validates_per_request_fraction(tmp_path):
+    """A default service honours the request's own
+    ``validate_cache_fraction``: the hit executes and is validated."""
+    rcache = ResultCache(str(tmp_path))
+    with ExecutionService(workers=1, result_cache=rcache) as svc:
+        svc.wait(svc.submit(SubmitRequest("nn/euclid", TINY)), timeout=120)
+    with ExecutionService(workers=1, result_cache=rcache) as svc:
+        resp = svc.wait(svc.submit(SubmitRequest(
+            "nn/euclid", TINY.replace(validate_cache_fraction=1.0))),
+            timeout=120)
+        stats = svc.stats()
+    assert resp.status == "ok"
+    assert stats["result_cache"]["validations"] == 1
+    assert stats["result_cache"]["divergences"] == 0
 
 
 def test_serve_unkeyable_options_rejected_not_raised():

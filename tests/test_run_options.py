@@ -43,7 +43,7 @@ def test_run_kernel_rejects_conflicting_scale():
 
 
 def test_run_suite_options_path(tmp_path):
-    opts = RunOptions(scale="tiny", result_cache_dir=str(tmp_path))
+    opts = RunOptions(scale="tiny", result_cache=ResultCache(str(tmp_path)))
     runs = run_suite(["nn/euclid"], options=opts)
     assert runs.ok and "nn/euclid" in runs
     # The options reach the result store: one entry, replayed on re-run.
@@ -64,7 +64,7 @@ def test_fingerprint_tracks_semantics_only():
     assert base.fingerprint() != base.replace(verify=False).fingerprint()
     # Reporting / persistence / live knobs never perturb the key.
     same = base.replace(jobs=4, trace_path="t.json",
-                        result_cache_dir="/tmp/rc", metrics=Metrics())
+                        result_cache=ResultCache(), metrics=Metrics())
     assert base.fingerprint() == same.fingerprint()
 
 
