@@ -177,10 +177,6 @@ class VGIWConfig:
     l2_ghz: float = 0.7
     dram_ghz: float = 0.924
 
-    @property
-    def tile_size_bits(self) -> int:
-        return self.cvt_bits
-
 
 @dataclass(frozen=True)
 class FermiConfig:

@@ -46,6 +46,7 @@ from repro.store import Store
 __all__ = [
     "CompileCache",
     "cached_compile_kernel",
+    "cached_fermi_analysis",
     "cached_map_kernel",
     "cached_optimize_kernel",
     "kernel_fingerprint",
@@ -90,7 +91,7 @@ class CompileCache(Store):
 
 
 # ----------------------------------------------------------------------
-# Cached front ends for the three per-kernel computations
+# Cached front ends for the four per-kernel computations
 # ----------------------------------------------------------------------
 def cached_compile_kernel(kernel, spec=None, cache: Optional[CompileCache]
                           = None, replicate: bool = True,
@@ -134,6 +135,23 @@ def cached_map_kernel(kernel, spec, cache: Optional[CompileCache] = None):
     if isinstance(result, _Unmappable):
         raise SGMFUnmappableError(result.message)
     return result
+
+
+def cached_fermi_analysis(kernel, cache: Optional[CompileCache] = None):
+    """The Fermi SM's CFG analyses through ``cache``: ``(ipdom,
+    pressure)``, the immediate-post-dominator map that drives the SIMT
+    stack and the register-pressure estimate behind the occupancy
+    model."""
+    from repro.compiler.cfganalysis import immediate_post_dominators
+    from repro.simt.sm import _register_pressure
+
+    def build():
+        return immediate_post_dominators(kernel), _register_pressure(kernel)
+
+    if cache is None:
+        return build()
+    key = cache.make_key("fermi-analysis", kernel_fingerprint(kernel))
+    return cache.get_or_build(key, build)
 
 
 def cached_optimize_kernel(kernel, params=None, unroll: bool = True,

@@ -264,11 +264,6 @@ class PlacedBlock:
         """Every replica, placing all that have not been yet."""
         return [self.replica(k) for k in range(self.n_replicas)]
 
-    def total_wire_cost(self) -> int:
-        return sum(
-            h for r in self.replicas for h in r.edge_hops.values()
-        )
-
 
 def max_replicas(dfg: BlockDFG, spec: FabricSpec, cap: int = 8) -> int:
     """How many replicas of ``dfg`` fit the fabric (0 = none)."""

@@ -8,7 +8,7 @@ backend with an ``if/elif`` chain.  Now:
 * :class:`Engine` is the structural protocol every execution backend
   satisfies: construct with an optional config, then
   ``run(kernel, memory, params, n_threads, *, watchdog=None,
-  faults=None, tracer=None, metrics=None)``;
+  faults=None, tracer=None, metrics=None, compile_cache=None)``;
 * :class:`EngineRunResult` is the common result base.  Subclasses
   (``VGIWRunResult``, ``FermiRunResult``, ``SGMFRunResult``) keep every
   historical field and field *order* — the base contributes the shared
@@ -99,10 +99,6 @@ class EngineRunResult:
     def l1_hit_rate(self) -> float:
         return self.l1.hit_rate
 
-    @property
-    def l2_hit_rate(self) -> float:
-        return self.l2.hit_rate
-
     def memory_summary(self) -> Dict[str, float]:
         """The shared memory-hierarchy counters as a flat dict (the
         same quantities :func:`repro.obs.record_shared_run_metrics`
@@ -154,6 +150,7 @@ class Engine(Protocol):
         faults=None,
         tracer=None,
         metrics=None,
+        compile_cache=None,
     ):  # pragma: no cover - structural declaration only
         ...
 
@@ -262,7 +259,8 @@ class InterpEngine:
 
     The interpreter has no timing model, so ``watchdog`` and ``tracer``
     hooks are accepted-and-ignored (``faults`` too — the interpreter is
-    the golden model and must stay exact).  The returned
+    the golden model and must stay exact — and ``compile_cache``, as it
+    compiles nothing).  The returned
     :class:`~repro.interp.interpreter.InterpResult` gains the
     ``trace`` / ``metrics`` attachments for a uniform launch surface.
     """
@@ -271,7 +269,8 @@ class InterpEngine:
         self.config = config
 
     def run(self, kernel, memory, params, n_threads, *,
-            watchdog=None, faults=None, tracer=None, metrics=None):
+            watchdog=None, faults=None, tracer=None, metrics=None,
+            compile_cache=None):
         from repro.interp import interpret
 
         result = interpret(kernel, memory, params, n_threads)

@@ -13,7 +13,7 @@ from repro.evalharness.experiments import (
     table1_configuration,
     table2_benchmarks,
 )
-from repro.evalharness.options import RunOptions, option_key
+from repro.evalharness.options import RunOptions
 from repro.evalharness.report import generate_report
 from repro.evalharness.resultcache import (
     ResultCache,
@@ -23,7 +23,6 @@ from repro.evalharness.resultcache import (
 from repro.evalharness.runner import (
     KernelRun,
     SuiteResult,
-    VerificationError,
     run_kernel,
     run_suite,
     trace_file_for,
@@ -39,7 +38,6 @@ __all__ = [
     "ResultCacheEntry",
     "RunOptions",
     "SuiteResult",
-    "VerificationError",
     "arithmean",
     "degraded_kernels",
     "fig10_energy_levels",
@@ -50,7 +48,6 @@ __all__ = [
     "fig9_energy_vs_fermi",
     "generate_report",
     "geomean",
-    "option_key",
     "run_kernel",
     "run_suite",
     "run_to_dict",

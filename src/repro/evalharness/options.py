@@ -27,8 +27,7 @@ correctness               ``verify`` (golden-interpreter check),
 architecture              ``vgiw_config`` / ``fermi_config`` /
                           ``sgmf_config``
 resilience                ``watchdog``, ``retry``, ``isolate``,
-                          ``faults`` (single-run injector),
-                          ``inject`` (per-kernel suite campaigns),
+                          ``inject`` (per-kernel fault campaigns),
                           ``timeout`` (host-seconds wall-clock budget)
 observability             ``tracer``, ``metrics``, ``trace_path``
 compilation               ``cache``
@@ -36,13 +35,13 @@ result caching            ``result_cache``, ``validate_cache_fraction``
 parallelism               ``jobs``
 ========================  ==============================================
 
-Suite-only fields (``retry``, ``isolate``, ``inject``, ``trace_path``,
-``jobs``) are ignored by ``run_kernel``.
+Suite-only fields (``retry``, ``isolate``, ``trace_path``, ``jobs``) are
+ignored by ``run_kernel``.
 
 The class is frozen: derive variants with :meth:`replace`
 (``opts.replace(scale="medium")``).  :meth:`fingerprint` returns a
 stable content key over the *pure* fields, each rendered by the
-canonical :func:`repro.store.option_key` (re-exported here) — the
+canonical :func:`repro.store.option_key` — the
 batching scheduler in :mod:`repro.serve` uses it to decide which
 requests may share one execution, and the result cache keys on it.
 """
@@ -55,7 +54,7 @@ from typing import Any, ClassVar, Mapping, Optional, Tuple
 from repro.resilience.errors import OptionKeyError
 from repro.store import option_key
 
-__all__ = ["RunOptions", "option_key"]
+__all__ = ["RunOptions"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class RunOptions:
     watchdog: Optional[Any] = None
     retry: Optional[Any] = None
     isolate: bool = True
-    faults: Optional[Any] = None
     inject: Optional[Mapping[str, Any]] = None
     timeout: Optional[float] = None
     # -- observability -------------------------------------------------
@@ -100,7 +98,7 @@ class RunOptions:
     #: fingerprint.  repro.serve answers a set tracer/metrics with fresh
     #: registries of its own and rejects the others.
     LIVE_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "tracer", "metrics", "cache", "faults", "result_cache")
+        "tracer", "metrics", "cache", "result_cache")
 
     def fingerprint(self) -> str:
         """Stable content key over the pure (value-like) fields.

@@ -182,16 +182,16 @@ class ResultCache(Store):
 
         The one cacheability rule ``run_kernel``, the sweep and
         ``repro.serve`` share: a fault campaign on the kernel
-        (``options.inject``) or a fault injector (``options.faults``)
-        makes the execution deliberately not a pure function of the
-        key, so such a run bypasses the cache (``key`` is ``None``).
+        (``options.inject``) makes the execution deliberately not a
+        pure function of the key, so such a run bypasses the cache
+        (``key`` is ``None``).
         Otherwise ``entry`` is the hit, or ``None``, and ``recheck`` is
         the seeded draw (:meth:`should_validate` at
         ``options.validate_cache_fraction``) that sends a hit back
         through execution and :meth:`validate`.  A miss is the
         caller's to execute and :meth:`put`.
         """
-        if options.faults is not None or name in (options.inject or {}):
+        if name in (options.inject or {}):
             return None, None, False
         key = self.key_for(name, options)
         entry = self.get(key)

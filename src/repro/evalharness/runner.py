@@ -73,8 +73,10 @@ from repro.resilience import (
     RetryPolicy,
     wall_clock_limit,
 )
-from repro.resilience.errors import ResultCacheDivergenceError
-from repro.resilience.errors import VerificationError  # re-export (was local)
+from repro.resilience.errors import (
+    ResultCacheDivergenceError,
+    VerificationError,
+)
 from repro.sgmf import SGMFCore, SGMFRunResult, SGMFUnmappableError
 from repro.simt import FermiRunResult, FermiSM
 from repro.vgiw import VGIWCore, VGIWRunResult
@@ -83,7 +85,6 @@ __all__ = [
     "KernelRun",
     "RunOptions",
     "SuiteResult",
-    "VerificationError",
     "run_kernel",
     "run_suite",
     "trace_file_for",
@@ -170,8 +171,8 @@ def run_kernel(
     ``docs/api.md`` for the field-by-field reference.
 
     Option semantics: ``watchdog`` arms the forward-progress watchdog
-    in every simulator; ``faults`` threads a (single-run) fault
-    injector through them.  ``tracer`` / ``metrics`` (see
+    in every simulator; ``inject[name]``, when set, threads a fault
+    injector for the campaign through them.  ``tracer`` / ``metrics`` (see
     :mod:`repro.obs`) are shared by the three machines — engines write
     to distinct trace ``pid`` lanes and metric scopes, so one export
     carries the whole cross-machine comparison.  ``cache`` (a
@@ -180,24 +181,24 @@ def run_kernel(
     SGMF whole-kernel mapping, the Fermi CFG analyses — across runs
     (``run_suite`` threads one through the whole sweep).  ``timeout``
     bounds the run in host wall-clock seconds.  Suite-only fields
-    (``retry``, ``isolate``, ``inject``, ``jobs``, ``trace_path``) are
-    ignored here.  Everything defaults to off, so the measurement path is
-    unchanged.
+    (``retry``, ``isolate``, ``jobs``, ``trace_path``) are ignored here:
+    the run is one unisolated attempt of :func:`_run_one`, so the first
+    failure propagates.  Everything defaults to off, so the measurement
+    path is unchanged.
     """
     o = _resolve_options(scale, options)
+    # ``retry`` is keyed; materialise it as the sweep and the service
+    # do so all three share entries.
+    o = o.replace(retry=o.retry or RetryPolicy())
     rcache = o.result_cache
     key = entry = None
     # A caller-supplied tracer/metrics registry expects to receive this
     # run's events, so such a run is not answered from the cache.
     if rcache is not None and o.tracer is None and o.metrics is None:
-        # ``retry`` is keyed; materialise it as the sweep and the
-        # service do so all three share entries (it is unused here).
-        key, entry, recheck = rcache.lookup(
-            name, o.replace(retry=o.retry or RetryPolicy()))
+        key, entry, recheck = rcache.lookup(name, o)
         if entry is not None and not recheck:
             return entry.run
-    with wall_clock_limit(o.timeout, sim="run_kernel", kernel=name):
-        run = _execute_kernel(name, o, o.cache)
+    run, _ = _run_one(name, o.replace(isolate=False), o.cache)
     if entry is not None:
         rcache.validate(key, entry, run)
         return entry.run
@@ -207,12 +208,13 @@ def run_kernel(
 
 
 def _execute_kernel(name: str, o: RunOptions,
-                    cache: Optional[CompileCache]) -> KernelRun:
+                    cache: Optional[CompileCache],
+                    faults: Optional[FaultInjector]) -> KernelRun:
     """The measurement path proper: one workload, three machines.
 
-    Takes a fully-resolved :class:`RunOptions` (no adapter, no
-    wall-clock guard — ``_run_one`` and ``repro.serve`` arm their own,
-    per attempt)."""
+    Takes a fully-resolved :class:`RunOptions` and the attempt's fault
+    injector (no wall-clock guard — ``_run_one`` arms one per
+    attempt)."""
     t0 = time.monotonic()
     workload = make_workload(name, o.scale)
     tracer, metrics = o.tracer, o.metrics
@@ -247,7 +249,7 @@ def _execute_kernel(name: str, o: RunOptions,
     mem_f = workload.memory.clone()
     fermi = FermiSM(o.fermi_config).run(
         kernel, mem_f, workload.params, workload.n_threads,
-        watchdog=o.watchdog, faults=o.faults, tracer=tracer,
+        watchdog=o.watchdog, faults=faults, tracer=tracer,
         metrics=metrics, compile_cache=cache,
     )
     check(mem_f, "Fermi")
@@ -255,7 +257,7 @@ def _execute_kernel(name: str, o: RunOptions,
     mem_v = workload.memory.clone()
     vgiw = VGIWCore(o.vgiw_config).run(
         kernel, mem_v, workload.params, workload.n_threads, profile=True,
-        watchdog=o.watchdog, faults=o.faults, tracer=tracer,
+        watchdog=o.watchdog, faults=faults, tracer=tracer,
         metrics=metrics, compile_cache=cache,
     )
     check(mem_v, "VGIW")
@@ -266,7 +268,7 @@ def _execute_kernel(name: str, o: RunOptions,
         mem_s = workload.memory.clone()
         sgmf = SGMFCore(o.sgmf_config).run(
             sgmf_kernel, mem_s, workload.params, workload.n_threads,
-            watchdog=o.watchdog, faults=o.faults, tracer=tracer,
+            watchdog=o.watchdog, faults=faults, tracer=tracer,
             metrics=metrics, compile_cache=cache,
         )
         check(mem_s, "SGMF")
@@ -350,13 +352,13 @@ def _run_one(
     ``opts.inject[name]``.  Returns ``(run, None)`` on success or
     ``(None, failure)`` when the kernel exhausted its retries; the
     failure carries the attempts' registries.  With
-    ``opts.isolate=False`` the first failure propagates (the historical
-    behaviour).  ``opts.timeout`` bounds each attempt in host
+    ``opts.isolate=False`` (how ``run_kernel`` calls it) the first
+    failure propagates.  ``opts.timeout`` bounds each attempt in host
     wall-clock seconds via :func:`~repro.resilience.wall_clock_limit`;
     the resulting ``SimulationHangError`` flows through the same retry
-    machinery as a watchdog hang.  Shared verbatim by the serial loop
-    and the :mod:`repro.serve` worker (which runs ``--jobs`` sweeps) so
-    the paths cannot drift.
+    machinery as a watchdog hang.  Shared verbatim by ``run_kernel``,
+    the serial loop and the :mod:`repro.serve` worker (which runs
+    ``--jobs`` sweeps) so the paths cannot drift.
 
     ``rcache`` arms the result-cache short circuit
     (:meth:`ResultCache.lookup`): a hit returns the stored run (its
@@ -382,13 +384,9 @@ def _run_one(
 
     spec = (opts.inject or {}).get(name)
     retry = opts.retry
-    if not opts.isolate:
-        injector = FaultInjector(spec) if spec is not None else None
-        with wall_clock_limit(opts.timeout, sim="suite", kernel=name):
-            run = _execute_kernel(name, opts.replace(faults=injector), cache)
-        return run, None
-
     attempts: List[AttemptRecord] = []
+    # Attempt 0 runs the spec and watchdog as given (``seed_delta(0)``
+    # and ``budget_for(wd, 0)`` are the identity).
     for attempt in range(max(1, retry.max_attempts)):
         injector = (
             FaultInjector(spec.reseeded(retry.seed_delta(attempt)))
@@ -398,14 +396,13 @@ def _run_one(
         try:
             with wall_clock_limit(opts.timeout, sim="suite", kernel=name):
                 run = _execute_kernel(
-                    name, opts.replace(faults=injector, watchdog=wd), cache)
+                    name, opts.replace(watchdog=wd), cache, injector)
             return run, None
-        except ReproError as exc:
-            attempts.append(
-                AttemptRecord.from_error(attempt, exc, injector, wd))
         except Exception as exc:  # noqa: BLE001 — isolation boundary
-            # Anything non-ReproError is a harness bug, but the sweep
-            # must still finish; record it as a degraded row too.
+            if not opts.isolate:
+                raise
+            # A non-ReproError is a harness bug, but the sweep must
+            # still finish; it is recorded as a degraded row too.
             attempts.append(
                 AttemptRecord.from_error(attempt, exc, injector, wd))
     failure = KernelFailure.from_attempts(name, attempts)
@@ -446,7 +443,7 @@ def _run_on_service(names: List[str], o: RunOptions, cache: CompileCache,
 
     want_trace = o.trace_path is not None or o.tracer is not None
     request_opts = o.replace(tracer=Tracer() if want_trace else None,
-                             cache=None, faults=None, result_cache=None)
+                             cache=None, result_cache=None)
     service = ExecutionService(
         workers=o.jobs, queue_limit=max(1, len(names)),
         crash_budget=o.retry.max_attempts if o.isolate else 1,

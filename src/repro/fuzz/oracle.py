@@ -317,12 +317,10 @@ def run_case(
     for name in engines:
         kernel = opt_rolled if name == "sgmf" else opt_kernel
         mem = initial.clone()
-        run_kwargs: Dict[str, object] = {"watchdog": watchdog}
-        if name != "interp":  # the interpreter adapter takes no cache
-            run_kwargs["compile_cache"] = compile_cache
         try:
             create_engine(name).run(
-                kernel, mem, case.params, case.n_threads, **run_kwargs,
+                kernel, mem, case.params, case.n_threads,
+                watchdog=watchdog, compile_cache=compile_cache,
             )
         except ReproError as exc:
             report.outcomes.append(EngineOutcome(

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Set
+from typing import List, Set
 
-from repro.ir.instr import Instr, Op, Terminator
+from repro.ir.instr import Instr, Terminator
 from repro.ir.types import Reg
 
 
@@ -52,10 +52,6 @@ class BasicBlock:
         if isinstance(cond, Reg) and cond.name not in defined:
             used.add(cond.name)
         return used
-
-    def memory_ops(self) -> Iterator[Instr]:
-        """Iterate over the block's LOAD/STORE instructions."""
-        return (i for i in self.instrs if i.op in (Op.LOAD, Op.STORE))
 
     def __repr__(self) -> str:
         body = "\n".join(f"  {i!r}" for i in self.instrs)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.ir.block import BasicBlock
-from repro.ir.instr import Op
 from repro.ir.types import DType
 
 
@@ -33,9 +32,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # CFG helpers
     # ------------------------------------------------------------------
-    def block_names(self) -> List[str]:
-        return list(self.blocks)
-
     def successors(self, name: str) -> Tuple[str, ...]:
         return self.blocks[name].successors()
 
@@ -60,14 +56,6 @@ class Kernel:
 
     def instruction_count(self) -> int:
         return sum(len(b.instrs) for b in self.blocks.values())
-
-    def memory_instruction_count(self) -> int:
-        return sum(
-            1
-            for b in self.blocks.values()
-            for i in b.instrs
-            if i.op in (Op.LOAD, Op.STORE)
-        )
 
     def __repr__(self) -> str:
         header = f"kernel {self.name}({', '.join(self.params)})"

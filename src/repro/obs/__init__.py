@@ -7,9 +7,6 @@ subsequent performance PR:
   windows, block launches/retires, warp divergences, cache misses,
   DRAM row activations, watchdog snapshots) in a bounded ring buffer
   with ``chrome://tracing`` / Perfetto JSON export;
-* :class:`NullTracer` / :data:`NULL_TRACER` — the disabled-mode fast
-  path (allocation-free no-ops, < 2 % end-to-end overhead, enforced by
-  ``benchmarks/bench_trace_overhead.py``);
 * :class:`Metrics` — a registry of named counters / gauges / bounded
   :class:`Histogram` s with per-engine ``scope()`` namespaces and a
   shared cross-engine namespace (:data:`SHARED_COUNTERS`).
@@ -34,14 +31,12 @@ from repro.obs.metrics import (
     SHARED_GAUGES,
     record_shared_run_metrics,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Histogram",
     "Metrics",
     "MetricsScope",
-    "NULL_TRACER",
-    "NullTracer",
     "PH_COMPLETE",
     "PH_COUNTER",
     "PH_INSTANT",

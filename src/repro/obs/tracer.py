@@ -1,24 +1,17 @@
 """Cycle-level tracer: a bounded ring buffer of timeline events.
 
-Two implementations share one duck-typed surface:
-
-* :class:`Tracer` — records :class:`~repro.obs.events.TraceEvent`\\ s
-  into a ``collections.deque`` ring buffer (oldest events are dropped,
-  ``dropped`` counts them) and exports Chrome ``chrome://tracing`` /
-  Perfetto JSON;
-* :class:`NullTracer` — the disabled-mode fast path.  Every method is a
-  constant-return no-op that allocates nothing, so the only cost a
-  simulator pays with tracing off is the ``tracer.enabled`` /
-  ``tracer is not None`` guard at each hook point (benchmarked < 2 %
-  end to end by ``benchmarks/bench_trace_overhead.py``).
+:class:`Tracer` records :class:`~repro.obs.events.TraceEvent`\\ s into a
+``collections.deque`` ring buffer (oldest events are dropped,
+``dropped`` counts them) and exports Chrome ``chrome://tracing`` /
+Perfetto JSON.  Tracing is off when an engine is given ``tracer=None``;
+the only cost it then pays is the ``tracer is not None`` guard at each
+hook point.
 
 Hook-point idiom inside an engine::
 
-    trace = tracer if (tracer is not None and tracer.enabled) else None
-    ...
-    if trace is not None:
-        trace.complete("block:body", "vgiw.block", ts=t0, dur=t1 - t0,
-                       pid="vgiw", threads=64)
+    if tracer is not None:
+        tracer.complete("block:body", "vgiw.block", ts=t0, dur=t1 - t0,
+                        pid="vgiw", threads=64)
 
 The ``pid`` label becomes a Chrome trace *process*, so the three
 engines' timelines stack as separate swimlane groups in one export.
@@ -28,56 +21,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.events import PH_COMPLETE, PH_COUNTER, PH_INSTANT, TraceEvent
 
-__all__ = ["NULL_TRACER", "NullTracer", "Tracer"]
-
-
-class NullTracer:
-    """Disabled-mode tracer: allocation-free constant no-ops.
-
-    ``enabled`` is False so engines skip their emission sites entirely;
-    even when called directly every method returns an existing constant
-    (``None`` or the shared empty tuple) without building any object.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    dropped = 0
-
-    _EMPTY: Tuple = ()
-
-    def complete(self, name, cat, ts, dur, pid="run", tid=0, **args) -> None:
-        return None
-
-    def instant(self, name, cat, ts, pid="run", tid=0, **args) -> None:
-        return None
-
-    def counter(self, name, cat, ts, pid="run", **values) -> None:
-        return None
-
-    def emit(self, event) -> None:
-        return None
-
-    def tail(self, n: int = 16) -> Tuple:
-        return self._EMPTY
-
-    @property
-    def events(self) -> Tuple:
-        return self._EMPTY
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "NullTracer()"
-
-
-#: Shared disabled tracer (stateless, safe to reuse everywhere).
-NULL_TRACER = NullTracer()
+__all__ = ["Tracer"]
 
 
 class Tracer:
@@ -92,8 +40,6 @@ class Tracer:
     """
 
     __slots__ = ("_ring", "dropped", "capacity")
-
-    enabled = True
 
     def __init__(self, capacity: int = 1 << 16):
         if capacity <= 0:

@@ -24,6 +24,11 @@ from repro.sgmf.core import SGMFRunResult
 from repro.simt.sm import FermiRunResult
 from repro.vgiw.core import VGIWRunResult
 
+#: Units of the paper's 108-unit fabric (Table 1).  A VGIW block
+#: reconfiguration and SGMF's one-time configuration each charge
+#: ``unit_config`` for every one of them.
+PAPER_FABRIC_UNITS = 108
+
 
 @dataclass
 class EnergyBreakdown:
@@ -106,8 +111,8 @@ def energy_vgiw(result: VGIWRunResult, table: EnergyTable = DEFAULT_ENERGY
     bd.add("lvc", t.lvc_access * result.lvc_bank_accesses
            + t.lvu_buffer * result.lvc_buffered)
     bd.add("cvt", t.cvt_word * result.cvt.accesses)
-    n_units = 108 if result.fabric is None else 108
-    bd.add("config", t.unit_config * result.bbs.reconfigurations * n_units)
+    bd.add("config", t.unit_config * result.bbs.reconfigurations
+           * PAPER_FABRIC_UNITS)
     bd.add("core_static", t.core_static * result.cycles)
     bd.add("lvc_static", t.lvc_static * result.cycles)
     bd.add("cvt_static", t.cvt_static * result.cycles)
@@ -153,7 +158,7 @@ def energy_sgmf(result: SGMFRunResult, table: EnergyTable = DEFAULT_ENERGY
            + t.cvu_op * ops.get("cvu", 0))
     bd.add("token_buffer", t.token_buffer * result.fabric.tokens)
     bd.add("switch", t.switch_hop * result.fabric.token_hops)
-    bd.add("config", t.unit_config * 108)  # configured once
+    bd.add("config", t.unit_config * PAPER_FABRIC_UNITS)  # configured once
     bd.add("core_static", t.core_static * result.cycles)
     _memory_energy(bd, result.l1, result.l2, result.dram, result.cycles, t,
                    scalar_l1=True)

@@ -28,9 +28,8 @@ Design notes
 * ``VerificationError`` used to subclass ``AssertionError``, which made
   it vanish under ``python -O`` idioms (``assert``-based call sites) and
   let ``pytest.raises(AssertionError)`` patterns swallow it silently.
-  It now descends from :class:`ReproError`; the old import path
-  ``repro.evalharness.VerificationError`` remains as a deprecation
-  alias.
+  It now descends from :class:`ReproError`; import it from
+  :mod:`repro.resilience`.
 * Every :class:`ReproError` accepts keyword *context* (kernel, block,
   thread, cycle, ...) that is appended to the message and preserved in
   machine-readable form on ``.context`` for the structured failure logs

@@ -57,10 +57,9 @@ class SubmitRequest:
     """One kernel-execution request.
 
     ``options`` must not carry the live objects the service owns
-    (``cache``, ``faults``, ``result_cache``): it warms its own compile
-    caches, and a fault campaign travels as the picklable ``inject``;
-    a submission carrying one is rejected (typed response, not an
-    exception).  A set ``tracer`` / ``metrics`` asks for a fresh
+    (``cache``, ``result_cache``): it warms its own caches, and a
+    submission carrying one is rejected (typed response, not an
+    exception).  A fault campaign travels as the picklable ``inject``.  A set ``tracer`` / ``metrics`` asks for a fresh
     per-request registry of that kind, recorded in the worker and
     returned on ``response.run``; the caller's object is never
     written to.  ``deadline_s`` is a

@@ -329,9 +329,8 @@ class ExecutionService:
                 error_type=error_type))
             return ticket
 
-        # The service owns the caches, and a live fault injector cannot
-        # cross the process boundary (``inject`` is the picklable fault
-        # campaign); a tracer/metrics field only asks for a registry.
+        # The service owns the caches; a tracer/metrics field only asks
+        # for a registry.
         owned = [n for n in request.options.live_fields_set()
                  if n not in ("tracer", "metrics")]
         if owned:

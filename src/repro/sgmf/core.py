@@ -37,7 +37,7 @@ from repro.resilience.watchdog import (
     WatchdogConfig,
     snapshot_from_replicas,
 )
-from repro.sgmf.mapping import SGMFMapping, SGMFUnmappableError, map_kernel
+from repro.sgmf.mapping import SGMFMapping
 from repro.vgiw.mtcgrf import (
     ExecPlan,
     FabricStats,
@@ -155,20 +155,13 @@ class SGMFCore:
         through :meth:`_walk_thread`.
         """
         config = self.config
-        # Disabled-mode fast path: one local None-test per hook site.
-        trace = tracer if (tracer is not None and tracer.enabled) else None
-        if compile_cache is not None:
-            from repro.compiler.cache import cached_map_kernel
+        from repro.compiler.cache import cached_map_kernel
 
-            mapping = cached_map_kernel(
-                kernel, config.fabric, cache=compile_cache
-            )
-        else:
-            mapping = map_kernel(kernel, config.fabric)
+        mapping = cached_map_kernel(kernel, config.fabric, cache=compile_cache)
         params = bind_params(kernel, params)
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
-            tracer=trace,
+            tracer=tracer,
         )
         # The walks' LOAD/STORE row helper, bound to this run's hierarchy.
         wrd = word_row(memsys)
@@ -187,7 +180,7 @@ class SGMFCore:
         plans, waste_units = self._build_plans(mapping, params, config,
                                                n_running)
         depth = config.token_buffer_depth
-        wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name, trace)
+        wd = ForwardProgressWatchdog(watchdog, "sgmf", kernel.name, tracer)
         wd.start(0.0)
         if faults is not None:
             faults.maybe_abort(f"sgmf/{kernel.name}", 0.0)
@@ -279,8 +272,8 @@ class SGMFCore:
                 finished = i + 1
                 if completion > end_time:
                     end_time = completion
-                if trace is not None:
-                    trace.complete(
+                if tracer is not None:
+                    tracer.complete(
                         "thread", "sgmf.thread", inject, completion - inject,
                         pid="sgmf", tid=ridx, thread=i, replica=ridx,
                     )
@@ -518,7 +511,3 @@ class SGMFCore:
                     claim_issue(nf, q, uw, uid)
                 else:
                     nf[q] = q + 1
-
-    def mapping_for(self, kernel: Kernel) -> SGMFMapping:
-        """Expose the mapping (used by reports and tests)."""
-        return map_kernel(kernel, self.config.fabric)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.arch.config import FermiConfig
-from repro.compiler.cfganalysis import immediate_post_dominators
 from repro.engine import EngineRunResult, bind_params
 from repro.ir.instr import Instr, Op, UnitClass, unit_class
 from repro.ir.kernel import Kernel
@@ -206,32 +205,17 @@ class FermiSM:
         kernel.
         """
         config = self.config
-        # Disabled-mode fast path: one local None-test per hook site.
-        trace = tracer if (tracer is not None and tracer.enabled) else None
         params = bind_params(kernel, params)
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
-            tracer=trace,
+            tracer=tracer,
         )
-        if compile_cache is not None:
-            from repro.compiler.cache import kernel_fingerprint
+        from repro.compiler.cache import cached_fermi_analysis
 
-            key = compile_cache.make_key(
-                "fermi-analysis", kernel_fingerprint(kernel)
-            )
-            ipdom, cached_pressure = compile_cache.get_or_build(
-                key,
-                lambda: (
-                    immediate_post_dominators(kernel),
-                    _register_pressure(kernel),
-                ),
-            )
-        else:
-            ipdom = immediate_post_dominators(kernel)
-            cached_pressure = None
+        ipdom, pressure = cached_fermi_analysis(kernel, compile_cache)
         stats = SMStats()
         tables = self._build_tables(kernel, params)
-        wd = ForwardProgressWatchdog(watchdog, "fermi", kernel.name, trace)
+        wd = ForwardProgressWatchdog(watchdog, "fermi", kernel.name, tracer)
         wd.start(0.0)
         if faults is not None:
             faults.maybe_abort(f"fermi/{kernel.name}", 0.0)
@@ -244,10 +228,6 @@ class FermiSM:
         if config.model_occupancy:
             # The register file bounds occupancy: each resident warp
             # holds `pressure` registers x 32 lanes x 4 bytes.
-            pressure = (
-                cached_pressure if cached_pressure is not None
-                else _register_pressure(kernel)
-            )
             rf_warps = config.register_file_bytes // max(
                 1, 4 * ws * pressure
             )
@@ -269,9 +249,9 @@ class FermiSM:
         counter = itertools.count()
         for wid in range(min(max_resident, n_warps)):
             heappush(heap, (0.0, next(counter), make_ctx(wid)))
-            if trace is not None:
-                trace.instant("warp.launch", "fermi.simt", 0.0,
-                              pid="fermi", warp=wid)
+            if tracer is not None:
+                tracer.instant("warp.launch", "fermi.simt", 0.0,
+                               pid="fermi", warp=wid)
 
         issue_free = 0.0
         self._ldst_free = 0.0
@@ -377,8 +357,8 @@ class FermiSM:
             ctx.stack.advance(ctx.block, targets)
             diverged = ctx.stack.divergences - before
             stats.divergences += diverged
-            if diverged and trace is not None:
-                trace.instant(
+            if diverged and tracer is not None:
+                tracer.instant(
                     "divergence", "fermi.simt", issue, pid="fermi",
                     warp=ctx.warp.warp_id, block=ctx.block,
                     stack_depth=len(ctx.stack.stack),
@@ -387,17 +367,17 @@ class FermiSM:
             if next_block is None:
                 # Warp finished; a pending warp takes its slot.
                 wd.progress(issue + 1.0)
-                if trace is not None:
-                    trace.instant(
+                if tracer is not None:
+                    tracer.instant(
                         "warp.retire", "fermi.simt", issue + 1.0,
                         pid="fermi", warp=ctx.warp.warp_id,
                     )
                 nxt = next(pending, None)
                 if nxt is not None:
                     heappush(heap, (issue + 1.0, next(counter), make_ctx(nxt)))
-                    if trace is not None:
-                        trace.instant("warp.launch", "fermi.simt",
-                                      issue + 1.0, pid="fermi", warp=nxt)
+                    if tracer is not None:
+                        tracer.instant("warp.launch", "fermi.simt",
+                                       issue + 1.0, pid="fermi", warp=nxt)
                 continue
             ctx.block = next_block
             ctx.idx = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.arch.config import VGIWConfig
-from repro.compiler.pipeline import CompiledKernel, compile_kernel
+from repro.compiler.pipeline import CompiledKernel
 from repro.engine import EngineRunResult, bind_params
 from repro.ir.kernel import Kernel
 from repro.memory.cache import CacheStats
@@ -166,24 +166,20 @@ class VGIWCore:
         see ``docs/performance.md``.
         """
         config = self.config
-        # Disabled-mode fast path: one local None-test per hook site.
-        trace = tracer if (tracer is not None and tracer.enabled) else None
         if isinstance(kernel, CompiledKernel):
             compiled = kernel
-        elif compile_cache is not None:
+        else:
             from repro.compiler.cache import cached_compile_kernel
 
             compiled = cached_compile_kernel(
                 kernel, config.fabric, cache=compile_cache
             )
-        else:
-            compiled = compile_kernel(kernel, config.fabric)
         kernel_obj = compiled.kernel
         params = bind_params(kernel_obj, params)
 
         memsys = MemorySystem(
             config.memory, l1_write_back=config.l1_write_back, faults=faults,
-            tracer=trace,
+            tracer=tracer,
         )
         lvc = LiveValueCache(
             size_bytes=config.lvc_size_bytes,
@@ -192,14 +188,14 @@ class VGIWCore:
             banks=config.lvc_banks,
             hit_latency=config.lvc_hit_latency,
             l2=memsys.l2,
-            tracer=trace,
+            tracer=tracer,
         )
         executor = MTCGRFExecutor(
             config, memsys, lvc, memory, params,
             faults=faults, fabric=compiled.fabric,
         )
         wd = ForwardProgressWatchdog(watchdog, "vgiw", kernel_obj.name,
-                                     trace)
+                                     tracer)
         wd.start(0.0)
 
         n_blocks = compiled.n_blocks
@@ -263,8 +259,8 @@ class VGIWCore:
                 if configured_block != block_id:
                     bbs.reconfigurations += 1
                     bbs.config_cycles += config.fabric.config_cycles
-                    if trace is not None:
-                        trace.complete(
+                    if tracer is not None:
+                        tracer.complete(
                             f"reconfigure:{cb.name}", "vgiw.bbs", time,
                             config.fabric.config_cycles, pid="vgiw",
                             block=cb.name, tile=tiles,
@@ -281,8 +277,8 @@ class VGIWCore:
 
                 outcomes, end_time = executor.execute_block(cb, tids, time)
                 retired = [oc.next_block for oc in outcomes].count(None)
-                if trace is not None:
-                    trace.complete(
+                if tracer is not None:
+                    tracer.complete(
                         f"block:{cb.name}", "vgiw.block", time,
                         end_time - time, pid="vgiw",
                         block=cb.name, threads=len(tids),

@@ -8,7 +8,6 @@ Covers the contracts promised by docs/observability.md:
   five sources (VGIW BBS, Fermi SIMT, SGMF core, L1/L2 caches, DRAM);
 * metric-name parity: the same kernel produces the same shared counter
   namespace on every engine;
-* the NullTracer fast path allocates nothing;
 * EngineRunResult / Engine-registry / LaunchStats backward
   compatibility.
 """
@@ -16,7 +15,6 @@ Covers the contracts promised by docs/observability.md:
 import json
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +36,6 @@ from repro.memory.image import MemoryImage
 from repro.obs import (
     Histogram,
     Metrics,
-    NULL_TRACER,
-    NullTracer,
     SHARED_COUNTERS,
     SHARED_GAUGES,
     TraceEvent,
@@ -49,7 +45,7 @@ from repro.obs.metrics import MAX_BUCKETS, REL_ERROR
 from repro.resilience import SimulationHangError, WatchdogConfig
 from repro.sgmf import SGMFRunResult
 from repro.simt import FermiRunResult
-from repro.vgiw import VGIWCore, VGIWRunResult
+from repro.vgiw import VGIWRunResult
 
 
 # ----------------------------------------------------------------------
@@ -261,60 +257,6 @@ def test_metrics_table_rows(traced_run):
     for name in SHARED_GAUGES + SHARED_COUNTERS:
         assert name in rendered
     assert "Vgiw" in rendered and "Fermi" in rendered and "Sgmf" in rendered
-
-
-# ----------------------------------------------------------------------
-# NullTracer fast path
-# ----------------------------------------------------------------------
-def test_null_tracer_is_disabled_and_empty():
-    nt = NULL_TRACER
-    assert isinstance(nt, NullTracer)
-    assert nt.enabled is False
-    nt.complete("x", "c", 0.0, 1.0, foo=1)
-    nt.instant("x", "c", 0.0)
-    nt.counter("x", "c", 0.0, v=1)
-    assert len(nt) == 0
-    assert nt.tail() == ()
-    assert nt.events == ()
-    assert nt.dropped == 0
-
-
-def test_null_tracer_allocates_nothing():
-    """The disabled fast path must not retain allocations."""
-    nt = NullTracer()
-    # Warm up any lazy interning.
-    nt.instant("warm", "c", 0.0)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        for i in range(1000):
-            nt.instant("e", "c", 0.0)
-            nt.complete("e", "c", 0.0, 1.0)
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = after.compare_to(before, "lineno")
-    grown = sum(s.size_diff for s in stats if s.size_diff > 0)
-    # tracemalloc bookkeeping itself shows up; anything beyond a couple
-    # of KiB would mean the no-op path builds per-call objects.
-    assert grown < 4096, f"NullTracer retained {grown} bytes"
-
-
-def test_engines_accept_null_tracer():
-    """Passing the NullTracer explicitly must behave exactly like None."""
-    k = saxpy_kernel()
-    n = 32
-    results = []
-    for tracer in (None, NULL_TRACER):
-        mem = MemoryImage(1 << 12)
-        x = mem.alloc_array("x", np.arange(float(n)))
-        y = mem.alloc_array("y", np.ones(n))
-        out = mem.alloc("out", n)
-        res = VGIWCore().run(k, mem, {"a": 2.0, "x": x, "y": y,
-                                      "out": out, "n": n}, n,
-                             tracer=tracer)
-        results.append(res.cycles)
-    assert results[0] == results[1]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.arch.config import FermiConfig, SGMFConfig, VGIWConfig
 from repro.evalharness import (
     RunOptions,
     SuiteResult,
-    VerificationError,
     generate_report,
     run_kernel,
     run_suite,
@@ -48,11 +47,11 @@ from repro.resilience import (
     RetryPolicy,
     SimulationError,
     SimulationHangError,
+    VerificationError,
     WatchdogConfig,
     wall_clock_limit,
 )
 from repro.resilience import watchdog as watchdog_module
-from repro.resilience.errors import VerificationError as ResilienceVerificationError
 from repro.sgmf import SGMFCore, SGMFUnmappableError
 from repro.simt import FermiSM
 from repro.vgiw import VGIWCore
@@ -168,13 +167,6 @@ def test_hierarchy_roots():
     assert issubclass(InterpreterError, SimulationError)
     from repro.compiler.placement import CapacityError
     assert issubclass(CapacityError, MappingError)
-
-
-def test_verification_error_alias_preserved():
-    # Historical import paths must keep working (deprecation alias).
-    from repro.evalharness.runner import VerificationError as from_runner
-    assert from_runner is ResilienceVerificationError
-    assert VerificationError is ResilienceVerificationError
 
 
 def test_repro_error_context_rendering():
@@ -352,7 +344,14 @@ def test_stuck_at_caught_by_verification():
     with pytest.raises(VerificationError, match="diverges from the interpreter"):
         run_kernel("nn/euclid", options=RunOptions(
             scale="tiny",
-            faults=FaultInjector(FaultSpec("stuck_at", seed=7, payload=3))))
+            inject={"nn/euclid": FaultSpec("stuck_at", seed=7, payload=3)}))
+
+
+def test_run_kernel_honours_inject():
+    # run_kernel takes the campaign the sweep and the service take.
+    with pytest.raises(FaultInjectedError, match="injected abort"):
+        run_kernel("nn/euclid", options=RunOptions(
+            scale="tiny", inject={"nn/euclid": FaultSpec("abort")}))
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,12 @@ import pytest
 from repro.evalharness import (
     ResultCache,
     RunOptions,
-    option_key,
     run_kernel,
     run_suite,
 )
 from repro.evalharness.report import generate_report
 from repro.resilience import (
+    FaultInjector,
     FaultSpec,
     OptionKeyError,
     ResultCacheDivergenceError,
@@ -40,6 +40,7 @@ from repro.resilience import (
     WatchdogConfig,
 )
 from repro.serve import ExecutionService, SubmitRequest, result_digest
+from repro.store import option_key
 
 TINY = RunOptions(scale="tiny")
 KERNELS = ["nn/euclid", "gaussian/Fan1"]
@@ -235,6 +236,8 @@ def test_retired_cache_knobs_are_gone(tmp_path):
         ExecutionService(validate_cache_seed=1)
     with pytest.raises(TypeError):
         ResultCache().should_validate("key-0", 0.5, seed=1)
+    with pytest.raises(TypeError):  # fault campaigns travel as ``inject``
+        RunOptions(faults=FaultInjector(FaultSpec("abort")))
 
 
 class _RecordingCache(ResultCache):

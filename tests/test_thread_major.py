@@ -203,7 +203,7 @@ def run_case(case, engine, n):
     mapping = map_kernel(kernel)
     if case == "lv_missing":
         _drop_spill(mapping.dfgs["right"])
-    with mock.patch("repro.sgmf.core.map_kernel", lambda k, spec: mapping):
+    with mock.patch("repro.sgmf.mapping.map_kernel", lambda k, spec: mapping):
         return _outcome(lambda: SGMFCore().run(
             kernel, mem, params, n, max_block_visits=100), mem)
 
