@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.arch.config import UnitKind
 from repro.ir.block import BasicBlock
-from repro.ir.instr import Instr, Op, TermKind, UnitClass, unit_class
+from repro.ir.instr import Op, TermKind, UnitClass, unit_class
 from repro.ir.kernel import Kernel
-from repro.ir.types import DType, Imm, Reg, TID_REG, is_param_reg, PARAM_PREFIX
+from repro.ir.types import DType, Imm, TID_REG, is_param_reg, PARAM_PREFIX
 from repro.resilience.errors import CompileError
 
 

@@ -19,8 +19,8 @@ the LVC/memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Set
 
 from repro.compiler.liveness import LivenessResult, analyze_liveness
 from repro.ir.kernel import Kernel

@@ -21,9 +21,8 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
-from repro.arch.config import UnitKind
 from repro.compiler.dfg import (
     BlockDFG,
     MAX_FANOUT,

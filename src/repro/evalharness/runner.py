@@ -56,7 +56,6 @@ from repro.compiler.cache import CompileCache, cached_optimize_kernel
 from repro.evalharness.options import RunOptions
 from repro.evalharness.resultcache import ResultCache
 from repro.interp import interpret
-from repro.kernels.base import Workload
 from repro.kernels.registry import all_names, make_workload
 from repro.obs import Metrics, Tracer
 from repro.power import (

@@ -35,7 +35,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.cache import CompileCache
 from repro.fuzz.corpus import save_corpus_case

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.ir.instr import Op, TermKind, UnitClass, unit_class
+from repro.ir.instr import TermKind, unit_class
 from repro.ir.kernel import Kernel
 
 

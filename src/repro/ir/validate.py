@@ -12,7 +12,7 @@ from typing import Dict, Set
 from repro.ir.block import BasicBlock
 from repro.ir.instr import Instr, Op, TermKind
 from repro.ir.kernel import Kernel
-from repro.ir.types import Imm, Reg, is_reserved_reg, param_reg
+from repro.ir.types import Reg, is_reserved_reg, param_reg
 from repro.resilience.errors import CompileError
 
 #: Expected operand count for each opcode.

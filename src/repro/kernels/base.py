@@ -20,7 +20,7 @@ preserved.  Each substitution is documented on the kernel function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 

@@ -22,11 +22,9 @@ divergence.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.ir import DType, Kernel, KernelBuilder, Val
+from repro.ir import DType, Kernel, KernelBuilder
 from repro.kernels.base import Workload, pick
 from repro.memory import MemoryImage
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir import DType, Kernel, KernelBuilder
+from repro.ir import Kernel, KernelBuilder
 from repro.kernels.base import Workload, pick
 from repro.memory import MemoryImage
 

@@ -21,11 +21,9 @@ preserving the loop/branch structure (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.ir import DType, Kernel, KernelBuilder
+from repro.ir import Kernel, KernelBuilder
 from repro.kernels.base import Workload, pick
 from repro.memory import MemoryImage
 

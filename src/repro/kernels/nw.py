@@ -16,11 +16,9 @@ lower-right triangle (counted from the bottom-right corner).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.ir import DType, Kernel, KernelBuilder
+from repro.ir import Kernel, KernelBuilder
 from repro.kernels.base import Workload, pick
 from repro.memory import MemoryImage
 

@@ -99,13 +99,17 @@ class Cache:
         self.write_validate = write_validate
         self.n_sets = size_bytes // (line_bytes * ways)
         self.stats = CacheStats()
-        # set index -> list of [tag, dirty] in LRU order (front = LRU)
-        self._sets: Dict[int, List[List]] = {}
+        # set index -> list of [tag, dirty] in LRU order (front = LRU),
+        # or None before the set's first fill
+        self._sets: List[Optional[List[List]]] = [None] * self.n_sets
         # bank -> path-compressed next-free-pointer calendar
         # (repro.memory.calendar): requests arriving out of simulation
         # order backfill idle cycles instead of queueing behind
-        # logically-later requests, at amortized O(1) per claim.
-        self._bank_next: Dict[int, Dict[int, int]] = {}
+        # logically-later requests, at amortized O(1) per claim.  A
+        # ``bank`` override past ``banks`` gets its calendar on first use.
+        self._bank_next: Dict[int, Dict[int, int]] = {
+            b: {} for b in range(banks)
+        }
         # line address -> in-flight fill completion time (MSHR), and a
         # min-heap of its (completion, line) pairs for the prune
         self._mshr: Dict[int, float] = {}
@@ -113,7 +117,7 @@ class Cache:
 
     # ------------------------------------------------------------------
     def _lookup(self, set_idx: int, tag: int) -> Optional[List]:
-        ways = self._sets.get(set_idx)
+        ways = self._sets[set_idx]
         if not ways:
             return None
         for entry in ways:
@@ -123,7 +127,9 @@ class Cache:
 
     def _fill(self, time: float, line_addr: int, set_idx: int, tag: int,
               dirty: bool) -> None:
-        ways = self._sets.setdefault(set_idx, [])
+        ways = self._sets[set_idx]
+        if ways is None:
+            ways = self._sets[set_idx] = []
         if len(ways) >= self.ways:
             victim = ways.pop(0)
             if self.write_back and victim[1]:
@@ -143,9 +149,10 @@ class Cache:
         """Access one line; return the completion time.
 
         ``bank`` overrides the default line-interleaved bank selection —
-        scalar (word-granularity) clients like the VGIW LDST units pass
-        the word-interleaved bank so that consecutive words in one line
-        hit different banks (paper §3.6: 32-bank L1).
+        word-granularity clients like the LVC pass the word-interleaved
+        bank so that consecutive words in one line hit different banks
+        (the dataflow engines' L1 word row claims its bank itself, paper
+        §3.6: 32-bank L1).
 
         Writes complete at the L1 port (posted); reads complete when the
         data is available (after a fill on a miss).
@@ -163,8 +170,9 @@ class Cache:
         # needs no calendar walk.
         ti = int(time)
         t = ti if ti == time else ti + 1
-        nf = self._bank_next.get(bank)
-        if nf is None:
+        try:
+            nf = self._bank_next[bank]
+        except KeyError:
             nf = self._bank_next[bank] = {}
         if t in nf:
             start = claim_slot(nf, t)
@@ -172,11 +180,21 @@ class Cache:
         else:
             nf[t] = t + 1
             start = t
-        start = float(start)
+        return self._resolve(float(start), line_addr, set_idx, tag, is_write)
 
+    def _resolve(self, start: float, line_addr: int, set_idx: int, tag: int,
+                 is_write: bool) -> float:
+        """The hit/miss rule of one access, once its bank is claimed at
+        ``start``; return the completion time.
+
+        Reached through :meth:`access` (the L2, the LVC, Fermi's
+        coalesced segments) and directly by the dataflow engines' word
+        row (:func:`repro.vgiw.mtcgrf.word_row`), which finishes a
+        write-back MRU hit itself and calls this for anything else.
+        """
         # A hit touches only the set: the MRU way first (consecutive
         # words of one line), then a scan.
-        ways = self._sets.get(set_idx)
+        ways = self._sets[set_idx]
         if not ways:
             return self._miss(start, line_addr, set_idx, tag, is_write)
         entry = ways[-1]
@@ -208,8 +226,8 @@ class Cache:
 
     def _miss(self, start: float, line_addr: int, set_idx: int, tag: int,
               is_write: bool) -> float:
-        """The miss paths of :meth:`access`, once the bank is claimed at
-        ``start``."""
+        """The miss paths of :meth:`_resolve`, once the bank is claimed
+        at ``start``."""
         if self.tracer is not None:
             self.tracer.instant(
                 "miss", self._trace_cat, start, pid="mem", tid=self.name,

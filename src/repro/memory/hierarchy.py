@@ -6,10 +6,13 @@ GDDR5 DRAM (paper §3.6 / Table 1).  The VGIW core additionally owns a
 
 The dataflow engines' LDST units reach the L1 one word at a time: their
 timing walks' memory-row helper (:func:`repro.vgiw.mtcgrf.word_row`)
-maps each word to its line and word-interleaved bank and calls the L1's
-:meth:`~repro.memory.cache.Cache.access` itself.  The Fermi path instead
+maps each word to its line and word-interleaved bank, claims the bank,
+finishes a hit on the set's most recently used way of the write-back L1
+itself and leaves every other case to the L1's hit/miss rule,
+:meth:`~repro.memory.cache.Cache._resolve`.  The Fermi path instead
 uses :mod:`repro.memory.coalescer` and calls ``access_line`` once per
-coalesced segment.
+coalesced segment, which goes through
+:meth:`~repro.memory.cache.Cache.access` like the L2 and the LVC.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ can lay out their arrays symbolically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 

@@ -20,7 +20,7 @@ the parity is enforced by ``tests/test_obs.py``.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Histogram",

@@ -33,7 +33,7 @@ failure logs (asserted in ``tests/test_resilience.py``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.resilience.errors import FaultInjectedError

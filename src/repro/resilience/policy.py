@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.resilience.errors import ReproError, SimulationHangError
+from repro.resilience.errors import SimulationHangError
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import signal
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.resilience.errors import SimulationHangError
 

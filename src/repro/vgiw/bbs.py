@@ -15,7 +15,7 @@ cycles for the 108-unit prototype (paper §3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 BATCH_BITS = 64

@@ -346,14 +346,28 @@ def word_row(memsys: MemorySystem):
     (:func:`claim_issue`, with the free-slot fast path in line), maps
     the word to its L1 line and word-interleaved bank (the 32 banks
     serve 32 consecutive words of a line concurrently, paper §3.6),
-    accesses the L1 and holds the entry until the answer.  With faults
-    armed, the ``l1-word`` ``mem_drop`` hook runs after the access.
-    An L1 hit costs two Python frames: this one and
-    :meth:`~repro.memory.cache.Cache.access`.
+    claims that bank as :meth:`~repro.memory.cache.Cache.access` would
+    and holds the entry until the answer.  With faults armed, the
+    ``l1-word`` ``mem_drop`` hook runs after the access.
+
+    Consecutive threads touch consecutive words of one line, so most
+    accesses hit their set's most recently used way.  With a write-back
+    L1 that hit is finished here, by the rule of
+    :meth:`~repro.memory.cache.Cache._resolve` (a read waits for an
+    in-flight fill in the MSHR, a write dirties the line), in this one
+    Python frame; anything else is :meth:`Cache._resolve`'s.
     """
-    l1_access = memsys.l1.access
-    line_words = memsys.l1.line_bytes // WORD_BYTES
-    banks = memsys.l1.banks
+    l1 = memsys.l1
+    resolve = l1._resolve
+    sets = l1._sets
+    bank_next = l1._bank_next
+    mshr = l1._mshr
+    stats = l1.stats
+    n_sets = l1.n_sets
+    banks = l1.banks
+    hit_latency = l1.hit_latency
+    write_back = l1.write_back
+    line_words = l1.line_bytes // WORD_BYTES
     faults = memsys.faults
 
     def wrd(out, ready, uw, uid, nf, entries, addr, is_write):
@@ -371,9 +385,37 @@ def word_row(memsys: MemorySystem):
         else:
             nf[q] = q + 1
             s = q
-        t = float(s)
-        done = l1_access(t, addr // line_words, is_write, addr % banks)
-        if faults is not None and faults.drop_response("l1-word", addr, t):
+        # The L1 access at the (integral) issue cycle: the XOR set hash
+        # and the bank claim of ``Cache.access``, then the hit rule.
+        line = addr // line_words
+        tag = line // n_sets
+        set_idx = (line ^ tag) % n_sets
+        bnf = bank_next[addr % banks]
+        if s in bnf:
+            start = claim_slot(bnf, s)
+            stats.bank_wait_cycles += start - s
+            start = float(start)
+        else:
+            bnf[s] = s + 1
+            start = float(s)
+        ways = sets[set_idx]
+        if write_back and ways and ways[-1][0] == tag:
+            if is_write:
+                stats.write_hits += 1
+                ways[-1][1] = True
+                done = start + hit_latency
+            else:
+                stats.read_hits += 1
+                pending = mshr.get(line)
+                if pending is not None and pending > start:
+                    stats.mshr_merges += 1
+                    done = pending
+                else:
+                    done = start + hit_latency
+        else:
+            done = resolve(start, line, set_idx, tag, is_write)
+        if faults is not None and faults.drop_response("l1-word", addr,
+                                                       float(s)):
             done += faults.drop_stall_cycles
         _heappush(out, done)
         return done
@@ -494,10 +536,10 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     A memory row is one call of the run's row helper, a call argument:
     ``wrd`` (:func:`word_row`, bound to the memory system) or, for a
     VGIW live value, ``lvr`` (:func:`live_row`, bound to the LVC), so an
-    L1 hit or a line-buffer hit costs the row two Python frames, the
-    helper's and the cache's.  Everything the walk reads besides its
-    call arguments is an argument with a default:
-    the replica's state (``uw``, the calendars ``nf{nid}``, the
+    L1 hit on its set's most recently used way costs the row one Python
+    frame, the helper's, and a line-buffer hit two, the helper's and
+    the LVC's.  Everything the walk reads besides its call arguments is
+    an argument with a default: the replica's state (``uw``, the calendars ``nf{nid}``, the
     reservation buffers ``out{nid}``, the SCU pools ``pool{nid}``),
     then each row's unit ID (``u{nid}``) and input hop counts
     (``h{nid}_{k}``).  The replicas of a block (and equal blocks, in

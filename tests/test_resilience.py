@@ -23,7 +23,7 @@ from weakref import WeakSet
 
 import pytest
 
-from repro.arch.config import FermiConfig, SGMFConfig, VGIWConfig
+from repro.arch.config import VGIWConfig
 from repro.evalharness import (
     RunOptions,
     SuiteResult,

@@ -199,15 +199,75 @@ def test_claim_issue_matches_claim_slot_and_old_accounting(seed):
     assert contended > 300 and free > 300
 
 
-def _row_helpers():
+def _row_helpers(l1_write_back=True):
     """Both memory-row helpers, bound to a fresh hierarchy with an LVC."""
     from repro.arch import MemoryConfig
     from repro.memory import LiveValueCache, MemorySystem
 
-    ms = MemorySystem(MemoryConfig(), l1_write_back=True)
+    ms = MemorySystem(MemoryConfig(), l1_write_back=l1_write_back)
     lvc = LiveValueCache(size_bytes=64 * 1024, line_bytes=64, ways=4,
                          banks=16, hit_latency=4, l2=ms.l2)
     return ms, lvc, mtcgrf.word_row(ms), mtcgrf.live_row(lvc)
+
+
+def _replay_rows(requests, l1_write_back=True):
+    """Drive the row helpers and, beside them, the rule they replace
+    (the reservation-buffer wait and the issue claim the walks once did
+    in line, then ``Cache.access`` or ``LiveValueCache.access``) with
+    ``requests`` of ``(kind, ready, is_write, addr, tid)``.  Every
+    return, and after each request the L1's sets and MSHR and both
+    caches' counters, must agree; the reservation buffers, calendars
+    and stall totals must agree at the end.  Returns the reference's
+    counts: full-buffer waits (``waited``), the L1 word requests by how
+    the access found its line (``mru``, ``scan`` or ``miss``), the MRU
+    read hits that merged into an in-flight fill (``mru_merge``), the
+    line-buffer hits (``buffered``) and the L1's dirty evictions
+    (``writebacks``)."""
+    got_ms, got_lvc, wrd, lvr = _row_helpers(l1_write_back)
+    want_ms, want_lvc, _, _ = _row_helpers(l1_write_back)
+    got_l1, l1 = got_ms.l1, want_ms.l1
+    line_words = l1.line_bytes // 4
+    got = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}  # out, nf, uw
+    want = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}
+    counts = collections.Counter()
+    for i, (kind, ready, is_write, addr, tid) in enumerate(requests):
+        out, nf, uw = got[kind]
+        if kind == "wrd":
+            g = wrd(out, ready, uw, 3, nf, 4, addr, is_write)
+        else:
+            g = lvr(out, ready, uw, 3, nf, 4, addr % 8, tid, is_write)
+        out, nf, uw = want[kind]
+        if len(out) >= 4:
+            counts["waited"] += out[0] > ready
+            ready = _old_wait(out, ready, uw, 3)
+        s = float(_old_issue(nf, ready, uw, 3))
+        if kind == "wrd":
+            line = addr // line_words
+            tag = line // l1.n_sets
+            ways = l1._sets[(line ^ tag) % l1.n_sets] or []
+            found = ("mru" if ways and ways[-1][0] == tag
+                     else "scan" if any(e[0] == tag for e in ways)
+                     else "miss")
+            counts[found] += 1
+            merges = l1.stats.mshr_merges
+            w = l1.access(s, line, is_write, addr % l1.banks)
+            if found == "mru" and l1.stats.mshr_merges > merges:
+                counts["mru_merge"] += 1
+        else:
+            w = want_lvc.access(s, addr % 8, tid, is_write, 3)
+        heapq.heappush(out, w)
+        assert g == w and type(g) is type(w), f"request {i}"
+        assert got_l1._sets == l1._sets, f"request {i}"
+        assert got_l1._mshr == l1._mshr, f"request {i}"
+        assert got_l1.stats == l1.stats, f"request {i}"
+        assert got_ms.l2.stats == want_ms.l2.stats, f"request {i}"
+    assert got == want
+    assert got_l1._bank_next == l1._bank_next
+    assert got_lvc.stats == want_lvc.stats
+    assert got_lvc.buffered == want_lvc.buffered
+    counts["buffered"] = want_lvc.buffered
+    counts["writebacks"] = l1.stats.writebacks
+    return counts
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -216,13 +276,7 @@ def test_wait_entry_matches_old_accounting(seed):
     # entry when the buffer is full, then claim the issue cycle, as the
     # walks once did in line, before their access.
     rng = random.Random(seed)
-    got_ms, got_lvc, wrd, lvr = _row_helpers()
-    want_ms, want_lvc, _, _ = _row_helpers()
-    l1 = want_ms.l1
-    line_words = l1.line_bytes // 4
-    got = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}  # out, nf, uw
-    want = {"wrd": ([], {}, {}), "lvr": ([], {}, {})}
-    waited = 0
+    requests = []
     for _ in range(1000):
         kind = rng.choice(("wrd", "lvr"))
         ready = rng.uniform(0, 500)
@@ -230,27 +284,54 @@ def test_wait_entry_matches_old_accounting(seed):
             ready = float(round(ready))
         is_write = rng.random() < 0.3
         addr, tid = rng.randrange(4096), rng.randrange(256)
-        out, nf, uw = got[kind]
-        if kind == "wrd":
-            g = wrd(out, ready, uw, 3, nf, 4, addr, is_write)
+        requests.append((kind, ready, is_write, addr, tid))
+    counts = _replay_rows(requests)
+    assert counts["waited"] > 100
+    assert counts["buffered"] > 0
+
+
+def _word_runs(seed, n=2500):
+    """LOAD/STORE row requests ``(kind, ready, is_write, addr, tid)`` as
+    a thread vector makes them: runs of consecutive words (consecutive
+    threads) at rising, wandering ready times, each run all loads or
+    all stores.  A third of the runs start in one crowded L1 set of
+    eight lines, which then hit on other ways, miss, and evict lines
+    that stores dirtied."""
+    rng = random.Random(seed)
+    n_sets, line_words = 128, 32  # MemoryConfig's L1
+    crowded = [(k * n_sets + (5 ^ k)) * line_words for k in range(8)]
+    requests = []
+    clock = 0.0
+    while len(requests) < n:
+        is_write = rng.random() < 0.35
+        if rng.random() < 0.35:
+            addr = rng.choice(crowded) + rng.randrange(line_words)
         else:
-            g = lvr(out, ready, uw, 3, nf, 4, addr % 8, tid, is_write)
-        out, nf, uw = want[kind]
-        if len(out) >= 4:
-            waited += out[0] > ready
-            ready = _old_wait(out, ready, uw, 3)
-        s = float(_old_issue(nf, ready, uw, 3))
-        if kind == "wrd":
-            w = l1.access(s, addr // line_words, is_write, addr % l1.banks)
-        else:
-            w = want_lvc.access(s, addr % 8, tid, is_write, 3)
-        heapq.heappush(out, w)
-        assert g == w
-    assert got == want
-    assert waited > 100
-    assert got_ms.l1.stats == want_ms.l1.stats
-    assert got_lvc.stats == want_lvc.stats
-    assert got_lvc.buffered == want_lvc.buffered > 0
+            addr = rng.randrange(1 << 16)
+        for addr in range(addr, addr + rng.randrange(1, 48)):
+            clock += rng.choice((0.0, 0.5, 1.0, 1.0, 3.0))
+            ready = max(0.0, clock + rng.choice((0.0, -rng.uniform(0, 40))))
+            if rng.random() < 0.5:
+                ready = float(round(ready))
+            requests.append(("wrd", ready, is_write, addr, 0))
+        clock += rng.choice((0.0, 30.0, 400.0))
+    return requests
+
+
+@pytest.mark.parametrize("l1_write_back", [True, False])
+@pytest.mark.parametrize("seed", range(2))
+def test_word_row_matches_cache_access_on_word_runs(seed, l1_write_back):
+    # ``wrd`` times a write-back MRU hit in its own frame and sends the
+    # rest to ``Cache._resolve``; ``Cache.access`` with the word's bank
+    # is the reference for both.  The stream reaches every case the
+    # fast path decides: MRU hits (reads that merge into an in-flight
+    # fill, and stores that dirty the line), hits on other ways, misses
+    # and dirty evictions.
+    counts = _replay_rows(_word_runs(seed), l1_write_back)
+    assert counts["mru"] > 0 and counts["scan"] > 0 and counts["miss"] > 0
+    assert counts["mru_merge"] > 0
+    assert counts["waited"] > 0
+    assert (counts["writebacks"] > 0) == l1_write_back
 
 
 def _python_calls(fn, *args):
@@ -269,18 +350,27 @@ def _python_calls(fn, *args):
     return result, calls
 
 
-def test_memory_row_hits_cost_two_frames():
-    # An L1 hit of a LOAD row, and a line-buffer hit of a live-value
-    # row, each behind a full reservation buffer: the row helper and
-    # the cache, nothing else.
+def test_memory_row_hits_cost_one_frame():
+    # Behind a full reservation buffer: an L1 hit of a LOAD row on its
+    # set's MRU way is the row helper alone, a hit on another way adds
+    # the cache's hit rule, and a line-buffer hit of a live-value row
+    # is the row helper and the LVC.
     from repro.memory import Cache, LiveValueCache
 
     ms, lvc, wrd, lvr = _row_helpers()
+    l1 = ms.l1
+    line_words = l1.line_bytes // 4
+    other = (l1.n_sets + 1) * line_words  # line n_sets + 1: line 0's set
     out, nf, uw = [], {}, {}
     t = wrd(out, 0.0, uw, 5, nf, 1, 0, False)  # miss, fills the line
     t, calls = _python_calls(wrd, out, t, uw, 5, nf, 1, 1, False)
-    assert ms.l1_stats.read_hits == 1
-    assert calls == [wrd.__code__, Cache.access.__code__]
+    assert l1.stats.read_hits == 1
+    assert calls == [wrd.__code__]
+
+    t = wrd(out, t, uw, 5, nf, 1, other, False)  # miss, now the MRU way
+    t, calls = _python_calls(wrd, out, t, uw, 5, nf, 1, 2, False)
+    assert (l1.stats.read_hits, l1.stats.read_misses) == (2, 2)
+    assert calls == [wrd.__code__, Cache._resolve.__code__]
 
     out, nf = [], {}
     t = lvr(out, 0.0, uw, 7, nf, 1, 0, 0, True)
