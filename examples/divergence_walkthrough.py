@@ -87,10 +87,13 @@ def main():
             for t in iter_batch_tids(base, bm)
         ]
         time += config.fabric.config_cycles  # reconfigure the grid
-        outcomes, time = executor.execute_block(cb, tids, time)
-        for oc in outcomes:
-            if oc.next_block is not None:
-                cvt.or_batch(schedule.id_of(oc.next_block), 0, 1 << oc.tid)
+        # One outcome list per replica that ran threads.
+        per_replica, time = executor.execute_block(cb, tids, time)
+        for outcomes in per_replica:
+            for oc in outcomes:
+                if oc.next_block is not None:
+                    cvt.or_batch(schedule.id_of(oc.next_block), 0,
+                                 1 << oc.tid)
         cvt.check_invariant()
         executed = [t + 1 for t in tids]
         print(f"step {step}: executed {cb.name:10s} for threads {executed}")

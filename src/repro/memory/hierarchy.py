@@ -13,6 +13,9 @@ itself and leaves every other case to the L1's hit/miss rule,
 uses :mod:`repro.memory.coalescer` and calls ``access_line`` once per
 coalesced segment, which goes through
 :meth:`~repro.memory.cache.Cache.access` like the L2 and the LVC.
+VGIW's live-value row helper (:func:`repro.vgiw.mtcgrf.live_row`)
+likewise finishes a hit in an LVU's line buffer itself and calls
+:meth:`LiveValueCache.cross` at a line crossing.
 """
 
 from __future__ import annotations
@@ -158,9 +161,11 @@ class LiveValueCache:
 
         ``port`` identifies the requesting LVU instance; requests that
         fall in the port's current line are served from its line buffer
-        in one cycle.  Crossing a line boundary costs a banked LVC
-        access (word-interleaved banks — the LVC is accessed at word
-        granularity, paper §3.4).
+        in one cycle.  Any other request is a line crossing
+        (:meth:`cross`).  The VGIW walks' live-value row helper
+        (:func:`repro.vgiw.mtcgrf.live_row`) bumps the same counters,
+        finishes a line-buffer hit by this rule itself and calls
+        :meth:`cross` for the rest.
         """
         if is_write:
             self.writes += 1
@@ -176,11 +181,20 @@ class LiveValueCache:
                     cur[2] = True
                 ready = cur[1]
                 return (time if time > ready else ready) + 1.0
+        return self.cross(time, line, word, is_write, port)
+
+    def cross(self, time: float, line: int, word: int, is_write: bool,
+              port=None) -> float:
+        """A request for word ``word`` of ``line`` that ``port``'s line
+        buffer does not hold: a banked LVC access (word-interleaved
+        banks — the LVC is accessed at word granularity, paper §3.4),
+        after which the port's previous line, if a store dirtied it, is
+        flushed to its bank and the buffer holds ``line``.  Returns the
+        request's answer cycle."""
         done = self._cache_access(time, line, is_write, word % self._banks)
         if port is not None:
             cur = self._ports.get(port)
-            if cur is not None and cur[2] and cur[0] != line:
-                # Flush the previous dirty line buffer to its bank.
+            if cur is not None and cur[2]:
                 self._cache_access(time, cur[0], True, cur[0] % self._banks)
             self._ports[port] = [line, done, is_write]
         return done

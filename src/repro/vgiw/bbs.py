@@ -55,15 +55,24 @@ def terminator_batches(outcomes, word_bits: int = BATCH_BITS,
     emission order — one CVT write each.
     """
     packets: List[Tuple[str, int, int]] = []
-    # target -> ordered list of [base, bitmap] (front = oldest)
+    # target -> ordered list of [base, bitmap] (front = oldest); a
+    # target's open bases are unique, so its newest batch is tested
+    # first (consecutive threads mostly share it) and a miss there
+    # tests the rest.
     open_batches: dict = {}
-    for oc in sorted(outcomes):
-        if oc.next_block is None:
+    for _, tid, target, _ in sorted(outcomes):
+        if target is None:
             continue
-        local = oc.tid - tid_offset
+        local = tid - tid_offset
         base = (local // word_bits) * word_bits
         bit = 1 << (local - base)
-        slots = open_batches.setdefault(oc.next_block, [])
+        slots = open_batches.get(target)
+        if slots is None:
+            open_batches[target] = [[base, bit]]
+            continue
+        if slots[-1][0] == base:
+            slots[-1][1] |= bit
+            continue
         for slot in slots:
             if slot[0] == base:
                 slot[1] |= bit
@@ -71,7 +80,7 @@ def terminator_batches(outcomes, word_bits: int = BATCH_BITS,
         else:
             if len(slots) >= open_per_target:
                 old = slots.pop(0)
-                packets.append((oc.next_block, old[0], old[1]))
+                packets.append((target, old[0], old[1]))
             slots.append([base, bit])
     for target, slots in open_batches.items():
         for base, bitmap in slots:

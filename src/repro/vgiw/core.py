@@ -276,7 +276,8 @@ class VGIWCore:
                 bbs.blocks_executed += 1
 
                 outcomes, end_time = executor.execute_block(cb, tids, time)
-                retired = [oc.next_block for oc in outcomes].count(None)
+                retired = [oc.next_block for replica_outcomes in outcomes
+                           for oc in replica_outcomes].count(None)
                 if tracer is not None:
                     tracer.complete(
                         f"block:{cb.name}", "vgiw.block", time,
@@ -300,10 +301,7 @@ class VGIWCore:
                 # in completion order with two open batches per target
                 # (paper section 3.5); out-of-order completion flushes
                 # partial batches, which cost extra CVT writes.
-                per_replica: Dict[int, List] = {}
-                for oc in outcomes:
-                    per_replica.setdefault(oc.replica, []).append(oc)
-                for replica_outcomes in per_replica.values():
+                for replica_outcomes in outcomes:
                     for target, base, bitmap in terminator_batches(
                         replica_outcomes, tid_offset=tile_base
                     ):

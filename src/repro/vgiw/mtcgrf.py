@@ -429,11 +429,18 @@ def live_row(lvc: LiveValueCache):
 
     ``lvr(out, ready, uw, uid, nf, entries, lv_id, tid, is_write)`` is
     :func:`word_row`'s rule with the access being the LVC request for
-    ``(lv_id, tid)`` on port ``uid``
-    (:meth:`~repro.memory.hierarchy.LiveValueCache.access`).  A
-    line-buffer hit costs two Python frames: this one and the LVC's.
+    ``(lv_id, tid)`` on port ``uid``.  Each LVU streams consecutive
+    threads through its one-line buffer (paper §3.4), so most requests
+    fall in the port's current line.  That hit is finished here, by the
+    rule of :meth:`~repro.memory.hierarchy.LiveValueCache.access`, in
+    this one Python frame; a line crossing is
+    :meth:`~repro.memory.hierarchy.LiveValueCache.cross`'s.
     """
-    lvc_access = lvc.access
+    cross = lvc.cross
+    ports = lvc._ports
+    base = lvc.ADDRESS_SPACE_BASE
+    max_threads = lvc.max_threads
+    line_bytes = lvc.line_bytes
 
     def lvr(out, ready, uw, uid, nf, entries, lv_id, tid, is_write):
         if len(out) >= entries:
@@ -448,7 +455,21 @@ def live_row(lvc: LiveValueCache):
         else:
             nf[q] = q + 1
             s = q
-        done = lvc_access(float(s), lv_id, tid, is_write, uid)
+        if is_write:
+            lvc.writes += 1
+        else:
+            lvc.reads += 1
+        word = lv_id * max_threads + tid
+        line = base + word * WORD_BYTES // line_bytes
+        cur = ports.get(uid)
+        if cur is not None and cur[0] == line:
+            lvc.buffered += 1
+            if is_write:
+                cur[2] = True
+            ready = cur[1]
+            done = (s if s > ready else ready) + 1.0
+        else:
+            done = cross(float(s), line, word, is_write, uid)
         _heappush(out, done)
         return done
 
@@ -536,9 +557,9 @@ def compile_timing(plan: ExecPlan, entries: int, scu_instances: int,
     A memory row is one call of the run's row helper, a call argument:
     ``wrd`` (:func:`word_row`, bound to the memory system) or, for a
     VGIW live value, ``lvr`` (:func:`live_row`, bound to the LVC), so an
-    L1 hit on its set's most recently used way costs the row one Python
-    frame, the helper's, and a line-buffer hit two, the helper's and
-    the LVC's.  Everything the walk reads besides its call arguments is
+    L1 hit on its set's most recently used way and a hit in an LVU's
+    line buffer each cost the row one Python frame, the helper's.
+    Everything the walk reads besides its call arguments is
     an argument with a default: the replica's state (``uw``, the calendars ``nf{nid}``, the
     reservation buffers ``out{nid}``, the SCU pools ``pool{nid}``),
     then each row's unit ID (``u{nid}``) and input hop counts
@@ -779,6 +800,11 @@ class _ReplicaState:
     A compiled timing walk holds the calendars, reservation buffers and
     SCU pools its ``enter(rep)`` looked up (:func:`compile_timing`), so
     none of them may be replaced while a walk is entered.
+
+    Token-buffer admission has two spellings of one rule: per thread,
+    :meth:`admit` and :meth:`retire` (SGMF, and VGIW's thread-major
+    visits); per VGIW batch packet, :meth:`stream_packet`, the same
+    arithmetic in the same order with the packet's walk calls in line.
     """
 
     def __init__(self):
@@ -814,6 +840,44 @@ class _ReplicaState:
         ``inject``."""
         self.next_inject = inject + 1.0
         self.window.append(completion)
+
+    def stream_packet(self, depth: int, walk, wrd, lvr, tids: List[int],
+                      lo: int, hi: int, alists, successors, ridx: int,
+                      outcomes: List[ThreadOutcome]) -> None:
+        """Stream threads ``tids[lo:hi]`` of one batch packet through
+        this replica's entered ``walk``: :meth:`admit`, the walk and
+        :meth:`retire` per thread, with the token-buffer window test in
+        line and ``next_inject`` and ``inject_wait`` held in locals.
+        Appends each thread's :class:`ThreadOutcome` (successor from
+        ``successors``) to ``outcomes``, made by ``tuple.__new__`` (no
+        Python-level ``__new__`` frame).  A raising walk leaves the
+        state :meth:`admit` and :meth:`retire` would have left."""
+        window = self.window
+        close = window.append
+        injected = self.inject_times.append
+        emit = outcomes.append
+        new_tuple = tuple.__new__
+        nxt = self.next_inject
+        waited = self.inject_wait
+        try:
+            for i in range(lo, hi):
+                inject = nxt
+                n = len(window)
+                if n >= depth:
+                    bound = window[n - depth]
+                    if bound > inject:
+                        waited += bound - inject
+                        inject = bound
+                injected(inject)
+                tid = tids[i]
+                completion = walk(wrd, lvr, tid, inject, i, alists)
+                emit(new_tuple(ThreadOutcome,
+                               (completion, tid, successors[i], ridx)))
+                nxt = inject + 1.0
+                close(completion)
+        finally:
+            self.next_inject = nxt
+            self.inject_wait = waited
 
 
 class Trail(dict):
@@ -1018,10 +1082,18 @@ class MTCGRFExecutor:
         cb: CompiledBlock,
         thread_ids: List[int],
         start_time: float,
-    ) -> Tuple[List[ThreadOutcome], float]:
+    ) -> Tuple[List[List[ThreadOutcome]], float]:
         """Stream ``thread_ids`` through block ``cb`` starting at
-        ``start_time``; return per-thread outcomes and the cycle at
-        which the whole vector has drained."""
+        ``start_time``; return the per-thread outcomes, one list per
+        running replica (replica index order, each in its threads'
+        injection order: the stream its terminator CVU sees), and the
+        cycle at which the whole vector has drained.
+
+        A batched vector streams each 64-thread packet through its
+        replica in one :meth:`_ReplicaState.stream_packet` call; a
+        thread-major one admits, visits (:meth:`_thread_visit`) and
+        retires thread by thread.  Both give the same outcomes and
+        replica state."""
         n_replicas = cb.n_replicas
         replicas = [_ReplicaState() for _ in range(n_replicas)]
         for r in replicas:
@@ -1031,8 +1103,6 @@ class MTCGRFExecutor:
         if self.faults is not None:
             self.faults.maybe_abort(f"vgiw/{cb.name}", start_time)
 
-        outcomes: List[ThreadOutcome] = []
-        end_time = start_time
         depth = self.config.token_buffer_depth
         # The BBS hands out whole batch packets to the replicas'
         # initiator CVUs (paper section 3.2), so replicas see runs of
@@ -1041,6 +1111,7 @@ class MTCGRFExecutor:
         n_running, slots = replica_deal(len(thread_ids), n_replicas,
                                         BATCH_BITS)
         plans = [self._plan_for(cb, ridx) for ridx in range(n_running)]
+        outcomes: List[List[ThreadOutcome]] = [[] for _ in plans]
         hop_total = 0
 
         # Functional pass over the whole vector at once (replica plans
@@ -1064,32 +1135,29 @@ class MTCGRFExecutor:
                      for plan, rep in zip(plans, replicas)]
 
         # One replica per packet: its state, plan and walk are looked up
-        # once per packet, its hops added once.  Outcomes are made by
-        # ``tuple.__new__`` (no Python-level ``__new__`` frame).
-        new_tuple = tuple.__new__
+        # once per packet, its hops added once.
         for lo in range(0, n_thr, BATCH_BITS):
             hi = min(lo + BATCH_BITS, n_thr)
             ridx = slots[lo]
             rep = replicas[ridx]
             plan = plans[ridx]
-            admit, retire = rep.admit, rep.retire
-            walk = None if batch is None else walks[ridx]
-            for i in range(lo, hi):
-                tid = thread_ids[i]
-                inject = admit(depth)
-                if walk is None:
+            if batch is not None:
+                rep.stream_packet(depth, walks[ridx], wrd, lvr, thread_ids,
+                                  lo, hi, alists, nb, ridx, outcomes[ridx])
+            else:
+                out = outcomes[ridx]
+                for tid in thread_ids[lo:hi]:
+                    inject = rep.admit(depth)
                     completion, next_block = self._thread_visit(
                         plan, rep, tid, inject
                     )
-                else:
-                    completion = walk(wrd, lvr, tid, inject, i, alists)
-                    next_block = nb[i]
-                outcomes.append(new_tuple(
-                    ThreadOutcome, (completion, tid, next_block, ridx)))
-                retire(inject, completion)
-                if completion > end_time:
-                    end_time = completion
+                    out.append(ThreadOutcome(completion, tid, next_block,
+                                             ridx))
+                    rep.retire(inject, completion)
             hop_total += plan.total_hops * (hi - lo)
+        # Every thread's completion closed a slot of its replica's window.
+        end_time = max([start_time] + [max(rep.window)
+                                       for rep in replicas if rep.window])
 
         if batch is not None:
             self._commit_batch(batch, thread_ids)

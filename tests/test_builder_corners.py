@@ -1,10 +1,7 @@
 """Corner cases of the builder DSL: nested control-flow interactions."""
 
-import numpy as np
-import pytest
-
 from repro.interp import interpret
-from repro.ir import BuildError, DType, KernelBuilder
+from repro.ir import KernelBuilder
 from repro.memory import MemoryImage
 
 

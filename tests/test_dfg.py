@@ -1,13 +1,10 @@
 """Tests for per-block dataflow graph construction."""
 
-import pytest
-
 from repro.arch import UnitKind
 from repro.compiler import (
     NodeKind,
     NodeSrc,
     allocate_live_values,
-    build_block_dfg,
     build_kernel_dfgs,
 )
 from repro.ir import DType, KernelBuilder

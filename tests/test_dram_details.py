@@ -1,7 +1,5 @@
 """Detail tests for the DRAM bank/channel calendars."""
 
-import pytest
-
 from repro.arch import MemoryConfig
 from repro.memory import DRAM
 

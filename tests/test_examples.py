@@ -4,7 +4,6 @@ own internal verification passes)."""
 import runpy
 import sys
 
-import pytest
 
 
 def _run_example(name, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 from repro.arch import FermiConfig
 from repro.interp import interpret
 from repro.kernels import (
-    fig1_kernel,
     loop_sum_kernel,
     make_fig1_workload,
     memcopy_kernel,

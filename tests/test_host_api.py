@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.host import Device, DeviceArray, HostError
+from repro.host import Device, HostError
 from repro.kernels import saxpy_kernel
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.interp import Interpreter, InterpreterError, interpret
 from repro.ir import DType, KernelBuilder
 from repro.kernels import (
-    fig1_kernel,
     fig1_reference,
     loop_sum_kernel,
     loop_sum_reference,

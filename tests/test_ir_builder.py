@@ -207,7 +207,7 @@ def test_build_twice_raises():
 
 
 def test_write_to_reserved_register_rejected():
-    from repro.ir import Instr, Terminator
+    from repro.ir import Instr
 
     kb = KernelBuilder("k")
     kb._current.append(Instr(Op.MOV, "tid", (kb._wrap(1).operand,), DType.INT))

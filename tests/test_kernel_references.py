@@ -8,7 +8,7 @@ or brute-force alternatives.
 import numpy as np
 
 from repro.kernels.bfs import random_csr_graph
-from repro.kernels.cfd import FF_VALUES, NNB, _flux_reference, _make_mesh
+from repro.kernels.cfd import _flux_reference, _make_mesh
 from repro.kernels.hotspot import AMB_TEMP, hotspot_reference
 from repro.kernels.lud import diagonal_step_reference, perimeter_reference
 from repro.kernels.nw import PENALTY, nw_reference_full

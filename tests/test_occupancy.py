@@ -1,7 +1,5 @@
 """Tests for the Fermi occupancy (register pressure) model."""
 
-import numpy as np
-
 from repro.arch import FermiConfig
 from repro.kernels.registry import make_workload
 from repro.simt import FermiSM

@@ -8,7 +8,7 @@ from repro.compiler.optimize import (
     optimize_kernel,
 )
 from repro.interp import interpret
-from repro.ir import DType, KernelBuilder, Op
+from repro.ir import KernelBuilder, Op
 from repro.memory import MemoryImage
 
 

@@ -1,11 +1,8 @@
 """Tests for the energy model: accounting identities and paper-shaped
 qualitative properties."""
 
-import numpy as np
-
 from repro.compiler.optimize import optimize_kernel
-from repro.kernels import make_fig1_workload, saxpy_kernel
-from repro.memory import MemoryImage
+from repro.kernels import make_fig1_workload
 from repro.power import (
     DEFAULT_ENERGY,
     EnergyTable,

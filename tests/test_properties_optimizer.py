@@ -9,13 +9,12 @@ interpreter on the optimised kernel.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.optimize import optimize_kernel
 from repro.interp import interpret
-from repro.ir import DType, KernelBuilder
+from repro.ir import KernelBuilder
 from repro.memory import MemoryImage
 from repro.vgiw import VGIWCore
 

@@ -1,6 +1,5 @@
 """Property-based tests for the SIMT stack under random divergence."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

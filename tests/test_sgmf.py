@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import FabricSpec, UnitKind
+from repro.arch import UnitKind
 from repro.interp import interpret
 from repro.ir import KernelBuilder
 from repro.kernels import (

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.interp import interpret
 from repro.kernels import make_fig1_workload, saxpy_kernel
 from repro.sgmf import SGMFCore, build_sgmf_dfgs, map_kernel
 

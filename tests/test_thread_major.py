@@ -20,6 +20,8 @@ print(json.dumps(t.collect_pins(), indent=1, sort_keys=True))" \
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,18 +29,22 @@ from unittest import mock
 
 import pytest
 
+from repro.arch.config import VGIWConfig
 from repro.compiler.dfg import NodeKind
 from repro.compiler.pipeline import compile_kernel
 from repro.ir import DType, KernelBuilder
 from repro.ir.text import parse_kernel
+from repro.kernels import saxpy_kernel
 from repro.kernels.registry import make_workload
 from repro.memory.image import MemoryImage
 from repro.resilience import FaultInjector, FaultSpec, WatchdogConfig
 from repro.sgmf import SGMFCore
 from repro.sgmf.mapping import map_kernel
 from repro.vgiw import VGIWCore
+from repro.vgiw.mtcgrf import MTCGRFExecutor
 from tests.test_resilience import _copy_setup as resilience_copy_setup
 from tests.test_resilience import copy_kernel, spin_kernel
+from tests.test_timing_codegen import _saxpy as saxpy_setup
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "thread_major_pins.json")
 
@@ -347,3 +353,68 @@ def test_generated_kernel_cycles_are_pinned(pins):
     assert sum(1 for ln in lines if int(ln.split()[1]) < 4) >= 40
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == pins["fuzz_digest"]
+
+
+# ----------------------------------------------------------------------
+# VGIW's two per-thread paths: packet streaming and thread-major visits
+# ----------------------------------------------------------------------
+_REPLICA_FIELDS = ("next_inject", "window", "inject_times", "inject_wait",
+                   "unit_next", "unit_wait", "ldst_outstanding")
+
+
+def _vgiw_block_records(workload, n, thread_major, monkeypatch):
+    """Every ``execute_block`` call of one VGIW run of ``workload`` at
+    ``n`` threads with a 16-deep token buffer: its per-replica outcomes,
+    end cycle and each replica's state after the call.  ``thread_major``
+    makes every vector skip the functional batch.  Also returns how many
+    vectors ran batched."""
+    records, batched = [], []
+    execute = MTCGRFExecutor.execute_block
+    functional = MTCGRFExecutor._functional_batch
+
+    def recording_execute(self, cb, tids, start):
+        outcomes, end = execute(self, cb, tids, start)
+        states = [{f: copy.deepcopy(getattr(rep, f)) for f in _REPLICA_FIELDS}
+                  for rep in self.last_replicas]
+        records.append((cb.name, outcomes, end, states))
+        return outcomes, end
+
+    def batch_or_none(self, plan, tids):
+        batch = None if thread_major else functional(self, plan, tids)
+        batched.append(batch is not None)
+        return batch
+
+    if workload == "saxpy":
+        kernel = saxpy_kernel()
+        mem, params = saxpy_setup(n)
+    else:
+        wl = make_workload(workload, scale="tiny")
+        kernel, mem, params = wl.kernel, wl.memory.clone(), wl.params
+    config = dataclasses.replace(VGIWConfig(), token_buffer_depth=16)
+    with monkeypatch.context() as m:
+        m.setattr(MTCGRFExecutor, "execute_block", recording_execute)
+        m.setattr(MTCGRFExecutor, "_functional_batch", batch_or_none)
+        res = VGIWCore(config).run(kernel, mem, params, n)
+    return records, sum(batched), res
+
+
+@pytest.mark.parametrize("workload,n", [("saxpy", 200),
+                                        ("hotspot/hotspot_kernel", 256)])
+def test_vgiw_packet_stream_matches_thread_major_visits(workload, n,
+                                                        monkeypatch):
+    """A batched vector streamed a packet at a time gives the outcomes,
+    end cycle and replica state of the same vector admitted, visited
+    and retired thread by thread."""
+    packed, n_batched, res = _vgiw_block_records(workload, n, False,
+                                                 monkeypatch)
+    visited, none_batched, _ = _vgiw_block_records(workload, n, True,
+                                                   monkeypatch)
+    assert n_batched == len(packed) and none_batched == 0
+    assert packed == visited
+    # Not vacuous: several replicas ran packets, injection stalled on a
+    # full window, and (hotspot) live values crossed blocks.
+    assert max(len(outcomes) for _, outcomes, _, _ in packed) >= 2
+    assert any(s["inject_wait"] > 0
+               for _, _, _, states in packed for s in states)
+    if workload != "saxpy":
+        assert res.lvc_accesses > 0

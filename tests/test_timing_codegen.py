@@ -7,9 +7,9 @@ defaults of one flat function, looking the state up in the order hang
 snapshots list it.  The emitted source is bounded per row
 (one statement per simple ALU row, one helper call per memory row) and
 in total.  The loops that drive the walks make only modelling calls: a
-batched SGMF visit is one walk call, a VGIW packet thread calls admit,
-its walk and retire, and a Fermi warp memory instruction makes no
-per-lane call."""
+batched SGMF visit is one walk call, a VGIW packet thread makes one
+call, its walk, and a Fermi warp memory instruction makes no per-lane
+call."""
 
 import ast
 import collections
@@ -254,9 +254,15 @@ def _replay_rows(requests, l1_write_back=True):
             if found == "mru" and l1.stats.mshr_merges > merges:
                 counts["mru_merge"] += 1
         else:
+            word = addr % 8 * want_lvc.max_threads + tid
+            line = (want_lvc.ADDRESS_SPACE_BASE
+                    + word * 4 // want_lvc.line_bytes)
+            cur = want_lvc._ports.get(3)
+            counts["lv_flushes"] += bool(cur and cur[2] and cur[0] != line)
             w = want_lvc.access(s, addr % 8, tid, is_write, 3)
         heapq.heappush(out, w)
         assert g == w and type(g) is type(w), f"request {i}"
+        assert got_lvc._ports == want_lvc._ports, f"request {i}"
         assert got_l1._sets == l1._sets, f"request {i}"
         assert got_l1._mshr == l1._mshr, f"request {i}"
         assert got_l1.stats == l1.stats, f"request {i}"
@@ -264,7 +270,8 @@ def _replay_rows(requests, l1_write_back=True):
     assert got == want
     assert got_l1._bank_next == l1._bank_next
     assert got_lvc.stats == want_lvc.stats
-    assert got_lvc.buffered == want_lvc.buffered
+    assert (got_lvc.reads, got_lvc.writes, got_lvc.buffered) == (
+        want_lvc.reads, want_lvc.writes, want_lvc.buffered)
     counts["buffered"] = want_lvc.buffered
     counts["writebacks"] = l1.stats.writebacks
     return counts
@@ -334,6 +341,43 @@ def test_word_row_matches_cache_access_on_word_runs(seed, l1_write_back):
     assert (counts["writebacks"] > 0) == l1_write_back
 
 
+def _live_runs(seed, n=2500):
+    """Live-value row requests ``(kind, ready, is_write, addr, tid)`` as
+    an LVU streams a thread vector: runs of consecutive thread IDs of
+    one live value (``addr``) on one port, at rising, wandering ready
+    times.  A run is all loads, all stores or mixed, so stores dirty
+    lines the buffer fetched clean and most runs cross lines, flushing
+    the dirty buffer."""
+    rng = random.Random(seed)
+    requests = []
+    clock = 0.0
+    while len(requests) < n:
+        lv_id = rng.randrange(8)
+        p_write = rng.choice((0.0, 0.3, 1.0))
+        start = rng.randrange(256)
+        for tid in range(start, start + rng.randrange(1, 64)):
+            clock += rng.choice((0.0, 0.5, 1.0, 1.0, 3.0))
+            ready = max(0.0, clock + rng.choice((0.0, -rng.uniform(0, 20))))
+            if rng.random() < 0.5:
+                ready = float(round(ready))
+            requests.append(("lvr", ready, rng.random() < p_write, lv_id,
+                             tid))
+        clock += rng.choice((0.0, 30.0, 400.0))
+    return requests
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_live_row_matches_lvc_access_on_thread_runs(seed):
+    # ``lvr`` finishes a line-buffer hit in its own frame and sends a
+    # line crossing to ``LiveValueCache.cross``; ``LiveValueCache.access``
+    # is the reference for both.  The stream reaches buffered loads and
+    # stores, crossings and the flush of a buffer a store dirtied.
+    counts = _replay_rows(_live_runs(seed))
+    assert counts["buffered"] > 0
+    assert counts["lv_flushes"] > 0
+    assert counts["waited"] > 0
+
+
 def _python_calls(fn, *args):
     """``fn(*args)`` and the code objects of the Python frames it ran."""
     calls = []
@@ -354,7 +398,7 @@ def test_memory_row_hits_cost_one_frame():
     # Behind a full reservation buffer: an L1 hit of a LOAD row on its
     # set's MRU way is the row helper alone, a hit on another way adds
     # the cache's hit rule, and a line-buffer hit of a live-value row
-    # is the row helper and the LVC.
+    # is the row helper alone.
     from repro.memory import Cache, LiveValueCache
 
     ms, lvc, wrd, lvr = _row_helpers()
@@ -376,7 +420,12 @@ def test_memory_row_hits_cost_one_frame():
     t = lvr(out, 0.0, uw, 7, nf, 1, 0, 0, True)
     t, calls = _python_calls(lvr, out, t, uw, 7, nf, 1, 0, 1, False)
     assert lvc.buffered == 1
-    assert calls == [lvr.__code__, LiveValueCache.access.__code__]
+    assert calls == [lvr.__code__]
+    # A line crossing adds the LVC's crossing rule, and nothing else.
+    t, calls = _python_calls(lvr, out, t, uw, 7, nf, 1, 0, 64, False)
+    assert lvc.buffered == 1
+    assert calls[:2] == [lvr.__code__, LiveValueCache.cross.__code__]
+    assert LiveValueCache.access.__code__ not in calls
 
 
 def _calls_from(caller, fn, *args):
@@ -420,17 +469,21 @@ def test_batched_sgmf_visit_is_one_walk_call():
     assert small["walk"] == 3 * 64
 
 
-def test_vgiw_packet_thread_calls_admit_walk_retire():
-    # Per thread of a block vector the packet loop calls its replica's
-    # admit, its walk and retire, and nothing else (no outcome frame).
+def test_vgiw_packet_thread_makes_one_walk_call():
+    # A batched vector makes one call per 64-thread packet, its
+    # replica's ``stream_packet``, and each packet thread one call, its
+    # walk: admission and retirement run in line, with no admit, retire
+    # or outcome frame.
     block = mtcgrf.MTCGRFExecutor.execute_block.__code__
-    small = _saxpy_calls(block, VGIWCore(), 64)
-    large = _saxpy_calls(block, VGIWCore(), 200)
-    assert large - small == collections.Counter({
-        "walk": 3 * 136,
-        mtcgrf._ReplicaState.admit.__code__: 3 * 136,
-        mtcgrf._ReplicaState.retire.__code__: 3 * 136,
-    })
+    packet = mtcgrf._ReplicaState.stream_packet.__code__
+    for n in (64, 200):
+        assert _saxpy_calls(packet, VGIWCore(), n) == collections.Counter(
+            {"walk": 3 * n})
+        calls = _saxpy_calls(block, VGIWCore(), n)
+        assert calls[packet] == 3 * -(-n // 64)
+        assert "walk" not in calls
+        assert mtcgrf._ReplicaState.admit.__code__ not in calls
+        assert mtcgrf._ReplicaState.retire.__code__ not in calls
 
 
 def test_fermi_memory_instruction_makes_no_per_lane_call():

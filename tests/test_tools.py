@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arch import VGIWConfig
-from repro.compiler import Fabric, allocate_live_values, build_kernel_dfgs, compile_kernel
+from repro.compiler import compile_kernel
 from repro.compiler.dot import cfg_to_dot, dfg_to_dot, fabric_to_dot
-from repro.arch import FabricSpec
 from repro.interp import interpret
 from repro.kernels import fig1_kernel, make_fig1_workload
 from repro.vgiw import VGIWCore

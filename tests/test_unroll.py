@@ -1,7 +1,6 @@
 """Tests for loop unrolling and per-launch kernel specialisation."""
 
 import numpy as np
-import pytest
 
 from repro.compiler import natural_loops
 from repro.compiler.optimize import (
@@ -11,7 +10,7 @@ from repro.compiler.optimize import (
 )
 from repro.compiler.unroll import MAX_UNROLLED_INSTRS, unroll_loops
 from repro.interp import interpret
-from repro.ir import DType, KernelBuilder
+from repro.ir import KernelBuilder
 from repro.memory import MemoryImage
 
 

@@ -1,16 +1,12 @@
 """Integration tests for the VGIW core: functional equivalence with the
 reference interpreter and first-order timing behaviours."""
 
-import dataclasses
-
 import numpy as np
-import pytest
 
 from repro.arch import FabricSpec, VGIWConfig
 from repro.compiler import compile_kernel
 from repro.interp import interpret
 from repro.kernels import (
-    fig1_kernel,
     loop_sum_kernel,
     make_fig1_workload,
     memcopy_kernel,
