@@ -9,7 +9,6 @@ the paper credits for VGIW's performance.
 
 from repro.compiler import compile_kernel
 from repro.evalharness.tables import ExperimentTable, geomean
-from repro.kernels import make_fig1_workload, saxpy_kernel
 from repro.kernels.registry import make_workload
 from repro.vgiw import VGIWCore
 

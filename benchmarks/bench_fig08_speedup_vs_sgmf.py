@@ -8,7 +8,6 @@ subset, exactly as in the paper.
 """
 
 from repro.evalharness.experiments import fig8_speedup_vs_sgmf
-from repro.evalharness.tables import geomean
 
 
 def bench_fig8(benchmark, suite_runs):

@@ -7,7 +7,6 @@ as the (identical) memory hierarchy's energy is added.
 """
 
 from repro.evalharness.experiments import fig10_energy_levels
-from repro.evalharness.tables import geomean
 
 
 def bench_fig10(benchmark, suite_runs):

@@ -13,7 +13,7 @@ Run:  python examples/kmeans_clustering.py
 import numpy as np
 
 from repro.host import Device
-from repro.ir import DType, KernelBuilder
+from repro.ir import KernelBuilder
 
 N_POINTS = 512
 N_DIMS = 4

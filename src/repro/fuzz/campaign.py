@@ -84,28 +84,23 @@ class CampaignConfig:
 # ----------------------------------------------------------------------
 # Worker (module top level: picklable under every start method)
 # ----------------------------------------------------------------------
-#: per-process compile cache (each pool worker gets its own copy)
-_WORKER_CACHE: Optional[CompileCache] = None
-
-
-def _oracle_one(index: int, case_seed: int, config: CampaignConfig,
-                cache: Optional[CompileCache]) -> Tuple[int, CaseReport]:
+def _oracle_one(index: int, case_seed: int,
+                config: CampaignConfig) -> Tuple[int, CaseReport]:
+    # Uncached: generated cases never repeat a kernel, so a compile
+    # cache here only fingerprints and stores products nobody reads.
     case = generate_case(case_seed, config.gen)
     report = run_case(
         case,
         engines=config.engines,
         watchdog=DEFAULT_WATCHDOG,
-        compile_cache=cache,
+        compile_cache=None,
     )
     return index, report
 
 
 def _campaign_worker(payload) -> Tuple[int, CaseReport]:
     index, case_seed, config = payload
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = CompileCache()
-    return _oracle_one(index, case_seed, config, _WORKER_CACHE)
+    return _oracle_one(index, case_seed, config)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +158,7 @@ def _signature(report: CaseReport) -> frozenset:
 
 
 def _make_predicate(config: CampaignConfig, original: CaseReport,
-                    cache: Optional[CompileCache]):
+                    cache: CompileCache):
     """Interestingness: the candidate still shows at least one of the
     original's failing ``(engine, status)`` pairs."""
     wanted = _signature(original)
@@ -201,12 +196,11 @@ def run_campaign(config: CampaignConfig,
         return deadline is not None and time.monotonic() > deadline
 
     if config.jobs <= 1:
-        cache = CompileCache()
         for index, case_seed in enumerate(seeds):
             if expired():
                 skipped = len(seeds) - index
                 break
-            _, report = _oracle_one(index, case_seed, config, cache)
+            _, report = _oracle_one(index, case_seed, config)
             reports.append(report)
             if progress is not None:
                 progress(index, report)
@@ -240,6 +234,8 @@ def run_campaign(config: CampaignConfig,
     reproducers: Dict[str, str] = {}
     reduce_attempted = 0
     if config.reduce and config.corpus_dir is not None:
+        # The reducer re-runs each candidate's kernel at narrower widths
+        # (``shrink_threads``), so its compile products do repeat.
         cache = CompileCache()
         os.makedirs(config.corpus_dir, exist_ok=True)
         for report in reports:

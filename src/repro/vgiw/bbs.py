@@ -60,7 +60,7 @@ def terminator_batches(outcomes, word_bits: int = BATCH_BITS,
     # first (consecutive threads mostly share it) and a miss there
     # tests the rest.
     open_batches: dict = {}
-    for _, tid, target, _ in sorted(outcomes):
+    for _, tid, target in sorted(outcomes):
         if target is None:
             continue
         local = tid - tid_offset

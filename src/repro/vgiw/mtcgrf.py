@@ -139,7 +139,6 @@ class ThreadOutcome(NamedTuple):
     completion: float
     tid: int
     next_block: Optional[str]
-    replica: int = 0  # which replica's terminator CVU produced this
 
 
 _FLOAT_OPS_PREFIX = "f"
@@ -842,7 +841,7 @@ class _ReplicaState:
         self.window.append(completion)
 
     def stream_packet(self, depth: int, walk, wrd, lvr, tids: List[int],
-                      lo: int, hi: int, alists, successors, ridx: int,
+                      lo: int, hi: int, alists, successors,
                       outcomes: List[ThreadOutcome]) -> None:
         """Stream threads ``tids[lo:hi]`` of one batch packet through
         this replica's entered ``walk``: :meth:`admit`, the walk and
@@ -872,7 +871,7 @@ class _ReplicaState:
                 tid = tids[i]
                 completion = walk(wrd, lvr, tid, inject, i, alists)
                 emit(new_tuple(ThreadOutcome,
-                               (completion, tid, successors[i], ridx)))
+                               (completion, tid, successors[i])))
                 nxt = inject + 1.0
                 close(completion)
         finally:
@@ -1143,7 +1142,7 @@ class MTCGRFExecutor:
             plan = plans[ridx]
             if batch is not None:
                 rep.stream_packet(depth, walks[ridx], wrd, lvr, thread_ids,
-                                  lo, hi, alists, nb, ridx, outcomes[ridx])
+                                  lo, hi, alists, nb, outcomes[ridx])
             else:
                 out = outcomes[ridx]
                 for tid in thread_ids[lo:hi]:
@@ -1151,8 +1150,7 @@ class MTCGRFExecutor:
                     completion, next_block = self._thread_visit(
                         plan, rep, tid, inject
                     )
-                    out.append(ThreadOutcome(completion, tid, next_block,
-                                             ridx))
+                    out.append(ThreadOutcome(completion, tid, next_block))
                     rep.retire(inject, completion)
             hop_total += plan.total_hops * (hi - lo)
         # Every thread's completion closed a slot of its replica's window.

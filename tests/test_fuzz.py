@@ -242,6 +242,67 @@ def test_campaign_time_budget_skips_remaining(tmp_path):
     assert len(result.reports) + result.skipped == 50
 
 
+def _counting_fingerprints(monkeypatch):
+    """Count calls of the compile cache's content key."""
+    from repro.compiler import cache as cache_mod
+
+    calls = []
+    real = cache_mod.kernel_fingerprint
+
+    def counting(kernel):
+        calls.append(kernel.name)
+        return real(kernel)
+
+    monkeypatch.setattr(cache_mod, "kernel_fingerprint", counting)
+    return calls
+
+
+def test_campaign_serial_cases_compile_uncached(monkeypatch):
+    """Generated cases never repeat a kernel, so the serial case loop
+    keys none of its compiles by content."""
+    calls = _counting_fingerprints(monkeypatch)
+    config = CampaignConfig(seed=3, count=3, jobs=1, reduce=False)
+    assert len(run_campaign(config).reports) == 3
+    assert calls == []
+
+
+def test_campaign_worker_compiles_uncached(monkeypatch):
+    """A pool worker's case compiles uncached too (called in process)."""
+    from repro.fuzz import campaign
+
+    calls = _counting_fingerprints(monkeypatch)
+    config = CampaignConfig(seed=3, count=2)
+    for index, seed in enumerate(config.case_seeds()):
+        got, report = campaign._campaign_worker((index, seed, config))
+        assert got == index and report.seed == seed
+    assert calls == []
+
+
+def test_campaign_reducer_compiles_through_one_hitting_cache(
+        monkeypatch, tmp_path):
+    """The reducer re-runs a candidate's kernel at narrower widths, so
+    it alone keeps a compile cache: one instance, made through the
+    campaign module's ``CompileCache`` name, and it hits."""
+    from repro.fuzz import campaign
+
+    caches = []
+    base = campaign.CompileCache
+
+    def recording(*args, **kwargs):
+        caches.append(base(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(campaign, "CompileCache", recording)
+    with _sabotaged_fold_constants():
+        result = run_campaign(CampaignConfig(
+            seed=0, count=5, engines=("fermi",),
+            corpus_dir=str(tmp_path), reduce=True,
+        ))
+    assert result.reproducers
+    assert len(caches) == 1
+    assert caches[0].stats()["hits"] > 0
+
+
 def test_campaign_writes_reduced_reproducer_for_divergence(tmp_path):
     """End-to-end: a campaign whose compiler has an engineered bug must
     catch it, reduce it, and write a replayable corpus entry that still

@@ -4,9 +4,8 @@ from repro.vgiw import ThreadOutcome, terminator_batches
 from repro.vgiw.bbs import iter_batch_tids
 
 
-def _oc(tid, target, completion, replica=0):
-    return ThreadOutcome(tid=tid, next_block=target, completion=completion,
-                         replica=replica)
+def _oc(tid, target, completion):
+    return ThreadOutcome(tid=tid, next_block=target, completion=completion)
 
 
 def _unpack(packets):
