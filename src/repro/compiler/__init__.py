@@ -38,6 +38,7 @@ from repro.compiler.optimize import (
     fuse_fma,
     local_cse,
     optimize_kernel,
+    optimize_variants,
     propagate_params,
 )
 from repro.compiler.partition import PartitionError, split_block
@@ -97,6 +98,7 @@ __all__ = [
     "fuse_fma",
     "local_cse",
     "optimize_kernel",
+    "optimize_variants",
     "propagate_params",
     "unroll_loops",
     "DFGVerificationError",

@@ -25,9 +25,7 @@ key; nothing is ever served stale.
 The memory tier is what a single sweep (or a long-lived serve worker)
 hits when the same kernel×config pair recurs: retries of a degraded
 kernel, ablation sweeps that vary one machine's knob while the others
-recompile identically, and the double optimisation in ``run_kernel``
-(the rolled SGMF variant shares its specialisation prefix with the
-unrolled one).
+recompile identically, and the same workload launched again.
 
 Counters are exported through :class:`repro.obs.Metrics` (scope
 ``compile``, names ``cache.<counter>``) by
@@ -154,17 +152,16 @@ def cached_fermi_analysis(kernel, cache: Optional[CompileCache] = None):
     return cache.get_or_build(key, build)
 
 
-def cached_optimize_kernel(kernel, params=None, unroll: bool = True,
+def cached_optimize_kernel(kernel, params=None,
                            cache: Optional[CompileCache] = None):
-    """:func:`repro.compiler.optimize.optimize_kernel` through ``cache``."""
-    from repro.compiler.optimize import optimize_kernel
+    """:func:`repro.compiler.optimize.optimize_variants` through
+    ``cache``: the ``(unrolled, rolled)`` pair under one key."""
+    from repro.compiler.optimize import optimize_variants
 
     if cache is None:
-        return optimize_kernel(kernel, params=params, unroll=unroll)
-    key = cache.make_key("optimize", kernel_fingerprint(kernel), params,
-                         unroll)
-    return cache.get_or_build(
-        key, lambda: optimize_kernel(kernel, params=params, unroll=unroll))
+        return optimize_variants(kernel, params)
+    key = cache.make_key("optimize", kernel_fingerprint(kernel), params)
+    return cache.get_or_build(key, lambda: optimize_variants(kernel, params))
 
 
 class _Unmappable:

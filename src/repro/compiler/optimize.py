@@ -294,27 +294,64 @@ def copy_propagate(kernel: Kernel) -> Kernel:
     return _rebuild(kernel, blocks)
 
 
-def optimize_kernel(kernel: Kernel,
-                    params: Optional[Dict[str, Union[int, float]]] = None,
-                    unroll: bool = True) -> Kernel:
-    """Standard pass order.
+def _specialise(kernel: Kernel, params: Dict[str, Union[int, float]]
+                ) -> Kernel:
+    """Both variants' shared prefix: parameter propagation, constant
+    folding, DCE."""
+    return eliminate_dead_code(
+        fold_constants(propagate_params(kernel, params)))
 
-    Without ``params``: DCE, FMA contraction, DCE.  With ``params``
-    (per-launch specialisation, as a VGIW configuration generator would
-    do): parameter propagation and constant folding first, then loop
-    unrolling of constant-trip loops, then the clean-up passes.
-    """
-    if params is not None:
-        kernel = propagate_params(kernel, params)
-        kernel = fold_constants(kernel)
-        if unroll:
-            from repro.compiler.unroll import unroll_loops
 
-            kernel = eliminate_dead_code(kernel)
-            kernel = unroll_loops(kernel)
-            kernel = fold_constants(kernel)
+def _unrolled(kernel: Kernel) -> Kernel:
+    """Unroll constant-trip loops and fold the constants that exposes;
+    ``kernel`` itself when no loop matches."""
+    from repro.compiler.unroll import unroll_loops
+
+    unrolled = unroll_loops(kernel)
+    return kernel if unrolled is kernel else fold_constants(unrolled)
+
+
+def _clean_up(kernel: Kernel) -> Kernel:
+    """DCE, FMA contraction, CSE, copy propagation, DCE."""
     kernel = eliminate_dead_code(kernel)
     kernel = fuse_fma(kernel)
     kernel = local_cse(kernel)
     kernel = copy_propagate(kernel)
     return eliminate_dead_code(kernel)
+
+
+def optimize_kernel(kernel: Kernel,
+                    params: Optional[Dict[str, Union[int, float]]] = None
+                    ) -> Kernel:
+    """Standard pass order.
+
+    Without ``params``: DCE, FMA contraction, CSE, copy propagation,
+    DCE.  With ``params`` (per-launch specialisation, as a VGIW
+    configuration generator would do): parameter propagation, constant
+    folding and DCE first, then loop unrolling of constant-trip loops
+    and a second folding, then the clean-up passes.
+    :func:`optimize_variants` also returns the rolled variant.
+    """
+    if params is not None:
+        kernel = _unrolled(_specialise(kernel, params))
+    return _clean_up(kernel)
+
+
+def optimize_variants(kernel: Kernel,
+                      params: Optional[Dict[str, Union[int, float]]] = None
+                      ) -> Tuple[Kernel, Kernel]:
+    """``(unrolled, rolled)``: :func:`optimize_kernel`'s result and the
+    same pass order without loop unrolling, from one run of the shared
+    specialisation prefix.
+
+    Fermi and VGIW take the unrolled variant; SGMF keeps loops rolled to
+    conserve fabric capacity.  When no loop unrolls (always, without
+    ``params``) the two are one object.
+    """
+    if params is None:
+        rolled = _clean_up(kernel)
+        return rolled, rolled
+    base = _specialise(kernel, params)
+    rolled = _clean_up(base)
+    unrolled = _unrolled(base)
+    return (rolled if unrolled is base else _clean_up(unrolled)), rolled

@@ -218,14 +218,10 @@ def _execute_kernel(name: str, o: RunOptions,
     workload = make_workload(name, o.scale)
     tracer, metrics = o.tracer, o.metrics
     if o.optimize:
-        kernel = cached_optimize_kernel(
-            workload.kernel, params=workload.params, cache=cache
-        )
         # SGMF's compiler must conserve fabric capacity, so it keeps
         # loops rolled; Fermi and VGIW get the fully optimised kernel.
-        sgmf_kernel = cached_optimize_kernel(
-            workload.kernel, params=workload.params, unroll=False,
-            cache=cache,
+        kernel, sgmf_kernel = cached_optimize_kernel(
+            workload.kernel, params=workload.params, cache=cache
         )
     else:
         kernel = sgmf_kernel = workload.kernel

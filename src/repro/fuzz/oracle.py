@@ -8,8 +8,8 @@ the golden final memory image, then runs:
   is a compiler miscompile and is attributed to the pseudo-engine
   ``"optimizer"`` rather than to any machine;
 * each registered timing engine (``fermi``, ``vgiw``, ``sgmf`` by
-  default) on the optimised kernel (SGMF receives the rolled,
-  ``unroll=False`` variant, matching the evaluation harness).
+  default) on the optimised kernel (SGMF receives the rolled variant
+  from the same optimizer call, matching the evaluation harness).
 
 Each engine produces one :class:`EngineOutcome` whose ``status`` is a
 point in the classification lattice::
@@ -99,20 +99,14 @@ class ImageDiff:
     def describe(self) -> str:
         if self.equal:
             return "images identical"
-        parts = [
-            f"{self.words_diverged} word(s) diverge, "
-            f"first at address {self.first_addr}"
-        ]
+        header = (f"{self.words_diverged} word(s) diverge, "
+                  f"first at address {self.first_addr}")
         if self.missing_store_words:
-            parts.append(
-                f"{self.missing_store_words} of them untouched "
-                "(missing stores)"
-            )
-        for addr, want, got in self.samples:
-            parts.append(f"  [{addr}] golden={want!r} got={got!r}")
-        return "; ".join(parts[:2]) + (
-            "\n" + "\n".join(parts[2:]) if len(parts) > 2 else ""
-        )
+            header += (f"; {self.missing_store_words} of them untouched "
+                       "(missing stores)")
+        return "\n".join([header] + [
+            f"  [{addr}] golden={want!r} got={got!r}"
+            for addr, want, got in self.samples])
 
 
 def compare_images(
@@ -276,12 +270,8 @@ def run_case(
 
     # -- compiler pipeline (shared by the engines) ---------------------
     try:
-        opt_kernel = cached_optimize_kernel(
+        opt_kernel, opt_rolled = cached_optimize_kernel(
             case.kernel, params=case.params, cache=compile_cache
-        )
-        opt_rolled = cached_optimize_kernel(
-            case.kernel, params=case.params, unroll=False,
-            cache=compile_cache,
         )
     except ReproError as exc:
         report.outcomes.append(EngineOutcome(

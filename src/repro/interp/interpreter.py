@@ -7,9 +7,10 @@ memory image is asserted equal to the interpreter's in the test suite.
 :meth:`Interpreter.run` evaluates the threads waiting at one block as a
 wave, each instruction row one :func:`repro.ir.vecops.eval_row` batch
 (the evaluator the Fermi warps share).  :meth:`Interpreter.run_thread`
-walks one thread through the scalar ``EVAL`` table; it is the fallback
-for waves that decline and the independent oracle both batch paths are
-tested against.
+walks one thread through the scalar ``EVAL`` table; it runs launches
+narrower than :data:`WAVE_MIN_THREADS`, is the fallback for waves that
+decline, and is the independent oracle both batch paths are tested
+against.
 
 The interpreter also records, per thread, the sequence of basic blocks
 visited.  The SGMF model and several analyses consume these traces.
@@ -40,6 +41,16 @@ from repro.memory.image import MemoryImage
 from repro.resilience.errors import SimulationError
 
 Number = Union[int, float, bool]
+
+#: Narrowest launch :meth:`Interpreter.run` evaluates as waves.  Below
+#: it the scalar walk is faster: a wave row's numpy overhead is paid per
+#: row whatever its width, and divergent loops split narrow waves into
+#: fragments of one or two threads.  The measured crossover lies between
+#: 10 and 16 threads, where single kernels scatter either way; 16 keeps
+#: every default fuzz case (1-12 threads) and ``gaussian/Fan1`` (14, faster
+#: scalar) on the scalar walk, and 12 measured no different end to end
+#: (``docs/performance.md``, "Narrow launches", has the sweep and A/B).
+WAVE_MIN_THREADS = 16
 
 
 class InterpreterError(SimulationError):
@@ -279,13 +290,15 @@ class Interpreter:
     def run(self, n_threads: int) -> InterpResult:
         """Execute ``n_threads`` threads (TIDs 0..n-1).
 
-        Threads at the same basic block are evaluated as one numpy batch
-        through :mod:`repro.ir.vecops`; results are identical to the
-        sequential :meth:`run_thread` walk, which remains the fallback
-        for hazardous or erroneous kernels and the oracle the batch is
-        tested against.
+        A launch of at least :data:`WAVE_MIN_THREADS` threads evaluates
+        the threads at the same basic block as one numpy batch through
+        :mod:`repro.ir.vecops`; results are identical to the sequential
+        :meth:`run_thread` walk, which runs narrower launches thread by
+        thread, remains the fallback for hazardous or erroneous kernels,
+        and is the oracle the batch is tested against.
         """
-        traces = self._run_wave(n_threads) if n_threads >= 4 else None
+        traces = (self._run_wave(n_threads)
+                  if n_threads >= WAVE_MIN_THREADS else None)
         if traces is None:
             traces = [self.run_thread(tid) for tid in range(n_threads)]
         result = InterpResult(self.kernel, n_threads, traces)

@@ -102,6 +102,25 @@ def test_compare_images_classifies_missing_stores():
     assert diff.missing_store_words == 1
 
 
+def test_diff_describe_puts_every_sample_on_its_own_line():
+    golden = np.array([1.0, 2.0, 3.0, 4.0])
+    wrong = compare_images(golden, np.array([1.0, 9.0, 8.0, 4.0]),
+                           np.zeros(4))
+    assert wrong.describe() == (
+        "2 word(s) diverge, first at address 1\n"
+        "  [1] golden=2.0 got=9.0\n"
+        "  [2] golden=3.0 got=8.0")
+    dropped = compare_images(golden, np.array([1.0, 0.0, 0.0, 4.0]),
+                             np.zeros(4))
+    assert dropped.describe() == (
+        "2 word(s) diverge, first at address 1; "
+        "2 of them untouched (missing stores)\n"
+        "  [1] golden=2.0 got=0.0\n"
+        "  [2] golden=3.0 got=0.0")
+    assert compare_images(golden, golden.copy()).describe() == \
+        "images identical"
+
+
 # ----------------------------------------------------------------------
 # Oracle
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.interp import Interpreter, InterpreterError, interpret
+from repro.interp import interpreter as interpreter_module
 from repro.ir import DType, KernelBuilder
 from repro.kernels import (
     fig1_reference,
@@ -199,8 +200,10 @@ def test_run_matches_per_thread_oracle(monkeypatch):
     """``Interpreter.run`` (waves of threads per block) against
     ``run_thread`` called thread by thread: memory image, per-thread
     traces and block visits all agree on generated kernels, the fuzz
-    corpus and the Table 2 kernels.  The wave path itself, not its
-    fallback to ``run_thread``, answers every Table 2 kernel but
+    corpus and the Table 2 kernels.  Every case is forced onto the wave
+    path whatever its width, so the narrow ones that ``run`` hands to
+    ``run_thread`` keep their wave coverage.  The wave path itself, not
+    its fallback to ``run_thread``, answers every Table 2 kernel but
     ``lud/lud_perimeter`` (its threads re-read their own stores).
 
     The Fermi warps evaluate the same instruction rows as the waves
@@ -219,6 +222,7 @@ def test_run_matches_per_thread_oracle(monkeypatch):
         return result
 
     monkeypatch.setattr(Interpreter, "_run_wave", counting_run_wave)
+    monkeypatch.setattr(interpreter_module, "WAVE_MIN_THREADS", 1)
     for case in _oracle_cases():
         want, want_visits = _threads_one_by_one(case)
         mem = case.build_memory()
@@ -239,3 +243,28 @@ def test_run_matches_per_thread_oracle(monkeypatch):
             case.seed
     fallbacks = [name for name in all_names() if not answered[name]]
     assert fallbacks == ["lud/lud_perimeter"]
+
+
+def test_narrow_launches_interpret_thread_by_thread(monkeypatch):
+    """``run`` hands a launch narrower than ``WAVE_MIN_THREADS`` to
+    ``run_thread`` without trying a wave, and tries the wave first from
+    that width up."""
+    waves = []
+    run_wave = Interpreter._run_wave
+
+    def counting_run_wave(self, n_threads):
+        waves.append(n_threads)
+        return run_wave(self, n_threads)
+
+    monkeypatch.setattr(Interpreter, "_run_wave", counting_run_wave)
+    width = interpreter_module.WAVE_MIN_THREADS
+    for n, want in ((width - 1, []), (width, [width])):
+        waves.clear()
+        kernel, mem, params = make_fig1_workload(n_threads=n)
+        data = mem.read_region("data")
+        result = interpret(kernel, mem, params, n)
+        assert waves == want, n
+        assert len(result.traces) == n
+        np.testing.assert_allclose(
+            mem.read_region("out"),
+            fig1_reference(data, params["a"], params["b"]))

@@ -230,7 +230,7 @@ def test_placements_are_pinned():
     """VGIW replicas of every block and SGMF replicas of every kernel
     (or its unmappable message), over all registry kernels at ``small``
     and the fuzz corpus, optimized unrolled and rolled."""
-    from repro.compiler.optimize import optimize_kernel
+    from repro.compiler.optimize import optimize_variants
     from repro.fuzz import load_corpus_case
     from repro.kernels.registry import all_names, make_workload
     from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
@@ -247,8 +247,8 @@ def test_placements_are_pinned():
 
     digest = hashlib.sha256()
     for name, kernel, params in cases:
-        for unroll in (True, False):
-            k = optimize_kernel(kernel, params=params, unroll=unroll)
+        variants = optimize_variants(kernel, params)
+        for unroll, k in zip((True, False), variants):
             lines = [f"{name} unroll={unroll}"]
             for bname, cb in compile_kernel(k).blocks.items():
                 for r, placed in enumerate(cb.placement.replicas):

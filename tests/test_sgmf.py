@@ -152,7 +152,7 @@ def test_replicas_capped_by_fabric():
 def test_functional_waves_answer_every_mappable_table2_kernel(monkeypatch):
     """The whole-kernel wave pass, not the thread-major fallback, runs
     every Table 2 kernel SGMF can map at ``tiny`` (17 of 21)."""
-    from repro.compiler.optimize import optimize_kernel
+    from repro.compiler.optimize import optimize_variants
     from repro.kernels.registry import all_names, make_workload
 
     answered = {}
@@ -166,7 +166,7 @@ def test_functional_waves_answer_every_mappable_table2_kernel(monkeypatch):
     monkeypatch.setattr(SGMFCore, "_functional_waves", counting)
     for name in all_names():
         wl = make_workload(name, "tiny")
-        kernel = optimize_kernel(wl.kernel, params=wl.params, unroll=False)
+        kernel = optimize_variants(wl.kernel, wl.params)[1]
         try:
             _run_both(kernel, wl.memory.clone(), wl.params, wl.n_threads)
         except SGMFUnmappableError:

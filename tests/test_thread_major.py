@@ -270,7 +270,7 @@ DIGEST_SEEDS = range(200)
 def fuzz_digest_lines():
     """One line per (case, engine): cycles plus a memory digest, or the
     error, for every generated case the differential fuzzer would run."""
-    from repro.compiler.optimize import optimize_kernel
+    from repro.compiler.optimize import optimize_variants
     from repro.engine import create_engine
     from repro.fuzz import generate_case
     from repro.fuzz.oracle import DEFAULT_WATCHDOG
@@ -278,9 +278,7 @@ def fuzz_digest_lines():
     lines = []
     for seed in DIGEST_SEEDS:
         case = generate_case(seed)
-        unrolled = optimize_kernel(case.kernel, params=case.params)
-        rolled = optimize_kernel(case.kernel, params=case.params,
-                                 unroll=False)
+        unrolled, rolled = optimize_variants(case.kernel, case.params)
         for engine in ("vgiw", "sgmf"):
             mem = case.build_memory()
             kernel = rolled if engine == "sgmf" else unrolled

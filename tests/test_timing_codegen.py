@@ -645,7 +645,7 @@ def table2_plans():
     """Every VGIW replica plan and SGMF plan of the 21 Table 2 kernels at
     ``tiny``, optimised as the sweep optimises them: ``(sgmf, plan)``."""
     from repro.arch.config import SGMFConfig, VGIWConfig
-    from repro.compiler.optimize import optimize_kernel
+    from repro.compiler.optimize import optimize_variants
     from repro.kernels.registry import all_names, make_workload
     from repro.sgmf.mapping import SGMFUnmappableError, map_kernel
 
@@ -655,15 +655,14 @@ def table2_plans():
     plans = []
     for name in names:
         w = make_workload(name, "tiny")
-        k = optimize_kernel(w.kernel, params=w.params)
+        k, rolled = optimize_variants(w.kernel, w.params)
         for cb in compile_kernel(k).blocks.values():
             for placed in cb.placement.replicas:
                 plans.append((False, mtcgrf.build_exec_plan(
                     cb.dfg, placed.unit_of, placed.edge_hops, w.params,
                     vgiw_lat)))
         try:
-            mapping = map_kernel(optimize_kernel(w.kernel, params=w.params,
-                                                 unroll=False))
+            mapping = map_kernel(rolled)
         except SGMFUnmappableError:
             continue
         for placed in mapping.replicas:

@@ -299,14 +299,14 @@ def _interpreted(kernel, memory, params, n_threads):
 def test_fuzz_kernels_identical_scalar_vs_vector(seed):
     """Fuzz-generated kernels: every engine ends with the interpreter's
     memory image, in the cycles of the sequential walk."""
-    from repro.compiler.optimize import optimize_kernel
+    from repro.compiler.optimize import optimize_variants
     from repro.fuzz import generate_case
     from repro.sgmf import SGMFUnmappableError
 
     case = generate_case(seed)
+    unrolled, rolled = optimize_variants(case.kernel, case.params)
     for engine_name in ("vgiw", "sgmf", "fermi"):
-        kernel = optimize_kernel(case.kernel, params=case.params,
-                                 unroll=engine_name != "sgmf")
+        kernel = rolled if engine_name == "sgmf" else unrolled
         mem = case.build_memory()
         want = _interpreted(case.kernel, mem, case.params, case.n_threads)
         if FUZZ_CYCLES[seed, engine_name] is None:
